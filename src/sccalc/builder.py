@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .exceptions import (
     InvalidDataError,
@@ -27,7 +28,6 @@ from .exceptions import (
     ValidationError,
 )
 from .model import ConverterSource, ExternalGrid, Line, Network, Transformer2W, Transformer3W, validate
-from .quantities import KILOAMPERE, OHM, PER_UNIT, ComplexCurrent, ComplexImpedance
 
 __all__ = [
     "FaultStudyOptions",
@@ -88,18 +88,18 @@ class FaultStudyOptions:
 
 @dataclass
 class BusBranchModel:
-    """Per-unit study model: admittance matrix plus per-row source data.
+    """Per-unit study model: sparse admittance matrix plus per-row source
+    data. ``u_q`` holds the voltage correction factor c of each real row.
 
     Rows cover the fused, energized electrical nodes; three-winding star
     points occupy the trailing ``n_aux`` rows and are never reported.
     """
 
     bus_index: dict[int, int]
-    y_matrix: np.ndarray
+    y_matrix: scipy.sparse.csc_matrix
     u_q: np.ndarray
     i_kc: np.ndarray
     i_base_ka: np.ndarray
-    c_per_bus: np.ndarray
     n_aux: int = 0
 
     @property
@@ -127,7 +127,7 @@ def voltage_correction_factor(vn_kv: float, tolerance_percent: int, case: str) -
     return 1.10 if case == "max" else 1.00
 
 
-def external_grid_impedance(eg: ExternalGrid, vn_kv: float, case: str, c: float) -> ComplexImpedance:
+def external_grid_impedance(eg: ExternalGrid, vn_kv: float, case: str, c: float) -> complex:
     """Internal impedance of an external grid connection in ohms.
 
     |Z| = c * vn^2 / S''_k with the case-matching short-circuit power;
@@ -141,17 +141,17 @@ def external_grid_impedance(eg: ExternalGrid, vn_kv: float, case: str, c: float)
         raise InvalidDataError(f"external grid short-circuit power must be > 0, got {s_sc_mva!r} MVA")
     z_mag = c * vn_kv**2 / s_sc_mva
     x = z_mag / math.sqrt(1.0 + rx * rx)
-    return ComplexImpedance(complex(rx * x, x), OHM)
+    return complex(rx * x, x)
 
 
-def line_impedance(line: Line, case: str) -> ComplexImpedance:
+def line_impedance(line: Line, case: str) -> complex:
     """Line impedance in ohms; the minimum case scales the resistance up
     to the conductor end temperature reached after the fault."""
     r = line.r_ohm_per_km * line.length_km
     x = line.x_ohm_per_km * line.length_km
     if case == "min":
         r *= 1.0 + ALPHA_PER_K * (line.endtemp_degc - 20.0)
-    return ComplexImpedance(complex(r, x), OHM)
+    return complex(r, x)
 
 
 def transformer_correction(x_t: float, c_max_lv: float) -> float:
@@ -163,13 +163,13 @@ def transformer_correction(x_t: float, c_max_lv: float) -> float:
     return 0.95 * c_max_lv / (1.0 + 0.6 * x_t)
 
 
-def transformer_impedance(t: Transformer2W, c_max_lv: float) -> ComplexImpedance:
+def transformer_impedance(t: Transformer2W, c_max_lv: float) -> complex:
     """Corrected short-circuit impedance of a two-winding transformer in
     per unit on its rated base (sn_mva, winding voltage)."""
     r = t.vkr_percent / 100.0
     x = math.sqrt(t.vk_percent**2 - t.vkr_percent**2) / 100.0
     k_t = transformer_correction(x, c_max_lv)
-    return ComplexImpedance(k_t * complex(r, x), PER_UNIT)
+    return k_t * complex(r, x)
 
 
 def star_decompose(z_hm: complex, z_ml: complex, z_hl: complex) -> tuple[complex, complex, complex]:
@@ -186,7 +186,7 @@ def star_decompose(z_hm: complex, z_ml: complex, z_hl: complex) -> tuple[complex
 
 def three_winding_star(
     t: Transformer3W, c_max_lv: float, s_base_mva: float = 1.0
-) -> tuple[ComplexImpedance, ComplexImpedance, ComplexImpedance]:
+) -> tuple[complex, complex, complex]:
     """Corrected star-equivalent branches of a three-winding transformer in
     per unit on the study base.
 
@@ -206,19 +206,14 @@ def three_winding_star(
     z_hm = corrected_pair(t.vk_hm_percent, t.vkr_hm_percent, t.sn_hv_mva, t.sn_mv_mva)
     z_ml = corrected_pair(t.vk_ml_percent, t.vkr_ml_percent, t.sn_mv_mva, t.sn_lv_mva)
     z_hl = corrected_pair(t.vk_hl_percent, t.vkr_hl_percent, t.sn_hv_mva, t.sn_lv_mva)
-    z_h, z_m, z_l = star_decompose(z_hm, z_ml, z_hl)
-    return (
-        ComplexImpedance(z_h, PER_UNIT),
-        ComplexImpedance(z_m, PER_UNIT),
-        ComplexImpedance(z_l, PER_UNIT),
-    )
+    return star_decompose(z_hm, z_ml, z_hl)
 
 
-def converter_current(cs: ConverterSource, vn_kv: float) -> ComplexCurrent:
+def converter_current(cs: ConverterSource, vn_kv: float) -> complex:
     """Inductive fault current injection of a full converter unit in kA:
     -j * k * I_rated with I_rated = sn / (sqrt(3) * vn)."""
     i_rated_ka = cs.sn_mva / (math.sqrt(3.0) * vn_kv)
-    return ComplexCurrent(complex(0.0, -cs.k * i_rated_ka), KILOAMPERE)
+    return complex(0.0, -cs.k * i_rated_ka)
 
 
 @dataclass(frozen=True)
@@ -228,7 +223,7 @@ class SwitchFusion:
 
     node_of: dict[int, int]
     severed: frozenset[tuple[str, int, int]]
-    active: tuple[tuple[str, int], ...]
+    active: frozenset[tuple[str, int]]
 
     def is_severed(self, kind: str, index: int, bus: int) -> bool:
         return (kind, index, bus) in self.severed
@@ -275,24 +270,42 @@ def fuse_switches(net: Network) -> SwitchFusion:
         ]
         return len(live) >= required
 
-    active: list[tuple[str, int]] = []
+    active: set[tuple[str, int]] = set()
     for i, eg in enumerate(net.external_grids):
         if eg.in_service and eg.bus in in_service:
-            active.append(("external_grid", i))
+            active.add(("external_grid", i))
     for i, ln in enumerate(net.lines):
         if ln.in_service and terminals_ok("line", i, (ln.from_bus, ln.to_bus), 2):
-            active.append(("line", i))
+            active.add(("line", i))
     for i, t in enumerate(net.transformers2w):
         if t.in_service and terminals_ok("trafo2w", i, (t.hv_bus, t.lv_bus), 2):
-            active.append(("trafo2w", i))
+            active.add(("trafo2w", i))
     for i, t in enumerate(net.transformers3w):
         if t.in_service and terminals_ok("trafo3w", i, (t.hv_bus, t.mv_bus, t.lv_bus), 2):
-            active.append(("trafo3w", i))
+            active.add(("trafo3w", i))
     for i, cs in enumerate(net.converter_sources):
         if cs.in_service and cs.bus in in_service:
-            active.append(("converter", i))
+            active.add(("converter", i))
 
-    return SwitchFusion(node_of=node_of, severed=frozenset(severed), active=tuple(active))
+    return SwitchFusion(node_of=node_of, severed=frozenset(severed), active=frozenset(active))
+
+
+def _stamp_csc(rows: list[int], cols: list[int], vals: list[complex], dim: int) -> scipy.sparse.csc_matrix:
+    """Sum admittance stamps (COO triplets) into a dim x dim CSC matrix.
+
+    Duplicates are added in stamp order (the column-major sort is stable),
+    so Y[i, j] and Y[j, i] sum the same terms in the same order and the
+    matrix stays exactly symmetric.
+    """
+    rows_a = np.asarray(rows, dtype=np.int32)
+    cols_a = np.asarray(cols, dtype=np.int32)
+    order = np.lexsort((rows_a, cols_a))
+    rows_a, cols_a, vals_a = rows_a[order], cols_a[order], np.asarray(vals, dtype=complex)[order]
+    first = np.flatnonzero(np.r_[True, (rows_a[1:] != rows_a[:-1]) | (cols_a[1:] != cols_a[:-1])])
+    indptr = np.searchsorted(cols_a[first], np.arange(dim + 1)).astype(np.int32)
+    return scipy.sparse.csc_matrix(
+        (np.add.reduceat(vals_a, first), rows_a[first], indptr), shape=(dim, dim)
+    )
 
 
 def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
@@ -334,7 +347,7 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
             continue
         vn = buses[eg.bus].vn_kv
         c = voltage_correction_factor(vn, tol, case)
-        z = external_grid_impedance(eg, vn, case, c).z / z_base_ohm(vn)
+        z = external_grid_impedance(eg, vn, case, c) / z_base_ohm(vn)
         require_stampable(z, f"external_grids[{i}]")
         n = node(eg.bus)
         shunts.append((n, 1.0 / z))
@@ -344,7 +357,7 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         if ("line", i) not in fusion.active:
             continue
         vn = buses[ln.from_bus].vn_kv
-        z = line_impedance(ln, case).z / z_base_ohm(vn)
+        z = line_impedance(ln, case) / z_base_ohm(vn)
         require_stampable(z, f"lines[{i}]")
         branches.append((node(ln.from_bus), node(ln.to_bus), 1.0 / z, 1.0))
 
@@ -354,7 +367,7 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         vb_hv = buses[t.hv_bus].vn_kv
         vb_lv = buses[t.lv_bus].vn_kv
         c_max_lv = voltage_correction_factor(vb_lv, tol, "max")
-        z_rated = transformer_impedance(t, c_max_lv).z
+        z_rated = transformer_impedance(t, c_max_lv)
         z = z_rated * (s_base / t.sn_mva) * (t.vn_lv_kv / vb_lv) ** 2
         require_stampable(z, f"transformers2w[{i}]")
         tap = (t.vn_hv_kv / t.vn_lv_kv) * (vb_lv / vb_hv)
@@ -368,9 +381,9 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         z_h, z_m, z_l = three_winding_star(t, c_max_lv, s_base)
         star = ("aux", i)
         for winding, bus_id, vn_w, z in (
-            ("hv", t.hv_bus, t.vn_hv_kv, z_h.z),
-            ("mv", t.mv_bus, t.vn_mv_kv, z_m.z),
-            ("lv", t.lv_bus, t.vn_lv_kv, z_l.z),
+            ("hv", t.hv_bus, t.vn_hv_kv, z_h),
+            ("mv", t.mv_bus, t.vn_mv_kv, z_m),
+            ("lv", t.lv_bus, t.vn_lv_kv, z_l),
         ):
             if not buses[bus_id].in_service or fusion.is_severed("trafo3w", i, bus_id):
                 continue
@@ -383,7 +396,7 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
             if ("converter", i) not in fusion.active:
                 continue
             vn = buses[cs.bus].vn_kv
-            i_ka = converter_current(cs, vn).i
+            i_ka = converter_current(cs, vn)
             i_base = s_base / (math.sqrt(3.0) * vn)
             injections.append((node(cs.bus), i_ka / i_base))
 
@@ -433,19 +446,14 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
             cols.append(row_of[n])
             vals.append(y)
 
-    y_matrix = np.zeros((dim, dim), dtype=complex)
-    np.add.at(y_matrix, (np.array(rows, dtype=int), np.array(cols, dtype=int)), np.array(vals, dtype=complex))
+    y_matrix = _stamp_csc(rows, cols, vals, dim)
 
+    # real rows come first, in the order of real_rows
+    vn_real = np.array([buses[n].vn_kv for n in real_rows], dtype=float)
     u_q = np.zeros(dim)
-    c_per_bus = np.zeros(dim)
     i_base_ka = np.zeros(dim)
-    for n in real_rows:
-        vn = buses[n].vn_kv
-        c = voltage_correction_factor(vn, tol, case)
-        r = row_of[n]
-        u_q[r] = c
-        c_per_bus[r] = c
-        i_base_ka[r] = s_base / (math.sqrt(3.0) * vn)
+    u_q[: len(real_rows)] = [voltage_correction_factor(vn, tol, case) for vn in vn_real]
+    i_base_ka[: len(real_rows)] = s_base / (math.sqrt(3.0) * vn_real)
 
     i_kc = np.zeros(dim, dtype=complex)
     for n, inj in injections:
@@ -458,6 +466,5 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         u_q=u_q,
         i_kc=i_kc,
         i_base_ka=i_base_ka,
-        c_per_bus=c_per_bus,
         n_aux=len(aux_rows),
     )

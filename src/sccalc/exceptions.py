@@ -40,4 +40,5 @@ class SingularStampError(SolverError):
 
 
 class SingularMatrixError(SolverError):
-    """The admittance matrix is singular (an island without a voltage source)."""
+    """The admittance matrix is numerically singular; its factorization or
+    solves give no finite result."""

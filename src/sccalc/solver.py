@@ -5,29 +5,29 @@ impedance matrix (equivalent voltage source c*Un/sqrt(3) at the fault
 location), the converter contribution from one linear solve against the
 injection vector, and the total as the sum of the component magnitudes.
 
-diag(inv(Y)) is computed by dense inversion for small systems and by a
-sparse LU factorization with one unit-vector solve per requested column for
-large ones; both paths agree to solver precision and are interchangeable.
+A study factorizes the sparse admittance matrix once (sparse LU) and shares
+that factor between both steps: diag(inv(Y)) takes one unit-vector solve
+per fault bus, the converter contribution one solve against the injection
+vector.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, build_bbm, voltage_correction_factor
+from .builder import FaultStudyOptions, build_bbm
 from .exceptions import InvalidOptionError, SingularMatrixError
 from .model import Network
 
 __all__ = [
-    "DENSE_SOLVER_LIMIT",
     "DEGENERATE_Z_TOL_PU",
     "ShortCircuitResult",
+    "factorize",
     "impedance_matrix_diag",
     "voltage_source_currents",
     "converter_contribution",
@@ -35,15 +35,13 @@ __all__ = [
     "calc_sc",
 ]
 
-# above this dimension the sparse factorization path is used; a tuning
-# constant, not a correctness boundary
-DENSE_SOLVER_LIMIT = 500
-
 # |Z_ii| below this marks a fault directly on an ideal node; the bus gets
 # an error marker instead of an infinite current
 DEGENERATE_Z_TOL_PU = 1e-12
 
 _SOLVE_CHUNK = 512
+
+_SINGULAR = "admittance matrix is numerically singular"
 
 
 @dataclass
@@ -62,7 +60,6 @@ class ShortCircuitResult:
     ikss_ka: np.ndarray
     energized: np.ndarray
     case: str = ""
-    c_per_bus: np.ndarray | None = None
     options: FaultStudyOptions | None = None
     bus_names: tuple[str, ...] = ()
     vn_kv: np.ndarray | None = None
@@ -81,95 +78,38 @@ class ShortCircuitResult:
         }
 
 
-def _pick_method(n: int, method: str) -> str:
-    if method == "auto":
-        return "dense" if n <= DENSE_SOLVER_LIMIT else "sparse"
-    if method not in ("dense", "sparse"):
-        raise InvalidOptionError(f"method must be 'auto', 'dense' or 'sparse', got {method!r}")
-    return method
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise SingularMatrixError(f"{_SINGULAR}: non-finite {what}")
+    return values
 
 
-def _raise_singular(y: np.ndarray) -> None:
-    """Name the island that lacks a voltage source, best effort."""
-    n = y.shape[0]
-    mask = np.abs(y) > 0
-    seen = np.zeros(n, dtype=bool)
-    islands = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            if seen[i]:
-                continue
-            seen[i] = True
-            comp.append(i)
-            stack.extend(np.nonzero(mask[i])[0])
-        # a component whose rows all sum to ~0 has no tie to the reference
-        rows = np.array(comp)
-        scale = max(np.abs(y[rows, rows]).max(), 1e-300)
-        if np.all(np.abs(y[np.ix_(rows, rows)].sum(axis=1)) <= 1e-9 * scale):
-            islands.append(comp)
-    detail = f" (matrix rows without reference tie: {islands})" if islands else ""
-    raise SingularMatrixError(f"admittance matrix is singular; an island has no voltage source{detail}")
+def factorize(y_matrix: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU factorization of the CSC admittance matrix; an exactly
+    singular matrix raises SingularMatrixError."""
+    try:
+        return scipy.sparse.linalg.splu(y_matrix)
+    except RuntimeError as exc:
+        raise SingularMatrixError(f"{_SINGULAR}: {exc}") from None
 
 
-class _Factorization:
-    """LU of Y, dense or sparse, with a uniform multi-RHS solve."""
-
-    def __init__(self, y: np.ndarray, method: str):
-        self.n = y.shape[0]
-        self.method = _pick_method(self.n, method)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                if self.method == "dense":
-                    self._lu = scipy.linalg.lu_factor(np.asarray(y, dtype=complex))
-                    if not np.all(np.isfinite(self._lu[0])) or np.any(np.diagonal(self._lu[0]) == 0):
-                        _raise_singular(y)
-                else:
-                    self._splu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(y))
-        except (np.linalg.LinAlgError, RuntimeError):
-            _raise_singular(y)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.method == "dense":
-            return scipy.linalg.lu_solve(self._lu, b)
-        return self._splu.solve(b)
-
-    def diag_of_inverse(self, rows: np.ndarray) -> np.ndarray:
-        """Z_ii of inv(Y) for the requested rows, via unit-vector solves."""
-        out = np.empty(len(rows), dtype=complex)
-        for start in range(0, len(rows), _SOLVE_CHUNK):
-            chunk = rows[start : start + _SOLVE_CHUNK]
-            rhs = np.zeros((self.n, len(chunk)), dtype=complex)
-            rhs[chunk, np.arange(len(chunk))] = 1.0
-            sol = self.solve(rhs)
-            out[start : start + len(chunk)] = sol[chunk, np.arange(len(chunk))]
-        return out
-
-
-def impedance_matrix_diag(y_matrix: np.ndarray, method: str = "auto", rows=None) -> np.ndarray:
+def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndarray:
     """Diagonal of the bus impedance matrix Z = inv(Y), per unit.
 
-    ``method`` selects dense inversion or sparse factorization with
-    unit-vector column solves; both give the same values. ``rows`` limits
-    the computation to a subset of diagonal entries.
+    ``lu`` is the factorization of Y; each requested entry costs one
+    unit-vector solve. ``rows`` limits the computation to a subset of
+    diagonal entries.
     """
-    n = y_matrix.shape[0]
+    n = lu.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
-    picked = _pick_method(n, method)
-    if picked == "dense":
-        try:
-            z = np.linalg.inv(np.asarray(y_matrix, dtype=complex))
-        except np.linalg.LinAlgError:
-            _raise_singular(y_matrix)
-        if not np.all(np.isfinite(z)):
-            _raise_singular(y_matrix)
-        return z[rows, rows]
-    return _Factorization(y_matrix, picked).diag_of_inverse(rows)
+    out = np.empty(len(rows), dtype=complex)
+    for start in range(0, len(rows), _SOLVE_CHUNK):
+        chunk = rows[start : start + _SOLVE_CHUNK]
+        cols = np.arange(len(chunk))
+        rhs = np.zeros((n, len(chunk)), dtype=complex)
+        rhs[chunk, cols] = 1.0
+        out[start : start + len(chunk)] = lu.solve(rhs)[chunk, cols]
+    return _require_finite(out, "impedance matrix diagonal")
 
 
 def voltage_source_currents(z_diag: np.ndarray, u_q: np.ndarray) -> np.ndarray:
@@ -178,67 +118,42 @@ def voltage_source_currents(z_diag: np.ndarray, u_q: np.ndarray) -> np.ndarray:
 
 
 def converter_contribution(
-    y_matrix: np.ndarray, z_diag: np.ndarray, i_kc: np.ndarray, method: str = "auto", rows=None
+    lu: scipy.sparse.linalg.SuperLU, z_diag: np.ndarray, i_kc: np.ndarray, rows=None
 ) -> np.ndarray:
     """Converter fault current per bus, per unit.
 
-    One solve u = inv(Y) @ i_kc gives the row sums over Z_jm * I_kC,m for
-    every fault bus at once; dividing by Z_jj yields the contribution.
-    ``z_diag`` must be aligned with ``rows`` (all rows when omitted).
+    One solve u = inv(Y) @ i_kc with the factorization ``lu`` of Y gives
+    the row sums over Z_jm * I_kC,m for every fault bus at once; dividing
+    by Z_jj yields the contribution. ``z_diag`` must be aligned with
+    ``rows`` (all rows when omitted).
     """
     i_kc = np.asarray(i_kc, dtype=complex)
-    z_diag = np.asarray(z_diag)
-    if rows is None:
-        rows = np.arange(y_matrix.shape[0])
-    rows = np.asarray(rows, dtype=int)
+    rows = np.arange(lu.shape[0]) if rows is None else np.asarray(rows, dtype=int)
     if not np.any(i_kc):
         return np.zeros(len(rows), dtype=complex)
-    u = _Factorization(y_matrix, method).solve(i_kc)
-    return u[rows] / z_diag
+    u = _require_finite(lu.solve(i_kc), "converter solution")
+    return u[rows] / np.asarray(z_diag)
 
 
-def total_current(
-    i_k1: np.ndarray,
-    i_k2: np.ndarray,
-    i_base_ka: np.ndarray,
-    *,
-    bus_ids=None,
-    energized=None,
-    case: str = "",
-    c_per_bus=None,
-    options: FaultStudyOptions | None = None,
-    bus_names: tuple[str, ...] = (),
-    vn_kv=None,
-    degenerate_buses: tuple[int, ...] = (),
-) -> ShortCircuitResult:
+def total_current(i_k1: np.ndarray, i_k2: np.ndarray, i_base_ka: np.ndarray) -> ShortCircuitResult:
     """Combine the two complex component vectors into kA magnitudes.
 
     The total is the sum of the component magnitudes, not of the phasors.
     """
-    i_k1 = np.asarray(i_k1)
-    i_k2 = np.asarray(i_k2)
     i_base_ka = np.asarray(i_base_ka, dtype=float)
     source_ka = np.abs(i_k1) * i_base_ka
     converter_ka = np.abs(i_k2) * i_base_ka
     n = len(source_ka)
     return ShortCircuitResult(
-        bus_ids=np.arange(n) if bus_ids is None else np.asarray(bus_ids, dtype=int),
+        bus_ids=np.arange(n),
         ikss_source_ka=source_ka,
         ikss_converter_ka=converter_ka,
         ikss_ka=source_ka + converter_ka,
-        energized=np.ones(n, dtype=bool) if energized is None else np.asarray(energized, dtype=bool),
-        case=case,
-        c_per_bus=None if c_per_bus is None else np.asarray(c_per_bus, dtype=float),
-        options=options,
-        bus_names=bus_names,
-        vn_kv=None if vn_kv is None else np.asarray(vn_kv, dtype=float),
-        degenerate_buses=degenerate_buses,
+        energized=np.ones(n, dtype=bool),
     )
 
 
-def calc_sc(
-    net: Network, options: FaultStudyOptions | None = None, method: str = "auto"
-) -> ShortCircuitResult:
+def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCircuitResult:
     """Run a complete study: build the bus-branch model, solve both source
     components for every requested fault bus and combine them.
 
@@ -249,61 +164,44 @@ def calc_sc(
     options = options or FaultStudyOptions()
     bbm = build_bbm(net, options)
 
-    known_ids = {b.id for b in net.buses}
+    buses = net.bus_map()
     if options.fault_buses == "all":
-        requested = sorted(known_ids)
+        requested = sorted(buses)
     else:
-        unknown = [b for b in options.fault_buses if b not in known_ids]
+        unknown = [b for b in options.fault_buses if b not in buses]
         if unknown:
             raise InvalidOptionError(f"unknown fault bus id(s): {unknown}")
         requested = sorted(set(options.fault_buses))
 
-    live = [b for b in requested if b in bbm.bus_index]
-    live_rows = np.array([bbm.bus_index[b] for b in live], dtype=int)
+    bus_ids = np.array(requested, dtype=int)
+    energized = np.array([b in bbm.bus_index for b in requested], dtype=bool)
+    live_ids = bus_ids[energized]
+    live_rows = np.array([bbm.bus_index[b] for b in live_ids], dtype=int)
 
-    z_diag = impedance_matrix_diag(bbm.y_matrix, method=method, rows=live_rows)
+    lu = factorize(bbm.y_matrix)
+    z_diag = impedance_matrix_diag(lu, rows=live_rows)
     degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
     z_safe = np.where(degenerate, 1.0, z_diag)
     i_k1 = voltage_source_currents(z_safe, bbm.u_q[live_rows])
-    i_k2 = converter_contribution(bbm.y_matrix, z_safe, bbm.i_kc, method=method, rows=live_rows)
+    i_k2 = converter_contribution(lu, z_safe, bbm.i_kc, rows=live_rows)
     i_k1[degenerate] = complex(math.nan, 0.0)
     i_k2[degenerate] = complex(math.nan, 0.0)
 
-    buses = net.bus_map()
-    n = len(requested)
-    row_in_live = {b: i for i, b in enumerate(live)}
-    full_i1 = np.zeros(n, dtype=complex)
-    full_i2 = np.zeros(n, dtype=complex)
-    full_base = np.zeros(n)
-    energized = np.zeros(n, dtype=bool)
-    c_arr = np.zeros(n)
-    vn_arr = np.zeros(n)
-    names = []
-    degenerate_ids = []
-    for i, b in enumerate(requested):
-        bus = buses[b]
-        names.append(bus.name)
-        vn_arr[i] = bus.vn_kv
-        c_arr[i] = voltage_correction_factor(bus.vn_kv, options.lv_tolerance_percent, options.case)
-        if b in row_in_live:
-            j = row_in_live[b]
-            energized[i] = True
-            full_i1[i] = i_k1[j]
-            full_i2[i] = i_k2[j]
-            full_base[i] = bbm.i_base_ka[live_rows[j]]
-            if degenerate[j]:
-                degenerate_ids.append(b)
+    # scatter the live rows into the requested set; dead buses stay zero
+    full_i1 = np.zeros(len(requested), dtype=complex)
+    full_i2 = np.zeros(len(requested), dtype=complex)
+    full_base = np.zeros(len(requested))
+    full_i1[energized] = i_k1
+    full_i2[energized] = i_k2
+    full_base[energized] = bbm.i_base_ka[live_rows]
 
-    return total_current(
-        full_i1,
-        full_i2,
-        full_base,
-        bus_ids=np.array(requested, dtype=int),
+    return dataclasses.replace(
+        total_current(full_i1, full_i2, full_base),
+        bus_ids=bus_ids,
         energized=energized,
         case=options.case,
-        c_per_bus=c_arr,
         options=options,
-        bus_names=tuple(names),
-        vn_kv=vn_arr,
-        degenerate_buses=tuple(degenerate_ids),
+        bus_names=tuple(buses[b].name for b in requested),
+        vn_kv=np.array([buses[b].vn_kv for b in requested], dtype=float),
+        degenerate_buses=tuple(int(b) for b in live_ids[degenerate]),
     )

@@ -15,6 +15,7 @@ from sccalc import (
     calc_sc,
     build_bbm,
     converter_contribution,
+    factorize,
     generate_radial_grid,
     impedance_matrix_diag,
     run_benchmark,
@@ -121,11 +122,11 @@ def test_criterion_4_property_sweep():
         half_a.converter_sources = net_sup.converter_sources[0::2]
         half_b = copy.deepcopy(net_sup)
         half_b.converter_sources = net_sup.converter_sources[1::2]
-        y = build_bbm(net_sup, FaultStudyOptions()).y_matrix
-        z = impedance_matrix_diag(y)
-        i_all = converter_contribution(y, z, build_bbm(net_sup, FaultStudyOptions()).i_kc)
-        i_a = converter_contribution(y, z, build_bbm(half_a, FaultStudyOptions()).i_kc)
-        i_b = converter_contribution(y, z, build_bbm(half_b, FaultStudyOptions()).i_kc)
+        lu = factorize(build_bbm(net_sup, FaultStudyOptions()).y_matrix)
+        z = impedance_matrix_diag(lu)
+        i_all = converter_contribution(lu, z, build_bbm(net_sup, FaultStudyOptions()).i_kc)
+        i_a = converter_contribution(lu, z, build_bbm(half_a, FaultStudyOptions()).i_kc)
+        i_b = converter_contribution(lu, z, build_bbm(half_b, FaultStudyOptions()).i_kc)
         scale = float(np.max(np.abs(i_a)) + np.max(np.abs(i_b))) + 1e-30
         assert float(np.max(np.abs(i_all - (i_a + i_b)))) <= 1e-10 * scale
 

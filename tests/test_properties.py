@@ -26,6 +26,7 @@ from sccalc import (
     build_bbm,
     calc_sc,
     converter_contribution,
+    factorize,
     fuse_switches,
     generate_radial_grid,
     impedance_matrix_diag,
@@ -99,7 +100,7 @@ def test_min_case_line_resistance_monotone_in_end_temperature(r, x, length, temp
     def res(temp, case):
         return line_impedance(
             Line(1, 2, length_km=length, r_ohm_per_km=r, x_ohm_per_km=x, endtemp_degc=temp), case
-        ).r
+        ).real
     assert res(hi, "min") >= res(lo, "min")
     assert res(20.0, "min") == res(20.0, "max")
 
@@ -141,9 +142,9 @@ def test_star_reproduces_corrected_pairwise_impedances(vk, vkr_frac, sn, c_max_l
         return transformer_correction(x, c_max_lv) * complex(r, x) / min(sn_a, sn_b)
 
     pairs = [
-        (z_h.z + z_m.z, corrected(t.vk_hm_percent, t.vkr_hm_percent, sn[0], sn[1])),
-        (z_m.z + z_l.z, corrected(t.vk_ml_percent, t.vkr_ml_percent, sn[1], sn[2])),
-        (z_h.z + z_l.z, corrected(t.vk_hl_percent, t.vkr_hl_percent, sn[0], sn[2])),
+        (z_h + z_m, corrected(t.vk_hm_percent, t.vkr_hm_percent, sn[0], sn[1])),
+        (z_m + z_l, corrected(t.vk_ml_percent, t.vkr_ml_percent, sn[1], sn[2])),
+        (z_h + z_l, corrected(t.vk_hl_percent, t.vkr_hl_percent, sn[0], sn[2])),
     ]
     for seen, expected in pairs:
         assert abs(seen - expected) <= 1e-10 * abs(expected)
@@ -178,23 +179,6 @@ def test_all_bus_study_equals_independent_single_bus_studies(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_dense_and_sparse_solver_paths_agree(seed):
-    net = random_network(seed)
-    bbm = build_bbm(net, FaultStudyOptions())
-    z_dense = impedance_matrix_diag(bbm.y_matrix, method="dense")
-    z_sparse = impedance_matrix_diag(bbm.y_matrix, method="sparse")
-    assert np.all(rel_diff(z_dense, z_sparse) < 1e-10)
-    i2_dense = converter_contribution(bbm.y_matrix, z_dense, bbm.i_kc, method="dense")
-    i2_sparse = converter_contribution(bbm.y_matrix, z_sparse, bbm.i_kc, method="sparse")
-    scale = max(float(np.max(np.abs(i2_dense))), 1e-30)
-    assert float(np.max(np.abs(i2_dense - i2_sparse))) <= 1e-10 * scale
-    res_dense = calc_sc(net, method="dense")
-    res_sparse = calc_sc(net, method="sparse")
-    for column in RESULT_COLUMNS:
-        assert np.all(rel_diff(getattr(res_dense, column), getattr(res_sparse, column)) < 1e-10)
-
-
-@pytest.mark.parametrize("seed", range(12))
 def test_converter_contributions_superpose_as_complex_vectors(seed):
     net = random_network(seed, with_outages=False)
     while len(net.converter_sources) < 2:
@@ -206,11 +190,11 @@ def test_converter_contributions_superpose_as_complex_vectors(seed):
     net_b = copy.deepcopy(net)
     net_b.converter_sources = net.converter_sources[1::2]
     options = FaultStudyOptions()
-    y = build_bbm(net, options).y_matrix
-    z = impedance_matrix_diag(y)
-    i_ab = converter_contribution(y, z, build_bbm(net, options).i_kc)
-    i_a = converter_contribution(y, z, build_bbm(net_a, options).i_kc)
-    i_b = converter_contribution(y, z, build_bbm(net_b, options).i_kc)
+    lu = factorize(build_bbm(net, options).y_matrix)
+    z = impedance_matrix_diag(lu)
+    i_ab = converter_contribution(lu, z, build_bbm(net, options).i_kc)
+    i_a = converter_contribution(lu, z, build_bbm(net_a, options).i_kc)
+    i_b = converter_contribution(lu, z, build_bbm(net_b, options).i_kc)
     scale = float(np.max(np.abs(i_a)) + np.max(np.abs(i_b))) + 1e-30
     assert float(np.max(np.abs(i_ab - (i_a + i_b)))) <= 1e-10 * scale
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from sccalc import (
     Bus,
@@ -16,6 +18,7 @@ from sccalc import (
     build_bbm,
     calc_sc,
     converter_contribution,
+    factorize,
     impedance_matrix_diag,
     total_current,
     voltage_source_currents,
@@ -28,50 +31,52 @@ def two_bus_y():
     # grid shunt z_q = j0.1 at bus 1, line z_l = j0.4
     y_q = 1.0 / 0.1j
     y_l = 1.0 / 0.4j
-    return np.array([[y_q + y_l, -y_l], [-y_l, y_l]])
+    return scipy.sparse.csc_matrix([[y_q + y_l, -y_l], [-y_l, y_l]])
 
 
 # --- impedance matrix diagonal ----------------------------------------------
 
 def test_diag_scalar_system():
-    y = np.array([[1.0 / 0.1j]])
-    z = impedance_matrix_diag(y)
+    y = scipy.sparse.csc_matrix([[1.0 / 0.1j]])
+    z = impedance_matrix_diag(factorize(y))
     assert z[0] == pytest.approx(0.1j, rel=1e-12)
 
 
 def test_diag_two_bus_hand_inversion():
-    z = impedance_matrix_diag(two_bus_y())
+    z = impedance_matrix_diag(factorize(two_bus_y()))
     assert z[0] == pytest.approx(0.1j, rel=1e-12)
     assert z[1] == pytest.approx(0.5j, rel=1e-12)
 
 
-def test_diag_dense_and_sparse_agree():
-    net = random_network(3, max_buses=8, with_switches=False, with_outages=False)
-    bbm = build_bbm(net, FaultStudyOptions())
-    dense = impedance_matrix_diag(bbm.y_matrix, method="dense")
-    sparse = impedance_matrix_diag(bbm.y_matrix, method="sparse")
-    assert np.allclose(dense, sparse, rtol=1e-10, atol=0.0)
-
-
 def test_diag_row_subset():
     y = two_bus_y()
-    z = impedance_matrix_diag(y, rows=[1])
+    z = impedance_matrix_diag(factorize(y), rows=[1])
     assert z.shape == (1,)
     assert z[0] == pytest.approx(0.5j, rel=1e-12)
 
 
-@pytest.mark.parametrize("method", ["dense", "sparse"])
-def test_diag_singular_island_raises(method):
-    # two buses joined by a line but with no tie to the reference
+@pytest.mark.parametrize("layout", ["dense", "sparse"])
+def test_diag_singular_island_raises(layout):
+    # two buses joined by a line but with no tie to the reference: either
+    # the whole (fully populated) matrix, or beside a grounded bus in a
+    # sparse matrix
     y_l = 1.0 / 0.4j
-    y = np.array([[y_l, -y_l], [-y_l, y_l]])
-    with pytest.raises(SingularMatrixError):
-        impedance_matrix_diag(y, method=method)
+    island = [[y_l, -y_l], [-y_l, y_l]]
+    if layout == "dense":
+        y = scipy.sparse.csc_matrix(island)
+    else:
+        y = scipy.sparse.block_diag(([[1.0 / 0.1j]], island), format="csc")
+    with pytest.raises(SingularMatrixError, match="numerically singular"):
+        impedance_matrix_diag(factorize(y))
 
 
-def test_diag_invalid_method():
-    with pytest.raises(InvalidOptionError):
-        impedance_matrix_diag(two_bus_y(), method="magic")
+def test_non_finite_solution_raises():
+    # a subnormal pivot factorizes, but its inverse overflows to inf
+    lu = factorize(scipy.sparse.csc_matrix([[1e-320 + 0.0j]]))
+    with pytest.raises(SingularMatrixError, match="numerically singular"):
+        impedance_matrix_diag(lu)
+    with pytest.raises(SingularMatrixError, match="numerically singular"):
+        converter_contribution(lu, np.array([1.0]), np.array([1.0j]))
 
 
 # --- voltage source currents --------------------------------------------------
@@ -82,13 +87,13 @@ def test_voltage_source_current_scalar():
 
 
 def test_voltage_source_currents_two_bus():
-    z = impedance_matrix_diag(two_bus_y())
+    z = impedance_matrix_diag(factorize(two_bus_y()))
     i = voltage_source_currents(z, np.array([1.1, 1.1]))
     assert np.abs(i) == pytest.approx([11.0, 2.2], rel=1e-12)
 
 
 def test_voltage_source_currents_scale_inversely_with_impedance():
-    z = impedance_matrix_diag(two_bus_y())
+    z = impedance_matrix_diag(factorize(two_bus_y()))
     i1 = np.abs(voltage_source_currents(z, np.array([1.1, 1.1])))
     i2 = np.abs(voltage_source_currents(2.0 * z, np.array([1.1, 1.1])))
     assert i2 == pytest.approx(0.5 * i1, rel=1e-12)
@@ -97,17 +102,17 @@ def test_voltage_source_currents_scale_inversely_with_impedance():
 # --- converter contribution ----------------------------------------------------
 
 def test_converter_contribution_zero_injection_is_exactly_zero():
-    y = two_bus_y()
-    z = impedance_matrix_diag(y)
-    i = converter_contribution(y, z, np.zeros(2, dtype=complex))
+    lu = factorize(two_bus_y())
+    z = impedance_matrix_diag(lu)
+    i = converter_contribution(lu, z, np.zeros(2, dtype=complex))
     assert np.all(i == 0.0)
 
 
 def test_converter_contribution_single_bus_cancellation():
-    y = np.array([[1.0 / 0.25j]])
-    z = impedance_matrix_diag(y)
+    lu = factorize(scipy.sparse.csc_matrix([[1.0 / 0.25j]]))
+    z = impedance_matrix_diag(lu)
     i_kc = np.array([-5.0j])
-    i = converter_contribution(y, z, i_kc)
+    i = converter_contribution(lu, z, i_kc)
     assert i[0] == pytest.approx(-5.0j, rel=1e-12)
 
 
@@ -115,9 +120,10 @@ def test_converter_contribution_matches_dense_summation():
     net = random_network(11, max_buses=6, with_switches=False, with_outages=False)
     net.converter_sources.append(ConverterSource(bus=net.buses[-1].id, sn_mva=3.0, k=1.1))
     bbm = build_bbm(net, FaultStudyOptions())
-    z_diag = impedance_matrix_diag(bbm.y_matrix)
-    result = converter_contribution(bbm.y_matrix, z_diag, bbm.i_kc)
-    z_full = np.linalg.inv(bbm.y_matrix)
+    lu = factorize(bbm.y_matrix)
+    z_diag = impedance_matrix_diag(lu)
+    result = converter_contribution(lu, z_diag, bbm.i_kc)
+    z_full = np.linalg.inv(bbm.y_matrix.toarray())
     for j in range(bbm.n):
         total = sum(z_full[j, m] * bbm.i_kc[m] for m in range(bbm.n))
         assert result[j] == pytest.approx(total / z_full[j, j], rel=1e-10)
@@ -224,12 +230,22 @@ def test_calc_sc_degenerate_fault_location_gets_nan_marker():
     assert bool(res.energized[0]) is True
 
 
-def test_calc_sc_methods_agree():
-    net = random_network(17, with_switches=False, with_outages=False)
-    dense = calc_sc(net, method="dense")
-    sparse = calc_sc(net, method="sparse")
-    assert np.allclose(dense.ikss_ka, sparse.ikss_ka, rtol=1e-10, atol=0.0)
-    assert np.allclose(dense.ikss_converter_ka, sparse.ikss_converter_ka, rtol=1e-10, atol=1e-15)
+def test_calc_sc_factorizes_sparse_y_once(monkeypatch):
+    net = two_bus_grid()
+    net.converter_sources.append(ConverterSource(bus=2, sn_mva=5.0, k=1.2))
+    assert scipy.sparse.issparse(build_bbm(net, FaultStudyOptions()).y_matrix)
+    calls = []
+    real_splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    res = calc_sc(net)
+    assert len(calls) == 1
+    assert scipy.sparse.issparse(calls[0])
+    assert np.all(res.ikss_converter_ka > 0.0)
 
 
 def test_result_row_helper():
