@@ -4,23 +4,13 @@ Minimum and maximum initial symmetrical short-circuit currents are computed
 simultaneously at every bus from nameplate grid data, with distributed
 generation modelled as current sources per the 2016 revision of the
 standard.
+
+The package exports what a user needs to describe a grid, run a study and
+move grid and result files. The study stages and element impedance helpers
+are importable from ``sccalc.builder`` and ``sccalc.solver``.
 """
 from ._version import __version__
-from .builder import (
-    BusBranchModel,
-    FaultStudyOptions,
-    SwitchFusion,
-    build_bbm,
-    converter_current,
-    external_grid_impedance,
-    fuse_switches,
-    line_impedance,
-    star_decompose,
-    three_winding_star,
-    transformer_correction,
-    transformer_impedance,
-    voltage_correction_factor,
-)
+from .builder import FaultStudyOptions
 from .exceptions import (
     GridDataError,
     GridFileError,
@@ -45,15 +35,7 @@ from .model import (
     Violation,
     validate,
 )
-from .solver import (
-    ShortCircuitResult,
-    calc_sc,
-    converter_contribution,
-    factorize,
-    impedance_matrix_diag,
-    total_current,
-    voltage_source_currents,
-)
+from .solver import ShortCircuitResult, calc_sc
 from .gridfile import (
     load_network,
     network_from_dict,
@@ -82,24 +64,7 @@ __all__ = [
     "Violation",
     "validate",
     "FaultStudyOptions",
-    "BusBranchModel",
-    "SwitchFusion",
-    "voltage_correction_factor",
-    "external_grid_impedance",
-    "line_impedance",
-    "transformer_correction",
-    "transformer_impedance",
-    "star_decompose",
-    "three_winding_star",
-    "converter_current",
-    "fuse_switches",
-    "build_bbm",
     "ShortCircuitResult",
-    "factorize",
-    "impedance_matrix_diag",
-    "voltage_source_currents",
-    "converter_contribution",
-    "total_current",
     "calc_sc",
     "GridDataError",
     "GridFileError",

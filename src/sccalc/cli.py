@@ -6,16 +6,14 @@ options), 2 solver failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ._version import __version__
 from .bench import EquivalenceGateError, run_benchmark
 from .builder import FaultStudyOptions
-from .exceptions import GridDataError, GridFileError, SolverError
+from .exceptions import GridDataError, SolverError
 from .generator import generate_radial_grid
-from .gridfile import load_network, network_from_dict, save_network, write_result_csv, write_result_json
-from .model import validate
+from .gridfile import load_network, save_network, write_result_csv, write_result_json
 from .solver import calc_sc
 
 EXIT_OK = 0
@@ -52,19 +50,7 @@ def _cmd_calc(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        with open(args.grid, encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as e:
-        raise GridFileError(f"{args.grid}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except OSError as e:
-        raise GridFileError(f"{args.grid}: {e.strerror}") from e
-    net = network_from_dict(data)
-    violations = validate(net)
-    if violations:
-        for v in violations:
-            print(v, file=sys.stderr)
-        return EXIT_DATA_ERROR
+    net = load_network(args.grid)
     print(f"{args.grid}: OK ({len(net.buses)} buses)")
     return EXIT_OK
 

@@ -10,22 +10,10 @@ import csv
 import io
 import json
 import math
-from typing import Any
 
 from ._version import __version__
 from .exceptions import GridFileError, ValidationError
-from .model import (
-    Bus,
-    ConverterSource,
-    ElementRef,
-    ExternalGrid,
-    Line,
-    Network,
-    Switch,
-    Transformer2W,
-    Transformer3W,
-    validate,
-)
+from .model import FIELD_SPECS, SECTIONS, ElementRef, Network, Switch, validate
 from .solver import ShortCircuitResult
 
 __all__ = [
@@ -51,68 +39,6 @@ _RESULT_COLUMNS = (
     "ikss_ka",
     "energized",
 )
-
-# (field, type, required, default); type is one of "int", "num", "str", "bool"
-_SCHEMAS: dict[str, tuple[type, list[tuple[str, str, bool, Any]]]] = {
-    "buses": (Bus, [
-        ("id", "int", True, None),
-        ("vn_kv", "num", True, None),
-        ("name", "str", False, ""),
-        ("in_service", "bool", False, True),
-    ]),
-    "external_grids": (ExternalGrid, [
-        ("bus", "int", True, None),
-        ("s_sc_max_mva", "num", True, None),
-        ("s_sc_min_mva", "num", False, None),
-        ("rx_max", "num", False, 0.0),
-        ("rx_min", "num", False, None),
-        ("in_service", "bool", False, True),
-    ]),
-    "lines": (Line, [
-        ("from_bus", "int", True, None),
-        ("to_bus", "int", True, None),
-        ("length_km", "num", True, None),
-        ("r_ohm_per_km", "num", True, None),
-        ("x_ohm_per_km", "num", True, None),
-        ("endtemp_degc", "num", False, 80.0),
-        ("in_service", "bool", False, True),
-    ]),
-    "transformers2w": (Transformer2W, [
-        ("hv_bus", "int", True, None),
-        ("lv_bus", "int", True, None),
-        ("sn_mva", "num", True, None),
-        ("vn_hv_kv", "num", True, None),
-        ("vn_lv_kv", "num", True, None),
-        ("vk_percent", "num", True, None),
-        ("vkr_percent", "num", False, 0.0),
-        ("in_service", "bool", False, True),
-    ]),
-    "transformers3w": (Transformer3W, [
-        ("hv_bus", "int", True, None),
-        ("mv_bus", "int", True, None),
-        ("lv_bus", "int", True, None),
-        ("sn_hv_mva", "num", True, None),
-        ("sn_mv_mva", "num", True, None),
-        ("sn_lv_mva", "num", True, None),
-        ("vn_hv_kv", "num", True, None),
-        ("vn_mv_kv", "num", True, None),
-        ("vn_lv_kv", "num", True, None),
-        ("vk_hm_percent", "num", True, None),
-        ("vk_ml_percent", "num", True, None),
-        ("vk_hl_percent", "num", True, None),
-        ("vkr_hm_percent", "num", False, 0.0),
-        ("vkr_ml_percent", "num", False, 0.0),
-        ("vkr_hl_percent", "num", False, 0.0),
-        ("in_service", "bool", False, True),
-    ]),
-    "converter_sources": (ConverterSource, [
-        ("bus", "int", True, None),
-        ("sn_mva", "num", True, None),
-        ("k", "num", True, None),
-        ("in_service", "bool", False, True),
-    ]),
-}
-
 
 def _coerce(value, typ: str, path: str):
     if typ == "bool":
@@ -179,7 +105,7 @@ def network_from_dict(data) -> Network:
     """Build a Network from a grid document; strict schema, no validation."""
     if not isinstance(data, dict):
         raise GridFileError(f"document root must be an object, got {type(data).__name__}")
-    known = {"version", "name", "switches"} | set(_SCHEMAS)
+    known = {"version", "name", "switches"} | set(SECTIONS)
     for key in data:
         if key not in known:
             raise GridFileError(f"document: unknown section {key!r}")
@@ -190,13 +116,13 @@ def network_from_dict(data) -> Network:
             f"document: unsupported version {data['version']!r}, expected {GRID_FILE_VERSION}"
         )
     net = Network(name=_coerce(data.get("name", ""), "str", "document.name"))
-    for section, (cls, specs) in _SCHEMAS.items():
+    for section, cls in SECTIONS.items():
         entries = data.get(section, [])
         if not isinstance(entries, list):
             raise GridFileError(f"document.{section}: expected an array")
         target = getattr(net, section)
         for i, entry in enumerate(entries):
-            target.append(cls(**_parse_entry(entry, specs, f"{section}[{i}]")))
+            target.append(cls(**_parse_entry(entry, FIELD_SPECS[section], f"{section}[{i}]")))
     switches = data.get("switches", [])
     if not isinstance(switches, list):
         raise GridFileError("document.switches: expected an array")
@@ -207,7 +133,7 @@ def network_from_dict(data) -> Network:
 
 def network_to_dict(net: Network) -> dict:
     doc: dict = {"version": GRID_FILE_VERSION, "name": net.name}
-    for section, (_, specs) in _SCHEMAS.items():
+    for section, specs in FIELD_SPECS.items():
         doc[section] = [
             {name: getattr(el, name) for name, _, _, _ in specs}
             for el in getattr(net, section)
@@ -247,7 +173,7 @@ def save_network(net: Network, path) -> None:
 
 def _result_meta(result: ShortCircuitResult) -> dict:
     opts = result.options
-    meta: dict = {"engine": f"sccalc {__version__}", "case": result.case}
+    meta: dict = {"engine": f"sccalc {__version__}", "case": opts.case if opts is not None else ""}
     if opts is not None:
         meta["lv_tolerance_percent"] = opts.lv_tolerance_percent
         meta["fault_buses"] = "all" if opts.fault_buses == "all" else list(opts.fault_buses)
@@ -256,21 +182,6 @@ def _result_meta(result: ShortCircuitResult) -> dict:
     if result.degenerate_buses:
         meta["degenerate_buses"] = list(result.degenerate_buses)
     return meta
-
-
-def _result_rows(result: ShortCircuitResult) -> list[dict]:
-    rows = []
-    for i, bus_id in enumerate(result.bus_ids):
-        rows.append({
-            "bus_id": int(bus_id),
-            "name": result.bus_names[i] if result.bus_names else "",
-            "vn_kv": float(result.vn_kv[i]) if result.vn_kv is not None else math.nan,
-            "ikss_source_ka": float(result.ikss_source_ka[i]),
-            "ikss_converter_ka": float(result.ikss_converter_ka[i]),
-            "ikss_ka": float(result.ikss_ka[i]),
-            "energized": bool(result.energized[i]),
-        })
-    return rows
 
 
 def _open_for_write(file_or_path):
@@ -287,7 +198,7 @@ def write_result_csv(result: ShortCircuitResult, file_or_path) -> None:
             f.write(f"# {key}={json.dumps(value)}\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(_RESULT_COLUMNS)
-        for row in _result_rows(result):
+        for row in result.rows():
             writer.writerow([
                 row["bus_id"],
                 row["name"],
@@ -306,7 +217,7 @@ def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
     """Machine-readable JSON: metadata object plus rows array, full float
     precision; NaN markers are encoded as null."""
     rows = []
-    for row in _result_rows(result):
+    for row in result.rows():
         rows.append({k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()})
     doc = {"meta": _result_meta(result), "rows": rows}
     f, should_close = _open_for_write(file_or_path)

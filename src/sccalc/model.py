@@ -7,6 +7,9 @@ maximum fault-current studies without touching the input data.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
+import operator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -107,6 +110,40 @@ class ConverterSource:
     in_service: bool = True
 
 
+# grid-file section -> element class; the dataclass fields are the schema
+SECTIONS: dict[str, type] = {
+    "buses": Bus,
+    "external_grids": ExternalGrid,
+    "lines": Line,
+    "transformers2w": Transformer2W,
+    "transformers3w": Transformer3W,
+    "converter_sources": ConverterSource,
+}
+
+_FIELD_TYPES = {"int": "int", "float": "num", "float | None": "num", "str": "str", "bool": "bool"}
+
+
+def _field_specs(cls: type) -> list[tuple[str, str, bool, object]]:
+    specs = []
+    for f in dataclasses.fields(cls):
+        if f.type not in _FIELD_TYPES:
+            raise TypeError(f"{cls.__name__}.{f.name}: unsupported annotation {f.type!r}")
+        required = f.default is dataclasses.MISSING
+        specs.append((f.name, _FIELD_TYPES[f.type], required, None if required else f.default))
+    return specs
+
+
+# section -> [(field, type, required, default)]; type is one of "int", "num", "str", "bool"
+FIELD_SPECS = {section: _field_specs(cls) for section, cls in SECTIONS.items()}
+
+
+# section -> [(float field name, its getter)], for the finiteness rule
+_FLOAT_FIELDS = {
+    section: [(name, operator.attrgetter(name)) for name, typ, _, _ in specs if typ == "num"]
+    for section, specs in FIELD_SPECS.items()
+}
+
+
 @dataclass(frozen=True)
 class ElementRef:
     kind: str
@@ -170,6 +207,16 @@ def validate(net: Network) -> list[Violation]:
     stamps) is the study builder's concern, not validation's.
     """
     out: list[Violation] = []
+    for section, fields in _FLOAT_FIELDS.items():
+        elements = getattr(net, section)
+        for name, get in fields:
+            if not all(map(math.isfinite, map(get, elements))):
+                out.extend(
+                    Violation(f"{section}[{i}]", name, f"{name} must be finite")
+                    for i, el in enumerate(elements)
+                    if not math.isfinite(get(el))
+                )
+
     buses = {}
     for i, bus in enumerate(net.buses):
         el = f"buses[{i}]"

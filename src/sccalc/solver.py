@@ -59,14 +59,20 @@ class ShortCircuitResult:
     ikss_converter_ka: np.ndarray
     ikss_ka: np.ndarray
     energized: np.ndarray
-    case: str = ""
     options: FaultStudyOptions | None = None
     bus_names: tuple[str, ...] = ()
     vn_kv: np.ndarray | None = None
     degenerate_buses: tuple[int, ...] = ()
 
     def row(self, bus_id: int) -> dict:
-        i = int(np.nonzero(self.bus_ids == bus_id)[0][0])
+        """The result row of one bus."""
+        return self._row(int(np.nonzero(self.bus_ids == bus_id)[0][0]))
+
+    def rows(self) -> list[dict]:
+        """All result rows, in the order of ``bus_ids``."""
+        return [self._row(i) for i in range(len(self.bus_ids))]
+
+    def _row(self, i: int) -> dict:
         return {
             "bus_id": int(self.bus_ids[i]),
             "name": self.bus_names[i] if self.bus_names else "",
@@ -199,7 +205,6 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
         total_current(full_i1, full_i2, full_base),
         bus_ids=bus_ids,
         energized=energized,
-        case=options.case,
         options=options,
         bus_names=tuple(buses[b].name for b in requested),
         vn_kv=np.array([buses[b].vn_kv for b in requested], dtype=float),

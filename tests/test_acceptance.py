@@ -9,19 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from sccalc import (
-    ConverterSource,
-    FaultStudyOptions,
-    calc_sc,
-    build_bbm,
-    converter_contribution,
-    factorize,
-    generate_radial_grid,
-    impedance_matrix_diag,
-    run_benchmark,
-    total_current,
-    voltage_correction_factor,
-)
+from sccalc import ConverterSource, FaultStudyOptions, calc_sc, generate_radial_grid, run_benchmark
+from sccalc.builder import build_bbm, voltage_correction_factor
+from sccalc.solver import converter_contribution, factorize, impedance_matrix_diag, total_current
 
 from netgen import random_network
 from oracle import oracle_calc

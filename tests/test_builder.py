@@ -22,8 +22,10 @@ from sccalc import (
     Transformer3W,
     UnsolvableIslandError,
     ValidationError,
-    build_bbm,
     calc_sc,
+)
+from sccalc.builder import (
+    build_bbm,
     converter_current,
     external_grid_impedance,
     fuse_switches,

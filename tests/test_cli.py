@@ -119,6 +119,19 @@ def test_validate_subcommand_schema_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "calc"])
+def test_non_finite_number_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"version": 1, "buses": [{"id": 1, "vn_kv": 20.0}, {"id": 2, "vn_kv": 20.0}],'
+        ' "external_grids": [{"bus": 1, "s_sc_max_mva": 100.0}],'
+        ' "lines": [{"from_bus": 1, "to_bus": 2, "length_km": 1.0,'
+        ' "r_ohm_per_km": 0.1, "x_ohm_per_km": Infinity}]}'
+    )
+    assert main([command, str(path)]) == 1
+    assert "lines[0]: x_ohm_per_km must be finite" in capsys.readouterr().err
+
+
 def test_generate_roundtrip(tmp_path, capsys):
     out = tmp_path / "radial.json"
     code = main([

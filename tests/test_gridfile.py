@@ -63,6 +63,18 @@ def test_load_reports_validation_path(tmp_path):
         assert e.violations[0].field == "length_km"
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_fails_validation(tmp_path, literal):
+    text = json.dumps(MINIMAL_DOC).replace('"x_ohm_per_km": 0.4', f'"x_ohm_per_km": {literal}')
+    path = tmp_path / "grid.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=r"lines\[0\]: x_ohm_per_km must be finite"):
+        load_network(path)
+    net = network_from_dict(json.loads(text))
+    with pytest.raises(ValidationError, match="x_ohm_per_km must be finite"):
+        calc_sc(net)
+
+
 def test_unknown_field_is_rejected(tmp_path):
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["lines"][0]["lenght_km"] = 3.0
@@ -159,6 +171,11 @@ def test_round_trip_fixture_with_switches(tmp_path):
 def study_result():
     net = random_network(2, with_switches=False, with_outages=False)
     return calc_sc(net, FaultStudyOptions(case="max", fault_buses="all"))
+
+
+def test_result_rows_match_row_lookup():
+    res = study_result()
+    assert res.rows() == [res.row(int(b)) for b in res.bus_ids]
 
 
 def test_result_csv_layout(tmp_path):

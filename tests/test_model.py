@@ -1,4 +1,7 @@
 """Tests for the element-based grid model and its validation."""
+import dataclasses
+import math
+
 import pytest
 
 from sccalc import (
@@ -11,8 +14,10 @@ from sccalc import (
     Switch,
     Transformer2W,
     Transformer3W,
+    Violation,
     validate,
 )
+from sccalc.model import SECTIONS, _field_specs
 
 from netgen import random_network
 
@@ -185,3 +190,72 @@ def test_element_terminals_lookup():
     assert net.element_terminals("line", 0) == (1, 2)
     with pytest.raises(KeyError):
         net.element_terminals("shunt", 0)
+
+
+def every_section_network() -> Network:
+    """A valid network with one element in each element section."""
+    return Network(
+        buses=[Bus(1, 110.0), Bus(2, 110.0), Bus(3, 20.0), Bus(4, 10.0)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=3000.0, s_sc_min_mva=2500.0, rx_max=0.1, rx_min=0.1)],
+        lines=[Line(1, 2, length_km=10.0, r_ohm_per_km=0.1, x_ohm_per_km=0.4)],
+        transformers2w=[
+            Transformer2W(hv_bus=2, lv_bus=3, sn_mva=25.0, vn_hv_kv=110.0, vn_lv_kv=20.0,
+                          vk_percent=12.0, vkr_percent=0.5)
+        ],
+        transformers3w=[
+            Transformer3W(
+                hv_bus=1, mv_bus=3, lv_bus=4,
+                sn_hv_mva=40.0, sn_mv_mva=25.0, sn_lv_mva=15.0,
+                vn_hv_kv=110.0, vn_mv_kv=20.0, vn_lv_kv=10.0,
+                vk_hm_percent=12.0, vk_ml_percent=8.0, vk_hl_percent=18.0,
+                vkr_hm_percent=0.4, vkr_ml_percent=0.3, vkr_hl_percent=0.5,
+            )
+        ],
+        converter_sources=[ConverterSource(bus=3, sn_mva=5.0, k=1.2)],
+    )
+
+
+FLOAT_FIELDS = {
+    "buses": ("vn_kv",),
+    "external_grids": ("s_sc_max_mva", "s_sc_min_mva", "rx_max", "rx_min"),
+    "lines": ("length_km", "r_ohm_per_km", "x_ohm_per_km", "endtemp_degc"),
+    "transformers2w": ("sn_mva", "vn_hv_kv", "vn_lv_kv", "vk_percent", "vkr_percent"),
+    "transformers3w": (
+        "sn_hv_mva", "sn_mv_mva", "sn_lv_mva", "vn_hv_kv", "vn_mv_kv", "vn_lv_kv",
+        "vk_hm_percent", "vk_ml_percent", "vk_hl_percent",
+        "vkr_hm_percent", "vkr_ml_percent", "vkr_hl_percent",
+    ),
+    "converter_sources": ("sn_mva", "k"),
+}
+
+
+def test_every_section_network_is_valid():
+    assert validate(every_section_network()) == []
+
+
+def test_float_field_list_matches_the_element_classes():
+    for section, cls in SECTIONS.items():
+        floats = tuple(f.name for f in dataclasses.fields(cls) if f.type in ("float", "float | None"))
+        assert floats == FLOAT_FIELDS[section]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section,name", [(section, name) for section, names in FLOAT_FIELDS.items() for name in names]
+)
+def test_non_finite_number_is_a_violation(section, name, value):
+    net = every_section_network()
+    setattr(getattr(net, section)[0], name, value)
+    finite = [v for v in validate(net) if v.rule.endswith("must be finite")]
+    assert finite == [Violation(f"{section}[0]", name, f"{name} must be finite")]
+
+
+def test_unsupported_field_annotation_is_rejected():
+    # string annotations, as the postponed annotations of sccalc.model give
+    @dataclasses.dataclass
+    class Shunt:
+        bus: "int"
+        y_pu: "complex"
+
+    with pytest.raises(TypeError, match=r"Shunt\.y_pu"):
+        _field_specs(Shunt)

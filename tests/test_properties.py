@@ -18,24 +18,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sccalc import (
-    BusBranchModel,
     ConverterSource,
     FaultStudyOptions,
     Line,
     Transformer3W,
-    build_bbm,
     calc_sc,
-    converter_contribution,
-    factorize,
-    fuse_switches,
     generate_radial_grid,
-    impedance_matrix_diag,
+    validate,
+)
+from sccalc.builder import (
+    BusBranchModel,
+    build_bbm,
+    fuse_switches,
     line_impedance,
     three_winding_star,
     transformer_correction,
-    validate,
     voltage_correction_factor,
 )
+from sccalc.solver import converter_contribution, factorize, impedance_matrix_diag
 
 from netgen import random_network
 

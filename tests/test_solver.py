@@ -15,8 +15,10 @@ from sccalc import (
     Line,
     Network,
     SingularMatrixError,
-    build_bbm,
     calc_sc,
+)
+from sccalc.builder import build_bbm
+from sccalc.solver import (
     converter_contribution,
     factorize,
     impedance_matrix_diag,
@@ -168,7 +170,7 @@ def test_calc_sc_two_bus_hand_values():
     assert res.ikss_ka[0] == pytest.approx(15.74591643244434, rel=1e-12)
     assert res.ikss_ka[1] == pytest.approx(8.280448349104471, rel=1e-12)
     assert list(res.bus_ids) == [1, 2]
-    assert res.case == "max"
+    assert res.options.case == "max"
     assert np.all(res.energized)
 
 
