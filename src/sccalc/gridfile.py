@@ -215,14 +215,15 @@ def write_result_csv(result: ShortCircuitResult, file_or_path) -> None:
 
 def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
     """Machine-readable JSON: metadata object plus rows array, full float
-    precision; NaN markers are encoded as null."""
+    precision; NaN markers are encoded as null. One line, because only
+    ``json.dumps`` without ``indent`` runs the C encoder."""
     rows = []
     for row in result.rows():
         rows.append({k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()})
-    doc = {"meta": _result_meta(result), "rows": rows}
+    text = json.dumps({"meta": _result_meta(result), "rows": rows}, allow_nan=False)
     f, should_close = _open_for_write(file_or_path)
     try:
-        json.dump(doc, f, indent=2, allow_nan=False)
+        f.write(text)
         f.write("\n")
     finally:
         if should_close:

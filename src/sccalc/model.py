@@ -199,6 +199,14 @@ class Violation:
         return f"{self.element}: {self.rule}"
 
 
+def _number_rule(value, name: str) -> str:
+    """The violated rule of one float field value, or "" when it holds."""
+    try:
+        return "" if math.isfinite(value) else f"{name} must be finite"
+    except TypeError:
+        return f"{name} must be a number"
+
+
 def validate(net: Network) -> list[Violation]:
     """Check every model invariant; violations are data, not exceptions.
 
@@ -210,12 +218,19 @@ def validate(net: Network) -> list[Violation]:
     for section, fields in _FLOAT_FIELDS.items():
         elements = getattr(net, section)
         for name, get in fields:
-            if not all(map(math.isfinite, map(get, elements))):
-                out.extend(
-                    Violation(f"{section}[{i}]", name, f"{name} must be finite")
-                    for i, el in enumerate(elements)
-                    if not math.isfinite(get(el))
-                )
+            try:
+                if all(map(math.isfinite, map(get, elements))):
+                    continue
+            except TypeError:
+                pass
+            out.extend(
+                Violation(f"{section}[{i}]", name, rule)
+                for i, el in enumerate(elements)
+                if (rule := _number_rule(get(el), name))
+            )
+    if any(v.rule.endswith("must be a number") for v in out):
+        # the rules below compare these fields and cannot judge a non-number
+        return out
 
     buses = {}
     for i, bus in enumerate(net.buses):

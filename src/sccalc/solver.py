@@ -5,10 +5,13 @@ impedance matrix (equivalent voltage source c*Un/sqrt(3) at the fault
 location), the converter contribution from one linear solve against the
 injection vector, and the total as the sum of the component magnitudes.
 
-A study factorizes the sparse admittance matrix once (sparse LU) and shares
-that factor between both steps: diag(inv(Y)) takes one unit-vector solve
-per fault bus, the converter contribution one solve against the injection
-vector.
+A study factorizes the sparse admittance matrix once and shares that factor
+between both steps. Y is complex symmetric, so the factorization uses a
+symmetric fill-reducing ordering and diagonal pivots: P*Y*P^T = L*D*L^T.
+diag(inv(Y)) then comes from one selected-inversion sweep over the columns
+of L (Takahashi, Fagan & Chen 1973; Erisman & Tinney 1975), which computes
+Z only on the pattern of L; the converter contribution takes one solve
+against the injection vector.
 """
 from __future__ import annotations
 
@@ -91,10 +94,17 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def factorize(y_matrix: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
-    """Sparse LU factorization of the CSC admittance matrix; an exactly
-    singular matrix raises SingularMatrixError."""
+    """Sparse LU factorization of the CSC admittance matrix with a symmetric
+    ordering and diagonal pivots, so that P*Y*P^T = L*D*L^T for the complex
+    symmetric Y (D = diag(U)); an exactly singular matrix raises
+    SingularMatrixError."""
     try:
-        return scipy.sparse.linalg.splu(y_matrix)
+        return scipy.sparse.linalg.splu(
+            y_matrix,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SingularMatrixError(f"{_SINGULAR}: {exc}") from None
 
@@ -102,12 +112,77 @@ def factorize(y_matrix: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
 def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndarray:
     """Diagonal of the bus impedance matrix Z = inv(Y), per unit.
 
-    ``lu`` is the factorization of Y; each requested entry costs one
-    unit-vector solve. ``rows`` limits the computation to a subset of
-    diagonal entries.
+    ``lu`` is the factorization of the complex symmetric Y from ``factorize``.
+    One selected-inversion sweep yields the whole diagonal, so ``rows`` (a
+    subset of diagonal entries) costs the same as all of them. If SuperLU met
+    an exactly zero diagonal pivot it pivots off the diagonal
+    (``perm_r != perm_c``), the factor is no longer L*D*L^T, and each
+    requested entry takes one unit-vector solve instead.
     """
     n = lu.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        out = _selected_inverse_diag(lu)[lu.perm_c[rows]]
+    else:
+        out = _unit_solve_diag(lu, rows)
+    return _require_finite(out, "impedance matrix diagonal")
+
+
+def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
+    """diag(Z) of P*Y*P^T = L*D*L^T in the permuted order.
+
+    Reverse sweep over the columns of the unit lower triangular L: with J the
+    below-diagonal rows of column i and l their values,
+    Z_ij = -sum_{k in J} l_k Z_kj for j in J, and
+    Z_ii = 1/d_i - sum_{j in J} l_j Z_ij.
+    Every Z_kj needed lies on the pattern of L (for k < j both in J, j is a
+    row of column k), so only those entries are kept: ``z_col[k]`` maps the
+    rows of column k to Z. Plain lists, not per-column numpy slices, because
+    most columns hold one or two entries.
+    """
+    l_factor = lu.L
+    # SuperLU leaves the rows unsorted; sorted, each column starts with its
+    # explicit unit diagonal
+    l_factor.sort_indices()
+    indptr = l_factor.indptr.tolist()
+    indices = l_factor.indices.tolist()
+    values = l_factor.data.tolist()
+    pivots = lu.U.diagonal().tolist()
+    n = len(pivots)
+    z_diag = [0j] * n
+    z_col: list[dict | None] = [None] * n
+    for i in range(n - 1, -1, -1):
+        start, end = indptr[i] + 1, indptr[i + 1]
+        rows = indices[start:end]
+        ls = values[start:end]
+        m = len(rows)
+        if m == 1:
+            # a tree column, as on every radial feeder: no pairs to visit
+            ja, la = rows[0], ls[0]
+            za = -la * z_diag[ja]
+            z_diag[i] = 1.0 / pivots[i] - la * za
+            z_col[i] = {ja: za}
+            continue
+        z = [0j] * m
+        for a in range(m):
+            ja, la = rows[a], ls[a]
+            z[a] -= la * z_diag[ja]
+            col = z_col[ja]
+            for b in range(a + 1, m):
+                z_ab = col[rows[b]]
+                z[a] -= ls[b] * z_ab
+                z[b] -= la * z_ab
+        zii = 1.0 / pivots[i]
+        for a in range(m):
+            zii -= ls[a] * z[a]
+        z_diag[i] = zii
+        z_col[i] = dict(zip(rows, z))
+    return np.array(z_diag, dtype=complex)
+
+
+def _unit_solve_diag(lu: scipy.sparse.linalg.SuperLU, rows: np.ndarray) -> np.ndarray:
+    """The requested entries of diag(Z), one unit-vector solve each."""
+    n = lu.shape[0]
     out = np.empty(len(rows), dtype=complex)
     for start in range(0, len(rows), _SOLVE_CHUNK):
         chunk = rows[start : start + _SOLVE_CHUNK]
@@ -115,7 +190,7 @@ def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndar
         rhs = np.zeros((n, len(chunk)), dtype=complex)
         rhs[chunk, cols] = 1.0
         out[start : start + len(chunk)] = lu.solve(rhs)[chunk, cols]
-    return _require_finite(out, "impedance matrix diagonal")
+    return out
 
 
 def voltage_source_currents(z_diag: np.ndarray, u_q: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ def random_network(
     with_switches: bool = True,
     with_outages: bool = True,
     consistent_trafo3w: bool = True,
+    loops: int = 0,
 ) -> Network:
     """One deterministic valid network per seed.
 
@@ -38,6 +39,9 @@ def random_network(
     device would exhibit them (the star equivalent stays inductive);
     ``False`` draws the three values independently, which can produce
     electrically exotic but still schema-valid devices.
+
+    ``loops`` adds that many lines between random buses of one voltage level
+    on top of the zero to two every network gets, which meshes the grid.
     """
     rng = random.Random(seed)
     net = Network(name=f"random-{seed}")
@@ -151,7 +155,7 @@ def random_network(
             random_line(anchor, new_bus(anchor.vn_kv))
 
     # occasional loops between buses of the same level
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(0, 2) + loops):
         same = {}
         for b in net.buses:
             same.setdefault(b.vn_kv, []).append(b)

@@ -18,9 +18,12 @@ from sccalc import (
     read_result_csv,
     read_result_json,
     save_network,
+    three_bus_example,
+    wind_park_example,
     write_result_csv,
     write_result_json,
 )
+from sccalc.gridfile import _result_meta
 from sccalc.model import Bus, ExternalGrid
 
 from netgen import random_network
@@ -226,6 +229,29 @@ def test_csv_and_json_encode_identical_numbers(tmp_path):
         for col in ("vn_kv", "ikss_source_ka", "ikss_converter_ka", "ikss_ka"):
             # the CSV carries the same value rounded to its 6 decimals
             assert abs(c_row[col] - round(j_row[col], 6)) < 1e-12
+
+
+def degenerate_network() -> Network:
+    # five stiff grids in parallel make bus 1 degenerate; bus 2 is a dead island
+    net = Network(buses=[Bus(1, 110.0), Bus(2, 110.0)])
+    for _ in range(5):
+        net.external_grids.append(ExternalGrid(bus=1, s_sc_max_mva=5.5e11))
+    return net
+
+
+@pytest.mark.parametrize("make_net", [three_bus_example, wind_park_example, degenerate_network])
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_result_json_decodes_like_the_indented_writer(tmp_path, make_net, case):
+    res = calc_sc(make_net(), FaultStudyOptions(case=case))
+    path = tmp_path / "r.json"
+    write_result_json(res, path)
+    # the document as json.dump(..., indent=2) wrote it before
+    rows = [
+        {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()}
+        for row in res.rows()
+    ]
+    indented = json.dumps({"meta": _result_meta(res), "rows": rows}, indent=2, allow_nan=False) + "\n"
+    assert json.loads(path.read_text()) == json.loads(indented)
 
 
 def test_nan_markers_serialize_as_null_and_nan(tmp_path):

@@ -14,7 +14,9 @@ from sccalc import (
     Switch,
     Transformer2W,
     Transformer3W,
+    ValidationError,
     Violation,
+    calc_sc,
     validate,
 )
 from sccalc.model import SECTIONS, _field_specs
@@ -248,6 +250,18 @@ def test_non_finite_number_is_a_violation(section, name, value):
     setattr(getattr(net, section)[0], name, value)
     finite = [v for v in validate(net) if v.rule.endswith("must be finite")]
     assert finite == [Violation(f"{section}[0]", name, f"{name} must be finite")]
+
+
+@pytest.mark.parametrize("value", ["10", None, 1j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize(
+    "section,name", [(section, name) for section, names in FLOAT_FIELDS.items() for name in names]
+)
+def test_non_number_is_a_violation(section, name, value):
+    net = every_section_network()
+    setattr(getattr(net, section)[0], name, value)
+    assert validate(net) == [Violation(f"{section}[0]", name, f"{name} must be a number")]
+    with pytest.raises(ValidationError, match=f"{name} must be a number"):
+        calc_sc(net)
 
 
 def test_unsupported_field_annotation_is_rejected():

@@ -178,6 +178,40 @@ def test_all_bus_study_equals_independent_single_bus_studies(seed):
             assert rel_diff(np.array([a]), np.array([b]))[0] < 1e-10
 
 
+# the first four seeds whose 800-bus draw, meshed by 30 extra loops, keeps a
+# Y of more than 500 rows after fusion and islanding and has at least ten 3W
+# transformers
+MESHED_3W_SEEDS = (1, 22, 42, 62)
+
+
+@pytest.mark.parametrize("seed", MESHED_3W_SEEDS)
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_selected_inversion_matches_unit_solves_and_inverse_on_large_meshed_grids(seed, case):
+    net = random_network(seed, max_buses=800, loops=30)
+    bbm = build_bbm(net, FaultStudyOptions(case=case))
+    y = bbm.y_matrix
+    n = y.shape[0]
+    assert len(net.transformers3w) >= 10 and bbm.n_aux >= 10 and n > 500
+    lu = factorize(y)
+    assert np.array_equal(lu.perm_r, lu.perm_c)  # no fallback to unit solves
+    z = impedance_matrix_diag(lu)
+    assert np.max(rel_diff(z, lu.solve(np.eye(n, dtype=complex)).diagonal())) < 1e-10
+    # Against a different factorization, float64 resolves Z_ii only to about
+    # eps times its componentwise condition number (|Z| |Y| |Z|)_ii / |Z_ii|.
+    # That is below 1e-10 except where a low-impedance cluster sits behind a
+    # high impedance (seed 22: a 110 kV cluster with |Y_ii| ~ 4e4 and
+    # |Z_ii| ~ 30, condition ~ 3e7, where the dense inverse itself is 3e-10
+    # off an extended-precision reference).
+    dense = np.linalg.inv(y.toarray())
+    z_dense = np.diag(dense)
+    abs_z = np.abs(dense)
+    condition = np.einsum("ij,ji->i", abs_z, abs(y) @ abs_z) / np.abs(z_dense)
+    tolerance = np.maximum(1e-10, 4 * np.finfo(float).eps * condition)
+    assert np.all(rel_diff(z, z_dense) < tolerance)
+    rows = np.arange(n)[::-3]
+    assert np.array_equal(impedance_matrix_diag(lu, rows=rows), z[rows])
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_converter_contributions_superpose_as_complex_vectors(seed):
     net = random_network(seed, with_outages=False)

@@ -16,6 +16,7 @@ from sccalc import (
     Network,
     SingularMatrixError,
     calc_sc,
+    generate_radial_grid,
 )
 from sccalc.builder import build_bbm
 from sccalc.solver import (
@@ -70,6 +71,17 @@ def test_diag_singular_island_raises(layout):
         y = scipy.sparse.block_diag(([[1.0 / 0.1j]], island), format="csc")
     with pytest.raises(SingularMatrixError, match="numerically singular"):
         impedance_matrix_diag(factorize(y))
+
+
+def test_diag_zero_pivot_falls_back_to_unit_solves():
+    # the symmetric ordering eliminates the zero diagonal first, so SuperLU
+    # pivots off the diagonal and the factor is no longer L*D*L^T
+    y = scipy.sparse.csc_matrix(np.array([[1 - 1j, 2j], [2j, 0]]))
+    lu = factorize(y)
+    assert not np.array_equal(lu.perm_r, lu.perm_c)
+    z = impedance_matrix_diag(lu)
+    assert np.abs(z - np.diag(np.linalg.inv(y.toarray()))).max() < 1e-12
+    assert impedance_matrix_diag(lu, rows=[1]) == pytest.approx(z[1:], abs=1e-12)
 
 
 def test_non_finite_solution_raises():
@@ -248,6 +260,29 @@ def test_calc_sc_factorizes_sparse_y_once(monkeypatch):
     assert len(calls) == 1
     assert scipy.sparse.issparse(calls[0])
     assert np.all(res.ikss_converter_ka > 0.0)
+
+
+def test_calc_sc_makes_no_unit_vector_solves(monkeypatch):
+    net = generate_radial_grid(4, 50, dg_every=5)
+    columns = []
+    real_splu = scipy.sparse.linalg.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs, *args, **kwargs):
+            columns.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
+            return self._lu.solve(rhs, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **kw: CountingLU(real_splu(*a, **kw)))
+    res = calc_sc(net)
+    assert len(res.bus_ids) == len(net.buses)
+    assert np.all(res.ikss_converter_ka > 0.0)
+    assert sum(columns) <= 1
 
 
 def test_result_row_helper():
