@@ -219,14 +219,35 @@ def converter_current(cs: ConverterSource, vn_kv: float) -> complex:
 @dataclass(frozen=True)
 class SwitchFusion:
     """Result of switch processing: electrical node per bus, severed element
-    terminals and the list of electrically active elements."""
+    terminals and, per element kind, which elements are electrically live
+    (``live["line"][i]`` for ``net.lines[i]``)."""
 
     node_of: dict[int, int]
     severed: frozenset[tuple[str, int, int]]
-    active: frozenset[tuple[str, int]]
+    live: dict[str, list[bool]]
 
     def is_severed(self, kind: str, index: int, bus: int) -> bool:
         return (kind, index, bus) in self.severed
+
+
+def _roots(n: int, pairs) -> list[int]:
+    """Union-find over the items 0..n-1 joined by ``pairs``: the root of each
+    item, which is always the smallest item of its component."""
+    up = list(range(n))
+    for a, b in pairs:
+        while up[a] != a:
+            up[a] = a = up[up[a]]  # path halving
+        while up[b] != b:
+            up[b] = b = up[up[b]]
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
+    # every link points to a smaller item, so one ascending pass resolves
+    # each item through its parent, which is resolved already
+    for x in range(n):
+        up[x] = up[up[x]]
+    return up
 
 
 def fuse_switches(net: Network) -> SwitchFusion:
@@ -234,60 +255,53 @@ def fuse_switches(net: Network) -> SwitchFusion:
     terminals cut by open bus-element switches.
 
     The node partition is independent of switch order; each electrical node
-    is named after the smallest bus id it contains.
+    is named after the smallest bus id it contains. The network must be
+    valid: every open element switch names an existing element and one of
+    its terminals.
     """
     in_service = {b.id for b in net.buses if b.in_service}
-    parent: dict[int, int] = {b: b for b in in_service}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
+    node_of = {b: b for b in in_service}
     severed: set[tuple[str, int, int]] = set()
+    ties: list[tuple[int, int]] = []
     for sw in net.switches:
         if isinstance(sw.other, int):
             if sw.closed and sw.bus in in_service and sw.other in in_service:
-                ra, rb = find(sw.bus), find(sw.other)
-                if ra != rb:
-                    parent[rb] = ra
+                ties.append((sw.bus, sw.other))
         elif not sw.closed:
             severed.add((sw.other.kind, sw.other.index, sw.bus))
+    # only the buses on closed switches take part, in ascending id, so the
+    # smallest item of a component is its smallest bus id
+    tied = sorted({b for tie in ties for b in tie})
+    pos = {b: k for k, b in enumerate(tied)}
+    for b, r in zip(tied, _roots(len(tied), [(pos[a], pos[b]) for a, b in ties])):
+        node_of[b] = tied[r]
 
-    # canonical representative: smallest member id of each component
-    rep_of_root: dict[int, int] = {}
-    for b in in_service:
-        root = find(b)
-        rep_of_root[root] = min(rep_of_root.get(root, b), b)
-    node_of = {b: rep_of_root[find(b)] for b in in_service}
+    live = {
+        "external_grid": [eg.in_service and eg.bus in in_service for eg in net.external_grids],
+        "line": [
+            ln.in_service and ln.from_bus in in_service and ln.to_bus in in_service for ln in net.lines
+        ],
+        "trafo2w": [
+            t.in_service and t.hv_bus in in_service and t.lv_bus in in_service for t in net.transformers2w
+        ],
+        "trafo3w": [
+            t.in_service and (t.hv_bus in in_service) + (t.mv_bus in in_service) + (t.lv_bus in in_service) >= 2
+            for t in net.transformers3w
+        ],
+        "converter": [cs.in_service and cs.bus in in_service for cs in net.converter_sources],
+    }
+    for kind, i, _ in severed:
+        if kind == "trafo3w":
+            t = net.transformers3w[i]
+            windings = sum(
+                b in in_service and (kind, i, b) not in severed for b in (t.hv_bus, t.mv_bus, t.lv_bus)
+            )
+            live[kind][i] = t.in_service and windings >= 2
+        else:
+            # a cut terminal leaves a two-terminal element open
+            live[kind][i] = False
 
-    def terminals_ok(kind: str, index: int, terminals: tuple[int, ...], required: int) -> bool:
-        live = [
-            b for b in terminals if b in in_service and (kind, index, b) not in severed
-        ]
-        return len(live) >= required
-
-    active: set[tuple[str, int]] = set()
-    for i, eg in enumerate(net.external_grids):
-        if eg.in_service and eg.bus in in_service:
-            active.add(("external_grid", i))
-    for i, ln in enumerate(net.lines):
-        if ln.in_service and terminals_ok("line", i, (ln.from_bus, ln.to_bus), 2):
-            active.add(("line", i))
-    for i, t in enumerate(net.transformers2w):
-        if t.in_service and terminals_ok("trafo2w", i, (t.hv_bus, t.lv_bus), 2):
-            active.add(("trafo2w", i))
-    for i, t in enumerate(net.transformers3w):
-        if t.in_service and terminals_ok("trafo3w", i, (t.hv_bus, t.mv_bus, t.lv_bus), 2):
-            active.add(("trafo3w", i))
-    for i, cs in enumerate(net.converter_sources):
-        if cs.in_service and cs.bus in in_service:
-            active.add(("converter", i))
-
-    return SwitchFusion(node_of=node_of, severed=frozenset(severed), active=frozenset(active))
+    return SwitchFusion(node_of=node_of, severed=frozenset(severed), live=live)
 
 
 def _stamp_csc(rows: list[int], cols: list[int], vals: list[complex], dim: int) -> scipy.sparse.csc_matrix:
@@ -308,6 +322,20 @@ def _stamp_csc(rows: list[int], cols: list[int], vals: list[complex], dim: int) 
     )
 
 
+def _over(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """y / d for complex y and real d, rounded as Python's complex / float
+    rounds it, so that Y has the same bytes as a per-element stamp; numpy's
+    own complex / real division rounds differently in the last bit."""
+    out = np.empty(len(y), dtype=complex)
+    out.real = (y.real + y.imag * 0.0) / d
+    out.imag = (y.imag - y.real * 0.0) / d
+    return out
+
+
+def _unstampable(element: str, z_pu: complex) -> SingularStampError:
+    return SingularStampError(f"{element}: branch impedance {z_pu!r} pu is too close to zero to stamp")
+
+
 def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     """Build the per-unit bus-branch model for one fault case.
 
@@ -320,145 +348,135 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         raise ValidationError(violations)
 
     fusion = fuse_switches(net)
-    buses = net.bus_map()
+    live = fusion.live
+    vn_of = {b.id: b.vn_kv for b in net.buses}
     case = options.case
     tol = options.lv_tolerance_percent
     s_base = options.s_base_mva
 
-    def node(bus_id: int):
-        return fusion.node_of.get(bus_id)
+    # study node numbers: fused nodes by ascending id, then one star point
+    # per live three-winding transformer, in transformer order
+    reps = sorted(set(fusion.node_of.values()))
+    number = {rep: k for k, rep in enumerate(reps)}
+    node = {b: number[rep] for b, rep in fusion.node_of.items()}
+    n_nodes = len(reps)
 
-    def z_base_ohm(vn_kv: float) -> float:
-        return vn_kv**2 / s_base
-
-    # stamp records: (from_node, to_node, series admittance, tap at from side)
-    branches: list[tuple[object, object, complex, float]] = []
-    shunts: list[tuple[object, complex]] = []
-    injections: list[tuple[object, complex]] = []
-    source_nodes: set[object] = set()
-
-    def require_stampable(z_pu: complex, element: str) -> complex:
-        if abs(z_pu) < ZERO_STAMP_TOL_PU:
-            raise SingularStampError(f"{element}: branch impedance {z_pu!r} pu is too close to zero to stamp")
-        return z_pu
+    # one entry per branch, in element order: from node, to node, series
+    # admittance, then the tap at the from side and its square (1 on lines)
+    fr: list[int] = []
+    to: list[int] = []
+    ys: list[complex] = []
+    sources: list[int] = []
+    shunts: list[complex] = []
 
     for i, eg in enumerate(net.external_grids):
-        if ("external_grid", i) not in fusion.active:
-            continue
-        vn = buses[eg.bus].vn_kv
-        c = voltage_correction_factor(vn, tol, case)
-        z = external_grid_impedance(eg, vn, case, c) / z_base_ohm(vn)
-        require_stampable(z, f"external_grids[{i}]")
-        n = node(eg.bus)
-        shunts.append((n, 1.0 / z))
-        source_nodes.add(n)
+        if live["external_grid"][i]:
+            vn = vn_of[eg.bus]
+            c = voltage_correction_factor(vn, tol, case)
+            z = external_grid_impedance(eg, vn, case, c) / (vn**2 / s_base)
+            if abs(z) < ZERO_STAMP_TOL_PU:
+                raise _unstampable(f"external_grids[{i}]", z)
+            sources.append(node[eg.bus])
+            shunts.append(1.0 / z)
 
     for i, ln in enumerate(net.lines):
-        if ("line", i) not in fusion.active:
-            continue
-        vn = buses[ln.from_bus].vn_kv
-        z = line_impedance(ln, case) / z_base_ohm(vn)
-        require_stampable(z, f"lines[{i}]")
-        branches.append((node(ln.from_bus), node(ln.to_bus), 1.0 / z, 1.0))
+        if live["line"][i]:
+            vn = vn_of[ln.from_bus]
+            z = line_impedance(ln, case) / (vn**2 / s_base)
+            if abs(z) < ZERO_STAMP_TOL_PU:
+                raise _unstampable(f"lines[{i}]", z)
+            fr.append(node[ln.from_bus])
+            to.append(node[ln.to_bus])
+            ys.append(1.0 / z)
+    taps = [1.0] * len(ys)
+    taps2 = taps.copy()
 
     for i, t in enumerate(net.transformers2w):
-        if ("trafo2w", i) not in fusion.active:
-            continue
-        vb_hv = buses[t.hv_bus].vn_kv
-        vb_lv = buses[t.lv_bus].vn_kv
-        c_max_lv = voltage_correction_factor(vb_lv, tol, "max")
-        z_rated = transformer_impedance(t, c_max_lv)
-        z = z_rated * (s_base / t.sn_mva) * (t.vn_lv_kv / vb_lv) ** 2
-        require_stampable(z, f"transformers2w[{i}]")
-        tap = (t.vn_hv_kv / t.vn_lv_kv) * (vb_lv / vb_hv)
-        branches.append((node(t.hv_bus), node(t.lv_bus), 1.0 / z, tap))
+        if live["trafo2w"][i]:
+            vb_hv = vn_of[t.hv_bus]
+            vb_lv = vn_of[t.lv_bus]
+            c_max_lv = voltage_correction_factor(vb_lv, tol, "max")
+            z_rated = transformer_impedance(t, c_max_lv)
+            z = z_rated * (s_base / t.sn_mva) * (t.vn_lv_kv / vb_lv) ** 2
+            if abs(z) < ZERO_STAMP_TOL_PU:
+                raise _unstampable(f"transformers2w[{i}]", z)
+            tap = (t.vn_hv_kv / t.vn_lv_kv) * (vb_lv / vb_hv)
+            fr.append(node[t.hv_bus])
+            to.append(node[t.lv_bus])
+            ys.append(1.0 / z)
+            taps.append(tap)
+            taps2.append(tap**2)
 
     for i, t in enumerate(net.transformers3w):
-        if ("trafo3w", i) not in fusion.active:
+        if not live["trafo3w"][i]:
             continue
-        vb_lv = buses[t.lv_bus].vn_kv
-        c_max_lv = voltage_correction_factor(vb_lv, tol, "max")
-        z_h, z_m, z_l = three_winding_star(t, c_max_lv, s_base)
-        star = ("aux", i)
-        for winding, bus_id, vn_w, z in (
-            ("hv", t.hv_bus, t.vn_hv_kv, z_h),
-            ("mv", t.mv_bus, t.vn_mv_kv, z_m),
-            ("lv", t.lv_bus, t.vn_lv_kv, z_l),
+        c_max_lv = voltage_correction_factor(vn_of[t.lv_bus], tol, "max")
+        star = n_nodes
+        n_nodes += 1
+        for winding, bus_id, vn_w, z in zip(
+            ("hv", "mv", "lv"), (t.hv_bus, t.mv_bus, t.lv_bus), (t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv),
+            three_winding_star(t, c_max_lv, s_base),
         ):
-            if not buses[bus_id].in_service or fusion.is_severed("trafo3w", i, bus_id):
+            if bus_id not in node or ("trafo3w", i, bus_id) in fusion.severed:
                 continue
-            require_stampable(z, f"transformers3w[{i}] ({winding} star branch)")
-            tap = vn_w / buses[bus_id].vn_kv
-            branches.append((node(bus_id), star, 1.0 / z, tap))
+            if abs(z) < ZERO_STAMP_TOL_PU:
+                raise _unstampable(f"transformers3w[{i}] ({winding} star branch)", z)
+            tap = vn_w / vn_of[bus_id]
+            fr.append(node[bus_id])
+            to.append(star)
+            ys.append(1.0 / z)
+            taps.append(tap)
+            taps2.append(tap**2)
 
-    if options.consider_converters:
-        for i, cs in enumerate(net.converter_sources):
-            if ("converter", i) not in fusion.active:
-                continue
-            vn = buses[cs.bus].vn_kv
-            i_ka = converter_current(cs, vn)
-            i_base = s_base / (math.sqrt(3.0) * vn)
-            injections.append((node(cs.bus), i_ka / i_base))
-
-    # energized islands: nodes reachable from any voltage-source node
-    adjacency: dict[object, set[object]] = {}
-    for f, t, _, _ in branches:
-        if f == t:
-            continue
-        adjacency.setdefault(f, set()).add(t)
-        adjacency.setdefault(t, set()).add(f)
-    energized: set[object] = set()
-    stack = list(source_nodes)
-    while stack:
-        n = stack.pop()
-        if n in energized:
-            continue
-        energized.add(n)
-        stack.extend(adjacency.get(n, set()) - energized)
-    if not energized:
+    # energized islands: the components that hold a voltage source node
+    roots = _roots(n_nodes, zip(fr, to))
+    fed = {roots[n] for n in sources}
+    if not fed:
         raise UnsolvableIslandError("no energized island: no in-service external grid is connected")
+    on = [r in fed for r in roots]
+    energized = np.array(on, dtype=bool)
+    # the energized nodes keep their order as rows: real rows first
+    row = np.cumsum(energized) - 1
+    node_row = row.tolist()
+    dim = node_row[-1] + 1
+    n_real = sum(on[: len(reps)])
+    bus_index = {b: node_row[n] for b, n in node.items() if on[n]}
 
-    real_rows = sorted(n for n in energized if not isinstance(n, tuple))
-    aux_rows = sorted((n for n in energized if isinstance(n, tuple)), key=lambda n: n[1])
-    row_of = {n: i for i, n in enumerate(real_rows + aux_rows)}
-    dim = len(row_of)
-
-    bus_index = {
-        b: row_of[n]
-        for b, n in fusion.node_of.items()
-        if n in row_of
-    }
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for f, t, y, tap in branches:
-        if f not in row_of or f == t:
-            continue
-        fi, ti = row_of[f], row_of[t]
-        y_mutual = y / tap
-        rows += [fi, ti, fi, ti]
-        cols += [fi, ti, ti, fi]
-        vals += [y / tap**2, y, -y_mutual, -y_mutual]
-    for n, y in shunts:
-        if n in row_of:
-            rows.append(row_of[n])
-            cols.append(row_of[n])
-            vals.append(y)
-
+    # four stamps per branch (ff, tt, ft, tf), branch after branch, then the
+    # source shunts; branches inside one fused node stamp nothing
+    f = np.array(fr, dtype=np.int64)
+    t = np.array(to, dtype=np.int64)
+    keep = energized[f] & (f != t)
+    f, t = row[f[keep]], row[t[keep]]
+    y = np.array(ys, dtype=complex)[keep]
+    m = 4 * len(y)
+    rows = np.empty(m + len(sources), dtype=np.int64)
+    cols = np.empty_like(rows)
+    vals = np.empty(len(rows), dtype=complex)
+    rows[0:m:4] = rows[2:m:4] = cols[0:m:4] = cols[3:m:4] = f
+    rows[1:m:4] = rows[3:m:4] = cols[1:m:4] = cols[2:m:4] = t
+    rows[m:] = cols[m:] = row[sources]
+    vals[0:m:4] = _over(y, np.array(taps2)[keep])
+    vals[1:m:4] = y
+    vals[2:m:4] = vals[3:m:4] = -_over(y, np.array(taps)[keep])
+    vals[m:] = shunts
     y_matrix = _stamp_csc(rows, cols, vals, dim)
 
-    # real rows come first, in the order of real_rows
-    vn_real = np.array([buses[n].vn_kv for n in real_rows], dtype=float)
+    vn_real = [vn_of[rep] for rep, is_on in zip(reps, on) if is_on]
+    c_of = {vn: voltage_correction_factor(vn, tol, case) for vn in set(vn_real)}
     u_q = np.zeros(dim)
     i_base_ka = np.zeros(dim)
-    u_q[: len(real_rows)] = [voltage_correction_factor(vn, tol, case) for vn in vn_real]
-    i_base_ka[: len(real_rows)] = s_base / (math.sqrt(3.0) * vn_real)
+    u_q[:n_real] = [c_of[vn] for vn in vn_real]
+    i_base_ka[:n_real] = s_base / (math.sqrt(3.0) * np.array(vn_real, dtype=float))
 
     i_kc = np.zeros(dim, dtype=complex)
-    for n, inj in injections:
-        if n in row_of:
-            i_kc[row_of[n]] += inj
+    if options.consider_converters:
+        for i, cs in enumerate(net.converter_sources):
+            if live["converter"][i] and on[node[cs.bus]]:
+                vn = vn_of[cs.bus]
+                i_ka = converter_current(cs, vn)
+                i_base = s_base / (math.sqrt(3.0) * vn)
+                i_kc[node_row[node[cs.bus]]] += i_ka / i_base
 
     return BusBranchModel(
         bus_index=bus_index,
@@ -466,5 +484,5 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         u_q=u_q,
         i_kc=i_kc,
         i_base_ka=i_base_ka,
-        n_aux=len(aux_rows),
+        n_aux=dim - n_real,
     )

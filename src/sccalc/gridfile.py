@@ -56,15 +56,19 @@ def _coerce(value, typ: str, path: str):
     raise GridFileError(f"{path}: expected {typ}, got {value!r}")
 
 
-def _parse_entry(entry, specs, path: str) -> dict:
+# section -> the field names its entries may hold
+_KNOWN_FIELDS = {section: frozenset(name for name, _, _, _ in specs) for section, specs in FIELD_SPECS.items()}
+
+
+def _parse_entry(entry, section: str, path: str) -> dict:
     if not isinstance(entry, dict):
         raise GridFileError(f"{path}: expected an object, got {type(entry).__name__}")
-    known = {name for name, _, _, _ in specs}
+    known = _KNOWN_FIELDS[section]
     for key in entry:
         if key not in known:
             raise GridFileError(f"{path}: unknown field {key!r}")
     kwargs = {}
-    for name, typ, required, default in specs:
+    for name, typ, required, default in FIELD_SPECS[section]:
         if name in entry:
             kwargs[name] = _coerce(entry[name], typ, f"{path}.{name}")
         elif required:
@@ -122,7 +126,7 @@ def network_from_dict(data) -> Network:
             raise GridFileError(f"document.{section}: expected an array")
         target = getattr(net, section)
         for i, entry in enumerate(entries):
-            target.append(cls(**_parse_entry(entry, FIELD_SPECS[section], f"{section}[{i}]")))
+            target.append(cls(**_parse_entry(entry, section, f"{section}[{i}]")))
     switches = data.get("switches", [])
     if not isinstance(switches, list):
         raise GridFileError("document.switches: expected an array")
@@ -217,9 +221,12 @@ def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
     """Machine-readable JSON: metadata object plus rows array, full float
     precision; NaN markers are encoded as null. One line, because only
     ``json.dumps`` without ``indent`` runs the C encoder."""
-    rows = []
-    for row in result.rows():
-        rows.append({k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()})
+    rows = result.rows()
+    for row in rows:
+        # the rows are fresh dicts, so NaN can be replaced in place
+        for k, v in row.items():
+            if isinstance(v, float) and math.isnan(v):
+                row[k] = None
     text = json.dumps({"meta": _result_meta(result), "rows": rows}, allow_nan=False)
     f, should_close = _open_for_write(file_or_path)
     try:

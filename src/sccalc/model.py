@@ -214,7 +214,9 @@ def validate(net: Network) -> list[Violation]:
     Electrical solvability beyond data shape (dead islands, singular
     stamps) is the study builder's concern, not validation's.
     """
-    out: list[Violation] = []
+    # (section, element index, field, rule); the element labels are built
+    # only for what is found, at the end
+    bad: list[tuple[str, int | None, str, str]] = []
     for section, fields in _FLOAT_FIELDS.items():
         elements = getattr(net, section)
         for name, get in fields:
@@ -223,125 +225,131 @@ def validate(net: Network) -> list[Violation]:
                     continue
             except TypeError:
                 pass
-            out.extend(
-                Violation(f"{section}[{i}]", name, rule)
+            bad.extend(
+                (section, i, name, rule)
                 for i, el in enumerate(elements)
                 if (rule := _number_rule(get(el), name))
             )
-    if any(v.rule.endswith("must be a number") for v in out):
+    if any(rule.endswith("must be a number") for _, _, _, rule in bad):
         # the rules below compare these fields and cannot judge a non-number
-        return out
+        return _violations(bad)
 
-    buses = {}
+    vn_of: dict[int, float] = {}
     for i, bus in enumerate(net.buses):
-        el = f"buses[{i}]"
-        if bus.id in buses:
-            out.append(Violation(el, "id", f"id {bus.id} is not unique"))
+        if bus.id in vn_of:
+            bad.append(("buses", i, "id", f"id {bus.id} is not unique"))
         else:
-            buses[bus.id] = bus
+            vn_of[bus.id] = bus.vn_kv
         if not bus.vn_kv > 0:
-            out.append(Violation(el, "vn_kv", "vn_kv > 0"))
+            bad.append(("buses", i, "vn_kv", "vn_kv > 0"))
 
-    def check_bus_ref(el: str, fieldname: str, bus_id) -> bool:
-        if bus_id not in buses:
-            out.append(Violation(el, fieldname, f"{fieldname} references unknown bus {bus_id}"))
-            return False
-        return True
+    def unknown_bus(section: str, i: int, fieldname: str, bus_id) -> None:
+        bad.append((section, i, fieldname, f"{fieldname} references unknown bus {bus_id}"))
 
     for i, eg in enumerate(net.external_grids):
-        el = f"external_grids[{i}]"
-        check_bus_ref(el, "bus", eg.bus)
+        if eg.bus not in vn_of:
+            unknown_bus("external_grids", i, "bus", eg.bus)
         if not eg.s_sc_min_mva > 0:
-            out.append(Violation(el, "s_sc_min_mva", "s_sc_min_mva > 0"))
+            bad.append(("external_grids", i, "s_sc_min_mva", "s_sc_min_mva > 0"))
         if eg.s_sc_max_mva < eg.s_sc_min_mva:
-            out.append(Violation(el, "s_sc_max_mva", "s_sc_max_mva >= s_sc_min_mva"))
+            bad.append(("external_grids", i, "s_sc_max_mva", "s_sc_max_mva >= s_sc_min_mva"))
         if eg.rx_max < 0:
-            out.append(Violation(el, "rx_max", "rx_max >= 0"))
+            bad.append(("external_grids", i, "rx_max", "rx_max >= 0"))
         if eg.rx_min < 0:
-            out.append(Violation(el, "rx_min", "rx_min >= 0"))
+            bad.append(("external_grids", i, "rx_min", "rx_min >= 0"))
 
     for i, ln in enumerate(net.lines):
-        el = f"lines[{i}]"
-        from_ok = check_bus_ref(el, "from_bus", ln.from_bus)
-        to_ok = check_bus_ref(el, "to_bus", ln.to_bus)
+        from_ok = ln.from_bus in vn_of
+        if not from_ok:
+            unknown_bus("lines", i, "from_bus", ln.from_bus)
+        to_ok = ln.to_bus in vn_of
+        if not to_ok:
+            unknown_bus("lines", i, "to_bus", ln.to_bus)
         if not ln.length_km > 0:
-            out.append(Violation(el, "length_km", "length_km > 0"))
+            bad.append(("lines", i, "length_km", "length_km > 0"))
         if ln.r_ohm_per_km < 0:
-            out.append(Violation(el, "r_ohm_per_km", "r_ohm_per_km >= 0"))
+            bad.append(("lines", i, "r_ohm_per_km", "r_ohm_per_km >= 0"))
         if ln.x_ohm_per_km < 0:
-            out.append(Violation(el, "x_ohm_per_km", "x_ohm_per_km >= 0"))
+            bad.append(("lines", i, "x_ohm_per_km", "x_ohm_per_km >= 0"))
         if ln.r_ohm_per_km == 0 and ln.x_ohm_per_km == 0:
-            out.append(Violation(el, "r_ohm_per_km", "r_ohm_per_km and x_ohm_per_km must not both be zero"))
+            bad.append(("lines", i, "r_ohm_per_km", "r_ohm_per_km and x_ohm_per_km must not both be zero"))
         if ln.endtemp_degc < 20:
-            out.append(Violation(el, "endtemp_degc", "endtemp_degc >= 20"))
-        if from_ok and to_ok and buses[ln.from_bus].vn_kv != buses[ln.to_bus].vn_kv:
-            out.append(Violation(el, "to_bus", "from_bus and to_bus must have equal vn_kv"))
+            bad.append(("lines", i, "endtemp_degc", "endtemp_degc >= 20"))
+        if from_ok and to_ok and vn_of[ln.from_bus] != vn_of[ln.to_bus]:
+            bad.append(("lines", i, "to_bus", "from_bus and to_bus must have equal vn_kv"))
 
     for i, t in enumerate(net.transformers2w):
-        el = f"transformers2w[{i}]"
-        check_bus_ref(el, "hv_bus", t.hv_bus)
-        check_bus_ref(el, "lv_bus", t.lv_bus)
+        if t.hv_bus not in vn_of:
+            unknown_bus("transformers2w", i, "hv_bus", t.hv_bus)
+        if t.lv_bus not in vn_of:
+            unknown_bus("transformers2w", i, "lv_bus", t.lv_bus)
         if not t.sn_mva > 0:
-            out.append(Violation(el, "sn_mva", "sn_mva > 0"))
+            bad.append(("transformers2w", i, "sn_mva", "sn_mva > 0"))
         if not (0 <= t.vkr_percent < t.vk_percent <= 100):
-            out.append(Violation(el, "vkr_percent", "0 <= vkr_percent < vk_percent <= 100"))
+            bad.append(("transformers2w", i, "vkr_percent", "0 <= vkr_percent < vk_percent <= 100"))
         # zero rated voltage would break per-unit conversion downstream
         if not t.vn_hv_kv > 0:
-            out.append(Violation(el, "vn_hv_kv", "vn_hv_kv > 0"))
+            bad.append(("transformers2w", i, "vn_hv_kv", "vn_hv_kv > 0"))
         if not t.vn_lv_kv > 0:
-            out.append(Violation(el, "vn_lv_kv", "vn_lv_kv > 0"))
+            bad.append(("transformers2w", i, "vn_lv_kv", "vn_lv_kv > 0"))
 
     for i, t in enumerate(net.transformers3w):
-        el = f"transformers3w[{i}]"
-        check_bus_ref(el, "hv_bus", t.hv_bus)
-        check_bus_ref(el, "mv_bus", t.mv_bus)
-        check_bus_ref(el, "lv_bus", t.lv_bus)
+        for fieldname, bus_id in (("hv_bus", t.hv_bus), ("mv_bus", t.mv_bus), ("lv_bus", t.lv_bus)):
+            if bus_id not in vn_of:
+                unknown_bus("transformers3w", i, fieldname, bus_id)
         for fieldname, sn in (("sn_hv_mva", t.sn_hv_mva), ("sn_mv_mva", t.sn_mv_mva), ("sn_lv_mva", t.sn_lv_mva)):
             if not sn > 0:
-                out.append(Violation(el, fieldname, f"{fieldname} > 0"))
-        for pair in ("hm", "ml", "hl"):
-            vk = getattr(t, f"vk_{pair}_percent")
-            vkr = getattr(t, f"vkr_{pair}_percent")
+                bad.append(("transformers3w", i, fieldname, f"{fieldname} > 0"))
+        for pair, vk, vkr in (
+            ("hm", t.vk_hm_percent, t.vkr_hm_percent),
+            ("ml", t.vk_ml_percent, t.vkr_ml_percent),
+            ("hl", t.vk_hl_percent, t.vkr_hl_percent),
+        ):
             if not (0 <= vkr < vk):
-                out.append(Violation(el, f"vkr_{pair}_percent", f"0 <= vkr_{pair}_percent < vk_{pair}_percent"))
+                bad.append(("transformers3w", i, f"vkr_{pair}_percent", f"0 <= vkr_{pair}_percent < vk_{pair}_percent"))
         for fieldname, vn in (("vn_hv_kv", t.vn_hv_kv), ("vn_mv_kv", t.vn_mv_kv), ("vn_lv_kv", t.vn_lv_kv)):
             if not vn > 0:
-                out.append(Violation(el, fieldname, f"{fieldname} > 0"))
+                bad.append(("transformers3w", i, fieldname, f"{fieldname} > 0"))
 
     for i, cs in enumerate(net.converter_sources):
-        el = f"converter_sources[{i}]"
-        check_bus_ref(el, "bus", cs.bus)
+        if cs.bus not in vn_of:
+            unknown_bus("converter_sources", i, "bus", cs.bus)
         if not cs.sn_mva > 0:
-            out.append(Violation(el, "sn_mva", "sn_mva > 0"))
+            bad.append(("converter_sources", i, "sn_mva", "sn_mva > 0"))
         if cs.k < 0:
-            out.append(Violation(el, "k", "k >= 0"))
+            bad.append(("converter_sources", i, "k", "k >= 0"))
 
     for i, sw in enumerate(net.switches):
-        el = f"switches[{i}]"
-        bus_ok = check_bus_ref(el, "bus", sw.bus)
+        bus_ok = sw.bus in vn_of
+        if not bus_ok:
+            unknown_bus("switches", i, "bus", sw.bus)
         if isinstance(sw.other, int):
-            other_ok = check_bus_ref(el, "other", sw.other)
-            if (
-                bus_ok
-                and other_ok
-                and buses[sw.bus].vn_kv != buses[sw.other].vn_kv
-            ):
-                out.append(Violation(el, "other", "bus-bus switches must connect buses of equal vn_kv"))
+            if sw.other not in vn_of:
+                unknown_bus("switches", i, "other", sw.other)
+            elif bus_ok and vn_of[sw.bus] != vn_of[sw.other]:
+                bad.append(("switches", i, "other", "bus-bus switches must connect buses of equal vn_kv"))
         else:
             ref = sw.other
             if ref.kind not in SWITCHABLE_ELEMENT_KINDS:
-                out.append(Violation(el, "other", f"element kind must be one of {SWITCHABLE_ELEMENT_KINDS}"))
+                bad.append(("switches", i, "other", f"element kind must be one of {SWITCHABLE_ELEMENT_KINDS}"))
             else:
                 n = len(getattr(net, _COLLECTION_OF[ref.kind]))
                 if not 0 <= ref.index < n:
-                    out.append(Violation(el, "other", f"{ref.kind}[{ref.index}] does not exist"))
+                    bad.append(("switches", i, "other", f"{ref.kind}[{ref.index}] does not exist"))
                 elif bus_ok and sw.bus not in net.element_terminals(ref.kind, ref.index):
-                    out.append(Violation(el, "bus", f"bus {sw.bus} is not a terminal of {ref.kind}[{ref.index}]"))
+                    bad.append(("switches", i, "bus", f"bus {sw.bus} is not a terminal of {ref.kind}[{ref.index}]"))
 
     if not net.external_grids:
-        out.append(Violation("network", "external_grids", "at least one ExternalGrid is required for a solvable study"))
+        bad.append(("network", None, "external_grids", "at least one ExternalGrid is required for a solvable study"))
 
-    return out
+    return _violations(bad)
+
+
+def _violations(bad: list[tuple[str, int | None, str, str]]) -> list[Violation]:
+    return [
+        Violation(section if i is None else f"{section}[{i}]", fieldname, rule)
+        for section, i, fieldname, rule in bad
+    ]
 
 
 _COLLECTION_OF = {

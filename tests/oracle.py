@@ -51,16 +51,18 @@ def _fused_groups(net: Network, in_service: set[int]) -> dict[int, int]:
     return group
 
 
-def oracle_calc(
+def oracle_admittance(
     net: Network,
     case: str = "max",
     lv_tolerance_percent: int = 10,
     consider_converters: bool = True,
     s_base_mva: float = 1.0,
-) -> dict[int, dict]:
-    """Short-circuit currents for every bus of the network.
+) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Dense per-unit admittance matrix of the energized nodes, stamped
+    element by element, with its converter injection vector.
 
-    Returns {bus_id: {"source_ka", "converter_ka", "total_ka", "energized"}}.
+    Returns (y, i_kc, row) where ``row`` maps each energized bus id to its
+    row: fused nodes by ascending id, then 3W star points by transformer.
     """
     buses = {b.id: b for b in net.buses}
     in_service = {b.id for b in net.buses if b.in_service}
@@ -204,17 +206,33 @@ def oracle_calc(
         if n in index:
             y[index[n], index[n]] += 1.0 / z_pu
 
-    z = np.linalg.inv(y) if dim else np.zeros((0, 0), dtype=complex)
-
     i_kc = np.zeros(dim, dtype=complex)
     for n, inj in injection_list:
         if n in index:
             i_kc[index[n]] += inj
 
+    row = {b: index[n] for b, n in group.items() if n in index}
+    return y, i_kc, row
+
+
+def oracle_calc(
+    net: Network,
+    case: str = "max",
+    lv_tolerance_percent: int = 10,
+    consider_converters: bool = True,
+    s_base_mva: float = 1.0,
+) -> dict[int, dict]:
+    """Short-circuit currents for every bus of the network.
+
+    Returns {bus_id: {"source_ka", "converter_ka", "total_ka", "energized"}}.
+    """
+    y, i_kc, row = oracle_admittance(net, case, lv_tolerance_percent, consider_converters, s_base_mva)
+    dim = len(y)
+    z = np.linalg.inv(y) if dim else np.zeros((0, 0), dtype=complex)
+
     out = {}
-    for bus_id, bus in buses.items():
-        node = group.get(bus_id)
-        if node is None or node not in index:
+    for bus_id, bus in {b.id: b for b in net.buses}.items():
+        if bus_id not in row:
             out[bus_id] = {
                 "source_ka": 0.0,
                 "converter_ka": 0.0,
@@ -222,7 +240,7 @@ def oracle_calc(
                 "energized": False,
             }
             continue
-        j = index[node]
+        j = row[bus_id]
         z_jj = z[j, j]
         i_base = s_base_mva / (math.sqrt(3.0) * bus.vn_kv)
         if abs(z_jj) < DEGENERATE_TOL:

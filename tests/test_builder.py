@@ -37,6 +37,8 @@ from sccalc.builder import (
     voltage_correction_factor,
 )
 
+from oracle import oracle_calc
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -289,8 +291,8 @@ def test_open_line_switch_severs_element():
     net.switches.append(Switch(bus=2, other=ElementRef("line", 1), closed=False))
     fusion = fuse_switches(net)
     assert fusion.is_severed("line", 1, 2)
-    assert ("line", 1) not in fusion.active
-    assert ("line", 0) in fusion.active
+    assert not fusion.live["line"][1]
+    assert fusion.live["line"][0]
     # bus 3 is in a dead island now
     bbm = build_bbm(net, FaultStudyOptions())
     assert 3 not in bbm.bus_index
@@ -300,7 +302,7 @@ def test_open_line_switch_severs_element():
 def test_closed_element_switch_keeps_element_active():
     net = three_bus_line_net()
     net.switches.append(Switch(bus=2, other=ElementRef("line", 1), closed=True))
-    assert ("line", 1) in fuse_switches(net).active
+    assert fuse_switches(net).live["line"][1]
 
 
 def test_fusion_is_independent_of_switch_order():
@@ -534,3 +536,69 @@ def test_options_validation():
     with pytest.raises(InvalidOptionError):
         FaultStudyOptions(fault_buses=7)
     assert FaultStudyOptions(fault_buses=[3, 1]).fault_buses == (3, 1)
+
+
+# --- edge cases of fusion, liveness and islands ---------------------------------
+
+def test_3w_transformer_with_two_dead_windings_adds_no_star_row():
+    # the MV bus is out of service and the LV terminal is switched off: one
+    # live winding cannot couple anything, so the star point is not a row
+    net = Network(
+        buses=[Bus(1, 110.0), Bus(2, 20.0, in_service=False), Bus(3, 0.4)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=3000.0)],
+        transformers3w=[trafo3w()],
+        switches=[Switch(bus=3, other=ElementRef("trafo3w", 0), closed=False)],
+    )
+    assert fuse_switches(net).live["trafo3w"] == [False]
+    bbm = build_bbm(net, FaultStudyOptions())
+    assert bbm.n_aux == 0
+    assert bbm.n == 1
+    assert bbm.bus_index == {1: 0}
+    z_q = external_grid_impedance(net.external_grids[0], 110.0, "max", 1.1) / 110.0**2
+    assert bbm.y_matrix.toarray()[0, 0] == 1.0 / z_q
+
+
+def test_descending_switch_chain_fuses_into_smallest_id_and_keeps_element_switch():
+    # the chain 4-3-2-1 is listed from the largest id down; the open switch
+    # cuts the line at bus 3, a member that is not the representative
+    net = Network(
+        buses=[Bus(b, 20.0) for b in (1, 2, 3, 4, 5, 6)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=500.0)],
+        lines=[
+            Line(3, 5, length_km=1.0, r_ohm_per_km=0.1, x_ohm_per_km=0.3),
+            Line(4, 6, length_km=1.0, r_ohm_per_km=0.1, x_ohm_per_km=0.3),
+        ],
+        switches=[
+            Switch(bus=4, other=3),
+            Switch(bus=3, other=2),
+            Switch(bus=2, other=1),
+            Switch(bus=3, other=ElementRef("line", 0), closed=False),
+        ],
+    )
+    fusion = fuse_switches(net)
+    assert fusion.node_of == {1: 1, 2: 1, 3: 1, 4: 1, 5: 5, 6: 6}
+    assert fusion.live["line"] == [False, True]
+    bbm = build_bbm(net, FaultStudyOptions())
+    assert bbm.bus_index == {1: 0, 2: 0, 3: 0, 4: 0, 6: 1}
+    res = calc_sc(net)
+    assert res.energized.tolist() == [True, True, True, True, False, True]
+
+
+def test_fault_bus_fed_only_through_a_3w_star_point():
+    # bus 4 hangs off the LV side; its only path to the grid at bus 1 runs
+    # through the star point of the three-winding transformer
+    net = Network(
+        buses=[Bus(1, 110.0), Bus(2, 20.0), Bus(3, 0.4), Bus(4, 0.4)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=3000.0)],
+        lines=[Line(3, 4, length_km=0.2, r_ohm_per_km=0.2, x_ohm_per_km=0.08)],
+        transformers3w=[trafo3w()],
+    )
+    bbm = build_bbm(net, FaultStudyOptions())
+    assert set(bbm.bus_index) == {1, 2, 3, 4}
+    assert bbm.n_aux == 1
+    res = calc_sc(net)
+    assert res.energized.all()
+    expected = oracle_calc(net)
+    for i, b in enumerate(res.bus_ids.tolist()):
+        assert res.ikss_ka[i] == pytest.approx(expected[b]["total_ka"], rel=1e-12)
+    assert res.ikss_ka[3] > 0.0

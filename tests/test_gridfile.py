@@ -1,4 +1,5 @@
 """Tests for grid document serialization and result file writers."""
+import io
 import json
 import math
 
@@ -267,3 +268,14 @@ def test_nan_markers_serialize_as_null_and_nan(tmp_path):
     assert raw["meta"]["degenerate_buses"] == [1]
     _, csv_rows = read_result_csv(p_csv)
     assert math.isnan(csv_rows[0]["ikss_ka"])
+
+
+def test_result_json_leaves_the_result_unchanged(tmp_path):
+    res = calc_sc(degenerate_network())
+    first, second = io.StringIO(), io.StringIO()
+    write_result_json(res, first)
+    write_result_json(res, second)
+    assert first.getvalue() == second.getvalue()
+    assert json.loads(first.getvalue())["rows"][0]["ikss_ka"] is None
+    assert math.isnan(res.rows()[0]["ikss_ka"])
+    assert math.isnan(res.ikss_ka[0])

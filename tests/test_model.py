@@ -273,3 +273,142 @@ def test_unsupported_field_annotation_is_rejected():
 
     with pytest.raises(TypeError, match=r"Shunt\.y_pu"):
         _field_specs(Shunt)
+
+
+def rule_breaking_network() -> Network:
+    """Breaks every validation rule of every section at least once; some
+    elements break several rules at the same time."""
+    return Network(
+        buses=[Bus(1, 110.0), Bus(1, 20.0), Bus(2, 0.0), Bus(3, 20.0), Bus(4, math.nan), Bus(5, 0.4)],
+        external_grids=[
+            ExternalGrid(bus=99, s_sc_max_mva=10.0, s_sc_min_mva=20.0, rx_max=-0.1, rx_min=-0.2),
+            ExternalGrid(bus=1, s_sc_max_mva=math.inf, s_sc_min_mva=-1.0),
+        ],
+        lines=[
+            Line(1, 98, length_km=0.0, r_ohm_per_km=-1.0, x_ohm_per_km=-1.0, endtemp_degc=10.0),
+            Line(97, 3, length_km=1.0, r_ohm_per_km=0.0, x_ohm_per_km=0.0),
+            Line(1, 3, length_km=1.0, r_ohm_per_km=0.1, x_ohm_per_km=0.4),
+            Line(3, 5, length_km=math.nan, r_ohm_per_km=0.1, x_ohm_per_km=math.inf),
+        ],
+        transformers2w=[
+            Transformer2W(96, 95, sn_mva=0.0, vn_hv_kv=0.0, vn_lv_kv=-1.0, vk_percent=5.0, vkr_percent=6.0),
+            Transformer2W(1, 3, sn_mva=10.0, vn_hv_kv=110.0, vn_lv_kv=20.0, vk_percent=101.0),
+            Transformer2W(1, 3, sn_mva=10.0, vn_hv_kv=110.0, vn_lv_kv=20.0, vk_percent=5.0, vkr_percent=-1.0),
+        ],
+        transformers3w=[
+            Transformer3W(94, 93, 92, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0, 5.0, 5.0, 5.0, 6.0, -1.0, 5.0),
+            Transformer3W(1, 3, 5, 40.0, 20.0, 10.0, 110.0, 20.0, 0.4, 10.0, math.nan, 12.0, 0.5, 0.5, 12.0),
+        ],
+        converter_sources=[
+            ConverterSource(bus=91, sn_mva=0.0, k=-1.0),
+            ConverterSource(bus=1, sn_mva=math.nan, k=1.0),
+        ],
+        switches=[
+            Switch(bus=90, other=89),
+            Switch(bus=1, other=3),
+            Switch(bus=88, other=ElementRef("line", 0)),
+            Switch(bus=1, other=ElementRef("cable", 0)),
+            Switch(bus=1, other=ElementRef("line", 99)),
+            Switch(bus=5, other=ElementRef("trafo2w", 1)),
+            Switch(bus=1, other=ElementRef("line", -1), closed=False),
+            Switch(bus=3, other=ElementRef("trafo3w", 1), closed=False),
+        ],
+    )
+
+
+def no_grid_network() -> Network:
+    return Network(buses=[Bus(1, 110.0), Bus(1, 110.0)], switches=[Switch(bus=1, other=2)])
+
+
+def non_number_network() -> Network:
+    net = rule_breaking_network()
+    net.lines[2].length_km = "10"
+    net.converter_sources[0].k = None
+    return net
+
+
+# the violation lists these networks give, recorded before validate was
+# restructured: same elements, fields, rules and order
+VALIDATE_SNAPSHOTS = {
+    "rule_breaking": (rule_breaking_network, [
+        ("buses[4]", "vn_kv", "vn_kv must be finite"),
+        ("external_grids[1]", "s_sc_max_mva", "s_sc_max_mva must be finite"),
+        ("lines[3]", "length_km", "length_km must be finite"),
+        ("lines[3]", "x_ohm_per_km", "x_ohm_per_km must be finite"),
+        ("transformers3w[1]", "vk_ml_percent", "vk_ml_percent must be finite"),
+        ("converter_sources[1]", "sn_mva", "sn_mva must be finite"),
+        ("buses[1]", "id", "id 1 is not unique"),
+        ("buses[2]", "vn_kv", "vn_kv > 0"),
+        ("buses[4]", "vn_kv", "vn_kv > 0"),
+        ("external_grids[0]", "bus", "bus references unknown bus 99"),
+        ("external_grids[0]", "s_sc_max_mva", "s_sc_max_mva >= s_sc_min_mva"),
+        ("external_grids[0]", "rx_max", "rx_max >= 0"),
+        ("external_grids[0]", "rx_min", "rx_min >= 0"),
+        ("external_grids[1]", "s_sc_min_mva", "s_sc_min_mva > 0"),
+        ("lines[0]", "to_bus", "to_bus references unknown bus 98"),
+        ("lines[0]", "length_km", "length_km > 0"),
+        ("lines[0]", "r_ohm_per_km", "r_ohm_per_km >= 0"),
+        ("lines[0]", "x_ohm_per_km", "x_ohm_per_km >= 0"),
+        ("lines[0]", "endtemp_degc", "endtemp_degc >= 20"),
+        ("lines[1]", "from_bus", "from_bus references unknown bus 97"),
+        ("lines[1]", "r_ohm_per_km", "r_ohm_per_km and x_ohm_per_km must not both be zero"),
+        ("lines[2]", "to_bus", "from_bus and to_bus must have equal vn_kv"),
+        ("lines[3]", "length_km", "length_km > 0"),
+        ("lines[3]", "to_bus", "from_bus and to_bus must have equal vn_kv"),
+        ("transformers2w[0]", "hv_bus", "hv_bus references unknown bus 96"),
+        ("transformers2w[0]", "lv_bus", "lv_bus references unknown bus 95"),
+        ("transformers2w[0]", "sn_mva", "sn_mva > 0"),
+        ("transformers2w[0]", "vkr_percent", "0 <= vkr_percent < vk_percent <= 100"),
+        ("transformers2w[0]", "vn_hv_kv", "vn_hv_kv > 0"),
+        ("transformers2w[0]", "vn_lv_kv", "vn_lv_kv > 0"),
+        ("transformers2w[1]", "vkr_percent", "0 <= vkr_percent < vk_percent <= 100"),
+        ("transformers2w[2]", "vkr_percent", "0 <= vkr_percent < vk_percent <= 100"),
+        ("transformers3w[0]", "hv_bus", "hv_bus references unknown bus 94"),
+        ("transformers3w[0]", "mv_bus", "mv_bus references unknown bus 93"),
+        ("transformers3w[0]", "lv_bus", "lv_bus references unknown bus 92"),
+        ("transformers3w[0]", "sn_hv_mva", "sn_hv_mva > 0"),
+        ("transformers3w[0]", "sn_mv_mva", "sn_mv_mva > 0"),
+        ("transformers3w[0]", "sn_lv_mva", "sn_lv_mva > 0"),
+        ("transformers3w[0]", "vkr_hm_percent", "0 <= vkr_hm_percent < vk_hm_percent"),
+        ("transformers3w[0]", "vkr_ml_percent", "0 <= vkr_ml_percent < vk_ml_percent"),
+        ("transformers3w[0]", "vkr_hl_percent", "0 <= vkr_hl_percent < vk_hl_percent"),
+        ("transformers3w[0]", "vn_hv_kv", "vn_hv_kv > 0"),
+        ("transformers3w[0]", "vn_mv_kv", "vn_mv_kv > 0"),
+        ("transformers3w[0]", "vn_lv_kv", "vn_lv_kv > 0"),
+        ("transformers3w[1]", "vkr_ml_percent", "0 <= vkr_ml_percent < vk_ml_percent"),
+        ("transformers3w[1]", "vkr_hl_percent", "0 <= vkr_hl_percent < vk_hl_percent"),
+        ("converter_sources[0]", "bus", "bus references unknown bus 91"),
+        ("converter_sources[0]", "sn_mva", "sn_mva > 0"),
+        ("converter_sources[0]", "k", "k >= 0"),
+        ("converter_sources[1]", "sn_mva", "sn_mva > 0"),
+        ("switches[0]", "bus", "bus references unknown bus 90"),
+        ("switches[0]", "other", "other references unknown bus 89"),
+        ("switches[1]", "other", "bus-bus switches must connect buses of equal vn_kv"),
+        ("switches[2]", "bus", "bus references unknown bus 88"),
+        ("switches[3]", "other", "element kind must be one of ('line', 'trafo2w', 'trafo3w')"),
+        ("switches[4]", "other", "line[99] does not exist"),
+        ("switches[5]", "bus", "bus 5 is not a terminal of trafo2w[1]"),
+        ("switches[6]", "other", "line[-1] does not exist"),
+    ]),
+    "no_grid": (no_grid_network, [
+        ("buses[1]", "id", "id 1 is not unique"),
+        ("switches[0]", "other", "other references unknown bus 2"),
+        ("network", "external_grids", "at least one ExternalGrid is required for a solvable study"),
+    ]),
+    "non_number": (non_number_network, [
+        ("buses[4]", "vn_kv", "vn_kv must be finite"),
+        ("external_grids[1]", "s_sc_max_mva", "s_sc_max_mva must be finite"),
+        ("lines[2]", "length_km", "length_km must be a number"),
+        ("lines[3]", "length_km", "length_km must be finite"),
+        ("lines[3]", "x_ohm_per_km", "x_ohm_per_km must be finite"),
+        ("transformers3w[1]", "vk_ml_percent", "vk_ml_percent must be finite"),
+        ("converter_sources[1]", "sn_mva", "sn_mva must be finite"),
+        ("converter_sources[0]", "k", "k must be a number"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(VALIDATE_SNAPSHOTS))
+def test_validate_matches_the_recorded_violation_list(name):
+    make, expected = VALIDATE_SNAPSHOTS[name]
+    assert validate(make()) == [Violation(*v) for v in expected]

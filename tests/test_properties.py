@@ -38,6 +38,7 @@ from sccalc.builder import (
 from sccalc.solver import converter_contribution, factorize, impedance_matrix_diag
 
 from netgen import random_network
+from oracle import oracle_admittance
 
 RESULT_COLUMNS = ("ikss_source_ka", "ikss_converter_ka", "ikss_ka")
 
@@ -210,6 +211,26 @@ def test_selected_inversion_matches_unit_solves_and_inverse_on_large_meshed_grid
     assert np.all(rel_diff(z, z_dense) < tolerance)
     rows = np.arange(n)[::-3]
     assert np.array_equal(impedance_matrix_diag(lu, rows=rows), z[rows])
+
+
+@pytest.mark.parametrize(
+    "seed,kwargs",
+    [(seed, {}) for seed in range(20)]
+    + [(seed, {"consistent_trafo3w": False}) for seed in range(5)]
+    + [(seed, {"max_buses": 800, "loops": 30}) for seed in MESHED_3W_SEEDS],
+)
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_y_matrix_matches_the_oracle_stamp(seed, kwargs, case):
+    # the builder on its own: no factorization, no solve
+    net = random_network(seed, **kwargs)
+    bbm = build_bbm(net, FaultStudyOptions(case=case))
+    y_ref, i_kc_ref, row_ref = oracle_admittance(net, case)
+    assert bbm.bus_index == row_ref
+    assert bbm.n - bbm.n_aux == len(set(row_ref.values()))
+    y = bbm.y_matrix.toarray()
+    assert y.shape == y_ref.shape
+    assert np.all(np.abs(y - y_ref) <= 1e-13 * np.abs(y_ref))
+    assert np.all(np.abs(bbm.i_kc - i_kc_ref) <= 1e-13 * np.abs(i_kc_ref))
 
 
 @pytest.mark.parametrize("seed", range(12))
