@@ -1,13 +1,14 @@
 """Vectorized IEC 60909 short-circuit currents for all buses of a grid.
 
-Minimum and maximum initial symmetrical short-circuit currents are computed
-simultaneously at every bus from nameplate grid data, with distributed
-generation modelled as current sources per the 2016 revision of the
-standard.
+A study computes the initial symmetrical short-circuit currents of one
+case, maximum or minimum, at every bus at once from nameplate grid data,
+with distributed generation modelled as current sources per the 2016
+revision of the standard.
 
-The package exports what a user needs to describe a grid, run a study and
-move grid and result files. The study stages and element impedance helpers
-are importable from ``sccalc.builder`` and ``sccalc.solver``.
+The package exports what a user needs to describe a grid, run a study,
+load and save grid files and write result files. The study stages and
+element impedance helpers are importable from ``sccalc.builder`` and
+``sccalc.solver``.
 """
 from ._version import __version__
 from .builder import FaultStudyOptions
@@ -40,8 +41,6 @@ from .gridfile import (
     load_network,
     network_from_dict,
     network_to_dict,
-    read_result_csv,
-    read_result_json,
     save_network,
     write_result_csv,
     write_result_json,
@@ -81,8 +80,6 @@ __all__ = [
     "network_to_dict",
     "write_result_csv",
     "write_result_json",
-    "read_result_csv",
-    "read_result_json",
     "generate_radial_grid",
     "three_bus_example",
     "wind_park_example",

@@ -74,8 +74,8 @@ class FaultStudyOptions:
             raise InvalidOptionError(
                 f"lv_tolerance_percent must be 6 or 10, got {self.lv_tolerance_percent!r}"
             )
-        if not self.s_base_mva > 0:
-            raise InvalidOptionError(f"s_base_mva must be > 0, got {self.s_base_mva!r}")
+        if not 0 < self.s_base_mva < math.inf:
+            raise InvalidOptionError(f"s_base_mva must be finite and > 0, got {self.s_base_mva!r}")
         if self.fault_buses != "all":
             try:
                 ids = tuple(int(b) for b in self.fault_buses)
@@ -88,23 +88,19 @@ class FaultStudyOptions:
 
 @dataclass
 class BusBranchModel:
-    """Per-unit study model: sparse admittance matrix plus per-row source
-    data. ``u_q`` holds the voltage correction factor c of each real row.
+    """Per-unit network of one fault case: the sparse admittance matrix and
+    the converter current injections, one row per electrical node.
 
     Rows cover the fused, energized electrical nodes; three-winding star
-    points occupy the trailing ``n_aux`` rows and are never reported.
+    points occupy the trailing ``n_aux`` rows and are never reported. The
+    model holds no fault-location quantity: ``calc_sc`` applies c and the
+    current base at each fault bus.
     """
 
     bus_index: dict[int, int]
     y_matrix: scipy.sparse.csc_matrix
-    u_q: np.ndarray
     i_kc: np.ndarray
-    i_base_ka: np.ndarray
-    n_aux: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.y_matrix.shape[0]
+    n_aux: int
 
 
 def voltage_correction_factor(vn_kv: float, tolerance_percent: int, case: str) -> float:
@@ -163,13 +159,17 @@ def transformer_correction(x_t: float, c_max_lv: float) -> float:
     return 0.95 * c_max_lv / (1.0 + 0.6 * x_t)
 
 
+def _corrected_impedance(vk_percent: float, vkr_percent: float, c_max_lv: float) -> complex:
+    """K_T-corrected short-circuit impedance in per unit on the rated base."""
+    r = vkr_percent / 100.0
+    x = math.sqrt(vk_percent**2 - vkr_percent**2) / 100.0
+    return transformer_correction(x, c_max_lv) * complex(r, x)
+
+
 def transformer_impedance(t: Transformer2W, c_max_lv: float) -> complex:
     """Corrected short-circuit impedance of a two-winding transformer in
     per unit on its rated base (sn_mva, winding voltage)."""
-    r = t.vkr_percent / 100.0
-    x = math.sqrt(t.vk_percent**2 - t.vkr_percent**2) / 100.0
-    k_t = transformer_correction(x, c_max_lv)
-    return k_t * complex(r, x)
+    return _corrected_impedance(t.vk_percent, t.vkr_percent, c_max_lv)
 
 
 def star_decompose(z_hm: complex, z_ml: complex, z_hl: complex) -> tuple[complex, complex, complex]:
@@ -196,17 +196,12 @@ def three_winding_star(
     between any two star terminals reproduces the corrected pairwise value
     exactly.
     """
-
-    def corrected_pair(vk: float, vkr: float, sn_a: float, sn_b: float) -> complex:
-        r = vkr / 100.0
-        x = math.sqrt(vk**2 - vkr**2) / 100.0
-        k_t = transformer_correction(x, c_max_lv)
-        return k_t * complex(r, x) * (s_base_mva / min(sn_a, sn_b))
-
-    z_hm = corrected_pair(t.vk_hm_percent, t.vkr_hm_percent, t.sn_hv_mva, t.sn_mv_mva)
-    z_ml = corrected_pair(t.vk_ml_percent, t.vkr_ml_percent, t.sn_mv_mva, t.sn_lv_mva)
-    z_hl = corrected_pair(t.vk_hl_percent, t.vkr_hl_percent, t.sn_hv_mva, t.sn_lv_mva)
-    return star_decompose(z_hm, z_ml, z_hl)
+    pairs = (
+        (t.vk_hm_percent, t.vkr_hm_percent, min(t.sn_hv_mva, t.sn_mv_mva)),
+        (t.vk_ml_percent, t.vkr_ml_percent, min(t.sn_mv_mva, t.sn_lv_mva)),
+        (t.vk_hl_percent, t.vkr_hl_percent, min(t.sn_hv_mva, t.sn_lv_mva)),
+    )
+    return star_decompose(*(_corrected_impedance(vk, vkr, c_max_lv) * (s_base_mva / sn) for vk, vkr, sn in pairs))
 
 
 def converter_current(cs: ConverterSource, vn_kv: float) -> complex:
@@ -225,9 +220,6 @@ class SwitchFusion:
     node_of: dict[int, int]
     severed: frozenset[tuple[str, int, int]]
     live: dict[str, list[bool]]
-
-    def is_severed(self, kind: str, index: int, bus: int) -> bool:
-        return (kind, index, bus) in self.severed
 
 
 def _roots(n: int, pairs) -> list[int]:
@@ -439,7 +431,6 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     row = np.cumsum(energized) - 1
     node_row = row.tolist()
     dim = node_row[-1] + 1
-    n_real = sum(on[: len(reps)])
     bus_index = {b: node_row[n] for b, n in node.items() if on[n]}
 
     # four stamps per branch (ff, tt, ft, tf), branch after branch, then the
@@ -462,13 +453,6 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     vals[m:] = shunts
     y_matrix = _stamp_csc(rows, cols, vals, dim)
 
-    vn_real = [vn_of[rep] for rep, is_on in zip(reps, on) if is_on]
-    c_of = {vn: voltage_correction_factor(vn, tol, case) for vn in set(vn_real)}
-    u_q = np.zeros(dim)
-    i_base_ka = np.zeros(dim)
-    u_q[:n_real] = [c_of[vn] for vn in vn_real]
-    i_base_ka[:n_real] = s_base / (math.sqrt(3.0) * np.array(vn_real, dtype=float))
-
     i_kc = np.zeros(dim, dtype=complex)
     if options.consider_converters:
         for i, cs in enumerate(net.converter_sources):
@@ -478,11 +462,4 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
                 i_base = s_base / (math.sqrt(3.0) * vn)
                 i_kc[node_row[node[cs.bus]]] += i_ka / i_base
 
-    return BusBranchModel(
-        bus_index=bus_index,
-        y_matrix=y_matrix,
-        u_q=u_q,
-        i_kc=i_kc,
-        i_base_ka=i_base_ka,
-        n_aux=dim - n_real,
-    )
+    return BusBranchModel(bus_index=bus_index, y_matrix=y_matrix, i_kc=i_kc, n_aux=sum(on[len(reps) :]))

@@ -21,21 +21,22 @@ EXIT_DATA_ERROR = 1
 EXIT_SOLVER_ERROR = 2
 
 
-def _fault_buses(raw: str):
-    if raw == "all":
-        return "all"
+def _int_list(raw: str, flag: str, expected: str) -> list[int]:
     try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
+        return [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise GridDataError(f"--fault-buses must be 'all' or a comma-separated id list, got {raw!r}") from None
+        raise GridDataError(f"{flag} must be {expected}, got {raw!r}") from None
 
 
 def _cmd_calc(args) -> int:
     net = load_network(args.grid)
+    fault_buses = args.fault_buses
+    if fault_buses != "all":
+        fault_buses = _int_list(fault_buses, "--fault-buses", "'all' or a comma-separated id list")
     options = FaultStudyOptions(
         case=args.case,
         lv_tolerance_percent=args.lv_tolerance,
-        fault_buses=_fault_buses(args.fault_buses),
+        fault_buses=fault_buses,
         consider_converters=not args.no_dg,
         s_base_mva=args.s_base_mva,
     )
@@ -68,7 +69,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = _int_list(args.sizes, "--sizes", "a comma-separated list of bus counts")
     report = run_benchmark(sizes, case=args.case, seed=args.seed)
     print(report)
     return EXIT_OK

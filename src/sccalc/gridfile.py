@@ -7,7 +7,6 @@ as CSV (6 decimals, for humans) or JSON (full precision, for machines).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 
@@ -24,8 +23,6 @@ __all__ = [
     "network_to_dict",
     "write_result_csv",
     "write_result_json",
-    "read_result_csv",
-    "read_result_json",
 ]
 
 GRID_FILE_VERSION = 1
@@ -176,13 +173,8 @@ def save_network(net: Network, path) -> None:
 
 
 def _result_meta(result: ShortCircuitResult) -> dict:
-    opts = result.options
-    meta: dict = {"engine": f"sccalc {__version__}", "case": opts.case if opts is not None else ""}
-    if opts is not None:
-        meta["lv_tolerance_percent"] = opts.lv_tolerance_percent
-        meta["fault_buses"] = "all" if opts.fault_buses == "all" else list(opts.fault_buses)
-        meta["consider_converters"] = opts.consider_converters
-        meta["s_base_mva"] = opts.s_base_mva
+    # the FaultStudyOptions fields in order; JSON writes the fault-bus tuple as a list
+    meta = {"engine": f"sccalc {__version__}", **vars(result.options)}
     if result.degenerate_buses:
         meta["degenerate_buses"] = list(result.degenerate_buses)
     return meta
@@ -235,36 +227,3 @@ def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
     finally:
         if should_close:
             f.close()
-
-
-def read_result_csv(path) -> tuple[dict, list[dict]]:
-    meta = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        body = []
-        for line in f:
-            if line.startswith("#"):
-                key, _, raw = line[1:].strip().partition("=")
-                meta[key.strip()] = json.loads(raw)
-            else:
-                body.append(line)
-    rows = []
-    for rec in csv.DictReader(io.StringIO("".join(body))):
-        rows.append({
-            "bus_id": int(rec["bus_id"]),
-            "name": rec["name"],
-            "vn_kv": float(rec["vn_kv"]),
-            "ikss_source_ka": float(rec["ikss_source_ka"]),
-            "ikss_converter_ka": float(rec["ikss_converter_ka"]),
-            "ikss_ka": float(rec["ikss_ka"]),
-            "energized": rec["energized"] == "true",
-        })
-    return meta, rows
-
-
-def read_result_json(path) -> tuple[dict, list[dict]]:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    rows = []
-    for rec in doc["rows"]:
-        rows.append({k: (math.nan if v is None else v) for k, v in rec.items()})
-    return doc["meta"], rows

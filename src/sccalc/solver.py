@@ -15,7 +15,6 @@ against the injection vector.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, build_bbm
+from .builder import FaultStudyOptions, build_bbm, voltage_correction_factor
 from .exceptions import InvalidOptionError, SingularMatrixError
 from .model import Network
 
@@ -62,14 +61,17 @@ class ShortCircuitResult:
     ikss_converter_ka: np.ndarray
     ikss_ka: np.ndarray
     energized: np.ndarray
-    options: FaultStudyOptions | None = None
-    bus_names: tuple[str, ...] = ()
-    vn_kv: np.ndarray | None = None
-    degenerate_buses: tuple[int, ...] = ()
+    options: FaultStudyOptions
+    bus_names: tuple[str, ...]
+    vn_kv: np.ndarray
+    degenerate_buses: tuple[int, ...]
 
     def row(self, bus_id: int) -> dict:
-        """The result row of one bus."""
-        return self._row(int(np.nonzero(self.bus_ids == bus_id)[0][0]))
+        """The result row of one bus; KeyError if the study did not report it."""
+        hits = np.flatnonzero(self.bus_ids == bus_id)
+        if not len(hits):
+            raise KeyError(f"bus {bus_id!r} is not in this result")
+        return self._row(int(hits[0]))
 
     def rows(self) -> list[dict]:
         """All result rows, in the order of ``bus_ids``."""
@@ -78,8 +80,8 @@ class ShortCircuitResult:
     def _row(self, i: int) -> dict:
         return {
             "bus_id": int(self.bus_ids[i]),
-            "name": self.bus_names[i] if self.bus_names else "",
-            "vn_kv": float(self.vn_kv[i]) if self.vn_kv is not None else math.nan,
+            "name": self.bus_names[i],
+            "vn_kv": float(self.vn_kv[i]),
             "ikss_source_ka": float(self.ikss_source_ka[i]),
             "ikss_converter_ka": float(self.ikss_converter_ka[i]),
             "ikss_ka": float(self.ikss_ka[i]),
@@ -216,27 +218,28 @@ def converter_contribution(
     return u[rows] / np.asarray(z_diag)
 
 
-def total_current(i_k1: np.ndarray, i_k2: np.ndarray, i_base_ka: np.ndarray) -> ShortCircuitResult:
-    """Combine the two complex component vectors into kA magnitudes.
+def total_current(
+    i_k1: np.ndarray, i_k2: np.ndarray, i_base_ka: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Combine the two complex per-unit component vectors into the kA columns
+    ``(source, converter, total)``.
 
     The total is the sum of the component magnitudes, not of the phasors.
     """
     i_base_ka = np.asarray(i_base_ka, dtype=float)
     source_ka = np.abs(i_k1) * i_base_ka
     converter_ka = np.abs(i_k2) * i_base_ka
-    n = len(source_ka)
-    return ShortCircuitResult(
-        bus_ids=np.arange(n),
-        ikss_source_ka=source_ka,
-        ikss_converter_ka=converter_ka,
-        ikss_ka=source_ka + converter_ka,
-        energized=np.ones(n, dtype=bool),
-    )
+    return source_ka, converter_ka, source_ka + converter_ka
 
 
 def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCircuitResult:
-    """Run a complete study: build the bus-branch model, solve both source
+    """Run a complete study: build the per-unit network, solve both source
     components for every requested fault bus and combine them.
+
+    The fault-location quantities are applied here, per fault bus: the
+    voltage correction factor c of the bus's nominal voltage (the equivalent
+    voltage source c*Un/sqrt(3)) and the current base
+    s_base_mva / (sqrt(3)*Un) that turns per-unit currents into kA.
 
     Reported rows follow ascending bus id and are restricted to
     ``options.fault_buses``; each bus's result is independent of which
@@ -263,7 +266,11 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     z_diag = impedance_matrix_diag(lu, rows=live_rows)
     degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
     z_safe = np.where(degenerate, 1.0, z_diag)
-    i_k1 = voltage_source_currents(z_safe, bbm.u_q[live_rows])
+    # c of each live fault bus, looked up once per voltage level
+    vn_kv = np.array([buses[b].vn_kv for b in requested], dtype=float)
+    live_vn = vn_kv[energized].tolist()
+    c_of = {vn: voltage_correction_factor(vn, options.lv_tolerance_percent, options.case) for vn in set(live_vn)}
+    i_k1 = voltage_source_currents(z_safe, np.array([c_of[vn] for vn in live_vn], dtype=float))
     i_k2 = converter_contribution(lu, z_safe, bbm.i_kc, rows=live_rows)
     i_k1[degenerate] = complex(math.nan, 0.0)
     i_k2[degenerate] = complex(math.nan, 0.0)
@@ -271,17 +278,20 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     # scatter the live rows into the requested set; dead buses stay zero
     full_i1 = np.zeros(len(requested), dtype=complex)
     full_i2 = np.zeros(len(requested), dtype=complex)
-    full_base = np.zeros(len(requested))
     full_i1[energized] = i_k1
     full_i2[energized] = i_k2
-    full_base[energized] = bbm.i_base_ka[live_rows]
+    source_ka, converter_ka, total_ka = total_current(
+        full_i1, full_i2, options.s_base_mva / (math.sqrt(3.0) * vn_kv)
+    )
 
-    return dataclasses.replace(
-        total_current(full_i1, full_i2, full_base),
+    return ShortCircuitResult(
         bus_ids=bus_ids,
+        ikss_source_ka=source_ka,
+        ikss_converter_ka=converter_ka,
+        ikss_ka=total_ka,
         energized=energized,
         options=options,
         bus_names=tuple(buses[b].name for b in requested),
-        vn_kv=np.array([buses[b].vn_kv for b in requested], dtype=float),
+        vn_kv=vn_kv,
         degenerate_buses=tuple(int(b) for b in live_ids[degenerate]),
     )

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from sccalc import load_network, read_result_csv, read_result_json, save_network
+from sccalc import FaultStudyOptions, calc_sc, load_network, save_network
 from sccalc.cli import main
 
 from netgen import random_network
+from resultfiles import read_result_csv, read_result_json
 
 
 @pytest.fixture
@@ -70,6 +71,31 @@ def test_fault_bus_subset(grid_path, tmp_path):
 def test_unknown_fault_bus_exits_1(grid_path, capsys):
     assert main(["calc", str(grid_path), "--fault-buses", "7777"]) == 1
     assert "7777" in capsys.readouterr().err
+
+
+def test_infinite_power_base_exits_1(grid_path, capsys):
+    assert main(["calc", str(grid_path), "--s-base-mva", "inf"]) == 1
+    assert "s_base_mva" in capsys.readouterr().err
+
+
+def test_bench_sizes_that_are_no_numbers_exit_1(capsys):
+    assert main(["bench", "--sizes", "abc"]) == 1
+    assert "--sizes" in capsys.readouterr().err
+
+
+def test_calc_6_percent_lv_tolerance_matches_calc_sc(tmp_path):
+    net = random_network(6)
+    path = tmp_path / "lv.json"
+    save_network(net, path)
+    out = tmp_path / "result.json"
+    assert main(["calc", str(path), "--lv-tolerance", "6", "--format", "json", "--out", str(out)]) == 0
+    meta, rows = read_result_json(out)
+    assert meta["lv_tolerance_percent"] == 6
+    expected = calc_sc(net, FaultStudyOptions(lv_tolerance_percent=6)).rows()
+    assert any(r["vn_kv"] <= 1.0 and r["energized"] for r in expected)
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        assert got == want
 
 
 def test_validation_error_exits_1(tmp_path, capsys):

@@ -16,8 +16,6 @@ from sccalc import (
     load_network,
     network_from_dict,
     network_to_dict,
-    read_result_csv,
-    read_result_json,
     save_network,
     three_bus_example,
     wind_park_example,
@@ -28,6 +26,7 @@ from sccalc.gridfile import _result_meta
 from sccalc.model import Bus, ExternalGrid
 
 from netgen import random_network
+from resultfiles import read_result_csv, read_result_json
 
 MINIMAL_DOC = {
     "version": 1,

@@ -38,7 +38,7 @@ from sccalc.builder import (
 from sccalc.solver import converter_contribution, factorize, impedance_matrix_diag
 
 from netgen import random_network
-from oracle import oracle_admittance
+from oracle import oracle_admittance, oracle_calc
 
 RESULT_COLUMNS = ("ikss_source_ka", "ikss_converter_ka", "ikss_ka")
 
@@ -226,11 +226,36 @@ def test_y_matrix_matches_the_oracle_stamp(seed, kwargs, case):
     bbm = build_bbm(net, FaultStudyOptions(case=case))
     y_ref, i_kc_ref, row_ref = oracle_admittance(net, case)
     assert bbm.bus_index == row_ref
-    assert bbm.n - bbm.n_aux == len(set(row_ref.values()))
+    assert bbm.y_matrix.shape[0] - bbm.n_aux == len(set(row_ref.values()))
     y = bbm.y_matrix.toarray()
     assert y.shape == y_ref.shape
     assert np.all(np.abs(y - y_ref) <= 1e-13 * np.abs(y_ref))
     assert np.all(np.abs(bbm.i_kc - i_kc_ref) <= 1e-13 * np.abs(i_kc_ref))
+
+
+# networks with energized 0.4 kV buses; 3, 10 and 19 also hold 3W transformers
+LV_SEEDS = (0, 1, 3, 5, 6, 10, 19, 20)
+
+
+@pytest.mark.parametrize("seed", LV_SEEDS)
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_6_percent_lv_tolerance_matches_the_oracle(seed, case):
+    net = random_network(seed)
+    result = calc_sc(net, FaultStudyOptions(case=case, lv_tolerance_percent=6))
+    reference = oracle_calc(net, case=case, lv_tolerance_percent=6)
+    assert np.any(result.energized & (result.vn_kv <= 1.0))
+    for i, bus_id in enumerate(result.bus_ids):
+        expected = reference[int(bus_id)]
+        assert bool(result.energized[i]) == expected["energized"]
+        for column, key in (
+            ("ikss_source_ka", "source_ka"),
+            ("ikss_converter_ka", "converter_ka"),
+            ("ikss_ka", "total_ka"),
+        ):
+            assert float(getattr(result, column)[i]) == pytest.approx(expected[key], rel=1e-10)
+    # the tolerance class reaches the result: K_T (and c_max in the max case) change at 0.4 kV
+    ten = calc_sc(net, FaultStudyOptions(case=case, lv_tolerance_percent=10))
+    assert not np.array_equal(result.ikss_ka, ten.ikss_ka)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -138,33 +138,33 @@ def test_converter_contribution_matches_dense_summation():
     z_diag = impedance_matrix_diag(lu)
     result = converter_contribution(lu, z_diag, bbm.i_kc)
     z_full = np.linalg.inv(bbm.y_matrix.toarray())
-    for j in range(bbm.n):
-        total = sum(z_full[j, m] * bbm.i_kc[m] for m in range(bbm.n))
+    for j in range(bbm.y_matrix.shape[0]):
+        total = sum(z_full[j, m] * bbm.i_kc[m] for m in range(bbm.y_matrix.shape[0]))
         assert result[j] == pytest.approx(total / z_full[j, j], rel=1e-10)
 
 
 # --- total current ---------------------------------------------------------------
 
 def test_total_current_sums_component_magnitudes():
-    res = total_current(
+    source_ka, converter_ka, ikss_ka = total_current(
         np.array([-145.073j, -3.844j, -4.524j]),
         np.array([-0.181j, -0.208j, -0.117j]),
         np.array([1.0, 1.0, 1.0]),
     )
-    assert [f"{v:.3f}" for v in res.ikss_ka] == ["145.254", "4.052", "4.641"]
+    assert [f"{v:.3f}" for v in ikss_ka] == ["145.254", "4.052", "4.641"]
     # exactness: the total is the sum of the reported component columns
-    assert np.all(res.ikss_ka == res.ikss_source_ka + res.ikss_converter_ka)
+    assert np.all(ikss_ka == source_ka + converter_ka)
 
 
 def test_total_current_zero_converter_component():
-    res = total_current(np.array([2.0j]), np.array([0.0j]), np.array([3.0]))
-    assert res.ikss_ka[0] == res.ikss_source_ka[0] == 6.0
-    assert res.ikss_converter_ka[0] == 0.0
+    source_ka, converter_ka, ikss_ka = total_current(np.array([2.0j]), np.array([0.0j]), np.array([3.0]))
+    assert ikss_ka[0] == source_ka[0] == 6.0
+    assert converter_ka[0] == 0.0
 
 
 def test_total_current_applies_current_base():
-    res = total_current(np.array([4.0 + 3.0j]), np.array([0.0j]), np.array([0.5]))
-    assert res.ikss_source_ka[0] == pytest.approx(2.5, rel=1e-12)
+    source_ka, _, _ = total_current(np.array([4.0 + 3.0j]), np.array([0.0j]), np.array([0.5]))
+    assert source_ka[0] == pytest.approx(2.5, rel=1e-12)
 
 
 # --- calc_sc ---------------------------------------------------------------------
@@ -293,3 +293,10 @@ def test_result_row_helper():
     assert row["vn_kv"] == 110.0
     assert row["energized"] is True
     assert row["ikss_ka"] == pytest.approx(8.280448349104471, rel=1e-12)
+
+
+def test_result_row_of_an_unreported_bus_raises_key_error():
+    res = calc_sc(two_bus_grid(), FaultStudyOptions(fault_buses=(2,)))
+    for bus_id in (1, 7):
+        with pytest.raises(KeyError, match=f"bus {bus_id} "):
+            res.row(bus_id)
