@@ -57,12 +57,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    net = generate_radial_grid(
-        feeders=args.feeders,
-        buses_per_feeder=args.buses_per_feeder,
-        dg_every=args.dg_every,
-        seed=args.seed,
-    )
+    try:
+        net = generate_radial_grid(
+            feeders=args.feeders,
+            buses_per_feeder=args.buses_per_feeder,
+            dg_every=args.dg_every,
+            seed=args.seed,
+        )
+    except ValueError as e:
+        # the message starts with the parameter name, which names the flag
+        name, _, rule = str(e).partition(" ")
+        raise GridDataError(f"--{name.replace('_', '-')} {rule}") from None
     save_network(net, args.out)
     print(f"wrote {args.out}: {len(net.buses)} buses, {len(net.converter_sources)} converter sources")
     return EXIT_OK

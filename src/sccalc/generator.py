@@ -23,11 +23,14 @@ def generate_radial_grid(
     position and shared across feeders, so without DG every feeder behaves
     identically; converter ratings are drawn individually, so with DG the
     feeders differ. The same seed always yields the identical network.
+
+    An out-of-range size raises ValueError; its message starts with the
+    parameter name.
     """
-    if feeders < 1 or buses_per_feeder < 1:
-        raise ValueError("feeders and buses_per_feeder must be >= 1")
-    if dg_every < 0:
-        raise ValueError("dg_every must be >= 0")
+    sizes = (("feeders", feeders, 1), ("buses_per_feeder", buses_per_feeder, 1), ("dg_every", dg_every, 0))
+    for name, value, least in sizes:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
     rng = random.Random(seed)
     net = Network(name=f"radial-{feeders}x{buses_per_feeder}-seed{seed}")

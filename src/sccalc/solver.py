@@ -8,21 +8,24 @@ injection vector, and the total as the sum of the component magnitudes.
 A study factorizes the sparse admittance matrix once and shares that factor
 between both steps. Y is complex symmetric, so the factorization uses a
 symmetric fill-reducing ordering and diagonal pivots: P*Y*P^T = L*D*L^T.
-diag(inv(Y)) then comes from one selected-inversion sweep over the columns
-of L (Takahashi, Fagan & Chen 1973; Erisman & Tinney 1975), which computes
-Z only on the pattern of L; the converter contribution takes one solve
-against the injection vector.
+diag(inv(Y)) then comes from the selected inversion of Takahashi, Fagan &
+Chen (1973) and Erisman & Tinney (1975), which computes Z only on the
+pattern of L: the tree columns of L (one entry below the diagonal) by
+pointer jumping in numpy, the others by a sweep. The converter contribution
+takes one solve against the injection vector.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, build_bbm, voltage_correction_factor
+from .builder import FaultStudyOptions, build_bbm, voltage_correction_factors
 from .exceptions import InvalidOptionError, SingularMatrixError
 from .model import Network
 
@@ -44,6 +47,10 @@ DEGENERATE_Z_TOL_PU = 1e-12
 _SOLVE_CHUNK = 512
 
 _SINGULAR = "admittance matrix is numerically singular"
+
+_ID = attrgetter("id")
+_VN = attrgetter("vn_kv")
+_NAME = attrgetter("name")
 
 
 @dataclass
@@ -74,8 +81,23 @@ class ShortCircuitResult:
         return self._row(int(hits[0]))
 
     def rows(self) -> list[dict]:
-        """All result rows, in the order of ``bus_ids``."""
-        return [self._row(i) for i in range(len(self.bus_ids))]
+        """All result rows, in the order of ``bus_ids``; one ``tolist`` per
+        column, not one numpy scalar per cell."""
+        return [
+            {
+                "bus_id": bus_id,
+                "name": name,
+                "vn_kv": vn_kv,
+                "ikss_source_ka": source,
+                "ikss_converter_ka": converter,
+                "ikss_ka": total,
+                "energized": energized,
+            }
+            for bus_id, name, vn_kv, source, converter, total, energized in zip(
+                self.bus_ids.tolist(), self.bus_names, self.vn_kv.tolist(), self.ikss_source_ka.tolist(),
+                self.ikss_converter_ka.tolist(), self.ikss_ka.tolist(), self.energized.tolist(),
+            )
+        ]
 
     def _row(self, i: int) -> dict:
         return {
@@ -124,7 +146,9 @@ def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndar
     n = lu.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
     if np.array_equal(lu.perm_r, lu.perm_c):
-        out = _selected_inverse_diag(lu)[lu.perm_c[rows]]
+        # an overflowing pivot inverse is reported by _require_finite
+        with np.errstate(all="ignore"):
+            out = _selected_inverse_diag(lu)[lu.perm_c[rows]]
     else:
         out = _unit_solve_diag(lu, rows)
     return _require_finite(out, "impedance matrix diagonal")
@@ -133,53 +157,90 @@ def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndar
 def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     """diag(Z) of P*Y*P^T = L*D*L^T in the permuted order.
 
-    Reverse sweep over the columns of the unit lower triangular L: with J the
-    below-diagonal rows of column i and l their values,
-    Z_ij = -sum_{k in J} l_k Z_kj for j in J, and
+    Takahashi's recurrences over the columns of the unit lower triangular L,
+    from the last column back: with J the below-diagonal rows of column i
+    and l their values, Z_ij = -sum_{k in J} l_k Z_kj for j in J, and
     Z_ii = 1/d_i - sum_{j in J} l_j Z_ij.
-    Every Z_kj needed lies on the pattern of L (for k < j both in J, j is a
-    row of column k), so only those entries are kept: ``z_col[k]`` maps the
-    rows of column k to Z. Plain lists, not per-column numpy slices, because
-    most columns hold one or two entries.
+
+    A tree column (one entry l_i in row p, as on every radial feeder) reduces
+    to Z_ii = 1/d_i + l_i^2 Z_pp. Each such step is an affine map of the
+    parent's Z, so pointer jumping (Wyllie's list ranking) composes the maps
+    along the elimination tree in ceil(log2(depth)) numpy rounds into
+    Z_ii = A_i + B_i Z_aa, where the anchor a is the first ancestor that is
+    no tree column. Roots (no entries) give Z_aa = 1/d_a; the columns with
+    two or more entries below the diagonal are left to
+    ``_sweep_branching_columns``.
     """
     l_factor = lu.L
     # SuperLU leaves the rows unsorted; sorted, each column starts with its
     # explicit unit diagonal
     l_factor.sort_indices()
-    indptr = l_factor.indptr.tolist()
-    indices = l_factor.indices.tolist()
-    values = l_factor.data.tolist()
-    pivots = lu.U.diagonal().tolist()
-    n = len(pivots)
-    z_diag = [0j] * n
-    z_col: list[dict | None] = [None] * n
-    for i in range(n - 1, -1, -1):
+    indptr, indices, values = l_factor.indptr, l_factor.indices, l_factor.data
+    z = 1.0 / lu.U.diagonal()
+    entries = indptr[1:] - indptr[:-1]
+    tree = entries == 2
+    # Z_ii = a_i + b_i Z_(up_i); a column that is no tree column is its own
+    # anchor (a = 0, b = 1, up = itself)
+    first = indptr[:-1] + 1
+    up = np.where(tree, indices.take(first, mode="clip"), np.arange(len(z)))
+    a = np.where(tree, z, 0.0)
+    b = values.take(first, mode="clip")
+    b = np.where(tree, b * b, 1.0)
+    up_up = up[up]
+    while (up_up != up).any():
+        a += b * a[up]
+        b *= b[up]
+        up = up_up
+        up_up = up[up]
+    branching = (entries > 2).nonzero()[0]
+    if len(branching):
+        z[branching] = _sweep_branching_columns(
+            branching.tolist(), indptr.tolist(), indices.tolist(), values.tolist(),
+            z.tolist(), a.tolist(), b.tolist(), up.tolist(),
+        )
+    return a + b * z[up]
+
+
+def _sweep_branching_columns(
+    columns: list[int], indptr: list, indices: list, values: list,
+    z: list[complex], a: list[complex], b: list[complex], up: list[int],
+) -> list[complex]:
+    """Z_ii of the columns with two or more entries, in ``columns`` order.
+
+    The Takahashi sweep of ``_selected_inverse_diag`` over these columns
+    only, last column first; ``z`` holds 1/d_i on entry and Z_ii once column
+    i is done. Every Z_kj it needs lies on the pattern of L (for k < j both
+    in J, j is a row of column k). For a branching column k they come from
+    ``z_col[k]``; a tree column k has the single entry j = p, and
+    Z_kp = -l_k Z_pp. A diagonal Z_jj is a_j + b_j Z_(up_j), whose anchor
+    comes later in the order and is done already. Plain lists, not
+    per-column numpy slices, because most columns hold two or three entries.
+    """
+    z_col: dict[int, dict[int, complex]] = {}
+    for i in reversed(columns):
         start, end = indptr[i] + 1, indptr[i + 1]
         rows = indices[start:end]
         ls = values[start:end]
         m = len(rows)
-        if m == 1:
-            # a tree column, as on every radial feeder: no pairs to visit
-            ja, la = rows[0], ls[0]
-            za = -la * z_diag[ja]
-            z_diag[i] = 1.0 / pivots[i] - la * za
-            z_col[i] = {ja: za}
-            continue
-        z = [0j] * m
-        for a in range(m):
-            ja, la = rows[a], ls[a]
-            z[a] -= la * z_diag[ja]
-            col = z_col[ja]
-            for b in range(a + 1, m):
-                z_ab = col[rows[b]]
-                z[a] -= ls[b] * z_ab
-                z[b] -= la * z_ab
-        zii = 1.0 / pivots[i]
-        for a in range(m):
-            zii -= ls[a] * z[a]
-        z_diag[i] = zii
-        z_col[i] = dict(zip(rows, z))
-    return np.array(z_diag, dtype=complex)
+        zi = [0j] * m
+        for p in range(m):
+            jp, lp = rows[p], ls[p]
+            zi[p] -= lp * (a[jp] + b[jp] * z[up[jp]])
+            col = z_col.get(jp)
+            for q in range(p + 1, m):
+                jq = rows[q]
+                if col is None:
+                    z_pq = -values[indptr[jp] + 1] * (a[jq] + b[jq] * z[up[jq]])
+                else:
+                    z_pq = col[jq]
+                zi[p] -= ls[q] * z_pq
+                zi[q] -= lp * z_pq
+        zii = z[i]
+        for p in range(m):
+            zii -= ls[p] * zi[p]
+        z[i] = zii
+        z_col[i] = dict(zip(rows, zi))
+    return [z[i] for i in columns]
 
 
 def _unit_solve_diag(lu: scipy.sparse.linalg.SuperLU, rows: np.ndarray) -> np.ndarray:
@@ -243,41 +304,45 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
 
     Reported rows follow ascending bus id and are restricted to
     ``options.fault_buses``; each bus's result is independent of which
-    other buses are in the fault set.
+    other buses are in the fault set. The per-bus columns come from one
+    sort of the bus ids and one lookup of each reported bus in
+    ``bus_index``.
     """
     options = options or FaultStudyOptions()
     bbm = build_bbm(net, options)
 
-    buses = net.bus_map()
-    if options.fault_buses == "all":
-        requested = sorted(buses)
-    else:
-        unknown = [b for b in options.fault_buses if b not in buses]
-        if unknown:
-            raise InvalidOptionError(f"unknown fault bus id(s): {unknown}")
-        requested = sorted(set(options.fault_buses))
-
-    bus_ids = np.array(requested, dtype=int)
-    energized = np.array([b in bbm.bus_index for b in requested], dtype=bool)
-    live_ids = bus_ids[energized]
-    live_rows = np.array([bbm.bus_index[b] for b in live_ids], dtype=int)
+    buses = net.buses
+    bus_id = np.fromiter(map(_ID, buses), np.int64, len(buses))
+    # positions in net.buses of the reported buses, by ascending id
+    pick = bus_id.argsort()
+    if options.fault_buses != "all":
+        known = bus_id[pick]
+        wanted = np.array(sorted(set(options.fault_buses)), dtype=np.int64)
+        at = known.searchsorted(wanted).clip(max=len(known) - 1)
+        unknown = wanted[known[at] != wanted]
+        if len(unknown):
+            raise InvalidOptionError(f"unknown fault bus id(s): {unknown.tolist()}")
+        pick = pick[at]
+    reported = list(map(buses.__getitem__, pick.tolist()))
+    bus_ids = bus_id[pick]
+    rows = np.fromiter(map(bbm.bus_index.get, bus_ids.tolist(), repeat(-1)), np.int64, len(pick))
+    energized = rows >= 0
+    live_rows = rows[energized]
+    vn_kv = np.fromiter(map(_VN, reported), float, len(pick))
 
     lu = factorize(bbm.y_matrix)
     z_diag = impedance_matrix_diag(lu, rows=live_rows)
     degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
     z_safe = np.where(degenerate, 1.0, z_diag)
-    # c of each live fault bus, looked up once per voltage level
-    vn_kv = np.array([buses[b].vn_kv for b in requested], dtype=float)
-    live_vn = vn_kv[energized].tolist()
-    c_of = {vn: voltage_correction_factor(vn, options.lv_tolerance_percent, options.case) for vn in set(live_vn)}
-    i_k1 = voltage_source_currents(z_safe, np.array([c_of[vn] for vn in live_vn], dtype=float))
+    c = voltage_correction_factors(vn_kv[energized], options.lv_tolerance_percent, options.case)
+    i_k1 = voltage_source_currents(z_safe, c)
     i_k2 = converter_contribution(lu, z_safe, bbm.i_kc, rows=live_rows)
     i_k1[degenerate] = complex(math.nan, 0.0)
     i_k2[degenerate] = complex(math.nan, 0.0)
 
     # scatter the live rows into the requested set; dead buses stay zero
-    full_i1 = np.zeros(len(requested), dtype=complex)
-    full_i2 = np.zeros(len(requested), dtype=complex)
+    full_i1 = np.zeros(len(pick), dtype=complex)
+    full_i2 = np.zeros(len(pick), dtype=complex)
     full_i1[energized] = i_k1
     full_i2[energized] = i_k2
     source_ka, converter_ka, total_ka = total_current(
@@ -291,7 +356,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
         ikss_ka=total_ka,
         energized=energized,
         options=options,
-        bus_names=tuple(buses[b].name for b in requested),
+        bus_names=tuple(map(_NAME, reported)),
         vn_kv=vn_kv,
-        degenerate_buses=tuple(int(b) for b in live_ids[degenerate]),
+        degenerate_buses=tuple(bus_ids[energized][degenerate].tolist()),
     )

@@ -538,6 +538,19 @@ def test_options_validation():
     with pytest.raises(InvalidOptionError):
         FaultStudyOptions(fault_buses=7)
     assert FaultStudyOptions(fault_buses=[3, 1]).fault_buses == (3, 1)
+    # ids must be integers: a float or bool would silently name another bus
+    for fault_buses in ([1.5], [True], ["a"], "12"):
+        with pytest.raises(InvalidOptionError, match="fault_buses"):
+            FaultStudyOptions(fault_buses=fault_buses)
+    assert FaultStudyOptions(fault_buses=np.array([1, 2])).fault_buses == (1, 2)
+    assert FaultStudyOptions(fault_buses=[np.int32(4)]).fault_buses == (4,)
+    with pytest.raises(InvalidOptionError, match="s_base_mva"):
+        FaultStudyOptions(s_base_mva="x")
+    for tolerance in (6.0, True, "6"):
+        with pytest.raises(InvalidOptionError, match="lv_tolerance_percent"):
+            FaultStudyOptions(lv_tolerance_percent=tolerance)
+    options = FaultStudyOptions(lv_tolerance_percent=np.int64(6), s_base_mva=np.float32(2.0))
+    assert type(options.lv_tolerance_percent) is int and type(options.s_base_mva) is float
 
 
 # --- edge cases of fusion, liveness and islands ---------------------------------

@@ -171,6 +171,16 @@ def test_generate_roundtrip(tmp_path, capsys):
     assert main(["calc", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--dg-every", "-1"), ("--feeders", "0"), ("--buses-per-feeder", "0")]
+)
+def test_generate_out_of_range_size_exits_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "radial.json"
+    assert main(["generate", flag, value, "--out", str(out)]) == 1
+    assert f"error: {flag} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_subcommand(tmp_path, capsys):
     assert main(["bench", "--sizes", "14", "--seed", "2"]) == 0
     out = capsys.readouterr().out

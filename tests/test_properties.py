@@ -14,13 +14,17 @@ import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sccalc import (
+    Bus,
     ConverterSource,
+    ExternalGrid,
     FaultStudyOptions,
     Line,
+    Network,
     Transformer3W,
     calc_sc,
     generate_radial_grid,
@@ -185,18 +189,24 @@ def test_all_bus_study_equals_independent_single_bus_studies(seed):
 MESHED_3W_SEEDS = (1, 22, 42, 62)
 
 
-@pytest.mark.parametrize("seed", MESHED_3W_SEEDS)
-@pytest.mark.parametrize("case", ["max", "min"])
-def test_selected_inversion_matches_unit_solves_and_inverse_on_large_meshed_grids(seed, case):
-    net = random_network(seed, max_buses=800, loops=30)
-    bbm = build_bbm(net, FaultStudyOptions(case=case))
-    y = bbm.y_matrix
-    n = y.shape[0]
-    assert len(net.transformers3w) >= 10 and bbm.n_aux >= 10 and n > 500
-    lu = factorize(y)
-    assert np.array_equal(lu.perm_r, lu.perm_c)  # no fallback to unit solves
-    z = impedance_matrix_diag(lu)
-    assert np.max(rel_diff(z, lu.solve(np.eye(n, dtype=complex)).diagonal())) < 1e-10
+def below_diagonal_entries(lu) -> np.ndarray:
+    """Entries below the diagonal in each column of the factor L: one makes
+    a tree column, none a root."""
+    return np.diff(lu.L.indptr) - 1
+
+
+def unit_solve_diag(n: int, solve) -> np.ndarray:
+    """diag(inv(Y)) from ``solve`` on the unit vectors, 512 at a time."""
+    out = np.empty(n, dtype=complex)
+    for start in range(0, n, 512):
+        cols = np.arange(start, min(n, start + 512))
+        rhs = np.zeros((n, len(cols)), dtype=complex)
+        rhs[cols, cols - start] = 1.0
+        out[cols] = solve(rhs)[cols, cols - start]
+    return out
+
+
+def assert_matches_dense_inverse(z, y):
     # Against a different factorization, float64 resolves Z_ii only to about
     # eps times its componentwise condition number (|Z| |Y| |Z|)_ii / |Z_ii|.
     # That is below 1e-10 except where a low-impedance cluster sits behind a
@@ -209,8 +219,85 @@ def test_selected_inversion_matches_unit_solves_and_inverse_on_large_meshed_grid
     condition = np.einsum("ij,ji->i", abs_z, abs(y) @ abs_z) / np.abs(z_dense)
     tolerance = np.maximum(1e-10, 4 * np.finfo(float).eps * condition)
     assert np.all(rel_diff(z, z_dense) < tolerance)
+
+
+@pytest.mark.parametrize("seed", MESHED_3W_SEEDS)
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_selected_inversion_matches_unit_solves_and_inverse_on_large_meshed_grids(seed, case):
+    net = random_network(seed, max_buses=800, loops=30)
+    bbm = build_bbm(net, FaultStudyOptions(case=case))
+    y = bbm.y_matrix
+    n = y.shape[0]
+    assert len(net.transformers3w) >= 10 and bbm.n_aux >= 10 and n > 500
+    lu = factorize(y)
+    assert np.array_equal(lu.perm_r, lu.perm_c)  # no fallback to unit solves
+    # both kinds of column: the tree recurrence and the sweep
+    entries = below_diagonal_entries(lu)
+    assert np.any(entries == 1) and np.any(entries > 1)
+    z = impedance_matrix_diag(lu)
+    assert np.max(rel_diff(z, lu.solve(np.eye(n, dtype=complex)).diagonal())) < 1e-10
+    assert_matches_dense_inverse(z, y)
     rows = np.arange(n)[::-3]
     assert np.array_equal(impedance_matrix_diag(lu, rows=rows), z[rows])
+
+
+def test_selected_inversion_on_a_deep_chain():
+    # one 4000-bus feeder: the minimum-degree ordering eliminates it from
+    # both ends, so every column but the root is a tree column and the
+    # chains are 2001 deep: 11 rounds of pointer jumping
+    y = build_bbm(generate_radial_grid(1, 4000), FaultStudyOptions()).y_matrix
+    n = y.shape[0]
+    lu = factorize(y)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    entries = below_diagonal_entries(lu)
+    assert np.count_nonzero(entries == 1) == n - 1 and entries[-1] == 0
+    l_factor = lu.L
+    l_factor.sort_indices()
+    parent = l_factor.indices[l_factor.indptr[:-2] + 1]
+    depth = np.zeros(n, dtype=int)
+    for i in range(n - 2, -1, -1):
+        depth[i] = depth[parent[i]] + 1
+    assert depth.max() > 2**10
+    z = impedance_matrix_diag(lu)
+    assert np.max(rel_diff(z, unit_solve_diag(n, lu.solve))) < 1e-10
+    # a feeder in bus order is tridiagonal; LAPACK's banded LU is a
+    # different factorization, at the 1e-10 floor of the dense-inverse bound
+    # (a dense 4002 x 4002 inverse would take 256 MB)
+    assert y.nnz == 3 * n - 2
+    bands = np.zeros((3, n), dtype=complex)
+    bands[0, 1:], bands[1], bands[2, :-1] = y.diagonal(1), y.diagonal(), y.diagonal(-1)
+    z_banded = unit_solve_diag(n, lambda rhs: scipy.linalg.solve_banded((1, 1), bands, rhs))
+    assert np.max(rel_diff(z, z_banded)) < 1e-10
+
+
+def two_feeder_islands(with_single_bus_island: bool) -> Network:
+    """Two 20 kV feeders, each fed by its own external grid; optionally a
+    third island of one bus and its external grid."""
+    net = Network()
+    for start, s_sc in ((1, 400.0), (11, 250.0)):
+        net.buses += [Bus(start + k, 20.0) for k in range(6)]
+        net.external_grids.append(ExternalGrid(bus=start, s_sc_max_mva=s_sc, rx_max=0.1))
+        net.lines += [Line(start + k, start + k + 1, 0.5 + 0.1 * k, 0.2, 0.1) for k in range(5)]
+    net.lines.append(Line(3, 6, 1.2, 0.2, 0.1))  # one loop in the first feeder
+    net.converter_sources.append(ConverterSource(bus=14, sn_mva=2.0, k=1.1))
+    if with_single_bus_island:
+        net.buses.append(Bus(30, 20.0))
+        net.external_grids.append(ExternalGrid(bus=30, s_sc_max_mva=100.0, rx_max=0.1))
+    return net
+
+
+@pytest.mark.parametrize("with_single_bus_island", [False, True], ids=["forest", "single-bus island"])
+def test_selected_inversion_on_several_islands(with_single_bus_island):
+    y = build_bbm(two_feeder_islands(with_single_bus_island), FaultStudyOptions()).y_matrix
+    lu = factorize(y)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    entries = below_diagonal_entries(lu)
+    # one root per island: a column without entries below the diagonal
+    assert np.count_nonzero(entries == 0) == 2 + with_single_bus_island
+    assert np.any(entries == 1)
+    z = impedance_matrix_diag(lu)
+    assert np.max(rel_diff(z, unit_solve_diag(y.shape[0], lu.solve))) < 1e-10
+    assert_matches_dense_inverse(z, y)
 
 
 @pytest.mark.parametrize(

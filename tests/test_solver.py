@@ -15,6 +15,7 @@ from sccalc import (
     Line,
     Network,
     SingularMatrixError,
+    Transformer2W,
     calc_sc,
     generate_radial_grid,
 )
@@ -28,6 +29,7 @@ from sccalc.solver import (
 )
 
 from netgen import random_network
+from oracle import oracle_calc
 
 
 def two_bus_y():
@@ -242,6 +244,40 @@ def test_calc_sc_degenerate_fault_location_gets_nan_marker():
     assert res.degenerate_buses == (1,)
     assert math.isnan(res.ikss_ka[0])
     assert bool(res.energized[0]) is True
+
+
+def test_calc_sc_reports_buses_row_for_row_like_the_oracle():
+    # buses listed out of id order; an out-of-service bus, a dead island, a
+    # degenerate fault location and a partial fault set
+    net = Network(
+        buses=[
+            Bus(7, 20.0, "g"), Bus(3, 110.0, "a"), Bus(12, 20.0, "dead 1"), Bus(5, 20.0, "b"),
+            Bus(1, 110.0, "stiff"), Bus(9, 20.0, "off", in_service=False), Bus(13, 20.0, "dead 2"),
+            Bus(4, 0.4, "lv"),
+        ],
+        external_grids=[ExternalGrid(bus=3, s_sc_max_mva=2000.0, rx_max=0.1)]
+        + [ExternalGrid(bus=1, s_sc_max_mva=5.5e11) for _ in range(5)],
+        transformers2w=[
+            Transformer2W(3, 5, sn_mva=40.0, vn_hv_kv=110.0, vn_lv_kv=20.0, vk_percent=12.0, vkr_percent=0.5),
+            Transformer2W(5, 4, sn_mva=0.63, vn_hv_kv=20.0, vn_lv_kv=0.4, vk_percent=4.0, vkr_percent=1.0),
+        ],
+        lines=[Line(5, 7, 2.0, 0.2, 0.1), Line(7, 9, 1.0, 0.2, 0.1), Line(12, 13, 1.0, 0.2, 0.1)],
+        converter_sources=[ConverterSource(bus=7, sn_mva=1.5, k=1.2)],
+    )
+    fault_buses = (13, 9, 1, 5, 7, 3, 4)
+    result = calc_sc(net, FaultStudyOptions(fault_buses=fault_buses))
+    reference = oracle_calc(net)
+    by_id = {b.id: b for b in net.buses}
+    expected = sorted(fault_buses)
+    assert result.bus_ids.tolist() == expected
+    assert result.energized.tolist() == [reference[b]["energized"] for b in expected]
+    assert result.energized.tolist() == [True, True, True, True, True, False, False]
+    assert result.vn_kv.tolist() == [by_id[b].vn_kv for b in expected]
+    assert result.bus_names == tuple(by_id[b].name for b in expected)
+    assert result.degenerate_buses == tuple(b for b in expected if math.isnan(reference[b]["total_ka"])) == (1,)
+    for row, b in zip(result.rows(), expected):
+        assert row["ikss_ka"] == pytest.approx(reference[b]["total_ka"], rel=1e-9, nan_ok=True)
+        assert row["ikss_converter_ka"] == pytest.approx(reference[b]["converter_ka"], rel=1e-9, nan_ok=True)
 
 
 def test_calc_sc_factorizes_sparse_y_once(monkeypatch):
