@@ -5,8 +5,7 @@ correction factors to every element, fuses closed switches into electrical
 nodes, decomposes three-winding transformers into star branches and stamps
 the nodal admittance matrix. Voltage sources are replaced by their internal
 impedance (shunt to reference); full converter units only feed the current
-injection vector. The element formulas take numbers or numpy columns alike:
-``build_bbm`` runs each of them once per element section.
+injection vector.
 
 Per-unit system: configurable power base (default 1 MVA), voltage base is
 each bus's nominal voltage, so multi-voltage-level networks need no manual
@@ -18,8 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, pairwise
-from operator import attrgetter
 
 import numpy as np
 import scipy.sparse
@@ -38,7 +35,6 @@ __all__ = [
     "BusBranchModel",
     "SwitchFusion",
     "voltage_correction_factor",
-    "voltage_correction_factors",
     "external_grid_impedance",
     "line_impedance",
     "transformer_correction",
@@ -148,7 +144,7 @@ def voltage_correction_factor(vn_kv: float, tolerance_percent: int, case: str) -
     return 1.10 if case == "max" else 1.00
 
 
-def voltage_correction_factors(vn_kv: np.ndarray, tolerance_percent: int, case: str) -> np.ndarray:
+def _voltage_correction_factors(vn_kv: np.ndarray, tolerance_percent: int, case: str) -> np.ndarray:
     """``voltage_correction_factor`` of every voltage level in ``vn_kv``."""
     return np.where(
         vn_kv <= LV_LEVEL_MAX_KV,
@@ -157,60 +153,31 @@ def voltage_correction_factors(vn_kv: np.ndarray, tolerance_percent: int, case: 
     )
 
 
-# The element formulas below read their element only through attribute
-# access and arithmetic, so an _Columns of many elements (numpy arrays in
-# place of numbers) computes all of them at once.
-
-
-class _Columns:
-    """The fields of a list of elements as float arrays, each built on first
-    access; stands in for one element in the element formulas."""
-
-    def __init__(self, elements: list):
-        self._elements = elements
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        column = np.fromiter(map(attrgetter(name), self._elements), float, len(self._elements))
-        setattr(self, name, column)
-        return column
-
-
 def external_grid_impedance(eg: ExternalGrid, vn_kv: float, case: str, c: float) -> complex:
     """Internal impedance of an external grid connection in ohms.
 
     |Z| = c * vn^2 / S''_k with the case-matching short-circuit power;
     the R/X ratio splits it as X = |Z| / sqrt(1 + (R/X)^2), R = (R/X) * X.
     """
-    s_sc_mva = eg.s_sc_max_mva if case == "max" else eg.s_sc_min_mva
-    if not s_sc_mva > 0:
-        raise InvalidDataError(f"external grid short-circuit power must be > 0, got {s_sc_mva!r} MVA")
-    return complex(*_grid_rx(eg, vn_kv, case, c))
-
-
-def _grid_rx(eg, vn_kv, case: str, c):
-    """R and X of ``external_grid_impedance``."""
     if case == "max":
         s_sc_mva, rx = eg.s_sc_max_mva, eg.rx_max
     else:
         s_sc_mva, rx = eg.s_sc_min_mva, eg.rx_min
+    if not s_sc_mva > 0:
+        raise InvalidDataError(f"external grid short-circuit power must be > 0, got {s_sc_mva!r} MVA")
     z_mag = c * vn_kv**2 / s_sc_mva
-    x = z_mag / np.sqrt(1.0 + rx * rx)
-    return rx * x, x
+    x = z_mag / math.sqrt(1.0 + rx * rx)
+    return complex(rx * x, x)
 
 
 def line_impedance(line: Line, case: str) -> complex:
     """Line impedance in ohms; the minimum case scales the resistance up
     to the conductor end temperature reached after the fault."""
-    return complex(*_line_rx(line, case))
-
-
-def _line_rx(line, case: str):
-    """R and X of ``line_impedance``."""
     r = line.r_ohm_per_km * line.length_km
     x = line.x_ohm_per_km * line.length_km
     if case == "min":
-        r = r * (1.0 + ALPHA_PER_K * (line.endtemp_degc - 20.0))
-    return r, x
+        r *= 1.0 + ALPHA_PER_K * (line.endtemp_degc - 20.0)
+    return complex(r, x)
 
 
 def transformer_correction(x_t: float, c_max_lv: float) -> float:
@@ -222,19 +189,17 @@ def transformer_correction(x_t: float, c_max_lv: float) -> float:
     return 0.95 * c_max_lv / (1.0 + 0.6 * x_t)
 
 
-def _corrected_rx(vk_percent, vkr_percent, c_max_lv):
-    """R and X of the K_T-corrected short-circuit impedance in per unit on
-    the rated base."""
+def _corrected_impedance(vk_percent: float, vkr_percent: float, c_max_lv: float) -> complex:
+    """K_T-corrected short-circuit impedance in per unit on the rated base."""
     r = vkr_percent / 100.0
-    x = np.sqrt(vk_percent**2 - vkr_percent**2) / 100.0
-    k_t = transformer_correction(x, c_max_lv)
-    return k_t * r, k_t * x
+    x = math.sqrt(vk_percent**2 - vkr_percent**2) / 100.0
+    return transformer_correction(x, c_max_lv) * complex(r, x)
 
 
 def transformer_impedance(t: Transformer2W, c_max_lv: float) -> complex:
     """Corrected short-circuit impedance of a two-winding transformer in
     per unit on its rated base (sn_mva, winding voltage)."""
-    return complex(*_corrected_rx(t.vk_percent, t.vkr_percent, c_max_lv))
+    return _corrected_impedance(t.vk_percent, t.vkr_percent, c_max_lv)
 
 
 def star_decompose(z_hm: complex, z_ml: complex, z_hl: complex) -> tuple[complex, complex, complex]:
@@ -266,21 +231,14 @@ def three_winding_star(
         (t.vk_ml_percent, t.vkr_ml_percent, min(t.sn_mv_mva, t.sn_lv_mva)),
         (t.vk_hl_percent, t.vkr_hl_percent, min(t.sn_hv_mva, t.sn_lv_mva)),
     )
-    return star_decompose(
-        *(complex(*_corrected_rx(vk, vkr, c_max_lv)) * (s_base_mva / sn) for vk, vkr, sn in pairs)
-    )
+    return star_decompose(*(_corrected_impedance(vk, vkr, c_max_lv) * (s_base_mva / sn) for vk, vkr, sn in pairs))
 
 
 def converter_current(cs: ConverterSource, vn_kv: float) -> complex:
     """Inductive fault current injection of a full converter unit in kA:
     -j * k * I_rated with I_rated = sn / (sqrt(3) * vn)."""
-    return complex(0.0, _converter_x(cs, vn_kv))
-
-
-def _converter_x(cs, vn_kv):
-    """Imaginary part of ``converter_current``."""
     i_rated_ka = cs.sn_mva / (math.sqrt(3.0) * vn_kv)
-    return -cs.k * i_rated_ka
+    return complex(0.0, -cs.k * i_rated_ka)
 
 
 @dataclass(frozen=True)
@@ -389,48 +347,22 @@ def _stamp_csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -
     )
 
 
-def _over(re: np.ndarray, im: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary part of complex(re, im) / d for real d, rounded as
-    Python's complex / float rounds them, so that Y has the same bytes as a
-    per-element stamp; numpy's own complex / real division multiplies by
-    1 / d. The zero terms keep Python's sign of zero."""
-    return (re + im * 0.0) / d, (im - re * 0.0) / d
-
-
-def _reciprocal(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary part of 1 / complex(re, im), rounded as Python's
-    complex division rounds them (Smith's method: numerator and denominator
-    are divided by the larger part), for the same reason as ``_over``. No
-    entry may be zero. The sign of a zero part of z does not reach 1 / z."""
-    wide = abs(re) >= abs(im)
-    large = np.where(wide, re, im)
-    small = np.where(wide, im, re)
-    ratio = small / large
-    denom = large + small * ratio
-    return np.where(wide, 1.0, ratio + 0.0) / denom, np.where(wide, 0.0 - ratio, -1.0) / denom
+def _over(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """y / d for complex y and real d, rounded as Python's complex / float
+    rounds it, so that Y has the same bytes as a per-element stamp; numpy's
+    own complex / real division rounds differently in the last bit."""
+    out = np.empty(len(y), dtype=complex)
+    out.real = (y.real + y.imag * 0.0) / d
+    out.imag = (y.imag - y.real * 0.0) / d
+    return out
 
 
 def _unstampable(element: str, z_pu: complex) -> SingularStampError:
     return SingularStampError(f"{element}: branch impedance {z_pu!r} pu is too close to zero to stamp")
 
 
-_ID = attrgetter("id")
-_VN = attrgetter("vn_kv")
-_BUS = attrgetter("bus")
-_LINE_ENDS = attrgetter("from_bus", "to_bus")
-_TRAFO_ENDS = attrgetter("hv_bus", "lv_bus")
-_WINDINGS = attrgetter("hv_bus", "mv_bus", "lv_bus")
-
-
 def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     """Build the per-unit bus-branch model for one fault case.
-
-    The live elements of each section (external grids, lines, two-winding
-    transformers, converters) are read into one array per field, and the
-    element formulas run once on those arrays; only the star branches of
-    three-winding transformers are formed per element. The terminal bus ids
-    of all sections are looked up together, by one search in the sorted
-    bus ids, and node numbers, islands and rows are arrays over the buses.
 
     Raises ValidationError on malformed input, SingularStampError on
     (near-)zero branch impedances and UnsolvableIslandError when not a
@@ -442,154 +374,128 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
 
     fusion = fuse_switches(net)
     live = fusion.live
+    vn_of = {b.id: b.vn_kv for b in net.buses}
     case = options.case
     tol = options.lv_tolerance_percent
     s_base = options.s_base_mva
 
-    # buses in ascending id order
-    bus_id = np.fromiter(map(_ID, net.buses), np.int64, len(net.buses))
-    by_id = bus_id.argsort()
-    ids = bus_id[by_id]
-    vn = np.fromiter(map(_VN, net.buses), float, len(net.buses))[by_id]
-
-    # study node of each bus: fused nodes by ascending representative id,
-    # then one star point per live three-winding transformer, in transformer
-    # order. An out-of-service bus is a node of its own that no element
-    # touches and no source feeds, so it never becomes a row.
-    id_list = ids.tolist()
-    rep = np.fromiter(map(fusion.node_of.get, id_list, id_list), np.int64, len(id_list))
-    reps = ids[rep == ids]
-    node = reps.searchsorted(rep)
+    # study node numbers: fused nodes by ascending id, then one star point
+    # per live three-winding transformer, in transformer order
+    reps = sorted(set(fusion.node_of.values()))
+    number = {rep: k for k, rep in enumerate(reps)}
+    node = {b: number[rep] for b, rep in fusion.node_of.items()}
     n_nodes = len(reps)
 
-    grids = list(compress(net.external_grids, live["external_grid"]))
-    lines = list(compress(net.lines, live["line"]))
-    trafos = list(compress(net.transformers2w, live["trafo2w"]))
-    trafos3 = [i for i, on in enumerate(live["trafo3w"]) if on]
-    converters = list(compress(net.converter_sources, live["converter"])) if options.consider_converters else []
+    # one entry per branch, in element order: from node, to node, series
+    # admittance, then the tap at the from side and its square (1 on lines)
+    fr: list[int] = []
+    to: list[int] = []
+    ys: list[complex] = []
+    sources: list[int] = []
+    shunts: list[complex] = []
 
-    # every terminal bus id at once (every id is known after validation):
-    # grid buses, line from/to pairs, transformer hv/lv pairs, 3W windings,
-    # converter buses
-    sizes = (len(grids), 2 * len(lines), 2 * len(trafos), 3 * len(trafos3), len(converters))
-    terminals = np.fromiter(
-        chain(
-            map(_BUS, grids),
-            chain.from_iterable(map(_LINE_ENDS, lines)),
-            chain.from_iterable(map(_TRAFO_ENDS, trafos)),
-            chain.from_iterable(_WINDINGS(net.transformers3w[i]) for i in trafos3),
-            map(_BUS, converters),
-        ),
-        np.int64,
-        sum(sizes),
-    )
-    at = ids.searchsorted(terminals)
-    vn_at, node_at = vn[at], node[at]
-    spans = list(pairwise(accumulate(sizes, initial=0)))
-    vn_grid, vn_line, vn_trafo, vn_3w, vn_conv = (vn_at[a:b] for a, b in spans)
-    grid_node, line_node, trafo_node, node_3w, conv_node = (node_at[a:b] for a, b in spans)
+    for i, eg in enumerate(net.external_grids):
+        if live["external_grid"][i]:
+            vn = vn_of[eg.bus]
+            c = voltage_correction_factor(vn, tol, case)
+            z = external_grid_impedance(eg, vn, case, c) / (vn**2 / s_base)
+            if abs(z) < ZERO_STAMP_TOL_PU:
+                raise _unstampable(f"external_grids[{i}]", z)
+            sources.append(node[eg.bus])
+            shunts.append(1.0 / z)
 
-    # per-unit impedances, source shunts first, then the branches in element
-    # order. Real and imaginary parts are computed apart; for finite values
-    # that rounds as Python's complex arithmetic does, up to the sign of a
-    # zero part, which 1 / z drops, and up to squares: numpy squares with
-    # one multiply, Python's ** with the C library's pow, which is not
-    # always correctly rounded.
-    r_grid, x_grid = _grid_rx(_Columns(grids), vn_grid, case, voltage_correction_factors(vn_grid, tol, case))
-    base_grid = vn_grid**2 / s_base
-    r_line, x_line = _line_rx(_Columns(lines), case)
-    base_line = vn_line[0::2] ** 2 / s_base
-    tr = _Columns(trafos)
-    vb_hv, vb_lv = vn_trafo[0::2], vn_trafo[1::2]
-    r_rated, x_rated = _corrected_rx(tr.vk_percent, tr.vkr_percent, voltage_correction_factors(vb_lv, tol, "max"))
-    to_study_base = s_base / tr.sn_mva
-    ratio2 = (tr.vn_lv_kv / vb_lv) ** 2
-    trafo_tap = (tr.vn_hv_kv / tr.vn_lv_kv) * (vb_lv / vb_hv)
+    for i, ln in enumerate(net.lines):
+        if live["line"][i]:
+            vn = vn_of[ln.from_bus]
+            z = line_impedance(ln, case) / (vn**2 / s_base)
+            if abs(z) < ZERO_STAMP_TOL_PU:
+                raise _unstampable(f"lines[{i}]", z)
+            fr.append(node[ln.from_bus])
+            to.append(node[ln.to_bus])
+            ys.append(1.0 / z)
+    taps = [1.0] * len(ys)
+    taps2 = taps.copy()
 
-    # three-winding transformers, per element: one star point (numbered
-    # after the bus nodes) and up to three star branches each, winding side
-    # first
-    star_from: list[int] = []
-    star_to: list[int] = []
-    star_z: list[complex] = []
-    star_tap: list[float] = []
-    star_of: list[str] = []
-    vb_3w, nodes_3w = vn_3w.tolist(), node_3w.tolist()
-    for k, i in enumerate(trafos3):
-        t = net.transformers3w[i]
-        vb = vb_3w[3 * k : 3 * k + 3]
-        for winding, bus, vn_w, vb_w, node_w, z in zip(
-            ("hv", "mv", "lv"), _WINDINGS(t), (t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv), vb, nodes_3w[3 * k : 3 * k + 3],
-            three_winding_star(t, voltage_correction_factor(vb[2], tol, "max"), s_base),
+    for i, t in enumerate(net.transformers2w):
+        if live["trafo2w"][i]:
+            vb_hv = vn_of[t.hv_bus]
+            vb_lv = vn_of[t.lv_bus]
+            c_max_lv = voltage_correction_factor(vb_lv, tol, "max")
+            z_rated = transformer_impedance(t, c_max_lv)
+            z = z_rated * (s_base / t.sn_mva) * (t.vn_lv_kv / vb_lv) ** 2
+            if abs(z) < ZERO_STAMP_TOL_PU:
+                raise _unstampable(f"transformers2w[{i}]", z)
+            tap = (t.vn_hv_kv / t.vn_lv_kv) * (vb_lv / vb_hv)
+            fr.append(node[t.hv_bus])
+            to.append(node[t.lv_bus])
+            ys.append(1.0 / z)
+            taps.append(tap)
+            taps2.append(tap**2)
+
+    for i, t in enumerate(net.transformers3w):
+        if not live["trafo3w"][i]:
+            continue
+        c_max_lv = voltage_correction_factor(vn_of[t.lv_bus], tol, "max")
+        star = n_nodes
+        n_nodes += 1
+        for winding, bus_id, vn_w, z in zip(
+            ("hv", "mv", "lv"), (t.hv_bus, t.mv_bus, t.lv_bus), (t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv),
+            three_winding_star(t, c_max_lv, s_base),
         ):
-            if bus in fusion.node_of and ("trafo3w", i, bus) not in fusion.severed:
-                star_from.append(node_w)
-                star_to.append(n_nodes + k)
-                star_z.append(z)
-                star_tap.append(vn_w / vb_w)
-                star_of.append(f"transformers3w[{i}] ({winding} star branch)")
-    star = np.array(star_z, dtype=complex)
-    n_nodes += len(trafos3)
-
-    re = np.concatenate((r_grid / base_grid, r_line / base_line, r_rated * to_study_base * ratio2, star.real))
-    im = np.concatenate((x_grid / base_grid, x_line / base_line, x_rated * to_study_base * ratio2, star.imag))
-    tiny = np.hypot(re, im) < ZERO_STAMP_TOL_PU
-    if tiny.any():
-        k = int(tiny.nonzero()[0][0])
-        owners = [
-            f"{section}[{i}]"
-            for section, kind in (("external_grids", "external_grid"), ("lines", "line"), ("transformers2w", "trafo2w"))
-            for i in np.flatnonzero(live[kind]).tolist()
-        ]
-        raise _unstampable((owners + star_of)[k], complex(re[k], im[k]))
-    y_re, y_im = _reciprocal(re, im)
-    fr = np.concatenate((line_node[0::2], trafo_node[0::2], np.array(star_from, dtype=np.int64)))
-    to = np.concatenate((line_node[1::2], trafo_node[1::2], np.array(star_to, dtype=np.int64)))
-    taps = np.concatenate((np.ones(len(lines)), trafo_tap, np.array(star_tap, dtype=float)))
+            if bus_id not in node or ("trafo3w", i, bus_id) in fusion.severed:
+                continue
+            if abs(z) < ZERO_STAMP_TOL_PU:
+                raise _unstampable(f"transformers3w[{i}] ({winding} star branch)", z)
+            tap = vn_w / vn_of[bus_id]
+            fr.append(node[bus_id])
+            to.append(star)
+            ys.append(1.0 / z)
+            taps.append(tap)
+            taps2.append(tap**2)
 
     # energized islands: the components that hold a voltage source node
-    if not grids:
+    roots = _roots(n_nodes, zip(fr, to))
+    fed = {roots[n] for n in sources}
+    if not fed:
         raise UnsolvableIslandError("no energized island: no in-service external grid is connected")
-    roots = np.array(_roots(n_nodes, zip(fr.tolist(), to.tolist())))
-    fed = np.zeros(n_nodes, dtype=bool)
-    fed[roots[grid_node]] = True
-    energized = fed[roots]
+    on = [r in fed for r in roots]
+    energized = np.array(on, dtype=bool)
     # the energized nodes keep their order as rows: real rows first
     row = energized.cumsum() - 1
-    dim = int(row[-1]) + 1
-    on = energized[node]
-    bus_index = dict(zip(ids[on].tolist(), row[node[on]].tolist()))
+    node_row = row.tolist()
+    dim = node_row[-1] + 1
+    bus_index = {b: node_row[n] for b, n in node.items() if on[n]}
 
     # four stamps per branch (ff, tt, ft, tf), branch after branch, then the
     # source shunts; branches inside one fused node stamp nothing
-    keep = energized[fr] & (fr != to)
-    f, t = row[fr[keep]], row[to[keep]]
-    yr, yi = y_re[len(grids) :][keep], y_im[len(grids) :][keep]
-    taps = taps[keep]
-    ff_re, ff_im = _over(yr, yi, taps * taps)
-    ft_re, ft_im = _over(yr, yi, taps)
-    m = 4 * len(f)
-    rows = np.empty(m + len(grids), dtype=np.int64)
+    f = np.array(fr, dtype=np.int64)
+    t = np.array(to, dtype=np.int64)
+    keep = energized[f] & (f != t)
+    f, t = row[f[keep]], row[t[keep]]
+    y = np.array(ys, dtype=complex)[keep]
+    m = 4 * len(y)
+    rows = np.empty(m + len(sources), dtype=np.int64)
     cols = np.empty_like(rows)
+    vals = np.empty(len(rows), dtype=complex)
     rows[0:m:4] = rows[2:m:4] = cols[0:m:4] = cols[3:m:4] = f
     rows[1:m:4] = rows[3:m:4] = cols[1:m:4] = cols[2:m:4] = t
-    rows[m:] = cols[m:] = row[grid_node]
-    vals = np.empty(len(rows), dtype=complex)
-    parts = vals.view(float)  # real, imaginary, real, ...
-    parts[0 : 2 * m : 8], parts[1 : 2 * m : 8] = ff_re, ff_im
-    parts[2 : 2 * m : 8], parts[3 : 2 * m : 8] = yr, yi
-    parts[4 : 2 * m : 8] = parts[6 : 2 * m : 8] = -ft_re
-    parts[5 : 2 * m : 8] = parts[7 : 2 * m : 8] = -ft_im
-    parts[2 * m :: 2], parts[2 * m + 1 :: 2] = y_re[: len(grids)], y_im[: len(grids)]
+    rows[m:] = cols[m:] = row[sources]
+    vals[0:m:4] = _over(y, np.array(taps2)[keep])
+    vals[1:m:4] = y
+    vals[2:m:4] = vals[3:m:4] = -_over(y, np.array(taps)[keep])
+    vals[m:] = shunts
     y_matrix = _stamp_csc(rows, cols, vals, dim)
 
-    # converter injections -j*I/I_base; several on one node add up in
-    # converter order
-    i_kc = np.zeros(dim, dtype=complex)
-    fed_conv = energized[conv_node]
-    i_pu = _converter_x(_Columns(converters), vn_conv) / (s_base / (math.sqrt(3.0) * vn_conv))
-    np.add.at(i_kc.imag, row[conv_node[fed_conv]], i_pu[fed_conv])
+    # converter injections, summed per row in converter order into a list:
+    # one numpy scalar update per converter costs more than the formula
+    i_kc = [0j] * dim
+    if options.consider_converters:
+        for cs, is_live in zip(net.converter_sources, live["converter"]):
+            if is_live and on[node[cs.bus]]:
+                vn = vn_of[cs.bus]
+                i_base = s_base / (math.sqrt(3.0) * vn)
+                i_kc[node_row[node[cs.bus]]] += converter_current(cs, vn) / i_base
 
     return BusBranchModel(
-        bus_index=bus_index, y_matrix=y_matrix, i_kc=i_kc, n_aux=int(energized[n_nodes - len(trafos3) :].sum())
+        bus_index=bus_index, y_matrix=y_matrix, i_kc=np.array(i_kc, dtype=complex), n_aux=sum(on[len(reps) :])
     )

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, build_bbm, voltage_correction_factors
+from .builder import FaultStudyOptions, _voltage_correction_factors, build_bbm
 from .exceptions import InvalidOptionError, SingularMatrixError
 from .model import Network
 
@@ -78,11 +78,16 @@ class ShortCircuitResult:
         hits = np.flatnonzero(self.bus_ids == bus_id)
         if not len(hits):
             raise KeyError(f"bus {bus_id!r} is not in this result")
-        return self._row(int(hits[0]))
+        i = int(hits[0])
+        return self._rows(slice(i, i + 1))[0]
 
     def rows(self) -> list[dict]:
-        """All result rows, in the order of ``bus_ids``; one ``tolist`` per
-        column, not one numpy scalar per cell."""
+        """All result rows, in the order of ``bus_ids``."""
+        return self._rows(slice(None))
+
+    def _rows(self, at: slice) -> list[dict]:
+        """The result rows at ``at``; one ``tolist`` per column, not one
+        numpy scalar per cell."""
         return [
             {
                 "bus_id": bus_id,
@@ -94,25 +99,15 @@ class ShortCircuitResult:
                 "energized": energized,
             }
             for bus_id, name, vn_kv, source, converter, total, energized in zip(
-                self.bus_ids.tolist(), self.bus_names, self.vn_kv.tolist(), self.ikss_source_ka.tolist(),
-                self.ikss_converter_ka.tolist(), self.ikss_ka.tolist(), self.energized.tolist(),
+                self.bus_ids[at].tolist(), self.bus_names[at], self.vn_kv[at].tolist(),
+                self.ikss_source_ka[at].tolist(), self.ikss_converter_ka[at].tolist(), self.ikss_ka[at].tolist(),
+                self.energized[at].tolist(),
             )
         ]
 
-    def _row(self, i: int) -> dict:
-        return {
-            "bus_id": int(self.bus_ids[i]),
-            "name": self.bus_names[i],
-            "vn_kv": float(self.vn_kv[i]),
-            "ikss_source_ka": float(self.ikss_source_ka[i]),
-            "ikss_converter_ka": float(self.ikss_converter_ka[i]),
-            "ikss_ka": float(self.ikss_ka[i]),
-            "energized": bool(self.energized[i]),
-        }
-
 
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise SingularMatrixError(f"{_SINGULAR}: non-finite {what}")
     return values
 
@@ -145,7 +140,7 @@ def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndar
     """
     n = lu.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
-    if np.array_equal(lu.perm_r, lu.perm_c):
+    if (lu.perm_r == lu.perm_c).all():
         # an overflowing pivot inverse is reported by _require_finite
         with np.errstate(all="ignore"):
             out = _selected_inverse_diag(lu)[lu.perm_c[rows]]
@@ -186,12 +181,12 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     a = np.where(tree, z, 0.0)
     b = values.take(first, mode="clip")
     b = np.where(tree, b * b, 1.0)
-    up_up = up[up]
-    while (up_up != up).any():
+    # one round halves every path to the anchor; done when no column points
+    # at a tree column any more
+    while np.count_nonzero(tree[up]):
         a += b * a[up]
         b *= b[up]
-        up = up_up
-        up_up = up[up]
+        up = up[up]
     branching = (entries > 2).nonzero()[0]
     if len(branching):
         z[branching] = _sweep_branching_columns(
@@ -273,7 +268,7 @@ def converter_contribution(
     """
     i_kc = np.asarray(i_kc, dtype=complex)
     rows = np.arange(lu.shape[0]) if rows is None else np.asarray(rows, dtype=int)
-    if not np.any(i_kc):
+    if not i_kc.any():
         return np.zeros(len(rows), dtype=complex)
     u = _require_finite(lu.solve(i_kc), "converter solution")
     return u[rows] / np.asarray(z_diag)
@@ -334,7 +329,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     z_diag = impedance_matrix_diag(lu, rows=live_rows)
     degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
     z_safe = np.where(degenerate, 1.0, z_diag)
-    c = voltage_correction_factors(vn_kv[energized], options.lv_tolerance_percent, options.case)
+    c = _voltage_correction_factors(vn_kv[energized], options.lv_tolerance_percent, options.case)
     i_k1 = voltage_source_currents(z_safe, c)
     i_k2 = converter_contribution(lu, z_safe, bbm.i_kc, rows=live_rows)
     i_k1[degenerate] = complex(math.nan, 0.0)
