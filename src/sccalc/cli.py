@@ -42,11 +42,7 @@ def _cmd_calc(args) -> int:
     )
     result = calc_sc(net, options)
     write = write_result_json if args.format == "json" else write_result_csv
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            write(result, f)
-    else:
-        write(result, sys.stdout)
+    write(result, args.out or sys.stdout)
     return EXIT_OK
 
 

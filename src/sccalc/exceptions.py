@@ -7,7 +7,8 @@ class GridDataError(Exception):
 
 
 class GridFileError(GridDataError):
-    """Grid document cannot be parsed or does not match the schema."""
+    """A grid or result file cannot be opened or decoded, or the grid
+    document does not match the schema."""
 
 
 class ValidationError(GridDataError):

@@ -37,16 +37,25 @@ _RESULT_COLUMNS = (
     "energized",
 )
 
+_INT64_LIMIT = 2**63
+
+
 def _coerce(value, typ: str, path: str):
     if typ == "bool":
         if isinstance(value, bool):
             return value
     elif typ == "int":
         if isinstance(value, int) and not isinstance(value, bool):
-            return value
+            # ids become numpy int64 columns in a study
+            if -_INT64_LIMIT <= value < _INT64_LIMIT:
+                return value
+            raise GridFileError(f"{path}: integer outside the 64-bit range")
     elif typ == "num":
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise GridFileError(f"{path}: integer too large for a float") from None
     elif typ == "str":
         if isinstance(value, str):
             return value
@@ -157,6 +166,11 @@ def load_network(path) -> Network:
             data = json.load(f)
     except json.JSONDecodeError as e:
         raise GridFileError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise GridFileError(f"{path}: not UTF-8 text ({e.reason})") from e
+    except ValueError as e:
+        # an integer literal longer than Python converts (4300 digits)
+        raise GridFileError(f"{path}: invalid JSON: {e}") from e
     except OSError as e:
         raise GridFileError(f"{path}: {e.strerror}") from e
     net = network_from_dict(data)
@@ -167,7 +181,9 @@ def load_network(path) -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """Write a grid document; a path that cannot be opened raises
+    GridFileError."""
+    with _create(path) as f:
         json.dump(network_to_dict(net), f, indent=2)
         f.write("\n")
 
@@ -180,10 +196,17 @@ def _result_meta(result: ShortCircuitResult) -> dict:
     return meta
 
 
+def _create(path):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        raise GridFileError(f"{path}: {e.strerror}") from e
+
+
 def _open_for_write(file_or_path):
     if hasattr(file_or_path, "write"):
         return file_or_path, False
-    return open(file_or_path, "w", encoding="utf-8", newline=""), True
+    return _create(file_or_path), True
 
 
 def write_result_csv(result: ShortCircuitResult, file_or_path) -> None:

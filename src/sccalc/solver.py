@@ -11,8 +11,9 @@ symmetric fill-reducing ordering and diagonal pivots: P*Y*P^T = L*D*L^T.
 diag(inv(Y)) then comes from the selected inversion of Takahashi, Fagan &
 Chen (1973) and Erisman & Tinney (1975), which computes Z only on the
 pattern of L: the tree columns of L (one entry below the diagonal) by
-pointer jumping in numpy, the others by a sweep. The converter contribution
-takes one solve against the injection vector.
+pointer jumping in numpy, the others level by level in numpy rounds
+(Anderson & Saad 1989), or in a Python sweep when they are few. The
+converter contribution takes one solve against the injection vector.
 """
 from __future__ import annotations
 
@@ -136,17 +137,26 @@ def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndar
     subset of diagonal entries) costs the same as all of them. If SuperLU met
     an exactly zero diagonal pivot it pivots off the diagonal
     (``perm_r != perm_c``), the factor is no longer L*D*L^T, and each
-    requested entry takes one unit-vector solve instead.
+    requested entry takes one unit-vector solve instead. So it does if
+    SuperLU dropped an entry of L that cancelled to exactly zero and the
+    sweep needs the Z at its place.
     """
     n = lu.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
     if (lu.perm_r == lu.perm_c).all():
-        # an overflowing pivot inverse is reported by _require_finite
-        with np.errstate(all="ignore"):
-            out = _selected_inverse_diag(lu)[lu.perm_c[rows]]
+        try:
+            # an overflowing pivot inverse is reported by _require_finite
+            with np.errstate(all="ignore"):
+                out = _selected_inverse_diag(lu)[lu.perm_c[rows]]
+        except _DroppedEntry:
+            out = _unit_solve_diag(lu, rows)
     else:
         out = _unit_solve_diag(lu, rows)
     return _require_finite(out, "impedance matrix diagonal")
+
+
+class _DroppedEntry(LookupError):
+    """L lacks an entry of the filled pattern that the sweep reads."""
 
 
 def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
@@ -162,9 +172,12 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     parent's Z, so pointer jumping (Wyllie's list ranking) composes the maps
     along the elimination tree in ceil(log2(depth)) numpy rounds into
     Z_ii = A_i + B_i Z_aa, where the anchor a is the first ancestor that is
-    no tree column. Roots (no entries) give Z_aa = 1/d_a; the columns with
-    two or more entries below the diagonal are left to
-    ``_sweep_branching_columns``.
+    no tree column. Roots (no entries) give Z_aa = 1/d_a. The columns with
+    two or more entries below the diagonal (branching columns) need the
+    full recurrence: ``_level_sweep`` runs it in one batch of numpy calls
+    per dependency level, and on factors with few branching columns and
+    few columns (see ``_LEVEL_SWEEP_MIN_COLUMNS``) ``_sweep_branching_columns``
+    runs it in Python, which then costs less than the batches' set-up.
     """
     l_factor = lu.L
     # SuperLU leaves the rows unsorted; sorted, each column starts with its
@@ -188,12 +201,145 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
         b *= b[up]
         up = up[up]
     branching = (entries > 2).nonzero()[0]
-    if len(branching):
+    if len(branching) and len(branching) + len(z) // 16 >= _LEVEL_SWEEP_MIN_COLUMNS:
+        z[branching] = _level_sweep(branching, indptr, indices, values, entries, z, a, b, up)
+    elif len(branching):
         z[branching] = _sweep_branching_columns(
             branching.tolist(), indptr.tolist(), indices.tolist(), values.tolist(),
             z.tolist(), a.tolist(), b.tolist(), up.tolist(),
         )
     return a + b * z[up]
+
+
+# Crossover between the two sweeps of the branching columns. The level
+# rounds cost ~150 us of set-up per factor, ~9 us per level (10-16 levels on
+# meshed grids) and little per column of L. The Python sweep costs ~3.5 us
+# per branching column plus ~0.2 us per column of L for its list copies, a
+# sixteenth of a branching column. So the rounds run once the branching
+# columns plus a sixteenth of all columns reach this count. Measured on one
+# 2-vCPU VM, both sweeps interleaved on 223 grids (155 random_network grids
+# with 8-25 extra loops, 28 radial grids of 100-10^4 buses with 1-8 short
+# ties, 5 ladders, 35 batch_files grids): this rule picked the slower sweep
+# on 13 grids, by at most 1.43x, and the picks summed to 45.0 ms against
+# 44.8 ms for the faster sweep on each. By the branching count alone (64)
+# they summed to 47.8 ms: a 10^4-bus feeder with one short tie took its
+# Python sweep at 7x the rounds' time.
+_LEVEL_SWEEP_MIN_COLUMNS = 80
+
+
+def _level_sweep(
+    columns: np.ndarray, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+    entries: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray,
+) -> np.ndarray:
+    """Z_ii of the branching columns ``columns``, in that order.
+
+    The recurrence of ``_sweep_branching_columns``, scheduled by levels as
+    sparse triangular solves are (Anderson & Saad 1989): a column reads only
+    Z at the anchors up_j of its rows j (a branching column is its own
+    anchor), so its level is one more than the highest of theirs, with roots
+    at level 0, and the columns of one level do not read each other.
+
+    Z lives on the pattern of L, in ``zs`` aligned with ``values``; the
+    diagonal slot of column i holds Z_ii once the column is done. For every
+    pair (p, q) of rows of a column it is worked out once per factor where
+    Z_(jp, jq) comes from: Z_jj = a_j + b_j Z_(up_j) for p = q; with lo < hi
+    the two rows in order, Z_(lo, hi) = -l_lo (a_hi + b_hi Z_(up_hi)) if lo
+    is a tree column (its entry l_lo sits at (hi, lo)), else the slot
+    (hi, lo) itself. A level is then a fixed handful of numpy calls: gather,
+    multiply-add and ``reduceat`` per entry for Z_(i, jp) = -sum_q l_q
+    Z_(jq, jp), scatter, ``reduceat`` per column for
+    Z_ii = 1/d_i - sum_p l_p Z_(i, jp), scatter. Raises _DroppedEntry if L
+    lacks the slot (hi, lo) of a pair.
+    """
+    n, width = len(z), len(columns)
+    # The anchors of a column's rows other than the first are the anchor of
+    # the first row (the column's parent in the elimination tree) or its
+    # ancestors, whose levels are lower still. So a level is a depth in the
+    # tree of anchors, found by pointer jumping as for the tree columns, on
+    # the branching columns only; slot ``width`` stands for every root.
+    slot = np.full(n, width)
+    slot[columns] = np.arange(width)
+    hop = np.append(slot[up[indices[indptr[columns] + 1]]], width)
+    level = np.ones(width + 1, dtype=np.intp)
+    level[-1] = 0
+    while (above := level[hop]).any():
+        level += above
+        hop = hop[hop]
+    by_level = level[:-1].argsort(kind="stable")
+    cols = columns[by_level]
+    count = entries[cols] - 1
+    col_stop = count.cumsum()
+    col_first = col_stop - count
+    # the entries below the diagonal, column by column in level order
+    pos = np.repeat(indptr[cols] + 1 - col_first, count) + np.arange(col_stop[-1])
+    rows, l_rows = indices[pos], values[pos]
+    # entry p of a column of m entries pairs with every entry q of the
+    # column; the pair (q, p) sits (q - p) * (m - 1) after (p, q)
+    per_entry = np.repeat(count, count)
+    pair_stop = per_entry.cumsum()
+    pair_first = pair_stop - per_entry
+    pairs = np.arange(pair_stop[-1])
+    pair_p = np.repeat(np.arange(len(pos)), per_entry)
+    pair_q = np.repeat(np.repeat(col_first, count) - pair_first, per_entry) + pairs
+    mirror = pairs + (pair_q - pair_p) * (per_entry[pair_p] - 1)
+    jp, jq = rows[pair_p], rows[pair_q]
+
+    # the slot of (hi, lo) in L for the pairs p < q, whose rows are lo = jp
+    # and hi = jq: the keys col*n + row ascend along L.data, and sorted
+    # needles are found faster (3x at 4k pairs). A key that is missing means
+    # SuperLU dropped an entry that cancelled to zero; reading another slot
+    # instead would be silently wrong.
+    upper = (pair_p < pair_q).nonzero()[0]
+    wanted = jp[upper].astype(np.int64) * n + jq[upper]
+    by_key = wanted.argsort()
+    upper, wanted = upper[by_key], wanted[by_key]
+    keys = np.repeat(np.arange(0, n * n, n, dtype=np.int64), entries) + indices
+    found = keys.searchsorted(wanted)
+    if not np.array_equal(keys.take(found, mode="clip"), wanted):
+        raise _DroppedEntry("L lacks an entry that a branching column needs")
+    src = np.zeros(len(pairs), dtype=np.intp)
+    src[upper] = found
+    src += src[mirror]
+
+    # Z_(i, jp) = const_p + sum_q coef_pq zs[src_pq]: a pair reads its slot
+    # with coefficient -l_q, but the pair (p, p) and the pairs whose lo is a
+    # tree column read a_hi + b_hi Z at the anchor of hi, times -l_q or
+    # -l_q * -l_lo; there is one pair (p, p) per entry, listed first
+    coef = -l_rows[pair_q]
+    tree_lo = upper[entries[jp[upper]] == 2]
+    tree_lo = np.append(tree_lo, mirror[tree_lo])
+    affine = np.append((pair_p == pair_q).nonzero()[0], tree_lo)
+    hi = np.maximum(jp[affine], jq[affine])
+    scale = coef[affine]
+    scale[len(pos):] *= -values[src[tree_lo]]
+    coef[affine] = scale * b[hi]
+    src[affine] = indptr[up[hi]]
+    const = np.zeros(len(pos), dtype=complex)
+    np.add.at(const, pair_p[affine], scale * a[hi])
+
+    # the ends of each level's columns, entries and pairs
+    col_end = np.bincount(level[by_level])[1:].cumsum()
+    entry_end = col_stop[col_end - 1]
+    pair_end = pair_stop[entry_end - 1]
+    # roots hold 1/d_i from the start
+    zs = np.zeros(len(values), dtype=complex)
+    zs[indptr[:-1]] = z
+    diag_slot = indptr[cols]
+    inv_d = z[cols]
+    # a level writes its products into these at its own positions, so that
+    # reduceat over the prefix up to the level's end sums its segments only
+    terms = np.empty(len(pairs), dtype=complex)
+    weighted = np.empty(len(pos), dtype=complex)
+    c0 = e0 = p0 = 0
+    for c1, e1, p1 in zip(col_end.tolist(), entry_end.tolist(), pair_end.tolist()):
+        np.multiply(coef[p0:p1], zs[src[p0:p1]], out=terms[p0:p1])
+        z_entry = np.add.reduceat(terms[:p1], pair_first[e0:e1])
+        z_entry += const[e0:e1]
+        zs[pos[e0:e1]] = z_entry
+        np.multiply(l_rows[e0:e1], z_entry, out=weighted[e0:e1])
+        zs[diag_slot[c0:c1]] = inv_d[c0:c1] - np.add.reduceat(weighted[:e1], col_first[c0:c1])
+        c0, e0, p0 = c1, e1, p1
+    return zs[indptr[columns]]
 
 
 def _sweep_branching_columns(
@@ -212,29 +358,35 @@ def _sweep_branching_columns(
     per-column numpy slices, because most columns hold two or three entries.
     """
     z_col: dict[int, dict[int, complex]] = {}
-    for i in reversed(columns):
-        start, end = indptr[i] + 1, indptr[i + 1]
-        rows = indices[start:end]
-        ls = values[start:end]
-        m = len(rows)
-        zi = [0j] * m
-        for p in range(m):
-            jp, lp = rows[p], ls[p]
-            zi[p] -= lp * (a[jp] + b[jp] * z[up[jp]])
-            col = z_col.get(jp)
-            for q in range(p + 1, m):
-                jq = rows[q]
-                if col is None:
-                    z_pq = -values[indptr[jp] + 1] * (a[jq] + b[jq] * z[up[jq]])
-                else:
-                    z_pq = col[jq]
-                zi[p] -= ls[q] * z_pq
-                zi[q] -= lp * z_pq
-        zii = z[i]
-        for p in range(m):
-            zii -= ls[p] * zi[p]
-        z[i] = zii
-        z_col[i] = dict(zip(rows, zi))
+    try:
+        for i in reversed(columns):
+            start, end = indptr[i] + 1, indptr[i + 1]
+            rows = indices[start:end]
+            ls = values[start:end]
+            m = len(rows)
+            zi = [0j] * m
+            for p in range(m):
+                jp, lp = rows[p], ls[p]
+                zi[p] -= lp * (a[jp] + b[jp] * z[up[jp]])
+                col = z_col.get(jp)
+                for q in range(p + 1, m):
+                    jq = rows[q]
+                    if col is None:
+                        k = indptr[jp] + 1
+                        if indptr[jp + 1] != k + 1 or indices[k] != jq:
+                            raise KeyError(jq)
+                        z_pq = -values[k] * (a[jq] + b[jq] * z[up[jq]])
+                    else:
+                        z_pq = col[jq]
+                    zi[p] -= ls[q] * z_pq
+                    zi[q] -= lp * z_pq
+            zii = z[i]
+            for p in range(m):
+                zii -= ls[p] * zi[p]
+            z[i] = zii
+            z_col[i] = dict(zip(rows, zi))
+    except KeyError:
+        raise _DroppedEntry("L lacks an entry that a branching column needs") from None
     return [z[i] for i in columns]
 
 

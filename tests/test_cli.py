@@ -190,3 +190,30 @@ def test_bench_subcommand(tmp_path, capsys):
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["calc", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_number_too_large_for_a_float_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"version": 1, "buses": [{"id": 1, "vn_kv": 20.0}, {"id": 2, "vn_kv": 20.0}],'
+        ' "external_grids": [{"bus": 1, "s_sc_max_mva": 100.0}],'
+        ' "lines": [{"from_bus": 1, "to_bus": 2, "length_km": 1' + "0" * 400 + ','
+        ' "r_ohm_per_km": 0.1, "x_ohm_per_km": 0.3}]}'
+    )
+    assert main(["calc", str(path)]) == 1
+    assert "error: lines[0].length_km: integer too large for a float" in capsys.readouterr().err
+
+
+def test_grid_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"version": 1, "name": "M\u00fchle"}'.encode("latin-1"))
+    assert main(["validate", str(path)]) == 1
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["calc", "generate"])
+def test_out_path_that_cannot_be_opened_exits_1(grid_path, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.csv"
+    args = ["calc", str(grid_path)] if command == "calc" else ["generate"]
+    assert main([*args, "--out", str(out)]) == 1
+    assert f"error: {out}: No such file or directory" in capsys.readouterr().err

@@ -124,6 +124,47 @@ def test_parse_error_carries_position(tmp_path):
         load_network(path)
 
 
+def test_integer_too_large_for_a_float_reports_path(tmp_path):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["lines"][0]["length_km"] = 10**400
+    with pytest.raises(GridFileError, match=r"lines\[0\]\.length_km: integer too large for a float"):
+        load_network(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("bus_id", [2**63, -(2**63) - 1])
+def test_integer_outside_64_bits_reports_path(bus_id):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["buses"][1]["id"] = doc["lines"][0]["to_bus"] = bus_id
+    with pytest.raises(GridFileError, match=r"buses\[1\]\.id: integer outside the 64-bit range"):
+        network_from_dict(doc)
+    doc["buses"][1]["id"] = doc["lines"][0]["to_bus"] = bus_id // 2
+    assert network_from_dict(doc).buses[1].id == bus_id // 2
+
+
+def test_integer_literal_too_long_to_read_names_the_file(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(MINIMAL_DOC).replace('"length_km": 10.0', '"length_km": ' + "1" * 5000))
+    with pytest.raises(GridFileError, match="long.json: invalid JSON"):
+        load_network(path)
+
+
+def test_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps({**MINIMAL_DOC, "name": "M\u00fchle"}, ensure_ascii=False).encode("latin-1"))
+    with pytest.raises(GridFileError, match="latin1.json: not UTF-8 text"):
+        load_network(path)
+
+
+def test_paths_that_cannot_be_opened_for_writing_name_the_path(tmp_path):
+    missing = tmp_path / "missing" / "out.json"
+    with pytest.raises(GridFileError, match=r"out\.json: No such file or directory"):
+        save_network(load_network(write_doc(tmp_path, MINIMAL_DOC)), missing)
+    result = calc_sc(network_from_dict(MINIMAL_DOC))
+    for write in (write_result_csv, write_result_json):
+        with pytest.raises(GridFileError, match="Is a directory"):
+            write(result, tmp_path)
+
+
 def test_switch_parsing_both_kinds():
     doc = dict(MINIMAL_DOC)
     doc = json.loads(json.dumps(doc))

@@ -30,6 +30,7 @@ from sccalc import (
     generate_radial_grid,
     validate,
 )
+from sccalc import solver
 from sccalc.builder import (
     BusBranchModel,
     build_bbm,
@@ -268,6 +269,74 @@ def test_selected_inversion_on_a_deep_chain():
     bands[0, 1:], bands[1], bands[2, :-1] = y.diagonal(1), y.diagonal(), y.diagonal(-1)
     z_banded = unit_solve_diag(n, lambda rhs: scipy.linalg.solve_banded((1, 1), bands, rhs))
     assert np.max(rel_diff(z, z_banded)) < 1e-10
+
+
+def branching_levels(lu) -> int:
+    """The deepest level of a column with two or more entries below the
+    diagonal: one more than the deepest among the anchors of its rows, where
+    a row's anchor is the row itself unless it is a tree column (one entry),
+    then its parent's anchor; roots are at level 0."""
+    l_factor = lu.L
+    l_factor.sort_indices()
+    n = l_factor.shape[0]
+    anchor = list(range(n))
+    level = [0] * n
+    for i in range(n - 1, -1, -1):
+        rows = l_factor.indices[l_factor.indptr[i] + 1 : l_factor.indptr[i + 1]].tolist()
+        if len(rows) == 1:
+            anchor[i] = anchor[rows[0]]
+        elif rows:
+            level[i] = 1 + max(level[anchor[j]] for j in rows)
+    return max(level)
+
+
+def diag_by_both_sweeps(lu, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
+    """diag(Z) with the branching columns in level rounds, then in the
+    Python sweep, on the same factor."""
+    monkeypatch.setattr(solver, "_LEVEL_SWEEP_MIN_COLUMNS", 1)
+    z_level = impedance_matrix_diag(lu)
+    monkeypatch.setattr(solver, "_LEVEL_SWEEP_MIN_COLUMNS", 10**9)
+    return z_level, impedance_matrix_diag(lu)
+
+
+@pytest.mark.parametrize("seed", MESHED_3W_SEEDS)
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_level_sweep_agrees_with_the_python_sweep(seed, case, monkeypatch):
+    net = random_network(seed, max_buses=800, loops=30)
+    lu = factorize(build_bbm(net, FaultStudyOptions(case=case)).y_matrix)
+    assert np.count_nonzero(below_diagonal_entries(lu) > 1) > 50
+    z_level, z_python = diag_by_both_sweeps(lu, monkeypatch)
+    assert np.max(rel_diff(z_level, z_python)) < 1e-13
+
+
+def ladder(length: int, rungs_every: int) -> Network:
+    """Two parallel 20 kV feeders of ``length`` buses, fed at the head of
+    one, joined by a line every ``rungs_every`` buses."""
+    net = Network()
+    for side in (0, 1000):
+        net.buses += [Bus(side + k, 20.0) for k in range(length)]
+        net.lines += [Line(side + k, side + k + 1, 0.4 + 0.01 * (k % 7), 0.2, 0.35) for k in range(length - 1)]
+    net.lines += [Line(k, 1000 + k, 0.8, 0.2, 0.35) for k in range(0, length, rungs_every)]
+    net.external_grids.append(ExternalGrid(bus=0, s_sc_max_mva=500.0, rx_max=0.1))
+    return net
+
+
+def test_selected_inversion_on_a_ladder(monkeypatch):
+    # the minimum-degree order eliminates the ladder from its ends, so almost
+    # every column branches and the levels run deep: 192 branching columns
+    # in 26 levels
+    y = build_bbm(ladder(100, 4), FaultStudyOptions()).y_matrix
+    n = y.shape[0]
+    lu = factorize(y)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.count_nonzero(below_diagonal_entries(lu) > 1) > solver._LEVEL_SWEEP_MIN_COLUMNS
+    assert branching_levels(lu) >= 20
+    z = impedance_matrix_diag(lu)
+    assert np.max(rel_diff(z, unit_solve_diag(n, lu.solve))) < 1e-10
+    assert_matches_dense_inverse(z, y)
+    z_level, z_python = diag_by_both_sweeps(lu, monkeypatch)
+    assert np.array_equal(z_level, z)
+    assert np.max(rel_diff(z_level, z_python)) < 1e-13
 
 
 def two_feeder_islands(with_single_bus_island: bool) -> Network:

@@ -19,6 +19,7 @@ from sccalc import (
     calc_sc,
     generate_radial_grid,
 )
+from sccalc import solver
 from sccalc.builder import build_bbm
 from sccalc.solver import (
     converter_contribution,
@@ -84,6 +85,22 @@ def test_diag_zero_pivot_falls_back_to_unit_solves():
     z = impedance_matrix_diag(lu)
     assert np.abs(z - np.diag(np.linalg.inv(y.toarray()))).max() < 1e-12
     assert impedance_matrix_diag(lu, rows=[1]) == pytest.approx(z[1:], abs=1e-12)
+
+
+@pytest.mark.parametrize("level_sweep", [False, True], ids=["python sweep", "level sweep"])
+def test_diag_entry_of_l_cancelled_to_zero_falls_back_to_unit_solves(monkeypatch, level_sweep):
+    # the ordering eliminates the last bus (pivot 1) first; the update of
+    # the entry between the other two, 2 - 2*1/1, is exactly 0 and SuperLU
+    # drops it from L, so the first column (two entries below the diagonal)
+    # needs a Z that lies off the stored pattern of L
+    monkeypatch.setattr(solver, "_LEVEL_SWEEP_MIN_COLUMNS", 1 if level_sweep else 10**9)
+    y = scipy.sparse.csc_matrix(np.array([[3, 2, 2], [2, 4, 1], [2, 1, 1]]) * (1 - 2j))
+    lu = factorize(y)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.L.nnz == 5  # the unit diagonal and the first column's two entries
+    z = impedance_matrix_diag(lu)
+    assert np.abs(z / np.diag(np.linalg.inv(y.toarray())) - 1).max() < 1e-12
+    assert impedance_matrix_diag(lu, rows=[2, 0]) == pytest.approx(z[[2, 0]], rel=1e-12)
 
 
 def test_non_finite_solution_raises():
