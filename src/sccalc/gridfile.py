@@ -1,18 +1,30 @@
 """Versioned JSON grid documents and tabular result files.
 
 The grid schema is strict: unknown fields are rejected so nameplate typos
-surface immediately instead of silently dropping data. Results are written
-as CSV (6 decimals, for humans) or JSON (full precision, for machines).
+surface immediately instead of silently dropping data. A section is parsed
+as whole columns, one list per field, each checked in one pass and turned
+into elements with one ``map`` over the element class. When any check
+fails, the section goes through the per-entry checker instead, which
+raises the message of the first error in document order; the column
+checks are never looser than it.
+
+Results are written as CSV (6 decimals, for humans) or JSON (full
+precision, for machines), one ``%`` template per row over the result
+columns.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
-import math
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from ._version import __version__
 from .exceptions import GridFileError, ValidationError
-from .model import FIELD_SPECS, SECTIONS, ElementRef, Network, Switch, validate
+from .model import _INT64_LIMIT, FIELD_SPECS, SECTIONS, ElementRef, Network, Switch, validate
 from .solver import ShortCircuitResult
 
 __all__ = [
@@ -37,7 +49,15 @@ _RESULT_COLUMNS = (
     "energized",
 )
 
-_INT64_LIMIT = 2**63
+
+def _is_unicode(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate, which ``json`` reads
+    from a ``\\ud800`` escape but no UTF-8 file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _coerce(value, typ: str, path: str):
@@ -58,7 +78,9 @@ def _coerce(value, typ: str, path: str):
                 raise GridFileError(f"{path}: integer too large for a float") from None
     elif typ == "str":
         if isinstance(value, str):
-            return value
+            if _is_unicode(value):
+                return value
+            raise GridFileError(f"{path}: string holds a lone surrogate, which is not Unicode text")
     raise GridFileError(f"{path}: expected {typ}, got {value!r}")
 
 
@@ -82,6 +104,50 @@ def _parse_entry(entry, section: str, path: str) -> dict:
         else:
             kwargs[name] = default
     return kwargs
+
+
+class _Absent:
+    """The type of the value a column holds for a field an entry leaves out."""
+
+
+_ABSENT = _Absent()
+
+# the value types a column of each field type may hold
+_COLUMN_TYPES = {"int": {int}, "num": {int, float}, "str": {str}, "bool": {bool}}
+
+
+def _parse_section(entries: list, section: str, cls: type) -> list | None:
+    """The elements of one section, built a column at a time; None when any
+    entry breaks a column check, so that the per-entry checker can name the
+    first error. Every check is at least as strict as ``_coerce``."""
+    if set(map(type, entries)) != {dict}:
+        return None
+    columns = []
+    found = 0
+    for name, typ, required, default in FIELD_SPECS[section]:
+        col = list(map(dict.get, entries, repeat(name), repeat(_ABSENT)))
+        types = set(map(type, col))
+        absent = _Absent in types
+        if absent and required or not types - {_Absent} <= _COLUMN_TYPES[typ]:
+            return None
+        found += len(col) - col.count(_ABSENT) if absent else len(col)
+        if typ == "num" and types != {float}:
+            try:
+                col = [v if v is _ABSENT else float(v) for v in col]
+            except OverflowError:
+                return None
+        if absent:
+            col = [default if v is _ABSENT else v for v in col]
+        if typ == "int" and not (-_INT64_LIMIT <= min(col) and max(col) < _INT64_LIMIT):
+            return None
+        if typ == "str" and not _is_unicode("".join(col)):
+            return None
+        columns.append(col)
+    # every key is a known field exactly when the fields found add up to
+    # the number of keys
+    if found != sum(map(len, entries)):
+        return None
+    return list(map(cls, *columns))
 
 
 def _parse_switch(entry, path: str) -> Switch:
@@ -130,9 +196,10 @@ def network_from_dict(data) -> Network:
         entries = data.get(section, [])
         if not isinstance(entries, list):
             raise GridFileError(f"document.{section}: expected an array")
-        target = getattr(net, section)
-        for i, entry in enumerate(entries):
-            target.append(cls(**_parse_entry(entry, section, f"{section}[{i}]")))
+        elements = _parse_section(entries, section, cls) if entries else []
+        if elements is None:
+            elements = [cls(**_parse_entry(entry, section, f"{section}[{i}]")) for i, entry in enumerate(entries)]
+        getattr(net, section).extend(elements)
     switches = data.get("switches", [])
     if not isinstance(switches, list):
         raise GridFileError("document.switches: expected an array")
@@ -203,50 +270,92 @@ def _create(path):
         raise GridFileError(f"{path}: {e.strerror}") from e
 
 
-def _open_for_write(file_or_path):
+def _write_text(file_or_path, text: str) -> None:
     if hasattr(file_or_path, "write"):
-        return file_or_path, False
-    return _create(file_or_path), True
+        file_or_path.write(text)
+        return
+    with _create(file_or_path) as f:
+        f.write(text)
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _result_columns(result: ShortCircuitResult) -> list[list]:
+    """The result columns in ``_RESULT_COLUMNS`` order: Python ints, names,
+    four float lists and the JSON words of the energized flags."""
+    return [
+        result.bus_ids.tolist(),
+        list(result.bus_names),
+        result.vn_kv.tolist(),
+        result.ikss_source_ka.tolist(),
+        result.ikss_converter_ka.tolist(),
+        result.ikss_ka.tolist(),
+        list(map(_BOOL_TEXT.__getitem__, result.energized.tolist())),
+    ]
+
+
+_CSV_HEADER = ",".join(_RESULT_COLUMNS) + "\n"
+_CSV_ROW = "%d,%s,%.6f,%.6f,%.6f,%.6f,%s\n"
+# every character that makes csv.writer quote or escape a field in some
+# Python version; names free of them are written as they are
+_CSV_SPECIAL = (",", '"', "\r", "\n", "\0")
+
+
+def _plain_names(names) -> bool:
+    if not set(map(type, names)) <= {str}:
+        return False
+    text = "".join(names)
+    return not any(c in text for c in _CSV_SPECIAL)
+
+
+def _csv_rows(columns: list[list]) -> str:
+    rows = zip(*columns)
+    if _plain_names(columns[1]):
+        return "".join(map(_CSV_ROW.__mod__, rows))
+    # a name that may need quoting goes through csv.writer, whose rules
+    # differ between Python versions (3.11 leaves a bare "\r" unquoted)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        if _plain_names(row[1:2]):
+            out.write(_CSV_ROW % row)
+        else:
+            writer.writerow((row[0], row[1], *("%.6f" % v for v in row[2:6]), row[6]))
+    return out.getvalue()
 
 
 def write_result_csv(result: ShortCircuitResult, file_or_path) -> None:
     """Human-readable CSV: '#' metadata lines, header row, 6-decimal floats."""
-    f, should_close = _open_for_write(file_or_path)
-    try:
-        for key, value in _result_meta(result).items():
-            f.write(f"# {key}={json.dumps(value)}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_RESULT_COLUMNS)
-        for row in result.rows():
-            writer.writerow([
-                row["bus_id"],
-                row["name"],
-                f"{row['vn_kv']:.6f}",
-                f"{row['ikss_source_ka']:.6f}",
-                f"{row['ikss_converter_ka']:.6f}",
-                f"{row['ikss_ka']:.6f}",
-                "true" if row["energized"] else "false",
-            ])
-    finally:
-        if should_close:
-            f.close()
+    meta = "".join(f"# {key}={json.dumps(value)}\n" for key, value in _result_meta(result).items())
+    _write_text(file_or_path, meta + _CSV_HEADER + _csv_rows(_result_columns(result)))
+
+
+_JSON_ROW = (
+    '{"bus_id": %d, "name": %s, "vn_kv": %s, "ikss_source_ka": %s,'
+    ' "ikss_converter_ka": %s, "ikss_ka": %s, "energized": %s}'
+)
 
 
 def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
-    """Machine-readable JSON: metadata object plus rows array, full float
-    precision; NaN markers are encoded as null. One line, because only
-    ``json.dumps`` without ``indent`` runs the C encoder."""
-    rows = result.rows()
-    for row in rows:
-        # the rows are fresh dicts, so NaN can be replaced in place
-        for k, v in row.items():
-            if isinstance(v, float) and math.isnan(v):
-                row[k] = None
-    text = json.dumps({"meta": _result_meta(result), "rows": rows}, allow_nan=False)
-    f, should_close = _open_for_write(file_or_path)
+    """Machine-readable JSON: metadata object plus rows array, on one line,
+    as ``json.dumps`` writes it. Floats keep full precision; NaN markers
+    are written as null, and an infinite value raises ValueError, as
+    ``allow_nan=False`` does."""
+    columns = _result_columns(result)
     try:
-        f.write(text)
-        f.write("\n")
-    finally:
-        if should_close:
-            f.close()
+        columns[1] = list(map(encode_basestring_ascii, columns[1]))
+    except TypeError:
+        # a name that is no str, in a result built in Python
+        columns[1] = [json.dumps(name, allow_nan=False) for name in columns[1]]
+    for k in range(2, 6):
+        values = getattr(result, _RESULT_COLUMNS[k])
+        if np.isfinite(values).all():
+            continue
+        if np.isinf(values).any():
+            raise ValueError("Out of range float values are not JSON compliant")
+        columns[k] = ["null" if v != v else v for v in columns[k]]
+    # str(float) is float.__repr__, the text json writes for a float
+    rows = ", ".join(map(_JSON_ROW.__mod__, zip(*columns)))
+    meta = json.dumps(_result_meta(result), allow_nan=False)
+    _write_text(file_or_path, f'{{"meta": {meta}, "rows": [{rows}]}}\n')

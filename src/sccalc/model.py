@@ -28,6 +28,9 @@ __all__ = [
 
 SWITCHABLE_ELEMENT_KINDS = ("line", "trafo2w", "trafo3w")
 
+# bus ids become numpy int64 columns in a study
+_INT64_LIMIT = 2**63
+
 
 @dataclass
 class Bus:
@@ -207,6 +210,13 @@ def _number_rule(value, name: str) -> str:
         return f"{name} must be a number"
 
 
+def _outside_int64(value) -> bool:
+    try:
+        return not -_INT64_LIMIT <= value < _INT64_LIMIT
+    except TypeError:
+        return False
+
+
 def validate(net: Network) -> list[Violation]:
     """Check every model invariant; violations are data, not exceptions.
 
@@ -242,6 +252,16 @@ def validate(net: Network) -> list[Violation]:
             vn_of[bus.id] = bus.vn_kv
         if not bus.vn_kv > 0:
             bad.append(("buses", i, "vn_kv", "vn_kv > 0"))
+    try:
+        ids_fit = -_INT64_LIMIT <= min(vn_of, default=0) and max(vn_of, default=0) < _INT64_LIMIT
+    except TypeError:  # ids that are no numbers; judge them one by one
+        ids_fit = False
+    if not ids_fit:
+        bad.extend(
+            ("buses", i, "id", f"id {bus.id} is outside the 64-bit range")
+            for i, bus in enumerate(net.buses)
+            if _outside_int64(bus.id)
+        )
 
     def unknown_bus(section: str, i: int, fieldname: str, bus_id) -> None:
         bad.append((section, i, fieldname, f"{fieldname} references unknown bus {bus_id}"))

@@ -18,6 +18,7 @@ converter contribution takes one solve against the injection vector.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -28,7 +29,7 @@ import scipy.sparse.linalg
 
 from .builder import FaultStudyOptions, _voltage_correction_factors, build_bbm
 from .exceptions import InvalidOptionError, SingularMatrixError
-from .model import Network
+from .model import _INT64_LIMIT, Network
 
 __all__ = [
     "DEGENERATE_Z_TOL_PU",
@@ -464,11 +465,14 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     pick = bus_id.argsort()
     if options.fault_buses != "all":
         known = bus_id[pick]
-        wanted = np.array(sorted(set(options.fault_buses)), dtype=np.int64)
-        at = known.searchsorted(wanted).clip(max=len(known) - 1)
-        unknown = wanted[known[at] != wanted]
-        if len(unknown):
-            raise InvalidOptionError(f"unknown fault bus id(s): {unknown.tolist()}")
+        wanted = sorted(set(options.fault_buses))
+        # ids beyond 64 bits name no bus, since validate keeps bus ids inside
+        lo, hi = bisect_left(wanted, -_INT64_LIMIT), bisect_left(wanted, _INT64_LIMIT)
+        inside = np.array(wanted[lo:hi], dtype=np.int64)
+        at = known.searchsorted(inside).clip(max=len(known) - 1)
+        unknown = wanted[:lo] + inside[known[at] != inside].tolist() + wanted[hi:]
+        if unknown:
+            raise InvalidOptionError(f"unknown fault bus id(s): {unknown}")
         pick = pick[at]
     reported = list(map(buses.__getitem__, pick.tolist()))
     bus_ids = bus_id[pick]

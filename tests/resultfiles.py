@@ -1,9 +1,12 @@
 """Readers for the result files that ``sccalc.gridfile`` writes, for tests
-that check written files against the result they came from."""
+that check written files against the result they came from, and reference
+writers that build the same files one row dict at a time."""
 import csv
 import io
 import json
 import math
+
+from sccalc.gridfile import _result_meta
 
 
 def read_result_csv(path) -> tuple[dict, list[dict]]:
@@ -37,3 +40,33 @@ def read_result_json(path) -> tuple[dict, list[dict]]:
     for rec in doc["rows"]:
         rows.append({k: (math.nan if v is None else v) for k, v in rec.items()})
     return doc["meta"], rows
+
+
+def reference_result_csv(result) -> str:
+    """The CSV result file, written row by row through ``csv.writer``."""
+    f = io.StringIO()
+    for key, value in _result_meta(result).items():
+        f.write(f"# {key}={json.dumps(value)}\n")
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(("bus_id", "name", "vn_kv", "ikss_source_ka", "ikss_converter_ka", "ikss_ka", "energized"))
+    for row in result.rows():
+        writer.writerow([
+            row["bus_id"],
+            row["name"],
+            f"{row['vn_kv']:.6f}",
+            f"{row['ikss_source_ka']:.6f}",
+            f"{row['ikss_converter_ka']:.6f}",
+            f"{row['ikss_ka']:.6f}",
+            "true" if row["energized"] else "false",
+        ])
+    return f.getvalue()
+
+
+def reference_result_json(result) -> str:
+    """The JSON result file, one ``json.dumps`` over the row dicts."""
+    rows = result.rows()
+    for row in rows:
+        for k, v in row.items():
+            if isinstance(v, float) and math.isnan(v):
+                row[k] = None
+    return json.dumps({"meta": _result_meta(result), "rows": rows}, allow_nan=False) + "\n"

@@ -73,6 +73,14 @@ def test_unknown_fault_bus_exits_1(grid_path, capsys):
     assert "7777" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bus_id", [2**64, -(2**63) - 1])
+def test_fault_bus_beyond_64_bits_exits_1(grid_path, capsys, bus_id):
+    net = load_network(grid_path)
+    ids = f"{net.buses[0].id},{bus_id}"
+    assert main(["calc", str(grid_path), "--fault-buses", ids]) == 1
+    assert f"error: unknown fault bus id(s): [{bus_id}]" in capsys.readouterr().err
+
+
 def test_infinite_power_base_exits_1(grid_path, capsys):
     assert main(["calc", str(grid_path), "--s-base-mva", "inf"]) == 1
     assert "s_base_mva" in capsys.readouterr().err
@@ -217,3 +225,18 @@ def test_out_path_that_cannot_be_opened_exits_1(grid_path, tmp_path, capsys, com
     args = ["calc", str(grid_path)] if command == "calc" else ["generate"]
     assert main([*args, "--out", str(out)]) == 1
     assert f"error: {out}: No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lone_surrogate_in_a_name_exits_1(tmp_path, capsys, fmt):
+    path = tmp_path / "surrogate.json"
+    # json.dumps escapes the lone surrogate, and json.loads reads it back
+    path.write_text(json.dumps({
+        "version": 1,
+        "buses": [{"id": 1, "vn_kv": 20.0}, {"id": 2, "vn_kv": 20.0, "name": "\ud800x"}],
+        "external_grids": [{"bus": 1, "s_sc_max_mva": 100.0}],
+    }))
+    assert main(["calc", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert "error: buses[1].name: string holds a lone surrogate" in captured.err
+    assert captured.out == ""

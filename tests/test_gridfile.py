@@ -1,4 +1,6 @@
 """Tests for grid document serialization and result file writers."""
+import collections
+import dataclasses
 import io
 import json
 import math
@@ -26,7 +28,7 @@ from sccalc.gridfile import _result_meta
 from sccalc.model import Bus, ExternalGrid
 
 from netgen import random_network
-from resultfiles import read_result_csv, read_result_json
+from resultfiles import read_result_csv, read_result_json, reference_result_csv, reference_result_json
 
 MINIMAL_DOC = {
     "version": 1,
@@ -163,6 +165,55 @@ def test_paths_that_cannot_be_opened_for_writing_name_the_path(tmp_path):
     for write in (write_result_csv, write_result_json):
         with pytest.raises(GridFileError, match="Is a directory"):
             write(result, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "change,path",
+    [
+        ({"name": "\ud800x"}, "document.name"),
+        ({"buses": [{"id": 1, "vn_kv": 110.0}, {"id": 2, "vn_kv": 110.0, "name": "b\udfff"}]}, r"buses\[1\]\.name"),
+        ({"buses": [{"id": 1, "vn_kv": 110.0, "name": "M\u00fchle \ud83d"}, {"id": 2, "vn_kv": 110.0}]},
+         r"buses\[0\]\.name"),
+    ],
+)
+def test_lone_surrogate_is_rejected_with_its_path(tmp_path, change, path):
+    doc = {**json.loads(json.dumps(MINIMAL_DOC)), **change}
+    with pytest.raises(GridFileError, match=path + ": string holds a lone surrogate"):
+        load_network(write_doc(tmp_path, doc))
+
+
+def test_lone_surrogate_is_rejected_by_the_per_entry_checker():
+    # dict subclasses skip the column checks; the per-entry checker judges them
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["buses"] = [collections.OrderedDict(b) for b in doc["buses"]]
+    doc["buses"][1]["name"] = "\udc00"
+    with pytest.raises(GridFileError, match=r"buses\[1\]\.name: string holds a lone surrogate"):
+        network_from_dict(doc)
+    doc["buses"][1]["name"] = "\U0001f600 \u00fc"
+    assert network_from_dict(doc).buses[1].name == "\U0001f600 \u00fc"
+
+
+def test_entries_the_column_checks_refuse_still_parse():
+    class Ratio(float):
+        pass
+
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    plain = network_from_dict(doc)
+    doc["buses"] = [collections.OrderedDict(b) for b in doc["buses"]]
+    doc["lines"][0]["length_km"] = Ratio(10.0)
+    net = network_from_dict(doc)
+    assert net == plain
+    assert type(net.lines[0].length_km) is float
+
+
+def test_absent_optional_fields_take_their_defaults():
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["external_grids"].append({"bus": 2, "s_sc_max_mva": 500, "s_sc_min_mva": 400, "rx_min": 0})
+    doc["buses"][0].update(name="hv", in_service=False)
+    net = network_from_dict(doc)
+    assert net.buses == [Bus(1, 110.0, "hv", False), Bus(2, 110.0)]
+    assert net.external_grids == [ExternalGrid(1, 3000.0), ExternalGrid(2, 500.0, 400.0, 0.0, 0.0)]
+    assert [type(v) for v in vars(net.external_grids[1]).values()] == [int, float, float, float, float, bool]
 
 
 def test_switch_parsing_both_kinds():
@@ -319,3 +370,78 @@ def test_result_json_leaves_the_result_unchanged(tmp_path):
     assert json.loads(first.getvalue())["rows"][0]["ikss_ka"] is None
     assert math.isnan(res.rows()[0]["ikss_ka"])
     assert math.isnan(res.ikss_ka[0])
+
+
+# names that csv.writer quotes or escapes, or that JSON escapes
+ODD_NAMES = [
+    "", "a,b", 'say "hi"', "cr\ronly", "lf\nonly", "crlf\r\n", "nul\0byte", "M\u00fchle", "\u6771\u4eac",
+    "tab\tthere", " lead", "trail ", "line\u2028sep", "emoji \U0001f600", "back\\slash", "\x7f\x1b", '",\r\n"',
+]
+
+
+def assert_files_match_the_row_writers(res):
+    csv_out, json_out = io.StringIO(), io.StringIO()
+    write_result_csv(res, csv_out)
+    write_result_json(res, json_out)
+    assert csv_out.getvalue() == reference_result_csv(res)
+    assert json_out.getvalue() == reference_result_json(res)
+
+
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_result_files_match_the_row_writers(seed, case):
+    net = random_network(seed, max_buses=40)
+    res = calc_sc(net, FaultStudyOptions(case=case))
+    if seed in (0, 5, 9):
+        assert not res.energized.all()  # rows of unenergized buses are covered
+    assert_files_match_the_row_writers(res)
+
+
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_result_files_match_the_row_writers_with_odd_names(case):
+    net = random_network(3, max_buses=40)
+    for bus, name in zip(net.buses, ODD_NAMES * 3):
+        bus.name = name
+    assert_files_match_the_row_writers(calc_sc(net, FaultStudyOptions(case=case)))
+    for name in ODD_NAMES:
+        net.buses[0].name = name
+        assert_files_match_the_row_writers(calc_sc(net, FaultStudyOptions(case=case)))
+
+
+@pytest.mark.parametrize("names", [[None, "b"], [5, 2.5], [True, ""]])
+def test_result_files_match_the_row_writers_with_names_that_are_no_str(names):
+    net = degenerate_network()
+    for bus, name in zip(net.buses, names):
+        bus.name = name
+    assert_files_match_the_row_writers(calc_sc(net))
+
+
+@pytest.mark.parametrize("make_net", [three_bus_example, wind_park_example, degenerate_network])
+@pytest.mark.parametrize("fault_buses", ["all", ()])
+def test_result_files_match_the_row_writers_on_examples(make_net, fault_buses):
+    res = calc_sc(make_net(), FaultStudyOptions(fault_buses=fault_buses))
+    assert len(res.bus_ids) == (0 if fault_buses == () else len(make_net().buses))
+    assert_files_match_the_row_writers(res)
+
+
+def test_nan_is_null_only_where_it_stands():
+    res = calc_sc(degenerate_network())
+    assert math.isnan(res.ikss_ka[0]) and res.ikss_ka[1] == 0.0
+    rows = json.loads(io.StringIO(reference_result_json(res)).getvalue())["rows"]
+    assert [r["ikss_ka"] for r in rows] == [None, 0.0]
+    assert_files_match_the_row_writers(res)
+
+
+def test_infinite_value_raises_like_json():
+    res = dataclasses.replace(calc_sc(three_bus_example()))
+    res.ikss_converter_ka = res.ikss_converter_ka.copy()
+    res.ikss_converter_ka[1] = -math.inf
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        reference_result_json(res)
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        write_result_json(res, out)
+    assert out.getvalue() == ""
+    csv_out = io.StringIO()
+    write_result_csv(res, csv_out)
+    assert csv_out.getvalue() == reference_result_csv(res)

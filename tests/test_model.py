@@ -264,6 +264,17 @@ def test_non_number_is_a_violation(section, name, value):
         calc_sc(net)
 
 
+@pytest.mark.parametrize("bus_id", [2**63, -(2**63) - 1, 2**100])
+def test_bus_id_outside_64_bits_is_a_violation(bus_id):
+    net = minimal_network()
+    net.buses[1].id = net.lines[0].to_bus = bus_id
+    assert validate(net) == [Violation("buses[1]", "id", f"id {bus_id} is outside the 64-bit range")]
+    with pytest.raises(ValidationError, match=r"buses\[1\]: id .* is outside the 64-bit range"):
+        calc_sc(net)
+    net.buses[1].id = net.lines[0].to_bus = bus_id // 2**40
+    assert validate(net) == []
+
+
 def test_unsupported_field_annotation_is_rejected():
     # string annotations, as the postponed annotations of sccalc.model give
     @dataclasses.dataclass
