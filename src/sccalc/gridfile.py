@@ -297,29 +297,31 @@ def _result_columns(result: ShortCircuitResult) -> list[list]:
 
 _CSV_HEADER = ",".join(_RESULT_COLUMNS) + "\n"
 _CSV_ROW = "%d,%s,%.6f,%.6f,%.6f,%.6f,%s\n"
-# every character that makes csv.writer quote or escape a field in some
-# Python version; names free of them are written as they are
-_CSV_SPECIAL = (",", '"', "\r", "\n", "\0")
+# a name holding one of these is quoted, with its quotes doubled, as
+# csv.writer quotes it; csv.writer of Python 3.11 leaves a bare "\r"
+# unquoted, which no CSV reader reads back
+_CSV_QUOTED = (",", '"', "\r", "\n")
 
 
-def _plain_names(names) -> bool:
-    if not set(map(type, names)) <= {str}:
-        return False
-    text = "".join(names)
-    return not any(c in text for c in _CSV_SPECIAL)
+def _csv_name(name: str) -> str:
+    if any(c in name for c in _CSV_QUOTED):
+        return '"' + name.replace('"', '""') + '"'
+    return name
 
 
 def _csv_rows(columns: list[list]) -> str:
-    rows = zip(*columns)
-    if _plain_names(columns[1]):
-        return "".join(map(_CSV_ROW.__mod__, rows))
-    # a name that may need quoting goes through csv.writer, whose rules
-    # differ between Python versions (3.11 leaves a bare "\r" unquoted)
+    names = columns[1]
+    if set(map(type, names)) <= {str}:
+        text = "".join(names)
+        if any(c in text for c in _CSV_QUOTED):
+            columns[1] = list(map(_csv_name, names))
+        return "".join(map(_CSV_ROW.__mod__, zip(*columns)))
+    # a name that is no str, in a result built in Python
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    for row in rows:
-        if _plain_names(row[1:2]):
-            out.write(_CSV_ROW % row)
+    for row in zip(*columns):
+        if type(row[1]) is str:
+            out.write(_CSV_ROW % (row[0], _csv_name(row[1]), *row[2:]))
         else:
             writer.writerow((row[0], row[1], *("%.6f" % v for v in row[2:6]), row[6]))
     return out.getvalue()

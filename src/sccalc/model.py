@@ -175,9 +175,6 @@ class Network:
     converter_sources: list[ConverterSource] = field(default_factory=list)
     switches: list[Switch] = field(default_factory=list)
 
-    def bus_map(self) -> dict[int, Bus]:
-        return {b.id: b for b in self.buses}
-
     def element_terminals(self, kind: str, index: int) -> tuple[int, ...]:
         """Bus ids an element of the given kind/index connects to."""
         if kind == "line":

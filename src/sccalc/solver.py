@@ -12,8 +12,8 @@ diag(inv(Y)) then comes from the selected inversion of Takahashi, Fagan &
 Chen (1973) and Erisman & Tinney (1975), which computes Z only on the
 pattern of L: the tree columns of L (one entry below the diagonal) by
 pointer jumping in numpy, the others level by level in numpy rounds
-(Anderson & Saad 1989), or in a Python sweep when they are few. The
-converter contribution takes one solve against the injection vector.
+(Anderson & Saad 1989), or by one unit-vector solve each when they are few.
+The converter contribution takes one solve against the injection vector.
 """
 from __future__ import annotations
 
@@ -134,13 +134,13 @@ def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndar
     """Diagonal of the bus impedance matrix Z = inv(Y), per unit.
 
     ``lu`` is the factorization of the complex symmetric Y from ``factorize``.
-    One selected-inversion sweep yields the whole diagonal, so ``rows`` (a
-    subset of diagonal entries) costs the same as all of them. If SuperLU met
-    an exactly zero diagonal pivot it pivots off the diagonal
+    One selected inversion yields the whole diagonal, so ``rows`` (a subset
+    of diagonal entries) costs the same as all of them. If SuperLU met an
+    exactly zero diagonal pivot it pivots off the diagonal
     (``perm_r != perm_c``), the factor is no longer L*D*L^T, and each
     requested entry takes one unit-vector solve instead. So it does if
     SuperLU dropped an entry of L that cancelled to exactly zero and the
-    sweep needs the Z at its place.
+    level rounds need the Z at its place.
     """
     n = lu.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
@@ -174,11 +174,13 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     along the elimination tree in ceil(log2(depth)) numpy rounds into
     Z_ii = A_i + B_i Z_aa, where the anchor a is the first ancestor that is
     no tree column. Roots (no entries) give Z_aa = 1/d_a. The columns with
-    two or more entries below the diagonal (branching columns) need the
-    full recurrence: ``_level_sweep`` runs it in one batch of numpy calls
-    per dependency level, and on factors with few branching columns and
-    few columns (see ``_LEVEL_SWEEP_MIN_COLUMNS``) ``_sweep_branching_columns``
-    runs it in Python, which then costs less than the batches' set-up.
+    two or more entries below the diagonal (branching columns) are the
+    other anchors and need the full recurrence: ``_level_sweep`` runs it in
+    one batch of numpy calls per dependency level. Where the n x k block of
+    right-hand sides for the k branching columns is small (see
+    ``_UNIT_SOLVE_MAX_ENTRIES``), one unit-vector solve each gives their Z_jj
+    for less than the rounds' set-up; a solve reads no pattern of L, so it
+    never meets a dropped entry.
     """
     l_factor = lu.L
     # SuperLU leaves the rows unsorted; sorted, each column starts with its
@@ -202,30 +204,24 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
         b *= b[up]
         up = up[up]
     branching = (entries > 2).nonzero()[0]
-    if len(branching) and len(branching) + len(z) // 16 >= _LEVEL_SWEEP_MIN_COLUMNS:
+    if len(z) * len(branching) > _UNIT_SOLVE_MAX_ENTRIES:
         z[branching] = _level_sweep(branching, indptr, indices, values, entries, z, a, b, up)
     elif len(branching):
-        z[branching] = _sweep_branching_columns(
-            branching.tolist(), indptr.tolist(), indices.tolist(), values.tolist(),
-            z.tolist(), a.tolist(), b.tolist(), up.tolist(),
-        )
+        z[branching] = _unit_solve_diag(lu, lu.perm_c.argsort()[branching])
     return a + b * z[up]
 
 
-# Crossover between the two sweeps of the branching columns. The level
-# rounds cost ~150 us of set-up per factor, ~9 us per level (10-16 levels on
-# meshed grids) and little per column of L. The Python sweep costs ~3.5 us
-# per branching column plus ~0.2 us per column of L for its list copies, a
-# sixteenth of a branching column. So the rounds run once the branching
-# columns plus a sixteenth of all columns reach this count. Measured on one
-# 2-vCPU VM, both sweeps interleaved on 223 grids (155 random_network grids
-# with 8-25 extra loops, 28 radial grids of 100-10^4 buses with 1-8 short
-# ties, 5 ladders, 35 batch_files grids): this rule picked the slower sweep
-# on 13 grids, by at most 1.43x, and the picks summed to 45.0 ms against
-# 44.8 ms for the faster sweep on each. By the branching count alone (64)
-# they summed to 47.8 ms: a 10^4-bus feeder with one short tie took its
-# Python sweep at 7x the rounds' time.
-_LEVEL_SWEEP_MIN_COLUMNS = 80
+# The branching columns take unit solves while n * k, the entries of their
+# block of right-hand sides, stays at or below this count (128 KB of complex
+# values), which bounds both the solve work and the memory. Measured on one
+# 2-vCPU VM, both paths interleaved on 275 factors with branching columns
+# (random_network grids of 20-800 buses with 0-8 extra loops, radial grids
+# of 100-10^4 buses with 1-8 ties, 4 ladders): unit solves were faster on
+# every factor up to this count (1.05-3.6x below 4 000 entries), the level
+# rounds, whose set-up is fixed, on every factor above 12 000. On the 88
+# factors of 2 000-40 000 entries (one BLAS thread) the picks summed to
+# 24.1 ms against 23.7 ms for the faster path on each; 4096 gave 27.9 ms.
+_UNIT_SOLVE_MAX_ENTRIES = 8192
 
 
 def _level_sweep(
@@ -234,11 +230,12 @@ def _level_sweep(
 ) -> np.ndarray:
     """Z_ii of the branching columns ``columns``, in that order.
 
-    The recurrence of ``_sweep_branching_columns``, scheduled by levels as
-    sparse triangular solves are (Anderson & Saad 1989): a column reads only
-    Z at the anchors up_j of its rows j (a branching column is its own
-    anchor), so its level is one more than the highest of theirs, with roots
-    at level 0, and the columns of one level do not read each other.
+    Takahashi's recurrence of ``_selected_inverse_diag`` over these columns,
+    scheduled by levels as sparse triangular solves are (Anderson & Saad
+    1989): a column reads only Z at the anchors up_j of its rows j (a
+    branching column is its own anchor), so its level is one more than the
+    highest of theirs, with roots at level 0, and the columns of one level
+    do not read each other.
 
     Z lives on the pattern of L, in ``zs`` aligned with ``values``; the
     diagonal slot of column i holds Z_ii once the column is done. For every
@@ -341,54 +338,6 @@ def _level_sweep(
         zs[diag_slot[c0:c1]] = inv_d[c0:c1] - np.add.reduceat(weighted[:e1], col_first[c0:c1])
         c0, e0, p0 = c1, e1, p1
     return zs[indptr[columns]]
-
-
-def _sweep_branching_columns(
-    columns: list[int], indptr: list, indices: list, values: list,
-    z: list[complex], a: list[complex], b: list[complex], up: list[int],
-) -> list[complex]:
-    """Z_ii of the columns with two or more entries, in ``columns`` order.
-
-    The Takahashi sweep of ``_selected_inverse_diag`` over these columns
-    only, last column first; ``z`` holds 1/d_i on entry and Z_ii once column
-    i is done. Every Z_kj it needs lies on the pattern of L (for k < j both
-    in J, j is a row of column k). For a branching column k they come from
-    ``z_col[k]``; a tree column k has the single entry j = p, and
-    Z_kp = -l_k Z_pp. A diagonal Z_jj is a_j + b_j Z_(up_j), whose anchor
-    comes later in the order and is done already. Plain lists, not
-    per-column numpy slices, because most columns hold two or three entries.
-    """
-    z_col: dict[int, dict[int, complex]] = {}
-    try:
-        for i in reversed(columns):
-            start, end = indptr[i] + 1, indptr[i + 1]
-            rows = indices[start:end]
-            ls = values[start:end]
-            m = len(rows)
-            zi = [0j] * m
-            for p in range(m):
-                jp, lp = rows[p], ls[p]
-                zi[p] -= lp * (a[jp] + b[jp] * z[up[jp]])
-                col = z_col.get(jp)
-                for q in range(p + 1, m):
-                    jq = rows[q]
-                    if col is None:
-                        k = indptr[jp] + 1
-                        if indptr[jp + 1] != k + 1 or indices[k] != jq:
-                            raise KeyError(jq)
-                        z_pq = -values[k] * (a[jq] + b[jq] * z[up[jq]])
-                    else:
-                        z_pq = col[jq]
-                    zi[p] -= ls[q] * z_pq
-                    zi[q] -= lp * z_pq
-            zii = z[i]
-            for p in range(m):
-                zii -= ls[p] * zi[p]
-            z[i] = zii
-            z_col[i] = dict(zip(rows, zi))
-    except KeyError:
-        raise _DroppedEntry("L lacks an entry that a branching column needs") from None
-    return [z[i] for i in columns]
 
 
 def _unit_solve_diag(lu: scipy.sparse.linalg.SuperLU, rows: np.ndarray) -> np.ndarray:

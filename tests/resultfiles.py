@@ -43,14 +43,15 @@ def read_result_json(path) -> tuple[dict, list[dict]]:
 
 
 def reference_result_csv(result) -> str:
-    """The CSV result file, written row by row through ``csv.writer``."""
+    """The CSV result file, written row by row through ``csv.writer``,
+    except that a name holding a "\\r" is quoted by hand."""
     f = io.StringIO()
     for key, value in _result_meta(result).items():
         f.write(f"# {key}={json.dumps(value)}\n")
     writer = csv.writer(f, lineterminator="\n")
     writer.writerow(("bus_id", "name", "vn_kv", "ikss_source_ka", "ikss_converter_ka", "ikss_ka", "energized"))
     for row in result.rows():
-        writer.writerow([
+        fields = [
             row["bus_id"],
             row["name"],
             f"{row['vn_kv']:.6f}",
@@ -58,7 +59,14 @@ def reference_result_csv(result) -> str:
             f"{row['ikss_converter_ka']:.6f}",
             f"{row['ikss_ka']:.6f}",
             "true" if row["energized"] else "false",
-        ])
+        ]
+        if isinstance(row["name"], str) and "\r" in row["name"]:
+            # csv.writer of Python 3.11 leaves a bare "\r" unquoted, and no
+            # CSV reader reads that field back
+            fields[1] = '"' + row["name"].replace('"', '""') + '"'
+            f.write(",".join(map(str, fields)) + "\n")
+        else:
+            writer.writerow(fields)
     return f.getvalue()
 
 

@@ -408,6 +408,18 @@ def test_result_files_match_the_row_writers_with_odd_names(case):
         assert_files_match_the_row_writers(calc_sc(net, FaultStudyOptions(case=case)))
 
 
+def test_result_csv_with_odd_names_reads_back(tmp_path):
+    net = random_network(3, max_buses=40)
+    for bus, name in zip(net.buses, ODD_NAMES):
+        bus.name = name
+    res = calc_sc(net)
+    path = tmp_path / "odd.csv"
+    write_result_csv(res, path)
+    _, rows = read_result_csv(path)
+    assert [row["name"] for row in rows] == list(res.bus_names)
+    assert set(ODD_NAMES) <= set(res.bus_names)
+
+
 @pytest.mark.parametrize("names", [[None, "b"], [5, 2.5], [True, ""]])
 def test_result_files_match_the_row_writers_with_names_that_are_no_str(names):
     net = degenerate_network()

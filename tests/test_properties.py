@@ -290,13 +290,37 @@ def branching_levels(lu) -> int:
     return max(level)
 
 
-def diag_by_both_sweeps(lu, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
-    """diag(Z) with the branching columns in level rounds, then in the
-    Python sweep, on the same factor."""
-    monkeypatch.setattr(solver, "_LEVEL_SWEEP_MIN_COLUMNS", 1)
-    z_level = impedance_matrix_diag(lu)
-    monkeypatch.setattr(solver, "_LEVEL_SWEEP_MIN_COLUMNS", 10**9)
-    return z_level, impedance_matrix_diag(lu)
+def takahashi_diag(lu) -> np.ndarray:
+    """diag(Z) of P*Y*P^T = L*D*L^T, in the permuted order, by Takahashi's
+    sweep over every column of L, last column first, in plain Python: with J
+    the rows below the diagonal of column i and l their values,
+    Z_ji = -sum_{k in J} l_k Z_kj for j in J and Z_ii = 1/d_i - sum_j l_j Z_ji.
+    Z is kept on the pattern of L, one dict per column; Z_kj with k < j both
+    in J is held by column k."""
+    l_factor = lu.L
+    l_factor.sort_indices()
+    indptr, indices, values = l_factor.indptr.tolist(), l_factor.indices.tolist(), l_factor.data.tolist()
+    z_diag = (1.0 / lu.U.diagonal()).tolist()
+    z_col: dict[int, dict[int, complex]] = {}
+
+    def z_at(j: int, k: int) -> complex:
+        if j == k:
+            return z_diag[j]
+        return z_col[min(j, k)][max(j, k)]
+
+    for i in range(len(z_diag) - 1, -1, -1):
+        rows = indices[indptr[i] + 1 : indptr[i + 1]]
+        ls = values[indptr[i] + 1 : indptr[i + 1]]
+        z_col[i] = {j: -sum(l * z_at(k, j) for k, l in zip(rows, ls)) for j in rows}
+        z_diag[i] -= sum(l * z_col[i][j] for j, l in zip(rows, ls))
+    return np.array(z_diag)
+
+
+def diag_by_level_rounds(lu, monkeypatch) -> np.ndarray:
+    """diag(Z) with every set of branching columns in level rounds, however
+    few, and the reference sweep's diagonal in the same (unpermuted) order."""
+    monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", 0)
+    return impedance_matrix_diag(lu), takahashi_diag(lu)[lu.perm_c]
 
 
 @pytest.mark.parametrize("seed", MESHED_3W_SEEDS)
@@ -305,8 +329,21 @@ def test_level_sweep_agrees_with_the_python_sweep(seed, case, monkeypatch):
     net = random_network(seed, max_buses=800, loops=30)
     lu = factorize(build_bbm(net, FaultStudyOptions(case=case)).y_matrix)
     assert np.count_nonzero(below_diagonal_entries(lu) > 1) > 50
-    z_level, z_python = diag_by_both_sweeps(lu, monkeypatch)
-    assert np.max(rel_diff(z_level, z_python)) < 1e-13
+    z_level, z_reference = diag_by_level_rounds(lu, monkeypatch)
+    assert np.max(rel_diff(z_level, z_reference)) < 1e-13
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_level_sweep_on_small_meshed_grids(seed, monkeypatch):
+    # a few loops on grids with 3W transformers (24 of the 60), open
+    # switches (41) and several islands (2); 51 of the factors have
+    # branching columns (up to 30), the others check the tree columns alone
+    net = random_network(seed, max_buses=120, loops=1 + seed % 6)
+    lu = factorize(build_bbm(net, FaultStudyOptions(case="max" if seed % 2 else "min")).y_matrix)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    z_level, z_reference = diag_by_level_rounds(lu, monkeypatch)
+    assert np.max(rel_diff(z_level, z_reference)) < 1e-13
+    assert np.max(rel_diff(z_level, unit_solve_diag(lu.shape[0], lu.solve))) < 1e-10
 
 
 def ladder(length: int, rungs_every: int) -> Network:
@@ -329,14 +366,15 @@ def test_selected_inversion_on_a_ladder(monkeypatch):
     n = y.shape[0]
     lu = factorize(y)
     assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert np.count_nonzero(below_diagonal_entries(lu) > 1) > solver._LEVEL_SWEEP_MIN_COLUMNS
+    # so many that the level rounds run without being forced
+    assert n * np.count_nonzero(below_diagonal_entries(lu) > 1) > solver._UNIT_SOLVE_MAX_ENTRIES
     assert branching_levels(lu) >= 20
     z = impedance_matrix_diag(lu)
     assert np.max(rel_diff(z, unit_solve_diag(n, lu.solve))) < 1e-10
     assert_matches_dense_inverse(z, y)
-    z_level, z_python = diag_by_both_sweeps(lu, monkeypatch)
+    z_level, z_reference = diag_by_level_rounds(lu, monkeypatch)
     assert np.array_equal(z_level, z)
-    assert np.max(rel_diff(z_level, z_python)) < 1e-13
+    assert np.max(rel_diff(z_level, z_reference)) < 1e-13
 
 
 def two_feeder_islands(with_single_bus_island: bool) -> Network:

@@ -87,13 +87,14 @@ def test_diag_zero_pivot_falls_back_to_unit_solves():
     assert impedance_matrix_diag(lu, rows=[1]) == pytest.approx(z[1:], abs=1e-12)
 
 
-@pytest.mark.parametrize("level_sweep", [False, True], ids=["python sweep", "level sweep"])
+@pytest.mark.parametrize("level_sweep", [False, True], ids=["unit-solve anchors", "level sweep"])
 def test_diag_entry_of_l_cancelled_to_zero_falls_back_to_unit_solves(monkeypatch, level_sweep):
     # the ordering eliminates the last bus (pivot 1) first; the update of
     # the entry between the other two, 2 - 2*1/1, is exactly 0 and SuperLU
     # drops it from L, so the first column (two entries below the diagonal)
-    # needs a Z that lies off the stored pattern of L
-    monkeypatch.setattr(solver, "_LEVEL_SWEEP_MIN_COLUMNS", 1 if level_sweep else 10**9)
+    # needs a Z that lies off the stored pattern of L: the level rounds fall
+    # back to unit solves, a unit solve of that column never reads it
+    monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", 0 if level_sweep else 10**9)
     y = scipy.sparse.csc_matrix(np.array([[3, 2, 2], [2, 4, 1], [2, 1, 1]]) * (1 - 2j))
     lu = factorize(y)
     assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -315,27 +316,52 @@ def test_calc_sc_factorizes_sparse_y_once(monkeypatch):
     assert np.all(res.ikss_converter_ka > 0.0)
 
 
+class CountingLU:
+    """A SuperLU factor that counts the right-hand-side columns it solves."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.columns = 0
+
+    def solve(self, rhs, *args, **kwargs):
+        self.columns += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
+        return self._lu.solve(rhs, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
 def test_calc_sc_makes_no_unit_vector_solves(monkeypatch):
     net = generate_radial_grid(4, 50, dg_every=5)
-    columns = []
+    factors = []
     real_splu = scipy.sparse.linalg.splu
 
-    class CountingLU:
-        def __init__(self, lu):
-            self._lu = lu
+    def counting_splu(*args, **kwargs):
+        factors.append(CountingLU(real_splu(*args, **kwargs)))
+        return factors[-1]
 
-        def solve(self, rhs, *args, **kwargs):
-            columns.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
-            return self._lu.solve(rhs, *args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self._lu, name)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **kw: CountingLU(real_splu(*a, **kw)))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     res = calc_sc(net)
     assert len(res.bus_ids) == len(net.buses)
     assert np.all(res.ikss_converter_ka > 0.0)
-    assert sum(columns) <= 1
+    assert sum(lu.columns for lu in factors) <= 1
+
+
+@pytest.mark.parametrize(
+    "seed, max_buses, loops, unit_solves",
+    [(2, 60, 4, True), (1, 800, 30, False)],
+    ids=["below the bound", "above the bound"],
+)
+def test_branching_columns_take_unit_solves_below_the_bound(seed, max_buses, loops, unit_solves):
+    net = random_network(seed, max_buses=max_buses, loops=loops)
+    y = build_bbm(net, FaultStudyOptions()).y_matrix
+    lu = CountingLU(factorize(y))
+    branching = np.count_nonzero(np.diff(lu.L.indptr) > 2)
+    assert branching > 10
+    assert (lu.shape[0] * branching <= solver._UNIT_SOLVE_MAX_ENTRIES) == unit_solves
+    z = impedance_matrix_diag(lu)
+    assert lu.columns == (branching if unit_solves else 0)
+    assert np.abs(z / np.diag(np.linalg.inv(y.toarray())) - 1).max() < 1e-10
 
 
 def test_result_row_helper():
