@@ -15,7 +15,6 @@ from .builder import FaultStudyOptions
 from .exceptions import (
     GridDataError,
     GridFileError,
-    InvalidDataError,
     InvalidOptionError,
     SingularMatrixError,
     SingularStampError,
@@ -47,7 +46,7 @@ from .gridfile import (
 )
 from .generator import generate_radial_grid
 from .networks import three_bus_example, wind_park_example
-from .bench import BenchmarkCase, BenchmarkReport, EquivalenceGateError, run_benchmark
+from .bench import EquivalenceGateError, run_benchmark
 
 __all__ = [
     "__version__",
@@ -69,7 +68,6 @@ __all__ = [
     "GridFileError",
     "ValidationError",
     "InvalidOptionError",
-    "InvalidDataError",
     "SolverError",
     "UnsolvableIslandError",
     "SingularStampError",
@@ -84,7 +82,5 @@ __all__ = [
     "three_bus_example",
     "wind_park_example",
     "run_benchmark",
-    "BenchmarkCase",
-    "BenchmarkReport",
     "EquivalenceGateError",
 ]

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .exceptions import (
-    InvalidDataError,
-    InvalidOptionError,
-    SingularStampError,
-    UnsolvableIslandError,
-    ValidationError,
-)
+from .exceptions import InvalidOptionError, SingularStampError, UnsolvableIslandError, ValidationError
 from .model import ConverterSource, ExternalGrid, Line, Network, Transformer2W, Transformer3W, validate
 
 __all__ = [
@@ -80,7 +74,7 @@ class FaultStudyOptions:
         # plain Python numbers, so that result metadata serializes as JSON
         object.__setattr__(self, "lv_tolerance_percent", int(self.lv_tolerance_percent))
         object.__setattr__(self, "s_base_mva", float(self.s_base_mva))
-        if isinstance(self.fault_buses, str):
+        if isinstance(self.fault_buses, (str, bytes, bytearray)):
             if self.fault_buses == "all":
                 return
             ids = None
@@ -129,15 +123,10 @@ def voltage_correction_factor(vn_kv: float, tolerance_percent: int, case: str) -
 
     Low voltage (<= 1 kV): c_max is 1.05 at 6 % tolerance, 1.10 at 10 %;
     c_min is 0.95 for both. Above 1 kV the tolerance class is ignored and
-    c is 1.10 / 1.00.
+    c is 1.10 / 1.00. ``case`` ("max" or "min") and ``tolerance_percent``
+    (6 or 10) are taken as ``FaultStudyOptions`` checked them.
     """
-    if case not in ("max", "min"):
-        raise InvalidOptionError(f"case must be 'max' or 'min', got {case!r}")
     if vn_kv <= LV_LEVEL_MAX_KV:
-        if tolerance_percent not in (6, 10):
-            raise InvalidOptionError(
-                f"tolerance_percent must be 6 or 10 at low voltage, got {tolerance_percent!r}"
-            )
         if case == "max":
             return 1.05 if tolerance_percent == 6 else 1.10
         return 0.95
@@ -158,13 +147,12 @@ def external_grid_impedance(eg: ExternalGrid, vn_kv: float, case: str, c: float)
 
     |Z| = c * vn^2 / S''_k with the case-matching short-circuit power;
     the R/X ratio splits it as X = |Z| / sqrt(1 + (R/X)^2), R = (R/X) * X.
+    ``validate`` keeps both short-circuit powers > 0.
     """
     if case == "max":
         s_sc_mva, rx = eg.s_sc_max_mva, eg.rx_max
     else:
         s_sc_mva, rx = eg.s_sc_min_mva, eg.rx_min
-    if not s_sc_mva > 0:
-        raise InvalidDataError(f"external grid short-circuit power must be > 0, got {s_sc_mva!r} MVA")
     z_mag = c * vn_kv**2 / s_sc_mva
     x = z_mag / math.sqrt(1.0 + rx * rx)
     return complex(rx * x, x)
@@ -347,16 +335,6 @@ def _stamp_csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -
     )
 
 
-def _over(y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """y / d for complex y and real d, rounded as Python's complex / float
-    rounds it, so that Y has the same bytes as a per-element stamp; numpy's
-    own complex / real division rounds differently in the last bit."""
-    out = np.empty(len(y), dtype=complex)
-    out.real = (y.real + y.imag * 0.0) / d
-    out.imag = (y.imag - y.real * 0.0) / d
-    return out
-
-
 def _unstampable(element: str, z_pu: complex) -> SingularStampError:
     return SingularStampError(f"{element}: branch impedance {z_pu!r} pu is too close to zero to stamp")
 
@@ -480,9 +458,9 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     rows[0:m:4] = rows[2:m:4] = cols[0:m:4] = cols[3:m:4] = f
     rows[1:m:4] = rows[3:m:4] = cols[1:m:4] = cols[2:m:4] = t
     rows[m:] = cols[m:] = row[sources]
-    vals[0:m:4] = _over(y, np.array(taps2)[keep])
+    vals[0:m:4] = y / np.array(taps2)[keep]
     vals[1:m:4] = y
-    vals[2:m:4] = vals[3:m:4] = -_over(y, np.array(taps)[keep])
+    vals[2:m:4] = vals[3:m:4] = -(y / np.array(taps)[keep])
     vals[m:] = shunts
     y_matrix = _stamp_csc(rows, cols, vals, dim)
 

@@ -24,10 +24,6 @@ class InvalidOptionError(GridDataError):
     """A study option is out of range or references unknown elements."""
 
 
-class InvalidDataError(GridDataError):
-    """A nameplate value is outside its physical domain."""
-
-
 class SolverError(Exception):
     """The electrical computation cannot proceed."""
 

@@ -14,8 +14,6 @@ columns.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -309,28 +307,14 @@ def _csv_name(name: str) -> str:
     return name
 
 
-def _csv_rows(columns: list[list]) -> str:
-    names = columns[1]
-    if set(map(type, names)) <= {str}:
-        text = "".join(names)
-        if any(c in text for c in _CSV_QUOTED):
-            columns[1] = list(map(_csv_name, names))
-        return "".join(map(_CSV_ROW.__mod__, zip(*columns)))
-    # a name that is no str, in a result built in Python
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for row in zip(*columns):
-        if type(row[1]) is str:
-            out.write(_CSV_ROW % (row[0], _csv_name(row[1]), *row[2:]))
-        else:
-            writer.writerow((row[0], row[1], *("%.6f" % v for v in row[2:6]), row[6]))
-    return out.getvalue()
-
-
 def write_result_csv(result: ShortCircuitResult, file_or_path) -> None:
     """Human-readable CSV: '#' metadata lines, header row, 6-decimal floats."""
     meta = "".join(f"# {key}={json.dumps(value)}\n" for key, value in _result_meta(result).items())
-    _write_text(file_or_path, meta + _CSV_HEADER + _csv_rows(_result_columns(result)))
+    columns = _result_columns(result)
+    names = "".join(result.bus_names)
+    if any(c in names for c in _CSV_QUOTED):
+        columns[1] = list(map(_csv_name, columns[1]))
+    _write_text(file_or_path, meta + _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, zip(*columns))))
 
 
 _JSON_ROW = (
@@ -341,15 +325,12 @@ _JSON_ROW = (
 
 def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
     """Machine-readable JSON: metadata object plus rows array, on one line,
-    as ``json.dumps`` writes it. Floats keep full precision; NaN markers
-    are written as null, and an infinite value raises ValueError, as
-    ``allow_nan=False`` does."""
+    as ``json.dumps`` writes it. Names are ``str``, as ``validate`` keeps
+    them, and go through ``json``'s own string encoder; floats keep full
+    precision; NaN markers are written as null, and an infinite value
+    raises ValueError, as ``allow_nan=False`` does."""
     columns = _result_columns(result)
-    try:
-        columns[1] = list(map(encode_basestring_ascii, columns[1]))
-    except TypeError:
-        # a name that is no str, in a result built in Python
-        columns[1] = [json.dumps(name, allow_nan=False) for name in columns[1]]
+    columns[1] = list(map(encode_basestring_ascii, columns[1]))
     for k in range(2, 6):
         values = getattr(result, _RESULT_COLUMNS[k])
         if np.isfinite(values).all():

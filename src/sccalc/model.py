@@ -207,11 +207,13 @@ def _number_rule(value, name: str) -> str:
         return f"{name} must be a number"
 
 
-def _outside_int64(value) -> bool:
+def _is_index(value) -> bool:
+    """An integer as ``operator.index`` takes it: int, bool or numpy integer."""
     try:
-        return not -_INT64_LIMIT <= value < _INT64_LIMIT
+        operator.index(value)
     except TypeError:
         return False
+    return True
 
 
 def validate(net: Network) -> list[Violation]:
@@ -249,16 +251,20 @@ def validate(net: Network) -> list[Violation]:
             vn_of[bus.id] = bus.vn_kv
         if not bus.vn_kv > 0:
             bad.append(("buses", i, "vn_kv", "vn_kv > 0"))
+        if not isinstance(bus.name, str):
+            bad.append(("buses", i, "name", "name must be a string"))
     try:
-        ids_fit = -_INT64_LIMIT <= min(vn_of, default=0) and max(vn_of, default=0) < _INT64_LIMIT
-    except TypeError:  # ids that are no numbers; judge them one by one
+        # ints of at most 63 bits besides the sign; -2**63 and numpy
+        # integers are judged one by one
+        ids_fit = max(map(int.bit_length, vn_of), default=0) < 64
+    except TypeError:
         ids_fit = False
     if not ids_fit:
-        bad.extend(
-            ("buses", i, "id", f"id {bus.id} is outside the 64-bit range")
-            for i, bus in enumerate(net.buses)
-            if _outside_int64(bus.id)
-        )
+        for i, bus in enumerate(net.buses):
+            if not _is_index(bus.id):
+                bad.append(("buses", i, "id", "id must be an integer"))
+            elif not -_INT64_LIMIT <= bus.id < _INT64_LIMIT:
+                bad.append(("buses", i, "id", f"id {bus.id} is outside the 64-bit range"))
 
     def unknown_bus(section: str, i: int, fieldname: str, bus_id) -> None:
         bad.append((section, i, fieldname, f"{fieldname} references unknown bus {bus_id}"))
@@ -345,10 +351,14 @@ def validate(net: Network) -> list[Violation]:
                 unknown_bus("switches", i, "other", sw.other)
             elif bus_ok and vn_of[sw.bus] != vn_of[sw.other]:
                 bad.append(("switches", i, "other", "bus-bus switches must connect buses of equal vn_kv"))
+        elif not isinstance(sw.other, ElementRef):
+            bad.append(("switches", i, "other", "other must be an int bus id or an ElementRef"))
         else:
             ref = sw.other
             if ref.kind not in SWITCHABLE_ELEMENT_KINDS:
                 bad.append(("switches", i, "other", f"element kind must be one of {SWITCHABLE_ELEMENT_KINDS}"))
+            elif not _is_index(ref.index):
+                bad.append(("switches", i, "other", "element index must be an integer"))
             else:
                 n = len(getattr(net, _COLLECTION_OF[ref.kind]))
                 if not 0 <= ref.index < n:

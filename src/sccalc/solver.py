@@ -18,7 +18,6 @@ The converter contribution takes one solve against the injection vector.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -29,14 +28,13 @@ import scipy.sparse.linalg
 
 from .builder import FaultStudyOptions, _voltage_correction_factors, build_bbm
 from .exceptions import InvalidOptionError, SingularMatrixError
-from .model import _INT64_LIMIT, Network
+from .model import Network
 
 __all__ = [
     "DEGENERATE_Z_TOL_PU",
     "ShortCircuitResult",
     "factorize",
     "impedance_matrix_diag",
-    "voltage_source_currents",
     "converter_contribution",
     "total_current",
     "calc_sc",
@@ -62,7 +60,8 @@ class ShortCircuitResult:
     ``ikss_ka`` is the sum of the two component magnitudes. Buses without a
     connection to a voltage source carry ``energized=False`` and zero
     currents; degenerate fault locations (|Z_ii| ~ 0) carry NaN and are
-    listed in ``degenerate_buses``.
+    listed in ``degenerate_buses``. The columns are aligned with ``bus_ids``;
+    ``rows()`` turns them into one dict per reported bus.
     """
 
     bus_ids: np.ndarray
@@ -75,21 +74,9 @@ class ShortCircuitResult:
     vn_kv: np.ndarray
     degenerate_buses: tuple[int, ...]
 
-    def row(self, bus_id: int) -> dict:
-        """The result row of one bus; KeyError if the study did not report it."""
-        hits = np.flatnonzero(self.bus_ids == bus_id)
-        if not len(hits):
-            raise KeyError(f"bus {bus_id!r} is not in this result")
-        i = int(hits[0])
-        return self._rows(slice(i, i + 1))[0]
-
     def rows(self) -> list[dict]:
-        """All result rows, in the order of ``bus_ids``."""
-        return self._rows(slice(None))
-
-    def _rows(self, at: slice) -> list[dict]:
-        """The result rows at ``at``; one ``tolist`` per column, not one
-        numpy scalar per cell."""
+        """All result rows, in the order of ``bus_ids``; one ``tolist`` per
+        column, not one numpy scalar per cell."""
         return [
             {
                 "bus_id": bus_id,
@@ -101,9 +88,9 @@ class ShortCircuitResult:
                 "energized": energized,
             }
             for bus_id, name, vn_kv, source, converter, total, energized in zip(
-                self.bus_ids[at].tolist(), self.bus_names[at], self.vn_kv[at].tolist(),
-                self.ikss_source_ka[at].tolist(), self.ikss_converter_ka[at].tolist(), self.ikss_ka[at].tolist(),
-                self.energized[at].tolist(),
+                self.bus_ids.tolist(), self.bus_names, self.vn_kv.tolist(),
+                self.ikss_source_ka.tolist(), self.ikss_converter_ka.tolist(), self.ikss_ka.tolist(),
+                self.energized.tolist(),
             )
         ]
 
@@ -353,11 +340,6 @@ def _unit_solve_diag(lu: scipy.sparse.linalg.SuperLU, rows: np.ndarray) -> np.nd
     return out
 
 
-def voltage_source_currents(z_diag: np.ndarray, u_q: np.ndarray) -> np.ndarray:
-    """Voltage-source fault current per bus, per unit: U_Q,i / Z_ii."""
-    return np.asarray(u_q) / np.asarray(z_diag)
-
-
 def converter_contribution(
     lu: scipy.sparse.linalg.SuperLU, z_diag: np.ndarray, i_kc: np.ndarray, rows=None
 ) -> np.ndarray:
@@ -414,15 +396,11 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     pick = bus_id.argsort()
     if options.fault_buses != "all":
         known = bus_id[pick]
-        wanted = sorted(set(options.fault_buses))
-        # ids beyond 64 bits name no bus, since validate keeps bus ids inside
-        lo, hi = bisect_left(wanted, -_INT64_LIMIT), bisect_left(wanted, _INT64_LIMIT)
-        inside = np.array(wanted[lo:hi], dtype=np.int64)
-        at = known.searchsorted(inside).clip(max=len(known) - 1)
-        unknown = wanted[:lo] + inside[known[at] != inside].tolist() + wanted[hi:]
+        wanted = set(options.fault_buses)
+        unknown = sorted(wanted.difference(known.tolist()))
         if unknown:
             raise InvalidOptionError(f"unknown fault bus id(s): {unknown}")
-        pick = pick[at]
+        pick = pick[known.searchsorted(sorted(wanted))]
     reported = list(map(buses.__getitem__, pick.tolist()))
     bus_ids = bus_id[pick]
     rows = np.fromiter(map(bbm.bus_index.get, bus_ids.tolist(), repeat(-1)), np.int64, len(pick))
@@ -435,7 +413,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
     z_safe = np.where(degenerate, 1.0, z_diag)
     c = _voltage_correction_factors(vn_kv[energized], options.lv_tolerance_percent, options.case)
-    i_k1 = voltage_source_currents(z_safe, c)
+    i_k1 = c / z_safe
     i_k2 = converter_contribution(lu, z_safe, bbm.i_kc, rows=live_rows)
     i_k1[degenerate] = complex(math.nan, 0.0)
     i_k2[degenerate] = complex(math.nan, 0.0)

@@ -60,7 +60,7 @@ def reference_result_csv(result) -> str:
             f"{row['ikss_ka']:.6f}",
             "true" if row["energized"] else "false",
         ]
-        if isinstance(row["name"], str) and "\r" in row["name"]:
+        if "\r" in row["name"]:
             # csv.writer of Python 3.11 leaves a bare "\r" unquoted, and no
             # CSV reader reads that field back
             fields[1] = '"' + row["name"].replace('"', '""') + '"'

@@ -12,7 +12,6 @@ from sccalc import (
     ElementRef,
     ExternalGrid,
     FaultStudyOptions,
-    InvalidDataError,
     InvalidOptionError,
     Line,
     Network,
@@ -65,16 +64,6 @@ def test_c_factor_tolerance_ignored_above_1kv():
     assert voltage_correction_factor(20.0, None, "min") == 1.00
 
 
-def test_c_factor_invalid_tolerance_at_lv():
-    with pytest.raises(InvalidOptionError):
-        voltage_correction_factor(0.4, 8, "max")
-
-
-def test_c_factor_invalid_case():
-    with pytest.raises(InvalidOptionError):
-        voltage_correction_factor(20.0, 10, "peak")
-
-
 def test_c_factor_boundary_at_1kv_is_lv():
     assert voltage_correction_factor(1.0, 6, "max") == 1.05
 
@@ -112,11 +101,6 @@ def test_external_grid_impedance_uses_case_values():
     z_min = external_grid_impedance(eg, 110.0, "min", c=1.0)
     assert abs(z_min) == pytest.approx(1.0 * 110.0**2 / 1500.0, rel=1e-12)
     assert z_max.real == 0.0 and z_min.real > 0.0
-
-
-def test_external_grid_impedance_rejects_nonpositive_power():
-    with pytest.raises(InvalidDataError):
-        external_grid_impedance(grid_eg(s_sc_max_mva=0.0, s_sc_min_mva=0.0), 110.0, "max", c=1.1)
 
 
 # --- line impedance --------------------------------------------------------
@@ -539,7 +523,7 @@ def test_options_validation():
         FaultStudyOptions(fault_buses=7)
     assert FaultStudyOptions(fault_buses=[3, 1]).fault_buses == (3, 1)
     # ids must be integers: a float or bool would silently name another bus
-    for fault_buses in ([1.5], [True], ["a"], "12"):
+    for fault_buses in ([1.5], [True], ["a"], "12", b"12", bytearray(b"12")):
         with pytest.raises(InvalidOptionError, match="fault_buses"):
             FaultStudyOptions(fault_buses=fault_buses)
     assert FaultStudyOptions(fault_buses=np.array([1, 2])).fault_buses == (1, 2)

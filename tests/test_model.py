@@ -1,7 +1,9 @@
 """Tests for the element-based grid model and its validation."""
 import dataclasses
 import math
+import re
 
+import numpy as np
 import pytest
 
 from sccalc import (
@@ -273,6 +275,50 @@ def test_bus_id_outside_64_bits_is_a_violation(bus_id):
         calc_sc(net)
     net.buses[1].id = net.lines[0].to_bus = bus_id // 2**40
     assert validate(net) == []
+
+
+def malformed_bus_id(net, bus_id):
+    net.buses[1].id = net.lines[0].to_bus = bus_id
+
+
+def malformed_switch(net, other):
+    net.switches.append(Switch(bus=1, other=other))
+
+
+@pytest.mark.parametrize(
+    "malform,value,violation",
+    [
+        (malformed_bus_id, 1.5, ("buses[1]", "id", "id must be an integer")),
+        (malformed_bus_id, "a", ("buses[1]", "id", "id must be an integer")),
+        (malformed_switch, 2.0, ("switches[0]", "other", "other must be an int bus id or an ElementRef")),
+        (malformed_switch, "x", ("switches[0]", "other", "other must be an int bus id or an ElementRef")),
+        (malformed_switch, ElementRef("line", 0.0), ("switches[0]", "other", "element index must be an integer")),
+    ],
+    ids=["float bus id", "str bus id", "float switch other", "str switch other", "float element index"],
+)
+def test_malformed_id_is_one_violation(malform, value, violation):
+    net = minimal_network()
+    malform(net, value)
+    assert validate(net) == [Violation(*violation)]
+    with pytest.raises(ValidationError, match=re.escape(str(Violation(*violation)))):
+        calc_sc(net)
+
+
+@pytest.mark.parametrize("bus_id", [np.int64(7), np.int32(-7), -(2**63), 2**63 - 1])
+def test_numpy_and_64_bit_edge_bus_ids_are_valid(bus_id):
+    net = minimal_network()
+    malformed_bus_id(net, bus_id)
+    malformed_switch(net, ElementRef("line", np.int64(0)))
+    assert validate(net) == []
+
+
+@pytest.mark.parametrize("name", [None, 5, b"B"], ids=["None", "int", "bytes"])
+def test_bus_name_that_is_no_str_is_a_violation(name):
+    net = minimal_network()
+    net.buses[1].name = name
+    assert validate(net) == [Violation("buses[1]", "name", "name must be a string")]
+    with pytest.raises(ValidationError, match=r"buses\[1\]: name must be a string"):
+        calc_sc(net)
 
 
 def test_unsupported_field_annotation_is_rejected():

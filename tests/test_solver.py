@@ -26,7 +26,6 @@ from sccalc.solver import (
     factorize,
     impedance_matrix_diag,
     total_current,
-    voltage_source_currents,
 )
 
 from netgen import random_network
@@ -111,26 +110,6 @@ def test_non_finite_solution_raises():
         impedance_matrix_diag(lu)
     with pytest.raises(SingularMatrixError, match="numerically singular"):
         converter_contribution(lu, np.array([1.0]), np.array([1.0j]))
-
-
-# --- voltage source currents --------------------------------------------------
-
-def test_voltage_source_current_scalar():
-    i = voltage_source_currents(np.array([0.5j]), np.array([1.1]))
-    assert abs(i[0]) == pytest.approx(2.2, rel=1e-12)
-
-
-def test_voltage_source_currents_two_bus():
-    z = impedance_matrix_diag(factorize(two_bus_y()))
-    i = voltage_source_currents(z, np.array([1.1, 1.1]))
-    assert np.abs(i) == pytest.approx([11.0, 2.2], rel=1e-12)
-
-
-def test_voltage_source_currents_scale_inversely_with_impedance():
-    z = impedance_matrix_diag(factorize(two_bus_y()))
-    i1 = np.abs(voltage_source_currents(z, np.array([1.1, 1.1])))
-    i2 = np.abs(voltage_source_currents(2.0 * z, np.array([1.1, 1.1])))
-    assert i2 == pytest.approx(0.5 * i1, rel=1e-12)
 
 
 # --- converter contribution ----------------------------------------------------
@@ -365,17 +344,12 @@ def test_branching_columns_take_unit_solves_below_the_bound(seed, max_buses, loo
 
 
 def test_result_row_helper():
-    res = calc_sc(two_bus_grid())
-    row = res.row(2)
+    rows = calc_sc(two_bus_grid()).rows()
+    assert [r["bus_id"] for r in rows] == [1, 2]
+    row = rows[1]
+    assert calc_sc(two_bus_grid(), FaultStudyOptions(fault_buses=(2,))).rows() == [row]
     assert row["bus_id"] == 2
     assert row["name"] == "end"
     assert row["vn_kv"] == 110.0
     assert row["energized"] is True
     assert row["ikss_ka"] == pytest.approx(8.280448349104471, rel=1e-12)
-
-
-def test_result_row_of_an_unreported_bus_raises_key_error():
-    res = calc_sc(two_bus_grid(), FaultStudyOptions(fault_buses=(2,)))
-    for bus_id in (1, 7):
-        with pytest.raises(KeyError, match=f"bus {bus_id} "):
-            res.row(bus_id)
