@@ -1,12 +1,16 @@
 """Versioned JSON grid documents and tabular result files.
 
-The grid schema is strict: unknown fields are rejected so nameplate typos
-surface immediately instead of silently dropping data. A section is parsed
-as whole columns, one list per field, each checked in one pass and turned
-into elements with one ``map`` over the element class. When any check
-fails, the section goes through the per-entry checker instead, which
-raises the message of the first error in document order; the column
-checks are never looser than it.
+A grid document of version 2, the one written, holds each element section
+as an object of field columns, arrays of equal length, as pandapower keeps
+its element tables; version 1, an array of one object per element, is
+still read. Switches are an array of objects in both. The schema is strict:
+unknown fields are rejected so nameplate typos surface immediately instead
+of silently dropping data. A section is parsed as whole columns, one list
+per field, each checked in one pass and turned into elements with one
+``map`` over the element class. When any check fails, the section goes
+through the per-entry checker instead (a version 2 section as the entries
+its columns hold), which raises the message of the first error in entry
+order; the column checks are never looser than it.
 
 Results are written as CSV (6 decimals, for humans) or JSON (full
 precision, for machines), one ``%`` template per row over the result
@@ -15,8 +19,9 @@ columns.
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,7 +40,8 @@ __all__ = [
     "write_result_json",
 ]
 
-GRID_FILE_VERSION = 1
+# the version written; version 1, one object per element, is read too
+GRID_FILE_VERSION = 2
 
 _RESULT_COLUMNS = (
     "bus_id",
@@ -110,42 +116,85 @@ class _Absent:
 
 _ABSENT = _Absent()
 
-# the value types a column of each field type may hold
+# the value types a column of each field type may hold, and those of a
+# column that needs neither float() nor defaults
 _COLUMN_TYPES = {"int": {int}, "num": {int, float}, "str": {str}, "bool": {bool}}
+_PLAIN_TYPES = {"int": {int}, "num": {float}, "str": {str}, "bool": {bool}}
 
 
-def _parse_section(entries: list, section: str, cls: type) -> list | None:
-    """The elements of one section, built a column at a time; None when any
-    entry breaks a column check, so that the per-entry checker can name the
-    first error. Every check is at least as strict as ``_coerce``."""
-    if set(map(type, entries)) != {dict}:
-        return None
-    columns = []
-    found = 0
-    for name, typ, required, default in FIELD_SPECS[section]:
-        col = list(map(dict.get, entries, repeat(name), repeat(_ABSENT)))
+def _build_section(columns: list, section: str, cls: type) -> list | None:
+    """The elements of one section from one non-empty column per field of
+    ``FIELD_SPECS[section]``, each checked in one pass; a value an entry
+    leaves out is ``_ABSENT``. None when any value breaks a column check, so
+    that the per-entry checker can name the first error. Every check is at
+    least as strict as ``_coerce``."""
+    checked = []
+    for col, (_, typ, required, default) in zip(columns, FIELD_SPECS[section]):
         types = set(map(type, col))
-        absent = _Absent in types
-        if absent and required or not types - {_Absent} <= _COLUMN_TYPES[typ]:
-            return None
-        found += len(col) - col.count(_ABSENT) if absent else len(col)
-        if typ == "num" and types != {float}:
-            try:
-                col = [v if v is _ABSENT else float(v) for v in col]
-            except OverflowError:
+        if types != _PLAIN_TYPES[typ]:
+            absent = _Absent in types
+            if absent and required or not types - {_Absent} <= _COLUMN_TYPES[typ]:
                 return None
-        if absent:
-            col = [default if v is _ABSENT else v for v in col]
+            if typ == "num":
+                try:
+                    col = [v if v is _ABSENT else float(v) for v in col]
+                except OverflowError:
+                    return None
+            if absent:
+                col = [default if v is _ABSENT else v for v in col]
         if typ == "int" and not (-_INT64_LIMIT <= min(col) and max(col) < _INT64_LIMIT):
             return None
         if typ == "str" and not _is_unicode("".join(col)):
             return None
-        columns.append(col)
-    # every key is a known field exactly when the fields found add up to
-    # the number of keys
-    if found != sum(map(len, entries)):
-        return None
-    return list(map(cls, *columns))
+        checked.append(col)
+    return list(map(cls, *checked))
+
+
+def _parse_entries(entries, section: str, cls: type) -> list:
+    """A version 1 section: an array of entry objects."""
+    if not isinstance(entries, list):
+        raise GridFileError(f"document.{section}: expected an array")
+    if not entries:
+        return []
+    if set(map(type, entries)) == {dict} and _KNOWN_FIELDS[section].issuperset(chain.from_iterable(entries)):
+        columns = [list(map(dict.get, entries, repeat(name), repeat(_ABSENT))) for name, _, _, _ in FIELD_SPECS[section]]
+        elements = _build_section(columns, section, cls)
+        if elements is not None:
+            return elements
+    return _parse_each(entries, section, cls)
+
+
+def _parse_each(entries: list, section: str, cls: type) -> list:
+    """The elements of one section through the per-entry checker, which
+    raises the message of the first error in entry order."""
+    return [cls(**_parse_entry(entry, section, f"{section}[{i}]")) for i, entry in enumerate(entries)]
+
+
+def _parse_columns(table, section: str, cls: type) -> list:
+    """A version 2 section: an object of equal-length field columns. A
+    section that breaks a column check goes through the per-entry checker
+    as the entries its columns hold, so its error reads as in version 1."""
+    path = f"document.{section}"
+    if not isinstance(table, dict):
+        raise GridFileError(f"{path}: expected an object, got {type(table).__name__}")
+    known = _KNOWN_FIELDS[section]
+    length = first = None
+    for name, col in table.items():
+        if name not in known:
+            raise GridFileError(f"{path}: unknown field {name!r}")
+        if not isinstance(col, list):
+            raise GridFileError(f"{path}.{name}: expected an array, got {type(col).__name__}")
+        if first is None:
+            length, first = len(col), name
+        elif len(col) != length:
+            raise GridFileError(f"{path}.{name}: {len(col)} values, but {first!r} has {length}")
+    if not length:
+        return []
+    absent = [_ABSENT] * length
+    elements = _build_section([table.get(name, absent) for name, _, _, _ in FIELD_SPECS[section]], section, cls)
+    if elements is not None:
+        return elements
+    return _parse_each([dict(zip(table, values)) for values in zip(*table.values())], section, cls)
 
 
 def _parse_switch(entry, path: str) -> Switch:
@@ -176,7 +225,8 @@ def _parse_switch(entry, path: str) -> Switch:
 
 
 def network_from_dict(data) -> Network:
-    """Build a Network from a grid document; strict schema, no validation."""
+    """Build a Network from a grid document of any version that is read;
+    strict schema, no validation."""
     if not isinstance(data, dict):
         raise GridFileError(f"document root must be an object, got {type(data).__name__}")
     known = {"version", "name", "switches"} | set(SECTIONS)
@@ -185,19 +235,14 @@ def network_from_dict(data) -> Network:
             raise GridFileError(f"document: unknown section {key!r}")
     if "version" not in data:
         raise GridFileError("document: missing required field 'version'")
-    if data["version"] != GRID_FILE_VERSION:
-        raise GridFileError(
-            f"document: unsupported version {data['version']!r}, expected {GRID_FILE_VERSION}"
-        )
+    version = data["version"]
+    # JSON true and 1.0 equal 1 but are no version number
+    if type(version) is not int or version not in (1, GRID_FILE_VERSION):
+        raise GridFileError(f"document: unsupported version {version!r}, expected 1 or {GRID_FILE_VERSION}")
+    parse, empty = (_parse_entries, []) if version == 1 else (_parse_columns, {})
     net = Network(name=_coerce(data.get("name", ""), "str", "document.name"))
     for section, cls in SECTIONS.items():
-        entries = data.get(section, [])
-        if not isinstance(entries, list):
-            raise GridFileError(f"document.{section}: expected an array")
-        elements = _parse_section(entries, section, cls) if entries else []
-        if elements is None:
-            elements = [cls(**_parse_entry(entry, section, f"{section}[{i}]")) for i, entry in enumerate(entries)]
-        getattr(net, section).extend(elements)
+        getattr(net, section).extend(parse(data.get(section, empty), section, cls))
     switches = data.get("switches", [])
     if not isinstance(switches, list):
         raise GridFileError("document.switches: expected an array")
@@ -206,13 +251,19 @@ def network_from_dict(data) -> Network:
     return net
 
 
+# section -> [(field, its getter)], the columns of a version 2 section
+_COLUMN_GETTERS = {
+    section: [(name, attrgetter(name)) for name, _, _, _ in specs] for section, specs in FIELD_SPECS.items()
+}
+
+
 def network_to_dict(net: Network) -> dict:
+    """The grid document of ``net``, in the current version: every element
+    section as one list per field."""
     doc: dict = {"version": GRID_FILE_VERSION, "name": net.name}
-    for section, specs in FIELD_SPECS.items():
-        doc[section] = [
-            {name: getattr(el, name) for name, _, _, _ in specs}
-            for el in getattr(net, section)
-        ]
+    for section, getters in _COLUMN_GETTERS.items():
+        elements = getattr(net, section)
+        doc[section] = {name: list(map(get, elements)) for name, get in getters}
     doc["switches"] = []
     for sw in net.switches:
         if isinstance(sw.other, int):
@@ -246,11 +297,22 @@ def load_network(path) -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    """Write a grid document; a path that cannot be opened raises
-    GridFileError."""
+    """Write a grid document, one line per field column and per switch; a
+    path that cannot be opened raises GridFileError. Each line is one
+    ``json.dumps`` call: with ``indent`` set, ``json`` would fall back to
+    its pure-Python encoder for the whole document."""
+    items = []
+    for key, value in network_to_dict(net).items():
+        if isinstance(value, dict):
+            lines = [f"    {json.dumps(name)}: {json.dumps(col)}" for name, col in value.items()]
+            text = "{\n" + ",\n".join(lines) + "\n  }"
+        elif key == "switches" and value:
+            text = "[\n" + ",\n".join(f"    {json.dumps(sw)}" for sw in value) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        items.append(f"  {json.dumps(key)}: {text}")
     with _create(path) as f:
-        json.dump(network_to_dict(net), f, indent=2)
-        f.write("\n")
+        f.write("{\n" + ",\n".join(items) + "\n}\n")
 
 
 def _result_meta(result: ShortCircuitResult) -> dict:

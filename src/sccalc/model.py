@@ -11,6 +11,7 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 __all__ = [
     "Bus",
@@ -140,11 +141,17 @@ def _field_specs(cls: type) -> list[tuple[str, str, bool, object]]:
 FIELD_SPECS = {section: _field_specs(cls) for section, cls in SECTIONS.items()}
 
 
-# section -> [(float field name, its getter)], for the finiteness rule
-_FLOAT_FIELDS = {
-    section: [(name, operator.attrgetter(name)) for name, typ, _, _ in specs if typ == "num"]
-    for section, specs in FIELD_SPECS.items()
-}
+def _typed_fields(specs: list) -> tuple:
+    floats = [name for name, typ, _, _ in specs if typ == "num"]
+    flags = [(name, operator.attrgetter(name)) for name, typ, _, _ in specs if typ == "bool"]
+    return floats, operator.attrgetter(*floats), flags
+
+
+# section -> (its float fields, a getter of all of them, its bool flags with
+# their getters), for the rules on value types
+_TYPED_FIELDS = {section: _typed_fields(specs) for section, specs in FIELD_SPECS.items()}
+_TYPED_FIELDS["switches"] = ([], None, [("closed", operator.attrgetter("closed"))])
+_BOOL_TYPE = {bool}
 
 
 @dataclass(frozen=True)
@@ -207,6 +214,16 @@ def _number_rule(value, name: str) -> str:
         return f"{name} must be a number"
 
 
+def _all_finite(values, width: int) -> bool:
+    """Whether ``values`` (tuples of ``width`` when ``width`` > 1) are all
+    finite numbers, from one sum; False may also mean that the sum
+    overflowed or met a value that is no number."""
+    try:
+        return math.isfinite(sum(chain.from_iterable(values) if width > 1 else values))
+    except TypeError:
+        return False
+
+
 def _is_index(value) -> bool:
     """An integer as ``operator.index`` takes it: int, bool or numpy integer."""
     try:
@@ -226,37 +243,49 @@ def validate(net: Network) -> list[Violation]:
     # (section, element index, field, rule); the element labels are built
     # only for what is found, at the end
     bad: list[tuple[str, int | None, str, str]] = []
-    for section, fields in _FLOAT_FIELDS.items():
+    for section, (floats, get_floats, flags) in _TYPED_FIELDS.items():
         elements = getattr(net, section)
-        for name, get in fields:
-            try:
-                if all(map(math.isfinite, map(get, elements))):
-                    continue
-            except TypeError:
-                pass
-            bad.extend(
-                (section, i, name, rule)
-                for i, el in enumerate(elements)
-                if (rule := _number_rule(get(el), name))
-            )
+        if not elements:
+            continue
+        if floats and not _all_finite(map(get_floats, elements), len(floats)):
+            for name in floats:
+                bad.extend(
+                    (section, i, name, rule)
+                    for i, el in enumerate(elements)
+                    if (rule := _number_rule(getattr(el, name), name))
+                )
+        # truthiness would decide a flag that holds no bool
+        for name, get in flags:
+            if not set(map(type, map(get, elements))) <= _BOOL_TYPE:
+                bad.extend(
+                    (section, i, name, f"{name} must be a bool")
+                    for i, el in enumerate(elements)
+                    if type(get(el)) is not bool
+                )
     if any(rule.endswith("must be a number") for _, _, _, rule in bad):
         # the rules below compare these fields and cannot judge a non-number
         return _violations(bad)
 
     vn_of: dict[int, float] = {}
+    ids_fit = True
     for i, bus in enumerate(net.buses):
-        if bus.id in vn_of:
-            bad.append(("buses", i, "id", f"id {bus.id} is not unique"))
-        else:
-            vn_of[bus.id] = bus.vn_kv
-        if not bus.vn_kv > 0:
+        bus_id, vn = bus.id, bus.vn_kv
+        try:
+            if bus_id in vn_of:
+                bad.append(("buses", i, "id", f"id {bus_id} is not unique"))
+            else:
+                vn_of[bus_id] = vn
+        except TypeError:
+            # an unhashable id, which the integer rule below names
+            ids_fit = False
+        if not vn > 0:
             bad.append(("buses", i, "vn_kv", "vn_kv > 0"))
         if not isinstance(bus.name, str):
             bad.append(("buses", i, "name", "name must be a string"))
     try:
         # ints of at most 63 bits besides the sign; -2**63 and numpy
         # integers are judged one by one
-        ids_fit = max(map(int.bit_length, vn_of), default=0) < 64
+        ids_fit = ids_fit and max(map(int.bit_length, vn_of), default=0) < 64
     except TypeError:
         ids_fit = False
     if not ids_fit:
@@ -265,6 +294,41 @@ def validate(net: Network) -> list[Violation]:
                 bad.append(("buses", i, "id", "id must be an integer"))
             elif not -_INT64_LIMIT <= bus.id < _INT64_LIMIT:
                 bad.append(("buses", i, "id", f"id {bus.id} is outside the 64-bit range"))
+
+    checked = len(bad)
+    try:
+        _check_elements(net, vn_of, bad)
+    except TypeError:
+        # an unhashable bus reference; judged again, it is an unknown bus
+        del bad[checked:]
+        _check_elements(net, _BusTable(vn_of), bad)
+
+    if not net.external_grids:
+        bad.append(("network", None, "external_grids", "at least one ExternalGrid is required for a solvable study"))
+
+    return _violations(bad)
+
+
+class _BusTable(dict):
+    """Bus id -> vn_kv for a network that refers to a bus by an unhashable
+    value, which is no key of it."""
+
+    def __contains__(self, key) -> bool:
+        try:
+            return super().__contains__(key)
+        except TypeError:
+            return False
+
+    def get(self, key, default=None):
+        try:
+            return super().get(key, default)
+        except TypeError:
+            return default
+
+
+def _check_elements(net: Network, vn_of: dict, bad: list) -> None:
+    """The rules of the elements and switches, given the nominal voltage of
+    each bus id (a number, never None); appends what it finds to ``bad``."""
 
     def unknown_bus(section: str, i: int, fieldname: str, bus_id) -> None:
         bad.append((section, i, fieldname, f"{fieldname} references unknown bus {bus_id}"))
@@ -281,24 +345,26 @@ def validate(net: Network) -> list[Violation]:
         if eg.rx_min < 0:
             bad.append(("external_grids", i, "rx_min", "rx_min >= 0"))
 
+    vn_at = vn_of.get
     for i, ln in enumerate(net.lines):
-        from_ok = ln.from_bus in vn_of
-        if not from_ok:
+        from_vn = vn_at(ln.from_bus)
+        if from_vn is None:
             unknown_bus("lines", i, "from_bus", ln.from_bus)
-        to_ok = ln.to_bus in vn_of
-        if not to_ok:
+        to_vn = vn_at(ln.to_bus)
+        if to_vn is None:
             unknown_bus("lines", i, "to_bus", ln.to_bus)
+        r, x = ln.r_ohm_per_km, ln.x_ohm_per_km
         if not ln.length_km > 0:
             bad.append(("lines", i, "length_km", "length_km > 0"))
-        if ln.r_ohm_per_km < 0:
+        if r < 0:
             bad.append(("lines", i, "r_ohm_per_km", "r_ohm_per_km >= 0"))
-        if ln.x_ohm_per_km < 0:
+        if x < 0:
             bad.append(("lines", i, "x_ohm_per_km", "x_ohm_per_km >= 0"))
-        if ln.r_ohm_per_km == 0 and ln.x_ohm_per_km == 0:
+        if r == 0 and x == 0:
             bad.append(("lines", i, "r_ohm_per_km", "r_ohm_per_km and x_ohm_per_km must not both be zero"))
         if ln.endtemp_degc < 20:
             bad.append(("lines", i, "endtemp_degc", "endtemp_degc >= 20"))
-        if from_ok and to_ok and vn_of[ln.from_bus] != vn_of[ln.to_bus]:
+        if from_vn != to_vn and from_vn is not None and to_vn is not None:
             bad.append(("lines", i, "to_bus", "from_bus and to_bus must have equal vn_kv"))
 
     for i, t in enumerate(net.transformers2w):
@@ -365,11 +431,6 @@ def validate(net: Network) -> list[Violation]:
                     bad.append(("switches", i, "other", f"{ref.kind}[{ref.index}] does not exist"))
                 elif bus_ok and sw.bus not in net.element_terminals(ref.kind, ref.index):
                     bad.append(("switches", i, "bus", f"bus {sw.bus} is not a terminal of {ref.kind}[{ref.index}]"))
-
-    if not net.external_grids:
-        bad.append(("network", None, "external_grids", "at least one ExternalGrid is required for a solvable study"))
-
-    return _violations(bad)
 
 
 def _violations(bad: list[tuple[str, int | None, str, str]]) -> list[Violation]:

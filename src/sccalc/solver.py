@@ -13,6 +13,8 @@ Chen (1973) and Erisman & Tinney (1975), which computes Z only on the
 pattern of L: the tree columns of L (one entry below the diagonal) by
 pointer jumping in numpy, the others level by level in numpy rounds
 (Anderson & Saad 1989), or by one unit-vector solve each when they are few.
+A factor so small that the unit-vector solves for all requested entries
+cost less than building L skips the selected inversion and takes them.
 The converter contribution takes one solve against the injection vector.
 """
 from __future__ import annotations
@@ -43,8 +45,6 @@ __all__ = [
 # |Z_ii| below this marks a fault directly on an ideal node; the bus gets
 # an error marker instead of an infinite current
 DEGENERATE_Z_TOL_PU = 1e-12
-
-_SOLVE_CHUNK = 512
 
 _SINGULAR = "admittance matrix is numerically singular"
 
@@ -121,25 +121,27 @@ def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndar
     """Diagonal of the bus impedance matrix Z = inv(Y), per unit.
 
     ``lu`` is the factorization of the complex symmetric Y from ``factorize``.
-    One selected inversion yields the whole diagonal, so ``rows`` (a subset
-    of diagonal entries) costs the same as all of them. If SuperLU met an
-    exactly zero diagonal pivot it pivots off the diagonal
-    (``perm_r != perm_c``), the factor is no longer L*D*L^T, and each
-    requested entry takes one unit-vector solve instead. So it does if
-    SuperLU dropped an entry of L that cancelled to exactly zero and the
-    level rounds need the Z at its place.
+    Where the n x len(rows) block of unit right-hand sides for the requested
+    entries ``rows`` is small (see ``_UNIT_SOLVE_MAX_ENTRIES``), each entry
+    takes one unit-vector solve, and SuperLU's L and U are never built. Else
+    one selected inversion yields the whole diagonal, so a subset of rows
+    costs the same as all of them. If SuperLU met an exactly zero diagonal
+    pivot it pivots off the diagonal (``perm_r != perm_c``), the factor is
+    no longer L*D*L^T, and the entries take unit-vector solves too. So they
+    do if SuperLU dropped an entry of L that cancelled to exactly zero and
+    the level rounds need the Z at its place.
     """
     n = lu.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
-    if (lu.perm_r == lu.perm_c).all():
+    if n * len(rows) <= _UNIT_SOLVE_MAX_ENTRIES or not (lu.perm_r == lu.perm_c).all():
+        out = _unit_solve_diag(lu, rows)
+    else:
         try:
             # an overflowing pivot inverse is reported by _require_finite
             with np.errstate(all="ignore"):
                 out = _selected_inverse_diag(lu)[lu.perm_c[rows]]
         except _DroppedEntry:
             out = _unit_solve_diag(lu, rows)
-    else:
-        out = _unit_solve_diag(lu, rows)
     return _require_finite(out, "impedance matrix diagonal")
 
 
@@ -198,17 +200,22 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     return a + b * z[up]
 
 
-# The branching columns take unit solves while n * k, the entries of their
-# block of right-hand sides, stays at or below this count (128 KB of complex
-# values), which bounds both the solve work and the memory. Measured on one
-# 2-vCPU VM, both paths interleaved on 275 factors with branching columns
-# (random_network grids of 20-800 buses with 0-8 extra loops, radial grids
-# of 100-10^4 buses with 1-8 ties, 4 ladders): unit solves were faster on
-# every factor up to this count (1.05-3.6x below 4 000 entries), the level
-# rounds, whose set-up is fixed, on every factor above 12 000. On the 88
-# factors of 2 000-40 000 entries (one BLAS thread) the picks summed to
-# 24.1 ms against 23.7 ms for the faster path on each; 4096 gave 27.9 ms.
-_UNIT_SOLVE_MAX_ENTRIES = 8192
+# Unit-vector solves replace the rest while n * m, the entries of all their
+# right-hand sides, stays at or below this count: m = len(rows) for a whole
+# request in impedance_matrix_diag, m = k for the k branching columns of the
+# selected inversion. Measured on one 2-vCPU VM with 8-column blocks, both
+# paths interleaved on fresh factors, median of 7. Whole requests, on 117
+# factors of 5-200 nodes (random_network and batch_files-like grids): unit
+# solves beat building L plus the selected inversion on 53 of the 55 below
+# 2000 entries, 3 of the 16 up to 4000 and none of the 19 up to 8192; the
+# picks of 3072, 4096 and 8192 summed to 13.71, 13.94 and 15.77 ms, against
+# 13.66 ms for the faster path on each. Branching columns, on 47 factors of
+# 500-40 000 entries (random_network grids of 20-800 buses with 0-8 extra
+# loops, radial grids of 100-10^4 buses with 1-8 ties, 4 ladders): unit
+# solves won on every factor below 4000 entries, the level rounds, whose
+# set-up is fixed, on every one above 8192; 4096 and 8192 summed to 11.75
+# and 11.53 ms, against 11.51 ms.
+_UNIT_SOLVE_MAX_ENTRIES = 4096
 
 
 def _level_sweep(
@@ -328,16 +335,25 @@ def _level_sweep(
 
 
 def _unit_solve_diag(lu: scipy.sparse.linalg.SuperLU, rows: np.ndarray) -> np.ndarray:
-    """The requested entries of diag(Z), one unit-vector solve each."""
+    """The requested entries of diag(Z), one unit-vector solve each, in
+    blocks of ``_SOLVE_BLOCK`` right-hand sides."""
     n = lu.shape[0]
     out = np.empty(len(rows), dtype=complex)
-    for start in range(0, len(rows), _SOLVE_CHUNK):
-        chunk = rows[start : start + _SOLVE_CHUNK]
-        cols = np.arange(len(chunk))
-        rhs = np.zeros((n, len(chunk)), dtype=complex)
-        rhs[chunk, cols] = 1.0
-        out[start : start + len(chunk)] = lu.solve(rhs)[chunk, cols]
+    for start in range(0, len(rows), _SOLVE_BLOCK):
+        block = rows[start : start + _SOLVE_BLOCK]
+        cols = np.arange(len(block))
+        rhs = np.zeros((n, len(block)), dtype=complex)
+        rhs[block, cols] = 1.0
+        out[start : start + len(block)] = lu.solve(rhs)[block, cols]
     return out
+
+
+# Right-hand sides per solve, which bounds the memory of a block and its
+# solution. perfbench batch_files (seed 1, three interleaved 20-s runs each):
+# peak_mem_mb was 0.0462 MB with 8 or 12 columns and 0.0479 MB with 16,
+# against 0.0466 MB when small factors took the selected inversion;
+# study_s did not tell 8, 12 and 16 apart (3.1-3.4 ms).
+_SOLVE_BLOCK = 8
 
 
 def converter_contribution(

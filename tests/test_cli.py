@@ -6,6 +6,7 @@ import pytest
 from sccalc import FaultStudyOptions, calc_sc, load_network, save_network
 from sccalc.cli import main
 
+from gridfiles import network_to_v1_dict
 from netgen import random_network
 from resultfiles import read_result_csv, read_result_json
 
@@ -175,8 +176,28 @@ def test_generate_roundtrip(tmp_path, capsys):
     assert code == 0
     net = load_network(out)
     assert len(net.buses) == 8
+    assert json.loads(out.read_text())["version"] == 2
     assert "8 buses" in capsys.readouterr().out
     assert main(["calc", str(out)]) == 0
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_v1_file_and_its_v2_resave_give_identical_results(tmp_path, capsys, seed):
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(network_to_v1_dict(random_network(seed)), indent=2))
+    v2 = tmp_path / "v2.json"
+    save_network(load_network(v1), v2)
+    assert json.loads(v2.read_text())["version"] == 2
+    for path in (v1, v2):
+        assert main(["validate", str(path)]) == 0
+    reports = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 1)[1] for line in reports] == ["OK (%d buses)" % len(load_network(v1).buses)] * 2
+    for case in ("max", "min"):
+        for fmt in ("csv", "json"):
+            outs = [tmp_path / f"{path.stem}-{case}.{fmt}" for path in (v1, v2)]
+            for path, out in zip((v1, v2), outs):
+                assert main(["calc", str(path), "--case", case, "--format", fmt, "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize(

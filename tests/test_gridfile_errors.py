@@ -12,9 +12,10 @@ import random
 import pytest
 
 from sccalc import GridFileError, network_from_dict
-from sccalc.gridfile import _parse_entry, network_to_dict
+from sccalc.gridfile import _parse_entry
 from sccalc.model import SECTIONS
 
+from gridfiles import network_to_v1_dict
 from netgen import random_network
 
 BASE = {
@@ -138,7 +139,7 @@ SNAPSHOT = {
     'root_not_object': 'document root must be an object, got list',
     'unknown_section': "document: unknown section 'shunts'",
     'missing_version': "document: missing required field 'version'",
-    'unsupported_version': "document: unsupported version '1', expected 1",
+    'unsupported_version': "document: unsupported version '1', expected 1 or 2",
     'name_not_str': 'document.name: expected str, got 5',
     'section_not_array': 'document.lines: expected an array',
     'entry_not_object': 'buses[1]: expected an object, got list',
@@ -222,7 +223,7 @@ def _outcome(parse, doc):
 @pytest.mark.parametrize("seed", range(60))
 def test_sections_parse_like_the_per_entry_checker(seed):
     rng = random.Random(seed)
-    doc = network_to_dict(random_network(seed, max_buses=30))
+    doc = network_to_v1_dict(random_network(seed, max_buses=30))
     doc["switches"] = []
     for _ in range(rng.randint(0, 3)):
         section = rng.choice([s for s in SECTIONS if doc[s]])

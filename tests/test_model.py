@@ -312,6 +312,60 @@ def test_numpy_and_64_bit_edge_bus_ids_are_valid(bus_id):
     assert validate(net) == []
 
 
+def test_unhashable_bus_id_is_one_violation():
+    net = minimal_network()
+    net.buses.append(Bus([2], 110.0))
+    assert validate(net) == [Violation("buses[2]", "id", "id must be an integer")]
+    with pytest.raises(ValidationError, match=r"buses\[2\]: id must be an integer"):
+        calc_sc(net)
+
+
+@pytest.mark.parametrize("section", ["external_grids", "lines", "switches"])
+def test_unhashable_bus_reference_is_one_violation(section):
+    net = minimal_network()
+    if section == "switches":
+        net.switches.append(Switch(bus=[1], other=2))
+        violation = Violation("switches[0]", "bus", "bus references unknown bus [1]")
+    elif section == "lines":
+        net.lines[0] = Line(1, [2], length_km=10.0, r_ohm_per_km=0.1, x_ohm_per_km=0.4)
+        violation = Violation("lines[0]", "to_bus", "to_bus references unknown bus [2]")
+    else:
+        net.external_grids.append(ExternalGrid(bus=[2], s_sc_max_mva=100.0))
+        violation = Violation("external_grids[1]", "bus", "bus references unknown bus [2]")
+    assert validate(net) == [violation]
+    with pytest.raises(ValidationError, match=re.escape(str(violation))):
+        calc_sc(net)
+
+
+def flagged_elements(net: Network) -> list:
+    """(section, element) of every element that holds a bool flag, one per
+    section; a switch for ``closed``."""
+    net.switches.append(Switch(bus=1, other=ElementRef("line", 0), closed=True))
+    return [(section, getattr(net, section)[0]) for section in (*SECTIONS, "switches")]
+
+
+@pytest.mark.parametrize("value", ["no", None, 0, 1.0], ids=["str", "None", "int", "float"])
+@pytest.mark.parametrize("section", [*SECTIONS, "switches"])
+def test_flag_that_is_no_bool_is_a_violation(section, value):
+    net = every_section_network()
+    element = dict(flagged_elements(net))[section]
+    name = "closed" if section == "switches" else "in_service"
+    setattr(element, name, value)
+    violation = Violation(f"{section}[0]", name, f"{name} must be a bool")
+    assert validate(net) == [violation]
+    with pytest.raises(ValidationError, match=re.escape(str(violation))):
+        calc_sc(net)
+
+
+def test_every_flag_is_checked():
+    net = every_section_network()
+    for section, element in flagged_elements(net):
+        for field in dataclasses.fields(element):
+            if field.type == "bool":
+                setattr(element, field.name, "yes")
+    assert [v.field for v in validate(net)] == ["in_service"] * len(SECTIONS) + ["closed"]
+
+
 @pytest.mark.parametrize("name", [None, 5, b"B"], ids=["None", "int", "bytes"])
 def test_bus_name_that_is_no_str_is_a_violation(name):
     net = minimal_network()

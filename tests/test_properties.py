@@ -402,9 +402,24 @@ def test_selected_inversion_on_several_islands(with_single_bus_island):
     # one root per island: a column without entries below the diagonal
     assert np.count_nonzero(entries == 0) == 2 + with_single_bus_island
     assert np.any(entries == 1)
-    z = impedance_matrix_diag(lu)
+    # a factor this small takes unit solves in impedance_matrix_diag
+    z = solver._selected_inverse_diag(lu)[lu.perm_c]
     assert np.max(rel_diff(z, unit_solve_diag(y.shape[0], lu.solve))) < 1e-10
     assert_matches_dense_inverse(z, y)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_small_factors_take_unit_solves_that_match_the_selected_inversion(seed):
+    # grids of up to 50 buses with up to 4 extra loops, as a batch of grid
+    # files holds them: n * n stays within the bound, and the unit solves
+    # agree with the selected inversion to a few ulps
+    net = random_network(seed, max_buses=50, loops=seed % 5)
+    lu = factorize(build_bbm(net, FaultStudyOptions(case="max" if seed % 2 else "min")).y_matrix)
+    n = lu.shape[0]
+    assert n * n <= solver._UNIT_SOLVE_MAX_ENTRIES
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    z = impedance_matrix_diag(lu)
+    assert np.max(rel_diff(z, solver._selected_inverse_diag(lu)[lu.perm_c])) < 1e-14
 
 
 @pytest.mark.parametrize(

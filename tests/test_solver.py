@@ -41,27 +41,38 @@ def two_bus_y():
 
 # --- impedance matrix diagonal ----------------------------------------------
 
-def test_diag_scalar_system():
+# a small factor takes unit solves; with the bound at 0 it takes the
+# selected inversion
+PATH_BOUNDS = {"unit solves": solver._UNIT_SOLVE_MAX_ENTRIES, "selected inversion": 0}
+
+
+def test_diag_scalar_system(monkeypatch):
     y = scipy.sparse.csc_matrix([[1.0 / 0.1j]])
-    z = impedance_matrix_diag(factorize(y))
-    assert z[0] == pytest.approx(0.1j, rel=1e-12)
+    for bound in PATH_BOUNDS.values():
+        monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", bound)
+        z = impedance_matrix_diag(factorize(y))
+        assert z[0] == pytest.approx(0.1j, rel=1e-12)
 
 
-def test_diag_two_bus_hand_inversion():
-    z = impedance_matrix_diag(factorize(two_bus_y()))
-    assert z[0] == pytest.approx(0.1j, rel=1e-12)
-    assert z[1] == pytest.approx(0.5j, rel=1e-12)
+def test_diag_two_bus_hand_inversion(monkeypatch):
+    for bound in PATH_BOUNDS.values():
+        monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", bound)
+        z = impedance_matrix_diag(factorize(two_bus_y()))
+        assert z[0] == pytest.approx(0.1j, rel=1e-12)
+        assert z[1] == pytest.approx(0.5j, rel=1e-12)
 
 
-def test_diag_row_subset():
+def test_diag_row_subset(monkeypatch):
     y = two_bus_y()
-    z = impedance_matrix_diag(factorize(y), rows=[1])
-    assert z.shape == (1,)
-    assert z[0] == pytest.approx(0.5j, rel=1e-12)
+    for bound in PATH_BOUNDS.values():
+        monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", bound)
+        z = impedance_matrix_diag(factorize(y), rows=[1])
+        assert z.shape == (1,)
+        assert z[0] == pytest.approx(0.5j, rel=1e-12)
 
 
 @pytest.mark.parametrize("layout", ["dense", "sparse"])
-def test_diag_singular_island_raises(layout):
+def test_diag_singular_island_raises(layout, monkeypatch):
     # two buses joined by a line but with no tie to the reference: either
     # the whole (fully populated) matrix, or beside a grounded bus in a
     # sparse matrix
@@ -71,13 +82,17 @@ def test_diag_singular_island_raises(layout):
         y = scipy.sparse.csc_matrix(island)
     else:
         y = scipy.sparse.block_diag(([[1.0 / 0.1j]], island), format="csc")
-    with pytest.raises(SingularMatrixError, match="numerically singular"):
-        impedance_matrix_diag(factorize(y))
+    for bound in PATH_BOUNDS.values():
+        monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", bound)
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            impedance_matrix_diag(factorize(y))
 
 
-def test_diag_zero_pivot_falls_back_to_unit_solves():
+def test_diag_zero_pivot_falls_back_to_unit_solves(monkeypatch):
     # the symmetric ordering eliminates the zero diagonal first, so SuperLU
-    # pivots off the diagonal and the factor is no longer L*D*L^T
+    # pivots off the diagonal and the factor is no longer L*D*L^T; with the
+    # bound at 0 the pivots, not the size, send it to unit solves
+    monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", 0)
     y = scipy.sparse.csc_matrix(np.array([[1 - 1j, 2j], [2j, 0]]))
     lu = factorize(y)
     assert not np.array_equal(lu.perm_r, lu.perm_c)
@@ -93,7 +108,9 @@ def test_diag_entry_of_l_cancelled_to_zero_falls_back_to_unit_solves(monkeypatch
     # drops it from L, so the first column (two entries below the diagonal)
     # needs a Z that lies off the stored pattern of L: the level rounds fall
     # back to unit solves, a unit solve of that column never reads it
-    monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", 0 if level_sweep else 10**9)
+    # the anchors' bound lies between n * k = 3 for the one branching column
+    # and n * len(rows) = 6, so that the selected inversion runs
+    monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", 0 if level_sweep else 5)
     y = scipy.sparse.csc_matrix(np.array([[3, 2, 2], [2, 4, 1], [2, 1, 1]]) * (1 - 2j))
     lu = factorize(y)
     assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -103,11 +120,13 @@ def test_diag_entry_of_l_cancelled_to_zero_falls_back_to_unit_solves(monkeypatch
     assert impedance_matrix_diag(lu, rows=[2, 0]) == pytest.approx(z[[2, 0]], rel=1e-12)
 
 
-def test_non_finite_solution_raises():
+def test_non_finite_solution_raises(monkeypatch):
     # a subnormal pivot factorizes, but its inverse overflows to inf
     lu = factorize(scipy.sparse.csc_matrix([[1e-320 + 0.0j]]))
-    with pytest.raises(SingularMatrixError, match="numerically singular"):
-        impedance_matrix_diag(lu)
+    for bound in PATH_BOUNDS.values():
+        monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", bound)
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            impedance_matrix_diag(lu)
     with pytest.raises(SingularMatrixError, match="numerically singular"):
         converter_contribution(lu, np.array([1.0]), np.array([1.0j]))
 
@@ -301,12 +320,15 @@ class CountingLU:
     def __init__(self, lu):
         self._lu = lu
         self.columns = 0
+        # the attributes of the factor that were read, such as "L"
+        self.read = set()
 
     def solve(self, rhs, *args, **kwargs):
         self.columns += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
         return self._lu.solve(rhs, *args, **kwargs)
 
     def __getattr__(self, name):
+        self.read.add(name)
         return getattr(self._lu, name)
 
 
@@ -327,19 +349,25 @@ def test_calc_sc_makes_no_unit_vector_solves(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "seed, max_buses, loops, unit_solves",
-    [(2, 60, 4, True), (1, 800, 30, False)],
-    ids=["below the bound", "above the bound"],
+    "seed, max_buses, loops, path",
+    [(2, 60, 4, "unit solves"), (1, 120, 12, "unit-solve anchors"), (1, 800, 30, "level rounds")],
+    ids=["below the bound", "anchors below the bound", "above the bound"],
 )
-def test_branching_columns_take_unit_solves_below_the_bound(seed, max_buses, loops, unit_solves):
+def test_branching_columns_take_unit_solves_below_the_bound(seed, max_buses, loops, path):
+    # n x len(rows) within the bound: every entry takes a unit solve and L
+    # is never built; else n x k for the k branching columns: they take unit
+    # solves as the anchors of the selected inversion, or the level rounds
     net = random_network(seed, max_buses=max_buses, loops=loops)
     y = build_bbm(net, FaultStudyOptions()).y_matrix
-    lu = CountingLU(factorize(y))
-    branching = np.count_nonzero(np.diff(lu.L.indptr) > 2)
+    n = y.shape[0]
+    branching = np.count_nonzero(np.diff(factorize(y).L.indptr) > 2)
     assert branching > 10
-    assert (lu.shape[0] * branching <= solver._UNIT_SOLVE_MAX_ENTRIES) == unit_solves
+    bound = solver._UNIT_SOLVE_MAX_ENTRIES
+    assert path == ("unit solves" if n * n <= bound else "unit-solve anchors" if n * branching <= bound else "level rounds")
+    lu = CountingLU(factorize(y))
     z = impedance_matrix_diag(lu)
-    assert lu.columns == (branching if unit_solves else 0)
+    assert lu.columns == {"unit solves": n, "unit-solve anchors": branching, "level rounds": 0}[path]
+    assert ("L" in lu.read) == (path != "unit solves")
     assert np.abs(z / np.diag(np.linalg.inv(y.toarray())) - 1).max() < 1e-10
 
 
