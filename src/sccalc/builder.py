@@ -107,12 +107,14 @@ class BusBranchModel:
     the converter current injections, one row per electrical node.
 
     Rows cover the fused, energized electrical nodes; three-winding star
-    points occupy the trailing ``n_aux`` rows and are never reported. The
-    model holds no fault-location quantity: ``calc_sc`` applies c and the
-    current base at each fault bus.
+    points occupy the trailing ``n_aux`` rows and are never reported.
+    ``bus_index[p]`` is the row of ``net.buses[p]``, -1 for a bus that is
+    out of service or in no energized island. The model holds no
+    fault-location quantity: ``calc_sc`` applies c and the current base at
+    each fault bus.
     """
 
-    bus_index: dict[int, int]
+    bus_index: np.ndarray
     y_matrix: scipy.sparse.csc_matrix
     i_kc: np.ndarray
     n_aux: int
@@ -231,13 +233,23 @@ def converter_current(cs: ConverterSource, vn_kv: float) -> complex:
 
 @dataclass(frozen=True)
 class SwitchFusion:
-    """Result of switch processing: electrical node per bus, severed element
-    terminals and, per element kind, which elements are electrically live
-    (``live["line"][i]`` for ``net.lines[i]``)."""
+    """Result of switch processing, as arrays aligned with the network's
+    lists.
 
-    node_of: dict[int, int]
+    ``node[p]`` is the study node of ``net.buses[p]``, -1 when the bus is out
+    of service; fused nodes are numbered by ascending smallest bus id.
+    ``terminals[kind]`` holds the positions in ``net.buses`` of the
+    elements' terminal buses, one row per terminal field in the order of
+    the element's fields (``terminals["line"][0][i]`` is the from bus of
+    line ``i``). ``live[kind][i]`` tells whether element ``i`` of a kind is
+    electrically live, and ``severed`` names the element terminals cut by
+    open switches.
+    """
+
+    node: np.ndarray
+    terminals: dict[str, np.ndarray]
+    live: dict[str, np.ndarray]
     severed: frozenset[tuple[str, int, int]]
-    live: dict[str, list[bool]]
 
 
 def _roots(n: int, pairs) -> list[int]:
@@ -264,54 +276,99 @@ def fuse_switches(net: Network) -> SwitchFusion:
     """Merge buses joined by closed bus-bus switches and collect element
     terminals cut by open bus-element switches.
 
-    The node partition is independent of switch order; each electrical node
-    is named after the smallest bus id it contains. The network must be
-    valid: every open element switch names an existing element and one of
-    its terminals.
+    The node partition is independent of switch order. Element terminals
+    are mapped to bus positions through one id-to-position table. The
+    network must be valid: every element terminal names an existing bus,
+    and every open element switch an existing element and one of its
+    terminals.
     """
-    in_service = {b.id for b in net.buses if b.in_service}
-    node_of = {b: b for b in in_service}
+    buses = net.buses
+    egs, lines, t2s, t3s, convs = (
+        net.external_grids, net.lines, net.transformers2w, net.transformers3w, net.converter_sources
+    )
+    n, m, n3 = len(buses), len(egs) + len(convs) + len(lines) + len(t2s), len(t3s)
+    bus_id = [b.id for b in buses]
+    position = dict(zip(bus_id, range(n)))
+    in_service = [b.in_service for b in buses]
+    on = {b for b, up in zip(bus_id, in_service) if up}
     severed: set[tuple[str, int, int]] = set()
     ties: list[tuple[int, int]] = []
     for sw in net.switches:
         if isinstance(sw.other, int):
-            if sw.closed and sw.bus in in_service and sw.other in in_service:
+            if sw.closed and sw.bus in on and sw.other in on:
                 ties.append((sw.bus, sw.other))
         elif not sw.closed:
             severed.add((sw.other.kind, sw.other.index, sw.bus))
-    # only the buses on closed switches take part, in ascending id, so the
-    # smallest item of a component is its smallest bus id
-    tied = sorted({b for tie in ties for b in tie})
-    pos = {b: k for k, b in enumerate(tied)}
-    for b, r in zip(tied, _roots(len(tied), [(pos[a], pos[b]) for a, b in ties])):
-        node_of[b] = tied[r]
 
+    # terminal positions in two rows over the external grids, converters,
+    # lines and two-winding transformers (the one bus of a one-terminal
+    # element in both), then the three windings of each three-winding one
+    one = [*[position[e.bus] for e in egs], *[position[e.bus] for e in convs]]
+    at = np.fromiter(
+        [
+            *one, *[position[e.from_bus] for e in lines], *[position[e.hv_bus] for e in t2s],
+            *one, *[position[e.to_bus] for e in lines], *[position[e.lv_bus] for e in t2s],
+            *[position[e.hv_bus] for e in t3s], *[position[e.mv_bus] for e in t3s],
+            *[position[e.lv_bus] for e in t3s],
+        ],
+        np.intp, 2 * m + 3 * n3,
+    )
+    live_m = np.fromiter(
+        [
+            *[e.in_service and e.bus in on for e in egs],
+            *[e.in_service and e.bus in on for e in convs],
+            *[e.in_service and e.from_bus in on and e.to_bus in on for e in lines],
+            *[e.in_service and e.hv_bus in on and e.lv_bus in on for e in t2s],
+            *[e.in_service and (e.hv_bus in on) + (e.mv_bus in on) + (e.lv_bus in on) >= 2 for e in t3s],
+        ],
+        bool, m + n3,
+    )
+    ends = at[: 2 * m].reshape(2, m)
+    k1, k2, k3 = len(egs), len(egs) + len(convs), m - len(t2s)
+    terminals = {
+        "external_grid": ends[:1, :k1],
+        "converter": ends[:1, k1:k2],
+        "line": ends[:, k2:k3],
+        "trafo2w": ends[:, k3:],
+        "trafo3w": at[2 * m :].reshape(3, n3),
+    }
     live = {
-        "external_grid": [eg.in_service and eg.bus in in_service for eg in net.external_grids],
-        "line": [
-            ln.in_service and ln.from_bus in in_service and ln.to_bus in in_service for ln in net.lines
-        ],
-        "trafo2w": [
-            t.in_service and t.hv_bus in in_service and t.lv_bus in in_service for t in net.transformers2w
-        ],
-        "trafo3w": [
-            t.in_service and (t.hv_bus in in_service) + (t.mv_bus in in_service) + (t.lv_bus in in_service) >= 2
-            for t in net.transformers3w
-        ],
-        "converter": [cs.in_service and cs.bus in in_service for cs in net.converter_sources],
+        "external_grid": live_m[:k1],
+        "converter": live_m[k1:k2],
+        "line": live_m[k2:k3],
+        "trafo2w": live_m[k3:m],
+        "trafo3w": live_m[m:],
     }
     for kind, i, _ in severed:
         if kind == "trafo3w":
-            t = net.transformers3w[i]
-            windings = sum(
-                b in in_service and (kind, i, b) not in severed for b in (t.hv_bus, t.mv_bus, t.lv_bus)
-            )
+            t = t3s[i]
+            # a three-winding transformer stays live on two of its windings
+            windings = sum(b in on and (kind, i, b) not in severed for b in (t.hv_bus, t.mv_bus, t.lv_bus))
             live[kind][i] = t.in_service and windings >= 2
         else:
             # a cut terminal leaves a two-terminal element open
             live[kind][i] = False
 
-    return SwitchFusion(node_of=node_of, severed=frozenset(severed), live=live)
+    # nodes are numbered by their smallest bus id, in ascending id order: a
+    # tied bus joins the node of the smallest bus it is tied to, and a bus
+    # out of service keeps -1
+    order = np.fromiter(bus_id, np.int64, n).argsort()
+    head = np.fromiter(in_service, bool, n)
+    if ties:
+        tied = sorted({b for tie in ties for b in tie})
+        local = {b: k for k, b in enumerate(tied)}
+        root = _roots(len(tied), [(local[a], local[b]) for a, b in ties])
+        # the positions of the tied buses that are no root, and of their roots
+        joined = [position[b] for k, (b, r) in enumerate(zip(tied, root)) if r != k]
+        into = [position[tied[r]] for k, r in enumerate(root) if r != k]
+        head[joined] = False
+    heads = order[head[order]]
+    node = np.empty(n, np.intp)
+    node.fill(-1)
+    node[heads] = np.arange(len(heads))
+    if ties:
+        node[joined] = node[into]
+    return SwitchFusion(node=node, terminals=terminals, live=live, severed=frozenset(severed))
 
 
 def _stamp_csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> scipy.sparse.csc_matrix:
@@ -351,129 +408,150 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         raise ValidationError(violations)
 
     fusion = fuse_switches(net)
-    live = fusion.live
-    vn_of = {b.id: b.vn_kv for b in net.buses}
+    live, terminals, node = fusion.live, fusion.terminals, fusion.node
     case = options.case
     tol = options.lv_tolerance_percent
     s_base = options.s_base_mva
+    # one read of the float columns: bus voltages, then per line its length,
+    # resistance and reactance per km and, for the minimum case, its end
+    # temperature, then per converter its rating and -k
+    lines, convs = net.lines, net.converter_sources
+    nb, nl, nc = len(net.buses), len(lines), len(convs)
+    floats = [
+        *[b.vn_kv for b in net.buses], *[ln.length_km for ln in lines],
+        *[ln.r_ohm_per_km for ln in lines], *[ln.x_ohm_per_km for ln in lines],
+        *([ln.endtemp_degc for ln in lines] if case == "min" else ()),
+        *[cs.sn_mva for cs in convs], *[-cs.k for cs in convs],
+    ]
+    column = np.fromiter(floats, float, len(floats))
+    vn = column[:nb]
+    node_of, vn_of = node.tolist(), vn.tolist()
 
     # study node numbers: fused nodes by ascending id, then one star point
     # per live three-winding transformer, in transformer order
-    reps = sorted(set(fusion.node_of.values()))
-    number = {rep: k for k, rep in enumerate(reps)}
-    node = {b: number[rep] for b, rep in fusion.node_of.items()}
-    n_nodes = len(reps)
+    n_fused = n_nodes = max(node_of) + 1
 
-    # one entry per branch, in element order: from node, to node, series
-    # admittance, then the tap at the from side and its square (1 on lines)
-    fr: list[int] = []
-    to: list[int] = []
-    ys: list[complex] = []
     sources: list[int] = []
     shunts: list[complex] = []
-
-    for i, eg in enumerate(net.external_grids):
-        if live["external_grid"][i]:
-            vn = vn_of[eg.bus]
-            c = voltage_correction_factor(vn, tol, case)
-            z = external_grid_impedance(eg, vn, case, c) / (vn**2 / s_base)
+    for i, (eg, p, is_live) in enumerate(
+        zip(net.external_grids, terminals["external_grid"][0].tolist(), live["external_grid"].tolist())
+    ):
+        if is_live:
+            vn_eg = vn_of[p]
+            c = voltage_correction_factor(vn_eg, tol, case)
+            z = external_grid_impedance(eg, vn_eg, case, c) / (vn_eg**2 / s_base)
             if abs(z) < ZERO_STAMP_TOL_PU:
                 raise _unstampable(f"external_grids[{i}]", z)
-            sources.append(node[eg.bus])
+            sources.append(node_of[p])
             shunts.append(1.0 / z)
 
-    for i, ln in enumerate(net.lines):
-        if live["line"][i]:
-            vn = vn_of[ln.from_bus]
-            z = line_impedance(ln, case) / (vn**2 / s_base)
-            if abs(z) < ZERO_STAMP_TOL_PU:
-                raise _unstampable(f"lines[{i}]", z)
-            fr.append(node[ln.from_bus])
-            to.append(node[ln.to_bus])
-            ys.append(1.0 / z)
-    taps = [1.0] * len(ys)
-    taps2 = taps.copy()
+    # the live lines, with the operations of line_impedance and of the
+    # per-unit conversion in the same order; a row of rx holds r and x
+    on = live["line"]
+    ends = terminals["line"].compress(on, 1)
+    rx = (column[nb + nl : nb + 3 * nl].reshape(2, nl) * column[nb : nb + nl]).T.compress(on, 0)
+    if case == "min":
+        rx[:, 0] *= 1.0 + ALPHA_PER_K * (column[nb + 3 * nl : nb + 4 * nl][on] - 20.0)
+    rx /= (vn[ends[0]] ** 2 / s_base)[:, None]
+    z = rx.view(complex).ravel()
+    tiny = np.abs(z) < ZERO_STAMP_TOL_PU
+    if tiny.any():
+        k = int(tiny.argmax())
+        raise _unstampable(f"lines[{on.nonzero()[0][k]}]", complex(z[k]))
+    # numpy's complex reciprocal takes the steps of CPython's 1.0 / z
+    ys = np.reciprocal(z)
+    fr, to = node[ends[0]], node[ends[1]]
 
-    for i, t in enumerate(net.transformers2w):
-        if live["trafo2w"][i]:
-            vb_hv = vn_of[t.hv_bus]
-            vb_lv = vn_of[t.lv_bus]
+    # transformers are few: one branch each (one per live winding for 3W):
+    # from node, to node, series admittance and the tap at the from side
+    branches: list[tuple[int, int, complex, float]] = []
+    for i, (t, hv, lv, is_live) in enumerate(
+        zip(net.transformers2w, *terminals["trafo2w"].tolist(), live["trafo2w"].tolist())
+    ):
+        if is_live:
+            vb_hv = vn_of[hv]
+            vb_lv = vn_of[lv]
             c_max_lv = voltage_correction_factor(vb_lv, tol, "max")
             z_rated = transformer_impedance(t, c_max_lv)
             z = z_rated * (s_base / t.sn_mva) * (t.vn_lv_kv / vb_lv) ** 2
             if abs(z) < ZERO_STAMP_TOL_PU:
                 raise _unstampable(f"transformers2w[{i}]", z)
             tap = (t.vn_hv_kv / t.vn_lv_kv) * (vb_lv / vb_hv)
-            fr.append(node[t.hv_bus])
-            to.append(node[t.lv_bus])
-            ys.append(1.0 / z)
-            taps.append(tap)
-            taps2.append(tap**2)
+            branches.append((node_of[hv], node_of[lv], 1.0 / z, tap))
 
-    for i, t in enumerate(net.transformers3w):
-        if not live["trafo3w"][i]:
+    for i, (t, hv, mv, lv, is_live) in enumerate(
+        zip(net.transformers3w, *terminals["trafo3w"].tolist(), live["trafo3w"].tolist())
+    ):
+        if not is_live:
             continue
-        c_max_lv = voltage_correction_factor(vn_of[t.lv_bus], tol, "max")
+        c_max_lv = voltage_correction_factor(vn_of[lv], tol, "max")
         star = n_nodes
         n_nodes += 1
-        for winding, bus_id, vn_w, z in zip(
-            ("hv", "mv", "lv"), (t.hv_bus, t.mv_bus, t.lv_bus), (t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv),
+        for winding, p, bus_id, vn_w, z in zip(
+            ("hv", "mv", "lv"), (hv, mv, lv), (t.hv_bus, t.mv_bus, t.lv_bus), (t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv),
             three_winding_star(t, c_max_lv, s_base),
         ):
-            if bus_id not in node or ("trafo3w", i, bus_id) in fusion.severed:
+            if node_of[p] < 0 or ("trafo3w", i, bus_id) in fusion.severed:
                 continue
             if abs(z) < ZERO_STAMP_TOL_PU:
                 raise _unstampable(f"transformers3w[{i}] ({winding} star branch)", z)
-            tap = vn_w / vn_of[bus_id]
-            fr.append(node[bus_id])
-            to.append(star)
-            ys.append(1.0 / z)
-            taps.append(tap)
-            taps2.append(tap**2)
+            tap = vn_w / vn_of[p]
+            branches.append((node_of[p], star, 1.0 / z, tap))
 
     # energized islands: the components that hold a voltage source node
-    roots = _roots(n_nodes, zip(fr, to))
-    fed = {roots[n] for n in sources}
-    if not fed:
+    if not sources:
         raise UnsolvableIslandError("no energized island: no in-service external grid is connected")
-    on = [r in fed for r in roots]
-    energized = np.array(on, dtype=bool)
-    # the energized nodes keep their order as rows: real rows first
-    row = energized.cumsum() - 1
-    node_row = row.tolist()
-    dim = node_row[-1] + 1
-    bus_index = {b: node_row[n] for b, n in node.items() if on[n]}
+    roots = _roots(n_nodes, zip([*fr.tolist(), *[b[0] for b in branches]], [*to.tolist(), *[b[1] for b in branches]]))
+    fed = {roots[n] for n in sources}
+    energized = np.fromiter([r in fed for r in roots], bool, n_nodes)
+    # the energized nodes keep their order as rows, real rows first; the
+    # row of a dead node is -1, and so is that of the node -1 of a dead bus,
+    # which is the last entry
+    live_nodes = energized.nonzero()[0]
+    dim = len(live_nodes)
+    node_row = np.empty(n_nodes + 1, np.intp)
+    node_row.fill(-1)
+    node_row[live_nodes] = np.arange(dim)
+    bus_index = node_row[node]
 
-    # four stamps per branch (ff, tt, ft, tf), branch after branch, then the
-    # source shunts; branches inside one fused node stamp nothing
-    f = np.array(fr, dtype=np.int64)
-    t = np.array(to, dtype=np.int64)
-    keep = energized[f] & (f != t)
-    f, t = row[f[keep]], row[t[keep]]
-    y = np.array(ys, dtype=complex)[keep]
+    # four stamps per branch (ff, tt, ft, tf), branch after branch: the
+    # lines, then the transformers, then the source shunts; branches inside
+    # one fused node stamp nothing. A transformer stamps y / tap**2 at its
+    # from node and -y / tap between its nodes, each as y times 1 / tap, the
+    # rounding of numpy's complex by float division.
+    row_of = node_row.tolist()
+    tail: list[tuple[int, int, complex]] = []
+    for f, t, y, tap in branches:
+        f, t = row_of[f], row_of[t]
+        if f >= 0 and f != t:
+            y_ft = -(y * (1.0 / tap))
+            tail += (f, f, y * (1.0 / tap**2)), (t, t, y), (f, t, y_ft), (t, f, y_ft)
+    tail += ((row_of[n], row_of[n], y) for n, y in zip(sources, shunts))
+    keep = energized[fr] & (fr != to)
+    f, t = node_row[fr[keep]], node_row[to[keep]]
+    y = ys[keep]
     m = 4 * len(y)
-    rows = np.empty(m + len(sources), dtype=np.int64)
+    rows = np.empty(m + len(tail), dtype=np.int64)
     cols = np.empty_like(rows)
     vals = np.empty(len(rows), dtype=complex)
     rows[0:m:4] = rows[2:m:4] = cols[0:m:4] = cols[3:m:4] = f
     rows[1:m:4] = rows[3:m:4] = cols[1:m:4] = cols[2:m:4] = t
-    rows[m:] = cols[m:] = row[sources]
-    vals[0:m:4] = y / np.array(taps2)[keep]
-    vals[1:m:4] = y
-    vals[2:m:4] = vals[3:m:4] = -(y / np.array(taps)[keep])
-    vals[m:] = shunts
+    vals[0:m:4] = vals[1:m:4] = y
+    vals[2:m:4] = vals[3:m:4] = -y
+    rows[m:], cols[m:], vals[m:] = zip(*tail)
     y_matrix = _stamp_csc(rows, cols, vals, dim)
 
-    # converter injections, summed per row in converter order into a list:
-    # one numpy scalar update per converter costs more than the formula
-    i_kc = [0j] * dim
+    # converter injections -j*k*I_rated over the current base, with the
+    # operations of converter_current, summed per row in converter order;
+    # a converter in a dead island adds to row -1, which is dropped, and an
+    # open one adds zero
+    i_kc = np.zeros(dim, dtype=complex)
     if options.consider_converters:
-        for cs, is_live in zip(net.converter_sources, live["converter"]):
-            if is_live and on[node[cs.bus]]:
-                vn = vn_of[cs.bus]
-                i_base = s_base / (math.sqrt(3.0) * vn)
-                i_kc[node_row[node[cs.bus]]] += converter_current(cs, vn) / i_base
+        p = terminals["converter"][0]
+        vn_c = math.sqrt(3.0) * vn[p]
+        sn, minus_k = column[len(column) - 2 * nc : len(column) - nc], column[len(column) - nc :]
+        i_pu = np.where(live["converter"], minus_k * (sn / vn_c) / (s_base / vn_c), 0.0)
+        i_kc.imag = np.bincount(bus_index[p] + 1, i_pu, dim + 1)[1:]
 
-    return BusBranchModel(
-        bus_index=bus_index, y_matrix=y_matrix, i_kc=np.array(i_kc, dtype=complex), n_aux=sum(on[len(reps) :])
-    )
+    n_aux = dim - int(live_nodes.searchsorted(n_fused))
+    return BusBranchModel(bus_index=bus_index, y_matrix=y_matrix, i_kc=i_kc, n_aux=n_aux)

@@ -298,13 +298,14 @@ def load_network(path) -> Network:
 
 def save_network(net: Network, path) -> None:
     """Write a grid document, one line per field column and per switch; a
-    path that cannot be opened raises GridFileError. Each line is one
-    ``json.dumps`` call: with ``indent`` set, ``json`` would fall back to
-    its pure-Python encoder for the whole document."""
+    path that cannot be opened raises GridFileError, and so does a NaN or
+    infinity, which JSON cannot hold, before the file is created. Each line
+    is one ``json.dumps`` call: with ``indent`` set, ``json`` would fall back
+    to its pure-Python encoder for the whole document."""
     items = []
     for key, value in network_to_dict(net).items():
         if isinstance(value, dict):
-            lines = [f"    {json.dumps(name)}: {json.dumps(col)}" for name, col in value.items()]
+            lines = [f"    {json.dumps(name)}: {_json_column(col, key, name, path)}" for name, col in value.items()]
             text = "{\n" + ",\n".join(lines) + "\n  }"
         elif key == "switches" and value:
             text = "[\n" + ",\n".join(f"    {json.dumps(sw)}" for sw in value) + "\n  ]"
@@ -313,6 +314,17 @@ def save_network(net: Network, path) -> None:
         items.append(f"  {json.dumps(key)}: {text}")
     with _create(path) as f:
         f.write("{\n" + ",\n".join(items) + "\n}\n")
+
+
+# json.dumps with a non-default argument builds a new encoder on every call
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _json_column(column: list, section: str, name: str, path) -> str:
+    try:
+        return _STRICT_JSON.encode(column)
+    except ValueError:
+        raise GridFileError(f"{path}: {section}.{name} holds NaN or infinity, which JSON cannot store") from None
 
 
 def _result_meta(result: ShortCircuitResult) -> dict:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -400,8 +399,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     Reported rows follow ascending bus id and are restricted to
     ``options.fault_buses``; each bus's result is independent of which
     other buses are in the fault set. The per-bus columns come from one
-    sort of the bus ids and one lookup of each reported bus in
-    ``bus_index``.
+    sort of the bus ids, which also picks the rows out of ``bus_index``.
     """
     options = options or FaultStudyOptions()
     bbm = build_bbm(net, options)
@@ -419,7 +417,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
         pick = pick[known.searchsorted(sorted(wanted))]
     reported = list(map(buses.__getitem__, pick.tolist()))
     bus_ids = bus_id[pick]
-    rows = np.fromiter(map(bbm.bus_index.get, bus_ids.tolist(), repeat(-1)), np.int64, len(pick))
+    rows = bbm.bus_index[pick]
     energized = rows >= 0
     live_rows = rows[energized]
     vn_kv = np.fromiter(map(_VN, reported), float, len(pick))

@@ -7,6 +7,8 @@ loop lines, fused switch pairs, open switches and out-of-service elements.
 """
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 
 from sccalc.model import (
@@ -22,6 +24,24 @@ from sccalc.model import (
 )
 
 LEVELS = (110.0, 20.0, 0.4)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark (``perfbench/<name>.py``), loaded from its
+    file without putting ``perfbench`` on the import path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def batch_grids(seed: int = 1, count: int = 300) -> list:
+    """The small grids of the benchmark's ``batch_files`` workload."""
+    small_grid = load_perfbench("grids").small_grid
+    rng = random.Random(seed)
+    return [small_grid(rng, i) for i in range(count)]
 
 
 def random_network(

@@ -36,7 +36,8 @@ from sccalc.builder import (
     voltage_correction_factor,
 )
 
-from oracle import oracle_calc
+from busmap import by_bus_id
+from oracle import oracle_admittance, oracle_calc
 
 SQRT3 = math.sqrt(3.0)
 
@@ -250,8 +251,9 @@ def three_bus_line_net() -> Network:
 
 
 def test_fuse_without_switches_is_identity():
-    fusion = fuse_switches(three_bus_line_net())
-    assert fusion.node_of == {1: 1, 2: 2, 3: 3}
+    net = three_bus_line_net()
+    fusion = fuse_switches(net)
+    assert by_bus_id(net, fusion.node) == {1: 0, 2: 1, 3: 2}
     assert fusion.severed == frozenset()
 
 
@@ -259,7 +261,9 @@ def test_fuse_closed_bus_bus_switch_merges_nodes():
     net = three_bus_line_net()
     net.switches.append(Switch(bus=2, other=1, closed=True))
     fusion = fuse_switches(net)
-    assert fusion.node_of[1] == fusion.node_of[2] == 1
+    node = by_bus_id(net, fusion.node)
+    assert node[1] == node[2] == 0
+    assert node[3] == 1
     bbm = build_bbm(net, FaultStudyOptions())
     assert bbm.y_matrix.shape[0] == 2  # one node fewer than buses
 
@@ -267,7 +271,7 @@ def test_fuse_closed_bus_bus_switch_merges_nodes():
 def test_fuse_open_bus_bus_switch_is_noop():
     net = three_bus_line_net()
     net.switches.append(Switch(bus=2, other=1, closed=False))
-    assert fuse_switches(net).node_of == {1: 1, 2: 2, 3: 3}
+    assert by_bus_id(net, fuse_switches(net).node) == {1: 0, 2: 1, 3: 2}
 
 
 def test_open_line_switch_severs_element():
@@ -279,8 +283,9 @@ def test_open_line_switch_severs_element():
     assert fusion.live["line"][0]
     # bus 3 is in a dead island now
     bbm = build_bbm(net, FaultStudyOptions())
-    assert 3 not in bbm.bus_index
-    assert set(bbm.bus_index) == {1, 2}
+    rows = by_bus_id(net, bbm.bus_index)
+    assert 3 not in rows
+    assert set(rows) == {1, 2}
 
 
 def test_closed_element_switch_keeps_element_active():
@@ -299,20 +304,21 @@ def test_fusion_is_independent_of_switch_order():
         Switch(bus=4, other=3),
         Switch(bus=1, other=4, closed=False),
     ]
-    reference = fuse_switches(net).node_of
+    reference = by_bus_id(net, fuse_switches(net).node)
+    assert reference == {1: 0, 2: 0, 3: 0, 4: 0}
     rng = random.Random(7)
     for _ in range(10):
         rng.shuffle(net.switches)
-        assert fuse_switches(net).node_of == reference
+        assert by_bus_id(net, fuse_switches(net).node) == reference
 
 
 def test_out_of_service_bus_is_not_fused():
     net = three_bus_line_net()
     net.buses[2].in_service = False
     net.switches.append(Switch(bus=2, other=3, closed=True))
-    fusion = fuse_switches(net)
-    assert 3 not in fusion.node_of
-    assert fusion.node_of[2] == 2
+    node = by_bus_id(net, fuse_switches(net).node)
+    assert 3 not in node
+    assert node == {1: 0, 2: 1}
 
 
 # --- bus-branch model builder --------------------------------------------------
@@ -330,7 +336,7 @@ def test_build_bbm_stamps_line_and_grid_shunt():
     y_grid = 1.0 / (external_grid_impedance(net.external_grids[0], 110.0, "max", 1.1) / z_base)
     expected = np.array([[y_line + y_grid, -y_line], [-y_line, y_line]])
     assert np.allclose(bbm.y_matrix.toarray(), expected, rtol=1e-12, atol=0.0)
-    assert bbm.bus_index == {1: 0, 2: 1}
+    assert by_bus_id(net, bbm.bus_index) == {1: 0, 2: 1}
     z_diag = np.diag(np.linalg.inv(bbm.y_matrix.toarray()))
     expected_ka = 1.1 / np.abs(z_diag) * (1.0 / (SQRT3 * 110.0))
     assert calc_sc(net, options).ikss_source_ka == pytest.approx(expected_ka, rel=1e-12)
@@ -344,8 +350,9 @@ def test_build_bbm_converter_injection_in_per_unit():
         converter_sources=[ConverterSource(bus=2, sn_mva=5.0, k=1.0)],
     )
     bbm = build_bbm(net, FaultStudyOptions())
-    assert bbm.i_kc[bbm.bus_index[2]] == pytest.approx(complex(0.0, -5.0), rel=1e-12)
-    assert bbm.i_kc[bbm.bus_index[1]] == 0.0
+    rows = by_bus_id(net, bbm.bus_index)
+    assert bbm.i_kc[rows[2]] == pytest.approx(complex(0.0, -5.0), rel=1e-12)
+    assert bbm.i_kc[rows[1]] == 0.0
 
 
 def test_build_bbm_without_converters_when_disabled():
@@ -367,7 +374,8 @@ def test_build_bbm_matched_transformer_is_plain_series_branch():
     bbm = build_bbm(net, FaultStudyOptions())
     z_pu = transformer_impedance(trafo(), 1.10) / 25.0
     y = 1.0 / z_pu
-    i, j = bbm.bus_index[1], bbm.bus_index[2]
+    rows = by_bus_id(net, bbm.bus_index)
+    i, j = rows[1], rows[2]
     y_matrix = bbm.y_matrix.toarray()
     assert y_matrix[i, j] == pytest.approx(-y, rel=1e-12)
     assert y_matrix[j, j] == pytest.approx(y, rel=1e-12)
@@ -383,7 +391,8 @@ def test_build_bbm_off_nominal_transformer_ratio():
     tap = (110.0 / 20.0) * (21.0 / 110.0)
     z_pu = transformer_impedance(trafo(), 1.10) / 25.0 * (20.0 / 21.0) ** 2
     y = 1.0 / z_pu
-    i, j = bbm.bus_index[1], bbm.bus_index[2]
+    rows = by_bus_id(net, bbm.bus_index)
+    i, j = rows[1], rows[2]
     y_matrix = bbm.y_matrix.toarray()
     grid_shunt = y_matrix[i, i] - y / tap**2
     assert y_matrix[i, j] == pytest.approx(-y / tap, rel=1e-12)
@@ -421,7 +430,7 @@ def test_build_bbm_three_winding_adds_auxiliary_node():
     bbm = build_bbm(net, FaultStudyOptions())
     assert bbm.n_aux == 1
     assert bbm.y_matrix.shape[0] == 4
-    assert set(bbm.bus_index.values()) == {0, 1, 2}
+    assert set(by_bus_id(net, bbm.bus_index).values()) == {0, 1, 2}
 
 
 def test_build_bbm_lv_side_c_factor_follows_tolerance():
@@ -432,7 +441,7 @@ def test_build_bbm_lv_side_c_factor_follows_tolerance():
             transformers2w=[trafo(vn_hv_kv=20.0, vn_lv_kv=0.4, sn_mva=0.63)],
         )
         bbm = build_bbm(net, FaultStudyOptions(lv_tolerance_percent=tolerance))
-        j = bbm.bus_index[2]
+        j = by_bus_id(net, bbm.bus_index)[2]
         return bbm.y_matrix.toarray()[j, j]
 
     # K_T scales with c_max at the LV level, so the stamp must change
@@ -457,6 +466,42 @@ def test_build_bbm_unsolvable_without_energized_source():
     )
     with pytest.raises(UnsolvableIslandError):
         build_bbm(net, FaultStudyOptions())
+
+
+def test_build_bbm_names_the_first_of_two_zero_impedance_lines():
+    net = three_bus_line_net()
+    net.buses.append(Bus(4, 110.0))
+    net.lines.append(Line(3, 4, length_km=5.0, r_ohm_per_km=0.1, x_ohm_per_km=0.4))
+    for i in (1, 2):
+        net.lines[i].length_km = 1e-20
+    with pytest.raises(SingularStampError, match=r"^lines\[1\]: branch impedance"):
+        build_bbm(net, FaultStudyOptions())
+
+
+def test_build_bbm_sums_converters_on_fused_buses_into_one_row():
+    # buses 2 and 3 are one node; their three converters add up in
+    # converter order, as converter_current gives each one
+    net = Network(
+        buses=[Bus(1, 20.0), Bus(2, 20.0), Bus(3, 20.0)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=500.0)],
+        lines=[Line(1, 2, length_km=1.0, r_ohm_per_km=0.1, x_ohm_per_km=0.1)],
+        converter_sources=[
+            ConverterSource(bus=3, sn_mva=5.0, k=1.0),
+            ConverterSource(bus=2, sn_mva=2.0, k=1.2),
+            ConverterSource(bus=3, sn_mva=1.5, k=1.1),
+        ],
+        switches=[Switch(bus=3, other=2, closed=True)],
+    )
+    bbm = build_bbm(net, FaultStudyOptions())
+    rows = by_bus_id(net, bbm.bus_index)
+    assert rows == {1: 0, 2: 1, 3: 1}
+    i_base = 1.0 / (SQRT3 * 20.0)
+    expected = 0j
+    for cs in net.converter_sources:
+        expected += converter_current(cs, 20.0) / i_base
+    assert bbm.i_kc.tolist() == [0j, expected]
+    _, i_kc_ref, _ = oracle_admittance(net)
+    assert np.all(np.abs(bbm.i_kc - i_kc_ref) <= 1e-13 * np.abs(i_kc_ref))
 
 
 def test_build_bbm_rejects_zero_impedance_star_branch():
@@ -489,7 +534,7 @@ def test_severed_3w_terminal_keeps_remaining_windings_coupled():
         switches=[Switch(bus=1, other=ElementRef("trafo3w", 0), closed=False)],
     )
     bbm = build_bbm(net, FaultStudyOptions())
-    assert set(bbm.bus_index) == {2, 3}
+    assert by_bus_id(net, bbm.bus_index) == {2: 0, 3: 1}
     assert bbm.n_aux == 1
     res = calc_sc(net)
     assert bool(res.energized[0]) is False
@@ -548,11 +593,11 @@ def test_3w_transformer_with_two_dead_windings_adds_no_star_row():
         transformers3w=[trafo3w()],
         switches=[Switch(bus=3, other=ElementRef("trafo3w", 0), closed=False)],
     )
-    assert fuse_switches(net).live["trafo3w"] == [False]
+    assert fuse_switches(net).live["trafo3w"].tolist() == [False]
     bbm = build_bbm(net, FaultStudyOptions())
     assert bbm.n_aux == 0
     assert bbm.y_matrix.shape[0] == 1
-    assert bbm.bus_index == {1: 0}
+    assert by_bus_id(net, bbm.bus_index) == {1: 0}
     z_q = external_grid_impedance(net.external_grids[0], 110.0, "max", 1.1) / 110.0**2
     assert bbm.y_matrix.toarray()[0, 0] == 1.0 / z_q
 
@@ -575,10 +620,10 @@ def test_descending_switch_chain_fuses_into_smallest_id_and_keeps_element_switch
         ],
     )
     fusion = fuse_switches(net)
-    assert fusion.node_of == {1: 1, 2: 1, 3: 1, 4: 1, 5: 5, 6: 6}
-    assert fusion.live["line"] == [False, True]
+    assert by_bus_id(net, fusion.node) == {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 2}
+    assert fusion.live["line"].tolist() == [False, True]
     bbm = build_bbm(net, FaultStudyOptions())
-    assert bbm.bus_index == {1: 0, 2: 0, 3: 0, 4: 0, 6: 1}
+    assert by_bus_id(net, bbm.bus_index) == {1: 0, 2: 0, 3: 0, 4: 0, 6: 1}
     res = calc_sc(net)
     assert res.energized.tolist() == [True, True, True, True, False, True]
 
@@ -593,7 +638,7 @@ def test_fault_bus_fed_only_through_a_3w_star_point():
         transformers3w=[trafo3w()],
     )
     bbm = build_bbm(net, FaultStudyOptions())
-    assert set(bbm.bus_index) == {1, 2, 3, 4}
+    assert set(by_bus_id(net, bbm.bus_index)) == {1, 2, 3, 4}
     assert bbm.n_aux == 1
     res = calc_sc(net)
     assert res.energized.all()

@@ -3,8 +3,8 @@ version 1, one object per element: both load to the same network, version
 2 round-trips, and a bad value in a column names its entry with the message
 version 1 gives for it."""
 import copy
-import importlib.util
 import json
+import math
 import pathlib
 import random
 
@@ -24,23 +24,16 @@ from sccalc.gridfile import GRID_FILE_VERSION
 from sccalc.model import SECTIONS
 
 from gridfiles import network_to_v1_dict, to_v1
-from netgen import random_network
+from netgen import load_perfbench, random_network
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED_GRIDS = sorted((ROOT / "grids").glob("*.json"))
 
 
-def _benchmark_grids():
-    spec = importlib.util.spec_from_file_location("perfbench_grids", ROOT / "perfbench" / "grids.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def networks() -> dict:
     """Name -> network: the test generators, the examples and the
     benchmark's grid generators."""
-    bench = _benchmark_grids()
+    bench = load_perfbench("grids")
     rng = random.Random(1)
     nets = {f"random-{seed}": random_network(seed) for seed in range(20)}
     nets.update({f"random-meshed-{seed}": random_network(seed, max_buses=120, loops=4) for seed in range(3)})
@@ -88,6 +81,17 @@ def test_shipped_v1_grids_load_like_their_v2_resave(path, tmp_path):
     save_network(net, resaved)
     assert json.loads(resaved.read_text(encoding="utf-8"))["version"] == 2
     assert load_network(resaved) == net
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_number_is_refused_before_the_file_is_created(value, tmp_path):
+    # JSON has no NaN or Infinity token; Python's json would write them anyway
+    net = three_bus_example()
+    net.lines[0].length_km = value
+    path = tmp_path / "grid.json"
+    with pytest.raises(GridFileError, match=r"grid\.json: lines\.length_km holds NaN or infinity"):
+        save_network(net, path)
+    assert not path.exists()
 
 
 def test_empty_sections_hold_no_elements():

@@ -42,7 +42,8 @@ from sccalc.builder import (
 )
 from sccalc.solver import converter_contribution, factorize, impedance_matrix_diag
 
-from netgen import random_network
+from busmap import by_bus_id
+from netgen import batch_grids, load_perfbench, random_network
 from oracle import oracle_admittance, oracle_calc
 
 RESULT_COLUMNS = ("ikss_source_ka", "ikss_converter_ka", "ikss_ka")
@@ -164,7 +165,7 @@ def test_switch_fusion_is_order_independent(seed):
     for _ in range(5):
         rng.shuffle(net.switches)
         fusion = fuse_switches(net)
-        assert fusion.node_of == reference.node_of
+        assert by_bus_id(net, fusion.node) == by_bus_id(net, reference.node)
         assert fusion.severed == reference.severed
 
 
@@ -430,16 +431,52 @@ def test_small_factors_take_unit_solves_that_match_the_selected_inversion(seed):
 )
 @pytest.mark.parametrize("case", ["max", "min"])
 def test_y_matrix_matches_the_oracle_stamp(seed, kwargs, case):
+    assert_matches_the_oracle_stamp(random_network(seed, **kwargs), case)
+
+
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_y_matrix_matches_the_oracle_stamp_on_the_benchmark_grids(case):
+    # the 300 small grids of the batch_files workload (seed 1) and a small
+    # meshed grid of the meshed_3w generator: fused ties, open switches,
+    # outages and 3W star points
+    for net in batch_grids():
+        assert_matches_the_oracle_stamp(net, case)
+    assert_matches_the_oracle_stamp(load_perfbench("grids").meshed_grid(1, substations=3, feeder_buses=6), case)
+
+
+def assert_matches_the_oracle_stamp(net, case):
     # the builder on its own: no factorization, no solve
-    net = random_network(seed, **kwargs)
     bbm = build_bbm(net, FaultStudyOptions(case=case))
     y_ref, i_kc_ref, row_ref = oracle_admittance(net, case)
-    assert bbm.bus_index == row_ref
+    assert by_bus_id(net, bbm.bus_index) == row_ref
     assert bbm.y_matrix.shape[0] - bbm.n_aux == len(set(row_ref.values()))
     y = bbm.y_matrix.toarray()
     assert y.shape == y_ref.shape
     assert np.all(np.abs(y - y_ref) <= 1e-13 * np.abs(y_ref))
     assert np.all(np.abs(bbm.i_kc - i_kc_ref) <= 1e-13 * np.abs(i_kc_ref))
+
+
+# the relative tolerance of the benchmark's correctness check
+BENCHMARK_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_batch_grids_pass_the_benchmark_correctness_check(case):
+    # perfbench counts a study as failed unless every bus agrees with the
+    # dense oracle to 1e-9 relative, with equal energized flags and NaN
+    # markers; grid 105 (max case) sits closest to that bound
+    for i, net in enumerate(batch_grids()):
+        result = calc_sc(net, FaultStudyOptions(case=case))
+        expected = oracle_calc(net, case=case)
+        ids = sorted(expected)
+        assert result.bus_ids.tolist() == ids, i
+        assert result.energized.tolist() == [expected[b]["energized"] for b in ids], i
+        for column, key in zip(RESULT_COLUMNS, ("source_ka", "converter_ka", "total_ka")):
+            got = getattr(result, column)
+            want = np.array([expected[b][key] for b in ids])
+            assert np.array_equal(np.isnan(got), np.isnan(want)), (i, column)
+            ok = np.isnan(got) | (np.abs(got - want) <= BENCHMARK_RTOL * np.maximum(np.abs(got), np.abs(want)))
+            assert ok.all(), (i, column, np.max(rel_diff(got, want)))
 
 
 # networks with energized 0.4 kV buses; 3, 10 and 19 also hold 3W transformers
