@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import InvalidOptionError, SingularStampError, UnsolvableIslandError, ValidationError
-from .model import ConverterSource, ExternalGrid, Line, Network, Transformer2W, Transformer3W, validate
+from .model import ConverterSource, ExternalGrid, Line, Network, Transformer2W, Transformer3W, _Tables, validate
 
 __all__ = [
     "FaultStudyOptions",
@@ -111,13 +111,18 @@ class BusBranchModel:
     ``bus_index[p]`` is the row of ``net.buses[p]``, -1 for a bus that is
     out of service or in no energized island. The model holds no
     fault-location quantity: ``calc_sc`` applies c and the current base at
-    each fault bus.
+    each fault bus, from the bus columns ``bus_ids``, ``vn_kv`` and
+    ``bus_names``, aligned with ``net.buses``; ``id_order`` sorts them by id.
     """
 
     bus_index: np.ndarray
     y_matrix: scipy.sparse.csc_matrix
     i_kc: np.ndarray
     n_aux: int
+    bus_ids: np.ndarray
+    vn_kv: np.ndarray
+    bus_names: list[str]
+    id_order: np.ndarray
 
 
 def voltage_correction_factor(vn_kv: float, tolerance_percent: int, case: str) -> float:
@@ -272,101 +277,41 @@ def _roots(n: int, pairs) -> list[int]:
     return up
 
 
-def fuse_switches(net: Network) -> SwitchFusion:
+def fuse_switches(net: Network, tables: _Tables | None = None) -> SwitchFusion:
     """Merge buses joined by closed bus-bus switches and collect element
     terminals cut by open bus-element switches.
 
-    The node partition is independent of switch order. Element terminals
-    are mapped to bus positions through one id-to-position table. The
-    network must be valid: every element terminal names an existing bus,
-    and every open element switch an existing element and one of its
-    terminals.
+    The node partition is independent of switch order. The network must be
+    valid: every element terminal names an existing bus, and every open
+    element switch an existing element and one of its terminals.
+    ``tables`` is the typed read of ``net`` when the caller holds it
+    already; the terminal positions and liveness come from its columns.
     """
-    buses = net.buses
-    egs, lines, t2s, t3s, convs = (
-        net.external_grids, net.lines, net.transformers2w, net.transformers3w, net.converter_sources
-    )
-    n, m, n3 = len(buses), len(egs) + len(convs) + len(lines) + len(t2s), len(t3s)
-    bus_id = [b.id for b in buses]
-    position = dict(zip(bus_id, range(n)))
-    in_service = [b.in_service for b in buses]
-    on = {b for b, up in zip(bus_id, in_service) if up}
-    severed: set[tuple[str, int, int]] = set()
-    ties: list[tuple[int, int]] = []
-    for sw in net.switches:
-        if isinstance(sw.other, int):
-            if sw.closed and sw.bus in on and sw.other in on:
-                ties.append((sw.bus, sw.other))
-        elif not sw.closed:
-            severed.add((sw.other.kind, sw.other.index, sw.bus))
-
-    # terminal positions in two rows over the external grids, converters,
-    # lines and two-winding transformers (the one bus of a one-terminal
-    # element in both), then the three windings of each three-winding one
-    one = [*[position[e.bus] for e in egs], *[position[e.bus] for e in convs]]
-    at = np.fromiter(
-        [
-            *one, *[position[e.from_bus] for e in lines], *[position[e.hv_bus] for e in t2s],
-            *one, *[position[e.to_bus] for e in lines], *[position[e.lv_bus] for e in t2s],
-            *[position[e.hv_bus] for e in t3s], *[position[e.mv_bus] for e in t3s],
-            *[position[e.lv_bus] for e in t3s],
-        ],
-        np.intp, 2 * m + 3 * n3,
-    )
-    live_m = np.fromiter(
-        [
-            *[e.in_service and e.bus in on for e in egs],
-            *[e.in_service and e.bus in on for e in convs],
-            *[e.in_service and e.from_bus in on and e.to_bus in on for e in lines],
-            *[e.in_service and e.hv_bus in on and e.lv_bus in on for e in t2s],
-            *[e.in_service and (e.hv_bus in on) + (e.mv_bus in on) + (e.lv_bus in on) >= 2 for e in t3s],
-        ],
-        bool, m + n3,
-    )
-    ends = at[: 2 * m].reshape(2, m)
-    k1, k2, k3 = len(egs), len(egs) + len(convs), m - len(t2s)
-    terminals = {
-        "external_grid": ends[:1, :k1],
-        "converter": ends[:1, k1:k2],
-        "line": ends[:, k2:k3],
-        "trafo2w": ends[:, k3:],
-        "trafo3w": at[2 * m :].reshape(3, n3),
-    }
-    live = {
-        "external_grid": live_m[:k1],
-        "converter": live_m[k1:k2],
-        "line": live_m[k2:k3],
-        "trafo2w": live_m[k3:m],
-        "trafo3w": live_m[m:],
-    }
-    for kind, i, _ in severed:
-        if kind == "trafo3w":
-            t = t3s[i]
-            # a three-winding transformer stays live on two of its windings
-            windings = sum(b in on and (kind, i, b) not in severed for b in (t.hv_bus, t.mv_bus, t.lv_bus))
-            live[kind][i] = t.in_service and windings >= 2
-        else:
-            # a cut terminal leaves a two-terminal element open
-            live[kind][i] = False
+    t = tables
+    if t is None:
+        t = _Tables(net)
+        if not t.ok:
+            t.coerce()
+    terminals, live, severed, (tie_a, tie_b) = t.elements()
 
     # nodes are numbered by their smallest bus id, in ascending id order: a
     # tied bus joins the node of the smallest bus it is tied to, and a bus
-    # out of service keeps -1
-    order = np.fromiter(bus_id, np.int64, n).argsort()
-    head = np.fromiter(in_service, bool, n)
-    if ties:
-        tied = sorted({b for tie in ties for b in tie})
-        local = {b: k for k, b in enumerate(tied)}
-        root = _roots(len(tied), [(local[a], local[b]) for a, b in ties])
+    # out of service keeps -1. Ranks among the sorted ids order the ties.
+    order = t.order
+    head = t.in_service.copy()
+    if tie_a:
+        tied = sorted({*tie_a, *tie_b})
+        local = {r: k for k, r in enumerate(tied)}
+        root = _roots(len(tied), zip(map(local.__getitem__, tie_a), map(local.__getitem__, tie_b)))
         # the positions of the tied buses that are no root, and of their roots
-        joined = [position[b] for k, (b, r) in enumerate(zip(tied, root)) if r != k]
-        into = [position[tied[r]] for k, r in enumerate(root) if r != k]
+        joined = order[[r for r, k in zip(tied, root) if r != tied[k]]]
+        into = order[[tied[k] for r, k in zip(tied, root) if r != tied[k]]]
         head[joined] = False
     heads = order[head[order]]
-    node = np.empty(n, np.intp)
+    node = np.empty(len(order), np.intp)
     node.fill(-1)
     node[heads] = np.arange(len(heads))
-    if ties:
+    if tie_a:
         node[joined] = node[into]
     return SwitchFusion(node=node, terminals=terminals, live=live, severed=frozenset(severed))
 
@@ -403,28 +348,21 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     (near-)zero branch impedances and UnsolvableIslandError when not a
     single island contains a voltage source.
     """
-    violations = validate(net)
+    # one typed read of the element tables serves validation, fusion and
+    # the line and converter columns of the stamp
+    tables = _Tables(net)
+    violations = validate(net, tables)
     if violations:
         raise ValidationError(violations)
+    if not tables.ok:
+        tables.coerce()
 
-    fusion = fuse_switches(net)
+    fusion = fuse_switches(net, tables)
     live, terminals, node = fusion.live, fusion.terminals, fusion.node
     case = options.case
     tol = options.lv_tolerance_percent
     s_base = options.s_base_mva
-    # one read of the float columns: bus voltages, then per line its length,
-    # resistance and reactance per km and, for the minimum case, its end
-    # temperature, then per converter its rating and -k
-    lines, convs = net.lines, net.converter_sources
-    nb, nl, nc = len(net.buses), len(lines), len(convs)
-    floats = [
-        *[b.vn_kv for b in net.buses], *[ln.length_km for ln in lines],
-        *[ln.r_ohm_per_km for ln in lines], *[ln.x_ohm_per_km for ln in lines],
-        *([ln.endtemp_degc for ln in lines] if case == "min" else ()),
-        *[cs.sn_mva for cs in convs], *[-cs.k for cs in convs],
-    ]
-    column = np.fromiter(floats, float, len(floats))
-    vn = column[:nb]
+    vn = tables.vn.copy()
     node_of, vn_of = node.tolist(), vn.tolist()
 
     # study node numbers: fused nodes by ascending id, then one star point
@@ -449,9 +387,9 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     # per-unit conversion in the same order; a row of rx holds r and x
     on = live["line"]
     ends = terminals["line"].compress(on, 1)
-    rx = (column[nb + nl : nb + 3 * nl].reshape(2, nl) * column[nb : nb + nl]).T.compress(on, 0)
+    rx = (tables.rx * tables.length).T.compress(on, 0)
     if case == "min":
-        rx[:, 0] *= 1.0 + ALPHA_PER_K * (column[nb + 3 * nl : nb + 4 * nl][on] - 20.0)
+        rx[:, 0] *= 1.0 + ALPHA_PER_K * (tables.endtemp[on] - 20.0)
     rx /= (vn[ends[0]] ** 2 / s_base)[:, None]
     z = rx.view(complex).ravel()
     tiny = np.abs(z) < ZERO_STAMP_TOL_PU
@@ -514,6 +452,21 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     node_row[live_nodes] = np.arange(dim)
     bus_index = node_row[node]
 
+    # converter injections -j*k*I_rated over the current base, with the
+    # operations of converter_current, summed per row in converter order;
+    # a converter in a dead island adds to row -1, which is dropped, and an
+    # open one adds zero
+    p = terminals["converter"][0]
+    i_kc = np.zeros(dim, dtype=complex)
+    if options.consider_converters:
+        vn_c = math.sqrt(3.0) * vn[p]
+        i_pu = np.where(live["converter"], -tables.conv_k * (tables.conv_sn / vn_c) / (s_base / vn_c), 0.0)
+        i_kc.imag = np.bincount(bus_index[p] + 1, i_pu, dim + 1)[1:]
+    n_aux = dim - int(live_nodes.searchsorted(n_fused))
+    # of the read, only the bus columns outlive the stamp
+    bus_ids, bus_names, id_order = tables.bus_id.copy(), tables.names, tables.order
+    del tables, fusion, terminals, p
+
     # four stamps per branch (ff, tt, ft, tf), branch after branch: the
     # lines, then the transformers, then the source shunts; branches inside
     # one fused node stamp nothing. A transformer stamps y / tap**2 at its
@@ -539,19 +492,7 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     vals[0:m:4] = vals[1:m:4] = y
     vals[2:m:4] = vals[3:m:4] = -y
     rows[m:], cols[m:], vals[m:] = zip(*tail)
-    y_matrix = _stamp_csc(rows, cols, vals, dim)
-
-    # converter injections -j*k*I_rated over the current base, with the
-    # operations of converter_current, summed per row in converter order;
-    # a converter in a dead island adds to row -1, which is dropped, and an
-    # open one adds zero
-    i_kc = np.zeros(dim, dtype=complex)
-    if options.consider_converters:
-        p = terminals["converter"][0]
-        vn_c = math.sqrt(3.0) * vn[p]
-        sn, minus_k = column[len(column) - 2 * nc : len(column) - nc], column[len(column) - nc :]
-        i_pu = np.where(live["converter"], minus_k * (sn / vn_c) / (s_base / vn_c), 0.0)
-        i_kc.imag = np.bincount(bus_index[p] + 1, i_pu, dim + 1)[1:]
-
-    n_aux = dim - int(live_nodes.searchsorted(n_fused))
-    return BusBranchModel(bus_index=bus_index, y_matrix=y_matrix, i_kc=i_kc, n_aux=n_aux)
+    return BusBranchModel(
+        bus_index=bus_index, y_matrix=_stamp_csc(rows, cols, vals, dim), i_kc=i_kc, n_aux=n_aux,
+        bus_ids=bus_ids, vn_kv=vn, bus_names=bus_names, id_order=id_order,
+    )

@@ -70,7 +70,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = _int_list(args.sizes, "--sizes", "a comma-separated list of bus counts")
+    expected = "a non-empty comma-separated list of bus counts > 0"
+    sizes = _int_list(args.sizes, "--sizes", expected)
+    if not sizes or min(sizes) < 1:
+        raise GridDataError(f"--sizes must be {expected}, got {args.sizes!r}")
     report = run_benchmark(sizes, case=args.case, seed=args.seed)
     print(report)
     return EXIT_OK

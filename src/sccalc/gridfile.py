@@ -27,7 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from .exceptions import GridFileError, ValidationError
-from .model import _INT64_LIMIT, FIELD_SPECS, SECTIONS, ElementRef, Network, Switch, validate
+from .model import _INT64_LIMIT, FIELD_SPECS, SECTIONS, ElementRef, Network, Switch, _is_index, validate
 from .solver import ShortCircuitResult
 
 __all__ = [
@@ -266,8 +266,8 @@ def network_to_dict(net: Network) -> dict:
         doc[section] = {name: list(map(get, elements)) for name, get in getters}
     doc["switches"] = []
     for sw in net.switches:
-        if isinstance(sw.other, int):
-            other = sw.other
+        if _is_index(sw.other):
+            other = int(sw.other)
         else:
             other = {"kind": sw.other.kind, "index": sw.other.index}
         doc["switches"].append({"kind": sw.kind, "bus": sw.bus, "other": other, "closed": sw.closed})
@@ -290,6 +290,8 @@ def load_network(path) -> Network:
     except OSError as e:
         raise GridFileError(f"{path}: {e.strerror}") from e
     net = network_from_dict(data)
+    # the document goes before validation reads the element tables
+    del data
     violations = validate(net)
     if violations:
         raise ValidationError(violations)

@@ -11,7 +11,8 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "Bus",
@@ -141,17 +142,12 @@ def _field_specs(cls: type) -> list[tuple[str, str, bool, object]]:
 FIELD_SPECS = {section: _field_specs(cls) for section, cls in SECTIONS.items()}
 
 
-def _typed_fields(specs: list) -> tuple:
-    floats = [name for name, typ, _, _ in specs if typ == "num"]
-    flags = [(name, operator.attrgetter(name)) for name, typ, _, _ in specs if typ == "bool"]
-    return floats, operator.attrgetter(*floats), flags
-
-
-# section -> (its float fields, a getter of all of them, its bool flags with
-# their getters), for the rules on value types
-_TYPED_FIELDS = {section: _typed_fields(specs) for section, specs in FIELD_SPECS.items()}
-_TYPED_FIELDS["switches"] = ([], None, [("closed", operator.attrgetter("closed"))])
-_BOOL_TYPE = {bool}
+# section -> (its float fields, its bool flags), for the rules on value types
+_TYPED_FIELDS = {
+    section: ([name for name, typ, _, _ in specs if typ == "num"], [name for name, typ, _, _ in specs if typ == "bool"])
+    for section, specs in FIELD_SPECS.items()
+}
+_TYPED_FIELDS["switches"] = ([], ["closed"])
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,7 @@ class Switch:
 
     @property
     def kind(self) -> str:
-        return "bus-bus" if isinstance(self.other, int) else "bus-element"
+        return "bus-bus" if _is_index(self.other) else "bus-element"
 
 
 @dataclass
@@ -214,18 +210,9 @@ def _number_rule(value, name: str) -> str:
         return f"{name} must be a number"
 
 
-def _all_finite(values, width: int) -> bool:
-    """Whether ``values`` (tuples of ``width`` when ``width`` > 1) are all
-    finite numbers, from one sum; False may also mean that the sum
-    overflowed or met a value that is no number."""
-    try:
-        return math.isfinite(sum(chain.from_iterable(values) if width > 1 else values))
-    except TypeError:
-        return False
-
-
 def _is_index(value) -> bool:
-    """An integer as ``operator.index`` takes it: int, bool or numpy integer."""
+    """An integer as ``operator.index`` takes it: int, bool or numpy integer.
+    A switch whose ``other`` is one connects two buses."""
     try:
         operator.index(value)
     except TypeError:
@@ -233,41 +220,269 @@ def _is_index(value) -> bool:
     return True
 
 
-def validate(net: Network) -> list[Violation]:
+# the exact value types of a number field in the typed read; any other
+# type, such as a numpy scalar or a bool, takes the element-by-element rules
+_NUMBER = {float, int}
+_KINDS = set(SWITCHABLE_ELEMENT_KINDS)
+# beyond this magnitude an int field value may round on its way to float64,
+# and two values that differ could compare equal
+_EXACT_FLOAT = 2.0**53
+
+
+def _all_of(values: list, kind: type) -> bool:
+    """Whether every value has exactly the type ``kind``: one counting pass,
+    which costs less than a set of the types."""
+    return operator.countOf(map(type, values), kind) == len(values)
+
+
+class _Tables:
+    """The element tables of a network, read once: one list per value type,
+    then one numpy column per list.
+
+    The int column holds the bus ids, then the bus references (``refs``),
+    then the element index of each bus-element switch. The references are
+    the bus of every external grid, converter and bus-element switch, the
+    three windings of one three-winding transformer after another, and two
+    aligned blocks A and B: the HV side of every two-winding transformer,
+    the from bus of every line and the bus of every bus-bus switch in A,
+    their other ends in B. The float column is grouped by rule: the fields that must be > 0,
+    those that must be >= 0 (ending with the vkr fields), the vk fields in
+    the order of the vkr fields, s_sc_max, and the line end temperatures.
+    The flags are ``in_service`` of the buses, external grids, converters,
+    three- and two-winding transformers and lines, then ``closed`` of the
+    bus-bus and the bus-element switches: each element's flag lines up with
+    its first reference.
+
+    ``ok`` is False when the read refused a value: one of another type than
+    its field's, an integer beyond 64 bits, an element index out of range,
+    a switch bus that is no terminal of its element, or a network without
+    buses or external grids. ``validate`` then names the violations element
+    by element, and a network that holds none gets its columns from
+    ``coerce``.
+    """
+
+    def __init__(self, net: Network):
+        buses, egs, convs, lines = net.buses, net.external_grids, net.converter_sources, net.lines
+        t2s, t3s, sws = net.transformers2w, net.transformers3w, net.switches
+        # any other ``other`` is a bus id, or breaks a rule
+        cuts = [sw for sw in sws if isinstance(sw.other, ElementRef)]
+        ties = [sw for sw in sws if not isinstance(sw.other, ElementRef)] if cuts else sws
+        self.kinds = [sw.other.kind for sw in cuts]
+        self.names = [b.name for b in buses]
+        self.sizes = len(buses), len(egs), len(convs), len(lines), len(t2s), len(t3s), len(ties), len(cuts)
+        ints = [
+            *[b.id for b in buses],
+            *[e.bus for e in egs], *[c.bus for c in convs], *[sw.bus for sw in cuts],
+            *[b for t in t3s for b in (t.hv_bus, t.mv_bus, t.lv_bus)],
+            *[t.hv_bus for t in t2s], *[ln.from_bus for ln in lines], *[sw.bus for sw in ties],
+            *[t.lv_bus for t in t2s], *[ln.to_bus for ln in lines], *[sw.other for sw in ties],
+            *[sw.other.index for sw in cuts],
+        ]
+        floats = [
+            *[b.vn_kv for b in buses], *[ln.length_km for ln in lines], *[c.sn_mva for c in convs],
+            *[e.s_sc_min_mva for e in egs],
+            *[x for t in t2s for x in (t.sn_mva, t.vn_hv_kv, t.vn_lv_kv)],
+            *[x for t in t3s for x in (t.sn_hv_mva, t.sn_mv_mva, t.sn_lv_mva, t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv)],
+            *[ln.r_ohm_per_km for ln in lines], *[ln.x_ohm_per_km for ln in lines], *[c.k for c in convs],
+            *[x for e in egs for x in (e.rx_max, e.rx_min)],
+            *[t.vkr_percent for t in t2s],
+            *[x for t in t3s for x in (t.vkr_hm_percent, t.vkr_ml_percent, t.vkr_hl_percent)],
+            *[t.vk_percent for t in t2s],
+            *[x for t in t3s for x in (t.vk_hm_percent, t.vk_ml_percent, t.vk_hl_percent)],
+            *[e.s_sc_max_mva for e in egs], *[ln.endtemp_degc for ln in lines],
+        ]
+        flags = [
+            *[b.in_service for b in buses],
+            *[e.in_service for e in egs], *[c.in_service for c in convs], *[t.in_service for t in t3s],
+            *[t.in_service for t in t2s], *[ln.in_service for ln in lines],
+            *[sw.closed for sw in ties], *[sw.closed for sw in cuts],
+        ]
+        self.ok = bool(
+            buses and egs
+            and _all_of(ints, int) and (_all_of(floats, float) or set(map(type, floats)) <= _NUMBER)
+            and _all_of(flags, bool) and _all_of(self.names, str)
+            and _all_of(self.kinds, str) and set(self.kinds) <= _KINDS
+        )
+        if self.ok:
+            try:
+                self._columns(ints, floats, flags)
+                return
+            except (OverflowError, LookupError):
+                self.ok = False
+        self._values = ints, floats, flags
+
+    def coerce(self) -> None:
+        """The columns of a valid network whose read was refused: each bus
+        reference and element index through ``int()``, each number through
+        ``float()``."""
+        ints, floats, flags = self._values
+        self._columns([int(v) for v in ints], [float(v) for v in floats], flags)
+        self._values = None
+        self.ok = True
+
+    def _columns(self, ints: list, floats: list, flags: list) -> None:
+        nb, ne, nc, nl, n2, n3, nt, nk = self.sizes
+        m = n2 + nl + nt
+        t3_at = ne + nc + nk
+        a_at = t3_at + 3 * n3
+        b_at = a_at + m
+        # per bus-element switch: its element and bus, and the slots in refs
+        # of the element's terminals at that bus
+        self.cuts = []
+        for kind, i, bus in zip(self.kinds, ints[nb + b_at + m :], ints[nb + ne + nc : nb + t3_at]):
+            if kind == "trafo3w":
+                count, slots = n3, (t3_at + 3 * i, t3_at + 3 * i + 1, t3_at + 3 * i + 2)
+            elif kind == "line":
+                count, slots = nl, (a_at + n2 + i, b_at + n2 + i)
+            else:
+                count, slots = n2, (a_at + i, b_at + i)
+            at = [s for s in slots if ints[nb + s] == bus] if 0 <= i < count else []
+            if not at:
+                raise LookupError(f"bus {bus} is no terminal of {kind}[{i}]")
+            self.cuts.append((kind, i, bus, at))
+        column = np.fromiter(ints, np.int64, len(ints))
+        self.floats = f = np.fromiter(floats, float, len(floats))
+        self.flags = np.fromiter(flags, bool, len(flags))
+        self.bus_id, self.in_service = column[:nb], self.flags[:nb]
+        self.refs = column[nb : nb + b_at + m]
+        # bus ids sorted once: a reference's rank among them gives its bus
+        self.order = self.bus_id.argsort()
+        self.sorted_ids = self.bus_id[self.order]
+        self.rank = self.sorted_ids.searchsorted(self.refs)
+        self.pos = self.order.take(self.rank, mode="clip")
+        p = nb + nl + nc + ne + 3 * n2 + 6 * n3
+        self.vn, self.length, self.conv_sn = f[:nb], f[nb : nb + nl], f[nb + nl : nb + nl + nc]
+        self.rx, self.conv_k = f[p : p + 2 * nl].reshape(2, nl), f[p + 2 * nl : p + 2 * nl + nc]
+        self.endtemp = f[len(f) - nl :]
+
+    def elements(self) -> tuple[dict, dict, set, list]:
+        """Per element kind, the positions in ``net.buses`` of the terminal
+        buses, one row per terminal field in the order of the element's
+        fields, and whether each element is live: in service, with its
+        buses in service and not cut off by an open bus-element switch (a
+        three-winding transformer on two of its windings). Then the
+        terminals (kind, index, bus id) that open switches cut, and the
+        ranks among the sorted bus ids of both ends of every closed bus-bus
+        switch between buses in service, as two lists."""
+        nb, ne, nc, nl, n2, n3, nt, nk = self.sizes
+        one, m = ne + nc, n2 + nl + nt
+        a_at = one + nk + 3 * n3
+        flags, pos = self.flags, self.pos
+        # per reference: its bus is in service and no open switch cuts it
+        up = self.in_service[pos]
+        severed = set()
+        if nk:
+            cut = []
+            for (kind, i, bus, at), closed in zip(self.cuts, flags[len(flags) - nk :].tolist()):
+                if not closed:
+                    severed.add((kind, i, bus))
+                    cut += at
+            if cut:
+                up[cut] = False
+        # each element's flag lines up with its first reference
+        ends, two = pos[a_at:].reshape(2, m), up[a_at:].reshape(2, m)
+        live_one = flags[nb : nb + one] & up[:one]
+        live_two = flags[nb + one + n3 : nb + one + n3 + m] & two[0] & two[1]
+        live_3w = flags[nb + one : nb + one + n3]
+        if n3:
+            # a three-winding transformer stays live on two of its windings
+            live_3w = live_3w & (up[one + nk : a_at].reshape(n3, 3).sum(1) >= 2)
+        terminals = {
+            "external_grid": pos[None, :ne],
+            "converter": pos[None, ne:one],
+            "line": ends[:, n2 : n2 + nl],
+            "trafo2w": ends[:, :n2],
+            "trafo3w": pos[one + nk : a_at].reshape(n3, 3).T,
+        }
+        live = {
+            "external_grid": live_one[:ne],
+            "converter": live_one[ne:],
+            "line": live_two[n2 : n2 + nl],
+            "trafo2w": live_two[:n2],
+            "trafo3w": live_3w,
+        }
+        tie = live_two[n2 + nl :]
+        ties = [[], []]
+        if nt and np.count_nonzero(tie):
+            ties = self.rank[a_at:].reshape(2, m)[:, n2 + nl :].compress(tie, 1).tolist()
+        return terminals, live, severed, ties
+
+
+def _rules_hold(t: _Tables) -> bool:
+    """Whether the columns of a read network keep every rule of
+    ``_check_each``: a fixed number of numpy masks, whatever the size of the
+    network, one per kind of rule over every section at once."""
+    if not t.ok:
+        return False
+    nb, ne, nc, nl, n2, n3, nt, nk = t.sizes
+    f, ids, refs = t.floats, t.sorted_ids, t.refs
+    m, v = n2 + nl + nt, n2 + 3 * n3
+    p = nb + nl + nc + ne + 3 * n2 + 6 * n3
+    q = p + 2 * nl + nc + 2 * ne + v
+    s = q + v
+    smin = nb + nl + nc
+    a_at = ne + nc + nk + 3 * n3
+    # the ends of the lines and bus-bus switches, which join equal levels
+    joins = t.vn[t.pos[a_at:].reshape(2, m)[:, n2:]]
+    masks = (
+        # every float field has a lower bound >= 0, so this also keeps
+        # them finite, and exact as float64 where one holds an int
+        f <= _EXACT_FLOAT,
+        f[:p] > 0.0,
+        f[p:q] >= 0.0,
+        f[q - v : q] < f[q:s],
+        f[q : q + n2] <= 100.0,
+        f[s : s + ne] >= f[smin : smin + ne],
+        f[s + ne :] >= 20.0,
+        np.logical_or(t.rx[0], t.rx[1]),
+        ids[1:] != ids[:-1],
+        ids.take(t.rank, mode="clip") == refs,
+        joins[0] == joins[1],
+    )
+    held = np.concatenate(masks)
+    return np.count_nonzero(held) == len(held)
+
+
+def validate(net: Network, tables: _Tables | None = None) -> list[Violation]:
     """Check every model invariant; violations are data, not exceptions.
 
     The returned list is empty exactly when the network is well formed.
     Electrical solvability beyond data shape (dead islands, singular
-    stamps) is the study builder's concern, not validation's.
+    stamps) is the study builder's concern, not validation's. ``tables``
+    is the typed read of ``net`` when the caller holds it already; the
+    elements are checked one by one only when its columns break a rule or
+    the read refused a value, to name the violations.
     """
+    if _rules_hold(tables if tables is not None else _Tables(net)):
+        return []
+    return _check_each(net)
+
+
+def _check_each(net: Network) -> list[Violation]:
+    """``validate``, element by element."""
     # (section, element index, field, rule); the element labels are built
     # only for what is found, at the end
     bad: list[tuple[str, int | None, str, str]] = []
-    for section, (floats, get_floats, flags) in _TYPED_FIELDS.items():
+    for section, (floats, flags) in _TYPED_FIELDS.items():
         elements = getattr(net, section)
-        if not elements:
-            continue
-        if floats and not _all_finite(map(get_floats, elements), len(floats)):
-            for name in floats:
-                bad.extend(
-                    (section, i, name, rule)
-                    for i, el in enumerate(elements)
-                    if (rule := _number_rule(getattr(el, name), name))
-                )
+        for name in floats:
+            bad.extend(
+                (section, i, name, rule)
+                for i, el in enumerate(elements)
+                if (rule := _number_rule(getattr(el, name), name))
+            )
         # truthiness would decide a flag that holds no bool
-        for name, get in flags:
-            if not set(map(type, map(get, elements))) <= _BOOL_TYPE:
-                bad.extend(
-                    (section, i, name, f"{name} must be a bool")
-                    for i, el in enumerate(elements)
-                    if type(get(el)) is not bool
-                )
+        for name in flags:
+            bad.extend(
+                (section, i, name, f"{name} must be a bool")
+                for i, el in enumerate(elements)
+                if type(getattr(el, name)) is not bool
+            )
     if any(rule.endswith("must be a number") for _, _, _, rule in bad):
         # the rules below compare these fields and cannot judge a non-number
         return _violations(bad)
 
     vn_of: dict[int, float] = {}
-    ids_fit = True
     for i, bus in enumerate(net.buses):
         bus_id, vn = bus.id, bus.vn_kv
         try:
@@ -276,24 +491,17 @@ def validate(net: Network) -> list[Violation]:
             else:
                 vn_of[bus_id] = vn
         except TypeError:
-            # an unhashable id, which the integer rule below names
-            ids_fit = False
+            pass  # an unhashable id, which the integer rule below names
         if not vn > 0:
             bad.append(("buses", i, "vn_kv", "vn_kv > 0"))
         if not isinstance(bus.name, str):
             bad.append(("buses", i, "name", "name must be a string"))
-    try:
-        # ints of at most 63 bits besides the sign; -2**63 and numpy
-        # integers are judged one by one
-        ids_fit = ids_fit and max(map(int.bit_length, vn_of), default=0) < 64
-    except TypeError:
-        ids_fit = False
-    if not ids_fit:
-        for i, bus in enumerate(net.buses):
-            if not _is_index(bus.id):
-                bad.append(("buses", i, "id", "id must be an integer"))
-            elif not -_INT64_LIMIT <= bus.id < _INT64_LIMIT:
-                bad.append(("buses", i, "id", f"id {bus.id} is outside the 64-bit range"))
+    for i, bus in enumerate(net.buses):
+        # ints of at most 63 bits besides the sign: bus ids become int64
+        if not _is_index(bus.id):
+            bad.append(("buses", i, "id", "id must be an integer"))
+        elif not -_INT64_LIMIT <= bus.id < _INT64_LIMIT:
+            bad.append(("buses", i, "id", f"id {bus.id} is outside the 64-bit range"))
 
     checked = len(bad)
     try:
@@ -412,7 +620,7 @@ def _check_elements(net: Network, vn_of: dict, bad: list) -> None:
         bus_ok = sw.bus in vn_of
         if not bus_ok:
             unknown_bus("switches", i, "bus", sw.bus)
-        if isinstance(sw.other, int):
+        if _is_index(sw.other):
             if sw.other not in vn_of:
                 unknown_bus("switches", i, "other", sw.other)
             elif bus_ok and vn_of[sw.bus] != vn_of[sw.other]:

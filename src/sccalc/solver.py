@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 import scipy.sparse
@@ -46,10 +45,6 @@ __all__ = [
 DEGENERATE_Z_TOL_PU = 1e-12
 
 _SINGULAR = "admittance matrix is numerically singular"
-
-_ID = attrgetter("id")
-_VN = attrgetter("vn_kv")
-_NAME = attrgetter("name")
 
 
 @dataclass
@@ -398,16 +393,16 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
 
     Reported rows follow ascending bus id and are restricted to
     ``options.fault_buses``; each bus's result is independent of which
-    other buses are in the fault set. The per-bus columns come from one
-    sort of the bus ids, which also picks the rows out of ``bus_index``.
+    other buses are in the fault set. The per-bus columns are the bus
+    columns of the study model, picked by its sort of the bus ids, which
+    also picks the rows out of ``bus_index``.
     """
     options = options or FaultStudyOptions()
     bbm = build_bbm(net, options)
 
-    buses = net.buses
-    bus_id = np.fromiter(map(_ID, buses), np.int64, len(buses))
+    bus_id = bbm.bus_ids
     # positions in net.buses of the reported buses, by ascending id
-    pick = bus_id.argsort()
+    pick = bbm.id_order
     if options.fault_buses != "all":
         known = bus_id[pick]
         wanted = set(options.fault_buses)
@@ -415,12 +410,11 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
         if unknown:
             raise InvalidOptionError(f"unknown fault bus id(s): {unknown}")
         pick = pick[known.searchsorted(sorted(wanted))]
-    reported = list(map(buses.__getitem__, pick.tolist()))
     bus_ids = bus_id[pick]
     rows = bbm.bus_index[pick]
     energized = rows >= 0
     live_rows = rows[energized]
-    vn_kv = np.fromiter(map(_VN, reported), float, len(pick))
+    vn_kv = bbm.vn_kv[pick]
 
     lu = factorize(bbm.y_matrix)
     z_diag = impedance_matrix_diag(lu, rows=live_rows)
@@ -448,7 +442,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
         ikss_ka=total_ka,
         energized=energized,
         options=options,
-        bus_names=tuple(map(_NAME, reported)),
+        bus_names=tuple(map(bbm.bus_names.__getitem__, pick.tolist())),
         vn_kv=vn_kv,
         degenerate_buses=tuple(bus_ids[energized][degenerate].tolist()),
     )

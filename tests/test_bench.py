@@ -1,7 +1,7 @@
 """Tests for the vectorized-vs-looped benchmark harness."""
 import pytest
 
-from sccalc import FaultStudyOptions, calc_sc, generate_radial_grid, run_benchmark
+from sccalc import FaultStudyOptions, bench, calc_sc, generate_radial_grid, run_benchmark
 from sccalc.bench import EquivalenceGateError, _check_equivalence
 
 
@@ -51,3 +51,18 @@ def test_gate_accepts_matching_degenerate_markers():
     vectorized = calc_sc(net)
     looped = [calc_sc(net, FaultStudyOptions(fault_buses=(1,)))]
     assert _check_equivalence(vectorized, looped, 1e-10) == 0.0
+
+
+def test_each_size_runs_one_untimed_study_before_the_timed_ones(monkeypatch):
+    studies = []
+
+    def counting(net, options):
+        studies.append(options.fault_buses)
+        return calc_sc(net, options)
+
+    monkeypatch.setattr(bench, "calc_sc", counting)
+    report = run_benchmark([2, 2])
+    n = report.cases[0].n_buses
+    # per size: the untimed study, the timed all-bus study, then one per bus
+    per_size = ["all", "all"] + [(bus_id,) for bus_id in range(1, n + 1)]
+    assert studies == per_size + per_size

@@ -1,5 +1,8 @@
 """Tests for correction factors, element impedances, switch fusion and the
 bus-branch model builder."""
+import collections
+import copy
+import dataclasses
 import math
 import random
 
@@ -37,6 +40,7 @@ from sccalc.builder import (
 )
 
 from busmap import by_bus_id
+from netgen import random_network
 from oracle import oracle_admittance, oracle_calc
 
 SQRT3 = math.sqrt(3.0)
@@ -646,3 +650,55 @@ def test_fault_bus_fed_only_through_a_3w_star_point():
     for i, b in enumerate(res.bus_ids.tolist()):
         assert res.ikss_ka[i] == pytest.approx(expected[b]["total_ka"], rel=1e-12)
     assert res.ikss_ka[3] > 0.0
+
+
+# --- one read of the element tables ----------------------------------------
+
+def read_counting(net: Network, reads: collections.Counter) -> Network:
+    """A copy of ``net`` whose buses, lines and converters count every read
+    of one of their fields in ``reads``, per (element, field)."""
+
+    def counting(cls: type) -> type:
+        fields = {f.name for f in dataclasses.fields(cls)}
+
+        class Counted(cls):
+            def __getattribute__(self, name):
+                if name in fields:
+                    reads[id(self), name] += 1
+                return object.__getattribute__(self, name)
+
+        return Counted
+
+    counted_net = dataclasses.replace(net)
+    for section, cls in (("buses", Bus), ("lines", Line), ("converter_sources", ConverterSource)):
+        counted = counting(cls)
+        setattr(counted_net, section, [counted(**vars(el)) for el in getattr(net, section)])
+    return counted_net
+
+
+@pytest.mark.parametrize("case", ["max", "min"])
+@pytest.mark.parametrize("seed", range(8))
+def test_a_study_reads_each_bus_line_and_converter_field_once(seed, case):
+    net = random_network(seed, max_buses=40, loops=2)
+    reads = collections.Counter()
+    counted = read_counting(net, reads)
+    result = calc_sc(counted, FaultStudyOptions(case=case))
+    assert result.ikss_ka.tolist() == calc_sc(net, FaultStudyOptions(case=case)).ikss_ka.tolist()
+    elements = len(net.buses) + len(net.lines) + len(net.converter_sources)
+    assert len({element for element, _ in reads}) == elements
+    assert max(reads.values()) == 1
+
+
+def test_a_valid_network_of_other_value_types_studies_like_its_plain_one():
+    net = random_network(5, max_buses=40, loops=2)
+    retyped = copy.deepcopy(net)
+    retyped.buses[0].id = np.int32(net.buses[0].id)
+    retyped.lines[0].from_bus = float(net.lines[0].from_bus)
+    for line in retyped.lines:
+        line.length_km = np.float64(line.length_km)
+    for cs in retyped.converter_sources:
+        cs.k = np.float64(cs.k)
+    for case in ("max", "min"):
+        plain, other = calc_sc(net, FaultStudyOptions(case=case)), calc_sc(retyped, FaultStudyOptions(case=case))
+        assert other.bus_ids.tolist() == plain.bus_ids.tolist()
+        assert other.ikss_ka.tolist() == plain.ikss_ka.tolist()

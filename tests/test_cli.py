@@ -92,6 +92,13 @@ def test_bench_sizes_that_are_no_numbers_exit_1(capsys):
     assert "--sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", ["", ",", "-5", "0", "102,0"])
+def test_bench_sizes_that_are_empty_or_not_positive_exit_1(sizes, capsys):
+    assert main(["bench", "--sizes", sizes]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sizes must be a non-empty comma-separated list of bus counts > 0")
+
+
 def test_calc_6_percent_lv_tolerance_matches_calc_sc(tmp_path):
     net = random_network(6)
     path = tmp_path / "lv.json"

@@ -8,10 +8,12 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from sccalc import (
     GridFileError,
+    Switch,
     generate_radial_grid,
     load_network,
     network_from_dict,
@@ -92,6 +94,17 @@ def test_a_non_finite_number_is_refused_before_the_file_is_created(value, tmp_pa
     with pytest.raises(GridFileError, match=r"grid\.json: lines\.length_km holds NaN or infinity"):
         save_network(net, path)
     assert not path.exists()
+
+
+def test_a_numpy_integer_switch_end_is_written_as_a_bus_id(tmp_path):
+    net = random_network(1)
+    net.switches = [Switch(bus=net.lines[0].from_bus, other=np.int64(net.lines[0].to_bus))]
+    path = tmp_path / "grid.json"
+    save_network(net, path)
+    [switch] = json.loads(path.read_text(encoding="utf-8"))["switches"]
+    assert switch == {"kind": "bus-bus", "bus": net.lines[0].from_bus, "other": net.lines[0].to_bus, "closed": True}
+    [loaded] = load_network(path).switches
+    assert type(loaded.other) is int and loaded == net.switches[0]
 
 
 def test_empty_sections_hold_no_elements():

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sccalc import (
     Bus,
@@ -21,7 +23,7 @@ from sccalc import (
     calc_sc,
     validate,
 )
-from sccalc.model import SECTIONS, _field_specs
+from sccalc.model import SECTIONS, _check_each, _field_specs
 
 from netgen import random_network
 
@@ -523,3 +525,60 @@ VALIDATE_SNAPSHOTS = {
 def test_validate_matches_the_recorded_violation_list(name):
     make, expected = VALIDATE_SNAPSHOTS[name]
     assert validate(make()) == [Violation(*v) for v in expected]
+
+
+@pytest.mark.parametrize("other", [np.int64(3), np.int32(3), 3], ids=["int64", "int32", "int"])
+def test_numpy_integer_switch_end_is_a_bus_bus_switch(other):
+    net = minimal_network()
+    net.buses.append(Bus(3, 110.0, "C"))
+    net.switches.append(Switch(bus=2, other=other))
+    assert net.switches[0].kind == "bus-bus"
+    assert validate(net) == []
+    fused = calc_sc(net)
+    net.switches[0].other = 3
+    reference = calc_sc(net)
+    assert fused.ikss_ka.tolist() == reference.ikss_ka.tolist()
+    assert fused.ikss_ka[1] == fused.ikss_ka[2]
+
+
+def test_a_bool_switch_end_stays_a_bus_bus_switch():
+    assert Switch(bus=2, other=True).kind == "bus-bus"
+
+
+def corruptions(net: Network, value) -> list:
+    """Values that break, or only retype, the value of one field: the
+    corruptions the typed read must leave to the element-by-element rules
+    whenever it cannot judge them itself."""
+    ids = [bus.id for bus in net.buses]
+    number = value if type(value) in (int, float) else 1
+    return [
+        math.nan, math.inf, -math.inf, "1", None, True, False, [value],
+        np.float64(number), np.float32(number), np.int64(int(number)), np.bool_(True),
+        -abs(number) - 1, 0, 0.0, 150.0, 1e6, float(int(number)), 2**63, -(2**63) - 1,
+        # a duplicate id or a known reference, an unknown one, and one given
+        # as a float
+        ids[0], ids[-1], max(ids) + 1, float(ids[-1]),
+        ElementRef("line", 0), ElementRef("cable", 0), ElementRef("line", len(net.lines)),
+        ElementRef("line", -1), ElementRef("line", np.int64(0)), ElementRef("line", 0.0),
+        ElementRef("trafo2w", 0), ElementRef("trafo3w", 0),
+    ]
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 200), data=st.data())
+def test_validate_equals_the_element_by_element_rules_under_any_one_corruption(seed, data):
+    """Every field of one drawn element per section takes every corruption
+    in turn, on a random network."""
+    net = random_network(seed)
+    for section in (*SECTIONS, "switches"):
+        elements = getattr(net, section)
+        if not elements:
+            continue
+        element = data.draw(st.sampled_from(elements))
+        for f in dataclasses.fields(element):
+            value = getattr(element, f.name)
+            for corrupt in corruptions(net, value):
+                setattr(element, f.name, corrupt)
+                assert validate(net) == _check_each(net), (section, f.name, corrupt)
+            setattr(element, f.name, value)
+    assert validate(net) == _check_each(net) == []
