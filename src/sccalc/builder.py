@@ -257,24 +257,22 @@ class SwitchFusion:
     severed: frozenset[tuple[str, int, int]]
 
 
-def _roots(n: int, pairs) -> list[int]:
-    """Union-find over the items 0..n-1 joined by ``pairs``: the root of each
-    item, which is always the smallest item of its component."""
-    up = list(range(n))
-    for a, b in pairs:
-        while up[a] != a:
-            up[a] = a = up[up[a]]  # path halving
-        while up[b] != b:
-            up[b] = b = up[up[b]]
-        if a < b:
-            up[b] = a
-        elif b < a:
-            up[a] = b
-    # every link points to a smaller item, so one ascending pass resolves
-    # each item through its parent, which is resolved already
-    for x in range(n):
-        up[x] = up[up[x]]
-    return up
+def _roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root of each item 0..n-1 in the graph of the edges (a[i], b[i]),
+    the smallest item of its component, by hooking and pointer jumping
+    (Shiloach & Vishkin 1982): a round hooks the larger label of every edge
+    under the smallest label it meets, then jumps ``lab = lab[lab]`` until
+    the labels are stable. Labels only fall along edges."""
+    lab = np.arange(n)
+    # every item is its own label, so the first round reads the edges
+    lab_a, lab_b = a, b
+    while True:
+        np.minimum.at(lab, np.maximum(lab_a, lab_b), np.minimum(lab_a, lab_b))
+        while np.count_nonzero((up := lab.take(lab)) != lab):
+            lab = up
+        lab_a, lab_b = lab.take(a), lab.take(b)
+        if not np.count_nonzero(lab_a != lab_b):
+            return lab
 
 
 def fuse_switches(net: Network, tables: _Tables | None = None) -> SwitchFusion:
@@ -298,21 +296,16 @@ def fuse_switches(net: Network, tables: _Tables | None = None) -> SwitchFusion:
     # tied bus joins the node of the smallest bus it is tied to, and a bus
     # out of service keeps -1. Ranks among the sorted ids order the ties.
     order = t.order
-    head = t.in_service.copy()
-    if tie_a:
-        tied = sorted({*tie_a, *tie_b})
-        local = {r: k for k, r in enumerate(tied)}
-        root = _roots(len(tied), zip(map(local.__getitem__, tie_a), map(local.__getitem__, tie_b)))
-        # the positions of the tied buses that are no root, and of their roots
-        joined = order[[r for r, k in zip(tied, root) if r != tied[k]]]
-        into = order[[tied[k] for r, k in zip(tied, root) if r != tied[k]]]
-        head[joined] = False
-    heads = order[head[order]]
-    node = np.empty(len(order), np.intp)
-    node.fill(-1)
+    head = t.in_service[order]
+    if len(tie_a):
+        # a tied bus heads no node unless it is the root of its ties
+        root = _roots(len(order), tie_a, tie_b)
+        head &= root == np.arange(len(root))
+    heads = order[head]
+    node = np.full(len(order), -1, np.intp)
     node[heads] = np.arange(len(heads))
-    if tie_a:
-        node[joined] = node[into]
+    if len(tie_a):
+        node[order] = node[order[root]]
     return SwitchFusion(node=node, terminals=terminals, live=live, severed=frozenset(severed))
 
 
@@ -439,9 +432,11 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     # energized islands: the components that hold a voltage source node
     if not sources:
         raise UnsolvableIslandError("no energized island: no in-service external grid is connected")
-    roots = _roots(n_nodes, zip([*fr.tolist(), *[b[0] for b in branches]], [*to.tolist(), *[b[1] for b in branches]]))
-    fed = {roots[n] for n in sources}
-    energized = np.fromiter([r in fed for r in roots], bool, n_nodes)
+    trafo_ends = np.array([b[:2] for b in branches], np.intp).reshape(-1, 2).T
+    roots = _roots(n_nodes, np.concatenate((fr, trafo_ends[0])), np.concatenate((to, trafo_ends[1])))
+    fed = np.zeros(n_nodes, bool)
+    fed[roots[sources]] = True
+    energized = fed[roots]
     # the energized nodes keep their order as rows, real rows first; the
     # row of a dead node is -1, and so is that of the node -1 of a dead bus,
     # which is the last entry

@@ -266,10 +266,7 @@ def network_to_dict(net: Network) -> dict:
         doc[section] = {name: list(map(get, elements)) for name, get in getters}
     doc["switches"] = []
     for sw in net.switches:
-        if _is_index(sw.other):
-            other = int(sw.other)
-        else:
-            other = {"kind": sw.other.kind, "index": sw.other.index}
+        other = int(sw.other) if _is_index(sw.other) else {"kind": sw.other.kind, "index": sw.other.index}
         doc["switches"].append({"kind": sw.kind, "bus": sw.bus, "other": other, "closed": sw.closed})
     return doc
 
@@ -300,17 +297,17 @@ def load_network(path) -> Network:
 
 def save_network(net: Network, path) -> None:
     """Write a grid document, one line per field column and per switch; a
-    path that cannot be opened raises GridFileError, and so does a NaN or
-    infinity, which JSON cannot hold, before the file is created. Each line
-    is one ``json.dumps`` call: with ``indent`` set, ``json`` would fall back
-    to its pure-Python encoder for the whole document."""
+    path that cannot be opened raises GridFileError, and so does a value
+    that JSON cannot hold (a NaN, an infinity, but no numpy number) before
+    the file is created. Each line is one ``json`` encoder call: with
+    ``indent`` set, it would take its pure-Python encoder for all of them."""
     items = []
     for key, value in network_to_dict(net).items():
         if isinstance(value, dict):
-            lines = [f"    {json.dumps(name)}: {_json_column(col, key, name, path)}" for name, col in value.items()]
+            lines = [f"    {json.dumps(name)}: {_encode(col, f'{key}.{name}', path)}" for name, col in value.items()]
             text = "{\n" + ",\n".join(lines) + "\n  }"
         elif key == "switches" and value:
-            text = "[\n" + ",\n".join(f"    {json.dumps(sw)}" for sw in value) + "\n  ]"
+            text = "[\n" + ",\n".join("    " + _encode(sw, f"switches[{i}]", path) for i, sw in enumerate(value)) + "\n  ]"
         else:
             text = json.dumps(value)
         items.append(f"  {json.dumps(key)}: {text}")
@@ -318,15 +315,26 @@ def save_network(net: Network, path) -> None:
         f.write("{\n" + ",\n".join(items) + "\n}\n")
 
 
+def _plain_number(value):
+    """A numpy integer or float as ``int()`` or ``float()``, for the encoder."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(repr(value))
+
+
 # json.dumps with a non-default argument builds a new encoder on every call
-_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+_STRICT_JSON = json.JSONEncoder(allow_nan=False, default=_plain_number)
 
 
-def _json_column(column: list, section: str, name: str, path) -> str:
+def _encode(value, where: str, path) -> str:
     try:
-        return _STRICT_JSON.encode(column)
+        return _STRICT_JSON.encode(value)
     except ValueError:
-        raise GridFileError(f"{path}: {section}.{name} holds NaN or infinity, which JSON cannot store") from None
+        raise GridFileError(f"{path}: {where} holds NaN or infinity, which JSON cannot store") from None
+    except TypeError as e:
+        raise GridFileError(f"{path}: {where} holds {e}, which JSON cannot store") from None
 
 
 def _result_meta(result: ShortCircuitResult) -> dict:

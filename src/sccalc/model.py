@@ -355,7 +355,7 @@ class _Tables:
         self.rx, self.conv_k = f[p : p + 2 * nl].reshape(2, nl), f[p + 2 * nl : p + 2 * nl + nc]
         self.endtemp = f[len(f) - nl :]
 
-    def elements(self) -> tuple[dict, dict, set, list]:
+    def elements(self) -> tuple[dict, dict, set, np.ndarray]:
         """Per element kind, the positions in ``net.buses`` of the terminal
         buses, one row per terminal field in the order of the element's
         fields, and whether each element is live: in service, with its
@@ -363,7 +363,7 @@ class _Tables:
         three-winding transformer on two of its windings). Then the
         terminals (kind, index, bus id) that open switches cut, and the
         ranks among the sorted bus ids of both ends of every closed bus-bus
-        switch between buses in service, as two lists."""
+        switch between buses in service, as the two rows of one array."""
         nb, ne, nc, nl, n2, n3, nt, nk = self.sizes
         one, m = ne + nc, n2 + nl + nt
         a_at = one + nk + 3 * n3
@@ -401,10 +401,7 @@ class _Tables:
             "trafo2w": live_two[:n2],
             "trafo3w": live_3w,
         }
-        tie = live_two[n2 + nl :]
-        ties = [[], []]
-        if nt and np.count_nonzero(tie):
-            ties = self.rank[a_at:].reshape(2, m)[:, n2 + nl :].compress(tie, 1).tolist()
+        ties = self.rank[a_at:].reshape(2, m)[:, n2 + nl :].compress(live_two[n2 + nl :], 1)
         return terminals, live, severed, ties
 
 

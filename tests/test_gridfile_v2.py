@@ -7,13 +7,17 @@ import json
 import math
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
 
 from sccalc import (
+    ElementRef,
+    FaultStudyOptions,
     GridFileError,
     Switch,
+    calc_sc,
     generate_radial_grid,
     load_network,
     network_from_dict,
@@ -105,6 +109,54 @@ def test_a_numpy_integer_switch_end_is_written_as_a_bus_id(tmp_path):
     assert switch == {"kind": "bus-bus", "bus": net.lines[0].from_bus, "other": net.lines[0].to_bus, "closed": True}
     [loaded] = load_network(path).switches
     assert type(loaded.other) is int and loaded == net.switches[0]
+
+
+NUMPY_VALUES = {
+    "int64-bus-id": lambda net: setattr(net.buses[0], "id", np.int64(net.buses[0].id)),
+    "int32-bus-reference": lambda net: setattr(net.lines[0], "from_bus", np.int32(net.lines[0].from_bus)),
+    "float32-vn_kv": lambda net: setattr(net.buses[0], "vn_kv", np.float32(net.buses[0].vn_kv)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_VALUES))
+def test_numpy_numbers_round_trip_and_study_like_their_network(name, tmp_path):
+    net = three_bus_example()
+    NUMPY_VALUES[name](net)
+    path = tmp_path / "grid.json"
+    save_network(net, path)
+    loaded = load_network(path)
+    assert loaded == net
+    for case in ("max", "min"):
+        options = FaultStudyOptions(case=case)
+        expected, result = calc_sc(net, options), calc_sc(loaded, options)
+        for column in ("bus_ids", "ikss_source_ka", "ikss_converter_ka", "ikss_ka", "energized"):
+            assert np.array_equal(getattr(result, column), getattr(expected, column))
+
+
+def test_a_numpy_switch_bus_is_written_as_a_bus_id(tmp_path):
+    net = three_bus_example()
+    net.switches = [Switch(bus=np.int64(net.lines[0].from_bus), other=ElementRef("line", np.int32(0)), closed=False)]
+    path = tmp_path / "grid.json"
+    save_network(net, path)
+    assert load_network(path) == net
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("buses.in_service", np.True_), ("lines.r_ohm_per_km", object()), ("switches[0]", np.int64)],
+    ids=["numpy-bool", "object", "type"],
+)
+def test_a_value_json_cannot_store_names_its_field(where, value, tmp_path):
+    net = three_bus_example()
+    if where == "switches[0]":
+        net.switches = [Switch(bus=net.lines[0].from_bus, other=ElementRef("line", value))]
+    else:
+        section, field = where.split(".")
+        setattr(getattr(net, section)[0], field, value)
+    path = tmp_path / "grid.json"
+    with pytest.raises(GridFileError, match=rf"grid\.json: {re.escape(where)} holds .*, which JSON cannot store"):
+        save_network(net, path)
+    assert not path.exists()
 
 
 def test_empty_sections_hold_no_elements():

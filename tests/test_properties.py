@@ -15,6 +15,8 @@ import random
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -241,6 +243,43 @@ def test_selected_inversion_matches_unit_solves_and_inverse_on_large_meshed_grid
     assert_matches_dense_inverse(z, y)
     rows = np.arange(n)[::-3]
     assert np.array_equal(impedance_matrix_diag(lu, rows=rows), z[rows])
+
+
+def factor_check_grids() -> dict:
+    """The grids of the ``radial_dg`` and ``meshed_3w`` workloads at scale
+    0.1, seed 1, and the four 800-bus grids meshed by 30 extra loops."""
+    nets = {
+        "radial_dg": generate_radial_grid(4, 75, dg_every=5, seed=1),
+        "meshed_3w": load_perfbench("grids").meshed_grid(1, feeder_buses=6),
+    }
+    nets.update({f"loops-{seed}": random_network(seed, max_buses=800, loops=30) for seed in MESHED_3W_SEEDS})
+    return nets
+
+
+FACTOR_CHECK_GRIDS = factor_check_grids()
+
+
+@pytest.mark.parametrize("case", ["max", "min"])
+@pytest.mark.parametrize("name", sorted(FACTOR_CHECK_GRIDS))
+def test_factor_reproduces_y_with_the_default_ordering_and_pattern(name, case):
+    y = build_bbm(FACTOR_CHECK_GRIDS[name], FaultStudyOptions(case=case)).y_matrix
+    n = y.shape[0]
+    lu = factorize(y)
+    # Pr @ Y @ Pc = L @ U, with the permutations as scipy's SuperLU docs
+    # build them
+    ones = np.ones(n)
+    pr = scipy.sparse.csc_matrix((ones, (lu.perm_r, np.arange(n))))
+    pc = scipy.sparse.csc_matrix((ones, (np.arange(n), lu.perm_c)))
+    residual = scipy.sparse.linalg.norm(pr @ y @ pc - lu.L @ lu.U) / scipy.sparse.linalg.norm(y)
+    assert residual <= 1e-13
+    # the supernode settings leave the ordering and the pattern of L as a
+    # default-parameter factor has them, so the selected inversion sees the
+    # same elimination tree and branching columns
+    default = scipy.sparse.linalg.splu(
+        y, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    assert np.array_equal(lu.perm_c, default.perm_c)
+    assert np.array_equal(np.diff(lu.L.indptr), np.diff(default.L.indptr))
 
 
 def test_selected_inversion_on_a_deep_chain():
