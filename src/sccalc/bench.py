@@ -1,4 +1,5 @@
-"""Timing harness: one vectorized all-bus study against per-bus loops.
+"""Timing harness: one vectorized all-bus study against per-bus loops, and
+the time of each pipeline stage.
 
 Timings are only reported after an equivalence gate has confirmed that both
 paths produce the same currents at every bus.
@@ -6,17 +7,32 @@ paths produce the same currents at every bus.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 
-from .builder import FaultStudyOptions
+import numpy as np
+import scipy
+
+from .builder import FaultStudyOptions, build_bbm, fuse_switches
 from .generator import generate_radial_grid
-from .solver import ShortCircuitResult, calc_sc
+from .model import validate
+from .solver import (
+    DEGENERATE_Z_TOL_PU,
+    ShortCircuitResult,
+    calc_sc,
+    converter_contribution,
+    factorize,
+    impedance_matrix_diag,
+)
 
 __all__ = ["BenchmarkCase", "BenchmarkReport", "EquivalenceGateError", "run_benchmark"]
 
 EQUIVALENCE_TOL = 1e-10
 
+# timed calls per stage and size, after one untimed study; an odd count,
+# so that the median is one of the times
+REPEATS = 5
 
 class EquivalenceGateError(AssertionError):
     """Vectorized and looped studies disagree; timings are withheld."""
@@ -24,27 +40,86 @@ class EquivalenceGateError(AssertionError):
 
 @dataclass(frozen=True)
 class BenchmarkCase:
+    """One grid size: its problem sizes, the min and median seconds of each
+    stage, the traced peak memory of one study and, when the looped
+    reference ran, its time and the largest relative deviation from it."""
+
     n_buses: int
-    t_vectorized_s: float
-    t_looped_s: float
-    max_rel_diff: float
+    nodes: int
+    n_aux: int
+    nnz_y: int
+    nnz_lu: int
+    stages: dict[str, tuple[float, float]]
+    peak_traced_bytes: int
+    t_looped_s: float | None
+    max_rel_diff: float | None
 
     @property
-    def speedup(self) -> float:
-        return self.t_looped_s / self.t_vectorized_s
+    def t_vectorized_s(self) -> float:
+        return self.stages["calc_sc"][0]
+
+    @property
+    def speedup(self) -> float | None:
+        return None if self.t_looped_s is None else self.t_looped_s / self.t_vectorized_s
+
+    def to_dict(self) -> dict:
+        return {
+            "buses": self.n_buses,
+            "nodes": self.nodes,
+            "n_aux": self.n_aux,
+            "nnz_y": self.nnz_y,
+            "nnz_lu": self.nnz_lu,
+            "stages_s": {name: {"min": lo, "median": mid} for name, (lo, mid) in self.stages.items()},
+            "peak_traced_bytes": self.peak_traced_bytes,
+            "looped_s": self.t_looped_s,
+            "speedup": self.speedup,
+            "max_rel_diff": self.max_rel_diff,
+        }
 
 
 @dataclass(frozen=True)
 class BenchmarkReport:
     cases: tuple[BenchmarkCase, ...]
+    case: str = "max"
+    seed: int = 0
+    loop_max: int | None = None
 
     def __str__(self) -> str:
-        lines = [f"{'buses':>8} {'vectorized':>12} {'looped':>12} {'speedup':>9}"]
+        lines = [f"{'buses':>8} {'vectorized':>12} {'median':>12} {'looped':>12} {'speedup':>9}"]
         for c in self.cases:
+            looped = "-" if c.t_looped_s is None else f"{c.t_looped_s:.4f} s"
+            speedup = "-" if c.speedup is None else f"{c.speedup:.1f}x"
             lines.append(
-                f"{c.n_buses:>8} {c.t_vectorized_s:>10.4f} s {c.t_looped_s:>10.4f} s {c.speedup:>8.1f}x"
+                f"{c.n_buses:>8} {c.t_vectorized_s:>10.4f} s {c.stages['calc_sc'][1]:>10.4f} s"
+                f" {looped:>12} {speedup:>9}"
             )
         return "\n".join(lines)
+
+    def to_dict(self) -> dict:
+        """The report with the versions, the platform and the git revision
+        it was measured on."""
+        import platform
+        import subprocess
+
+        try:
+            sha = subprocess.run(
+                ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10,
+                cwd=os.path.dirname(os.path.abspath(__file__)),
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            sha = ""
+        return {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "platform": platform.platform(),
+            "git_sha": sha or "unknown",
+            "case": self.case,
+            "seed": self.seed,
+            "loop_max": self.loop_max,
+            "repeats": REPEATS,
+            "sizes": [c.to_dict() for c in self.cases],
+        }
 
 
 def _check_equivalence(vectorized: ShortCircuitResult, looped: list[ShortCircuitResult], tol: float) -> float:
@@ -69,33 +144,82 @@ def _check_equivalence(vectorized: ShortCircuitResult, looped: list[ShortCircuit
     return worst
 
 
-def run_benchmark(sizes: list[int], case: str = "max", seed: int = 0) -> BenchmarkReport:
-    """For each target bus count, time one all-bus study and a loop of
-    single-bus studies over the same generated radial grid (a converter
-    source on every fifth feeder bus), after one untimed all-bus study; the
-    two must agree to ``EQUIVALENCE_TOL``."""
+def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, tuple[int, int, int, int]]:
+    """Each stage as a call without arguments on ``net``, on the inputs the
+    study hands it: the factor, the Z_ii and the rows of the reported buses
+    of one build of the model. Then the sizes of that build: nodes, star
+    points, nnz(Y) and nnz(L) + nnz(U)."""
+    bbm = build_bbm(net, options)
+    lu = factorize(bbm.y_matrix)
+    rows = bbm.bus_index[bbm.id_order]
+    rows = rows[rows >= 0]
+    z_diag = impedance_matrix_diag(lu, rows=rows)
+    z_safe = np.where(np.abs(z_diag) < DEGENERATE_Z_TOL_PU, 1.0, z_diag)
+    calls = {
+        "validate": lambda: validate(net),
+        "fuse_switches": lambda: fuse_switches(net),
+        "build_bbm": lambda: build_bbm(net, options),
+        "factorize": lambda: factorize(bbm.y_matrix),
+        "impedance_matrix_diag": lambda: impedance_matrix_diag(lu, rows=rows),
+        "converter_contribution": lambda: converter_contribution(lu, z_safe, bbm.i_kc, rows=rows),
+        "calc_sc": lambda: calc_sc(net, options),
+    }
+    sizes = bbm.y_matrix.shape[0], bbm.n_aux, bbm.y_matrix.nnz, lu.L.nnz + lu.U.nnz
+    return calls, sizes
+
+
+def run_benchmark(
+    sizes: list[int], case: str = "max", seed: int = 0, loop_max: int | None = None
+) -> BenchmarkReport:
+    """For each target bus count, on one generated radial grid (a converter
+    source on every fifth feeder bus): one untimed all-bus study, then
+    ``REPEATS`` timed calls of each stage in turn, each stage called on its
+    own, then the traced peak memory of one study. Up to ``loop_max`` buses
+    (every size when it is None) a loop of single-bus studies follows, which
+    must agree with the all-bus study to ``EQUIVALENCE_TOL``.
+
+    The headline time of a stage is its minimum; the median stands next to
+    it."""
+    import tracemalloc
+
     cases = []
     for size in sizes:
         feeders = 4
         per_feeder = max(1, math.ceil((size - 2) / feeders))
         net = generate_radial_grid(feeders, per_feeder, dg_every=5, seed=seed)
         n = len(net.buses)
+        options = FaultStudyOptions(case=case)
 
         # an untimed study first: the first one in a process is slower
-        calc_sc(net, FaultStudyOptions(case=case))
-        t0 = time.perf_counter()
-        vectorized = calc_sc(net, FaultStudyOptions(case=case))
-        t_vec = time.perf_counter() - t0
+        calc_sc(net, options)
+        calls, (nodes, n_aux, nnz_y, nnz_lu) = _stage_calls(net, options)
+        times = {name: [] for name in calls}
+        for _ in range(REPEATS):
+            for name, call in calls.items():
+                t0 = time.perf_counter()
+                out = call()
+                times[name].append(time.perf_counter() - t0)
+                if name == "calc_sc":
+                    vectorized = out
+        stages = {name: (min(ts), sorted(ts)[REPEATS // 2]) for name, ts in times.items()}
 
-        t0 = time.perf_counter()
-        looped = [
-            calc_sc(net, FaultStudyOptions(case=case, fault_buses=(bus.id,)))
-            for bus in net.buses
-        ]
-        t_loop = time.perf_counter() - t0
+        tracemalloc.start()
+        try:
+            calc_sc(net, options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        worst = _check_equivalence(vectorized, looped, EQUIVALENCE_TOL)
+        t_loop = worst = None
+        if loop_max is None or n <= loop_max:
+            t0 = time.perf_counter()
+            looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(bus.id,))) for bus in net.buses]
+            t_loop = time.perf_counter() - t0
+            worst = _check_equivalence(vectorized, looped, EQUIVALENCE_TOL)
         cases.append(
-            BenchmarkCase(n_buses=n, t_vectorized_s=t_vec, t_looped_s=t_loop, max_rel_diff=worst)
+            BenchmarkCase(
+                n_buses=n, nodes=nodes, n_aux=n_aux, nnz_y=nnz_y, nnz_lu=nnz_lu, stages=stages,
+                peak_traced_bytes=peak, t_looped_s=t_loop, max_rel_diff=worst,
+            )
         )
-    return BenchmarkReport(cases=tuple(cases))
+    return BenchmarkReport(cases=tuple(cases), case=case, seed=seed, loop_max=loop_max)

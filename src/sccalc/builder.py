@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import InvalidOptionError, SingularStampError, UnsolvableIslandError, ValidationError
-from .model import ConverterSource, ExternalGrid, Line, Network, Transformer2W, Transformer3W, _Tables, validate
+from .model import ExternalGrid, Network, Transformer2W, Transformer3W, _Tables, validate
 
 __all__ = [
     "FaultStudyOptions",
@@ -30,12 +30,10 @@ __all__ = [
     "SwitchFusion",
     "voltage_correction_factor",
     "external_grid_impedance",
-    "line_impedance",
     "transformer_correction",
     "transformer_impedance",
     "star_decompose",
     "three_winding_star",
-    "converter_current",
     "fuse_switches",
     "build_bbm",
 ]
@@ -165,16 +163,6 @@ def external_grid_impedance(eg: ExternalGrid, vn_kv: float, case: str, c: float)
     return complex(rx * x, x)
 
 
-def line_impedance(line: Line, case: str) -> complex:
-    """Line impedance in ohms; the minimum case scales the resistance up
-    to the conductor end temperature reached after the fault."""
-    r = line.r_ohm_per_km * line.length_km
-    x = line.x_ohm_per_km * line.length_km
-    if case == "min":
-        r *= 1.0 + ALPHA_PER_K * (line.endtemp_degc - 20.0)
-    return complex(r, x)
-
-
 def transformer_correction(x_t: float, c_max_lv: float) -> float:
     """Impedance correction factor K_T = 0.95 * c_max / (1 + 0.6 * x_T).
 
@@ -227,13 +215,6 @@ def three_winding_star(
         (t.vk_hl_percent, t.vkr_hl_percent, min(t.sn_hv_mva, t.sn_lv_mva)),
     )
     return star_decompose(*(_corrected_impedance(vk, vkr, c_max_lv) * (s_base_mva / sn) for vk, vkr, sn in pairs))
-
-
-def converter_current(cs: ConverterSource, vn_kv: float) -> complex:
-    """Inductive fault current injection of a full converter unit in kA:
-    -j * k * I_rated with I_rated = sn / (sqrt(3) * vn)."""
-    i_rated_ka = cs.sn_mva / (math.sqrt(3.0) * vn_kv)
-    return complex(0.0, -cs.k * i_rated_ka)
 
 
 @dataclass(frozen=True)
@@ -356,28 +337,34 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     tol = options.lv_tolerance_percent
     s_base = options.s_base_mva
     vn = tables.vn.copy()
-    node_of, vn_of = node.tolist(), vn.tolist()
 
     # study node numbers: fused nodes by ascending id, then one star point
     # per live three-winding transformer, in transformer order
-    n_fused = n_nodes = max(node_of) + 1
+    # (argmax and one item cost less than numpy's max reduction)
+    n_fused = n_nodes = node.item(node.argmax()) + 1
 
+    # the nominal voltage and node of a terminal of one of the few external
+    # grids and transformers, as a Python number: ``item`` per terminal
+    # costs the 3-60-bus grids less than a gather per section, and builds
+    # no list over all buses
+    vn_of, node_of = vn.item, node.item
     sources: list[int] = []
     shunts: list[complex] = []
     for i, (eg, p, is_live) in enumerate(
         zip(net.external_grids, terminals["external_grid"][0].tolist(), live["external_grid"].tolist())
     ):
         if is_live:
-            vn_eg = vn_of[p]
+            vn_eg = vn_of(p)
             c = voltage_correction_factor(vn_eg, tol, case)
             z = external_grid_impedance(eg, vn_eg, case, c) / (vn_eg**2 / s_base)
             if abs(z) < ZERO_STAMP_TOL_PU:
                 raise _unstampable(f"external_grids[{i}]", z)
-            sources.append(node_of[p])
+            sources.append(node_of(p))
             shunts.append(1.0 / z)
 
-    # the live lines, with the operations of line_impedance and of the
-    # per-unit conversion in the same order; a row of rx holds r and x
+    # the live lines: r = r' * length and x = x' * length in ohms, the
+    # minimum case scaling r up to the conductor end temperature, then the
+    # per-unit conversion, in this order; a row of rx holds r and x
     on = live["line"]
     ends = terminals["line"].compress(on, 1)
     rx = (tables.rx * tables.length).T.compress(on, 0)
@@ -400,42 +387,46 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         zip(net.transformers2w, *terminals["trafo2w"].tolist(), live["trafo2w"].tolist())
     ):
         if is_live:
-            vb_hv = vn_of[hv]
-            vb_lv = vn_of[lv]
+            vb_hv = vn_of(hv)
+            vb_lv = vn_of(lv)
             c_max_lv = voltage_correction_factor(vb_lv, tol, "max")
             z_rated = transformer_impedance(t, c_max_lv)
             z = z_rated * (s_base / t.sn_mva) * (t.vn_lv_kv / vb_lv) ** 2
             if abs(z) < ZERO_STAMP_TOL_PU:
                 raise _unstampable(f"transformers2w[{i}]", z)
             tap = (t.vn_hv_kv / t.vn_lv_kv) * (vb_lv / vb_hv)
-            branches.append((node_of[hv], node_of[lv], 1.0 / z, tap))
+            branches.append((node_of(hv), node_of(lv), 1.0 / z, tap))
 
     for i, (t, hv, mv, lv, is_live) in enumerate(
         zip(net.transformers3w, *terminals["trafo3w"].tolist(), live["trafo3w"].tolist())
     ):
         if not is_live:
             continue
-        c_max_lv = voltage_correction_factor(vn_of[lv], tol, "max")
+        c_max_lv = voltage_correction_factor(vn_of(lv), tol, "max")
         star = n_nodes
         n_nodes += 1
         for winding, p, bus_id, vn_w, z in zip(
             ("hv", "mv", "lv"), (hv, mv, lv), (t.hv_bus, t.mv_bus, t.lv_bus), (t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv),
             three_winding_star(t, c_max_lv, s_base),
         ):
-            if node_of[p] < 0 or ("trafo3w", i, bus_id) in fusion.severed:
+            n = node_of(p)
+            if n < 0 or ("trafo3w", i, bus_id) in fusion.severed:
                 continue
             if abs(z) < ZERO_STAMP_TOL_PU:
                 raise _unstampable(f"transformers3w[{i}] ({winding} star branch)", z)
-            tap = vn_w / vn_of[p]
-            branches.append((node_of[p], star, 1.0 / z, tap))
+            tap = vn_w / vn_of(p)
+            branches.append((n, star, 1.0 / z, tap))
 
     # energized islands: the components that hold a voltage source node
     if not sources:
         raise UnsolvableIslandError("no energized island: no in-service external grid is connected")
-    trafo_ends = np.array([b[:2] for b in branches], np.intp).reshape(-1, 2).T
-    roots = _roots(n_nodes, np.concatenate((fr, trafo_ends[0])), np.concatenate((to, trafo_ends[1])))
+    # the from and the to nodes of the transformer branches, then the
+    # source nodes
+    nt = len(branches)
+    at = np.array([*[b[0] for b in branches], *[b[1] for b in branches], *sources], np.intp)
+    roots = _roots(n_nodes, np.concatenate((fr, at[:nt])), np.concatenate((to, at[nt : 2 * nt])))
     fed = np.zeros(n_nodes, bool)
-    fed[roots[sources]] = True
+    fed[roots[at[2 * nt :]]] = True
     energized = fed[roots]
     # the energized nodes keep their order as rows, real rows first; the
     # row of a dead node is -1, and so is that of the node -1 of a dead bus,
@@ -447,8 +438,8 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     node_row[live_nodes] = np.arange(dim)
     bus_index = node_row[node]
 
-    # converter injections -j*k*I_rated over the current base, with the
-    # operations of converter_current, summed per row in converter order;
+    # converter injections -j*k*I_rated, I_rated = sn / (sqrt(3)*vn) in kA,
+    # over the current base, summed per row in converter order;
     # a converter in a dead island adds to row -1, which is dropped, and an
     # open one adds zero
     p = terminals["converter"][0]
@@ -467,14 +458,13 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     # one fused node stamp nothing. A transformer stamps y / tap**2 at its
     # from node and -y / tap between its nodes, each as y times 1 / tap, the
     # rounding of numpy's complex by float division.
-    row_of = node_row.tolist()
+    row_at = node_row[at].tolist()
     tail: list[tuple[int, int, complex]] = []
-    for f, t, y, tap in branches:
-        f, t = row_of[f], row_of[t]
+    for (_, _, y, tap), f, t in zip(branches, row_at[:nt], row_at[nt : 2 * nt]):
         if f >= 0 and f != t:
             y_ft = -(y * (1.0 / tap))
             tail += (f, f, y * (1.0 / tap**2)), (t, t, y), (f, t, y_ft), (t, f, y_ft)
-    tail += ((row_of[n], row_of[n], y) for n, y in zip(sources, shunts))
+    tail += ((r, r, y) for r, y in zip(row_at[2 * nt :], shunts))
     keep = energized[fr] & (fr != to)
     f, t = node_row[fr[keep]], node_row[to[keep]]
     y = ys[keep]

@@ -6,6 +6,7 @@ options), 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from ._version import __version__
@@ -74,8 +75,13 @@ def _cmd_bench(args) -> int:
     sizes = _int_list(args.sizes, "--sizes", expected)
     if not sizes or min(sizes) < 1:
         raise GridDataError(f"--sizes must be {expected}, got {args.sizes!r}")
-    report = run_benchmark(sizes, case=args.case, seed=args.seed)
+    report = run_benchmark(sizes, case=args.case, seed=args.seed, loop_max=args.loop_max)
     print(report)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as f:
+            json.dump(report.to_dict(), f, indent=2)
+            f.write("\n")
+        print(f"wrote {args.json}")
     return EXIT_OK
 
 
@@ -114,6 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", default="102,502", help="comma-separated bus counts")
     p_bench.add_argument("--case", choices=("max", "min"), default="max")
     p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument(
+        "--loop-max", type=int, metavar="N", help="run the looped per-bus reference only up to N buses (default: all)"
+    )
+    p_bench.add_argument("--json", metavar="PATH", help="also write the report with stage times as JSON")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -8,6 +8,7 @@ maximum fault-current studies without touching the input data.
 from __future__ import annotations
 
 import dataclasses
+import marshal
 import math
 import operator
 from dataclasses import dataclass, field
@@ -235,6 +236,53 @@ def _all_of(values: list, kind: type) -> bool:
     return operator.countOf(map(type, values), kind) == len(values)
 
 
+# Marshal format 2 writes a list as "[" and a 4-byte count, then one record
+# per value: an exact float as the tag "g" and its 8 bytes, little-endian,
+# an exact bool as the one byte "T" or "F". Every other value gets a record
+# of another tag or length, or none (ValueError), and version 2 writes no
+# back-references. So when the record at byte 5 has the tag "g", it ends 9
+# bytes on: a byte string of 5 + 9n bytes whose every 9th byte from byte 5
+# is "g" holds n exact floats, by induction over the records, and one of
+# 5 + n bytes that are all "T" or "F" after byte 5 holds n exact bools. One
+# ``marshal.dumps`` proves the types of a column and yields its values in
+# one C pass.
+_FLOAT_RECORD = np.dtype([("tag", "S1"), ("value", "<f8")])
+_FLAG_BYTES = bytes.maketrans(b"TF", b"\x01\x00")
+
+
+def _records(values: list) -> bytes:
+    """The marshal format-2 bytes of ``values``, or b"" when marshal cannot
+    write one of them."""
+    try:
+        return marshal.dumps(values, 2)
+    except ValueError:
+        return b""
+
+
+def _float_column(values: list) -> np.ndarray:
+    """The float64 column of ``values``: exact floats from their records,
+    bit for bit; another mix of exact floats and ints through
+    ``np.fromiter``. Any other type raises TypeError."""
+    n = len(values)
+    data = _records(values)
+    # (an empty column has no record to take its values from)
+    if n and len(data) == 5 + 9 * n and data[5::9] == b"g" * n:
+        return np.frombuffer(data, _FLOAT_RECORD, n, 5)["value"].copy()
+    if set(map(type, values)) <= _NUMBER:
+        return np.fromiter(values, float, n)
+    raise TypeError("a number field holds another type")
+
+
+def _flag_column(values: list) -> np.ndarray:
+    """The bool column of ``values``, exact bools all; any other type raises
+    TypeError."""
+    n = len(values)
+    data = _records(values)
+    if len(data) == 5 + n and data.count(b"T", 5) + data.count(b"F", 5) == n:
+        return np.frombuffer(data.translate(_FLAG_BYTES), bool, n, 5).copy()
+    raise TypeError("a flag holds another type than bool")
+
+
 class _Tables:
     """The element tables of a network, read once: one list per value type,
     then one numpy column per list.
@@ -298,16 +346,14 @@ class _Tables:
             *[sw.closed for sw in ties], *[sw.closed for sw in cuts],
         ]
         self.ok = bool(
-            buses and egs
-            and _all_of(ints, int) and (_all_of(floats, float) or set(map(type, floats)) <= _NUMBER)
-            and _all_of(flags, bool) and _all_of(self.names, str)
+            buses and egs and _all_of(ints, int) and _all_of(self.names, str)
             and _all_of(self.kinds, str) and set(self.kinds) <= _KINDS
         )
         if self.ok:
             try:
                 self._columns(ints, floats, flags)
                 return
-            except (OverflowError, LookupError):
+            except (OverflowError, LookupError, TypeError):
                 self.ok = False
         self._values = ints, floats, flags
 
@@ -341,8 +387,8 @@ class _Tables:
                 raise LookupError(f"bus {bus} is no terminal of {kind}[{i}]")
             self.cuts.append((kind, i, bus, at))
         column = np.fromiter(ints, np.int64, len(ints))
-        self.floats = f = np.fromiter(floats, float, len(floats))
-        self.flags = np.fromiter(flags, bool, len(flags))
+        self.floats = f = _float_column(floats)
+        self.flags = _flag_column(flags)
         self.bus_id, self.in_service = column[:nb], self.flags[:nb]
         self.refs = column[nb : nb + b_at + m]
         # bus ids sorted once: a reference's rank among them gives its bus

@@ -20,6 +20,7 @@ The converter contribution takes one solve against the injection vector.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,6 +401,13 @@ def total_current(
     return source_ka, converter_ka, source_ka + converter_ka
 
 
+def _gather(items: list, at: list[int]) -> tuple:
+    """``items[i]`` for each ``i`` in ``at``, in one C-level pass for two or
+    more; ``operator.itemgetter`` returns a bare item for one index and
+    cannot take none."""
+    return operator.itemgetter(*at)(items) if len(at) > 1 else tuple(items[i] for i in at)
+
+
 def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCircuitResult:
     """Run a complete study: build the per-unit network, solve both source
     components for every requested fault bus and combine them.
@@ -441,8 +449,9 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     c = _voltage_correction_factors(vn_kv[energized], options.lv_tolerance_percent, options.case)
     i_k1 = c / z_safe
     i_k2 = converter_contribution(lu, z_safe, bbm.i_kc, rows=live_rows)
-    i_k1[degenerate] = complex(math.nan, 0.0)
-    i_k2[degenerate] = complex(math.nan, 0.0)
+    if degenerate.any():
+        i_k1[degenerate] = complex(math.nan, 0.0)
+        i_k2[degenerate] = complex(math.nan, 0.0)
 
     # scatter the live rows into the requested set; dead buses stay zero
     full_i1 = np.zeros(len(pick), dtype=complex)
@@ -460,7 +469,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
         ikss_ka=total_ka,
         energized=energized,
         options=options,
-        bus_names=tuple(map(bbm.bus_names.__getitem__, pick.tolist())),
+        bus_names=_gather(bbm.bus_names, pick.tolist()),
         vn_kv=vn_kv,
         degenerate_buses=tuple(bus_ids[energized][degenerate].tolist()),
     )

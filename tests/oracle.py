@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from sccalc.model import Network
+from sccalc.model import ConverterSource, Line, Network
 
 ALPHA_PER_K = 0.004
 DEGENERATE_TOL = 1e-12
@@ -23,6 +23,25 @@ def c_factor(vn_kv: float, tolerance_percent: int, case: str) -> float:
             return 0.95
         return 1.05 if tolerance_percent == 6 else 1.10
     return 1.10 if case == "max" else 1.00
+
+
+def line_impedance(line: Line, case: str) -> complex:
+    """Line impedance in ohms; the minimum case scales the resistance up
+    to the conductor end temperature reached after the fault. The engine's
+    line stamp takes these operations in this order."""
+    r = line.r_ohm_per_km * line.length_km
+    x = line.x_ohm_per_km * line.length_km
+    if case == "min":
+        r *= 1.0 + ALPHA_PER_K * (line.endtemp_degc - 20.0)
+    return complex(r, x)
+
+
+def converter_current(cs: ConverterSource, vn_kv: float) -> complex:
+    """Inductive fault current injection of a full converter unit in kA:
+    -j * k * I_rated with I_rated = sn / (sqrt(3) * vn). The engine's
+    converter injections take these operations in this order."""
+    i_rated_ka = cs.sn_mva / (math.sqrt(3.0) * vn_kv)
+    return complex(0.0, -cs.k * i_rated_ka)
 
 
 def _fused_groups(net: Network, in_service: set[int]) -> dict[int, int]:

@@ -1,8 +1,12 @@
 """Tests for the vectorized-vs-looped benchmark harness."""
+import json
+import time
+
 import pytest
 
 from sccalc import FaultStudyOptions, bench, calc_sc, generate_radial_grid, run_benchmark
 from sccalc.bench import EquivalenceGateError, _check_equivalence
+from sccalc.cli import main
 
 
 def test_empty_sizes_give_empty_report():
@@ -54,15 +58,61 @@ def test_gate_accepts_matching_degenerate_markers():
 
 
 def test_each_size_runs_one_untimed_study_before_the_timed_ones(monkeypatch):
-    studies = []
+    events = []
 
     def counting(net, options):
-        studies.append(options.fault_buses)
+        events.append(options.fault_buses)
         return calc_sc(net, options)
 
+    clock = time.perf_counter
+
+    def timing():
+        events.append("clock")
+        return clock()
+
     monkeypatch.setattr(bench, "calc_sc", counting)
+    monkeypatch.setattr(time, "perf_counter", timing)
     report = run_benchmark([2, 2])
     n = report.cases[0].n_buses
-    # per size: the untimed study, the timed all-bus study, then one per bus
-    per_size = ["all", "all"] + [(bus_id,) for bus_id in range(1, n + 1)]
-    assert studies == per_size + per_size
+    # per size: the untimed study before any clock is read, then the
+    # timed all-bus studies among the other stages, the traced one, and
+    # the single-bus studies of the looped reference
+    studies = ["all"] * (1 + bench.REPEATS + 1) + [(bus_id,) for bus_id in range(1, n + 1)]
+    assert [e for e in events if e != "clock"] == studies + studies
+    # no clock is read in a size before its first study: the first size
+    # starts with it, the second right after the clock that stops the loop
+    # of the first
+    end = events.index((n,))
+    assert events[0] == "all"
+    assert events[end + 1 : end + 3] == ["clock", "all"]
+
+
+def test_loop_max_skips_the_looped_reference_above_it():
+    report = run_benchmark([3, 30], loop_max=10)
+    small, large = report.cases
+    assert small.t_looped_s is not None and small.max_rel_diff <= 1e-10 and small.speedup > 0.0
+    assert large.t_looped_s is None and large.max_rel_diff is None and large.speedup is None
+    assert "-" in str(report).splitlines()[2]
+
+
+def test_bench_json_schema(tmp_path):
+    path = tmp_path / "bench.json"
+    assert main(["bench", "--sizes", "3,5", "--loop-max", "3", "--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert {"python", "numpy", "scipy", "platform", "git_sha"} <= set(doc)
+    assert all(isinstance(doc[key], str) and doc[key] for key in ("python", "numpy", "scipy", "platform", "git_sha"))
+    assert doc["loop_max"] == 3 and doc["repeats"] == bench.REPEATS
+    assert len(doc["sizes"]) == 2
+    for size in doc["sizes"]:
+        for key in ("buses", "nodes", "n_aux", "nnz_y", "nnz_lu", "peak_traced_bytes"):
+            assert isinstance(size[key], int) and size[key] >= 0, key
+        assert 0 < size["nodes"] - size["n_aux"] <= size["buses"]
+        assert size["nnz_lu"] >= size["nnz_y"] > 0
+        assert list(size["stages_s"]) == [
+            "validate", "fuse_switches", "build_bbm", "factorize", "impedance_matrix_diag",
+            "converter_contribution", "calc_sc",
+        ]
+        for stage in size["stages_s"].values():
+            assert 0.0 < stage["min"] <= stage["median"]
+        # 6 buses is above --loop-max 3
+        assert size["looped_s"] is None and size["speedup"] is None and size["max_rel_diff"] is None

@@ -28,10 +28,8 @@ from sccalc import (
 )
 from sccalc.builder import (
     build_bbm,
-    converter_current,
     external_grid_impedance,
     fuse_switches,
-    line_impedance,
     star_decompose,
     three_winding_star,
     transformer_correction,
@@ -41,7 +39,7 @@ from sccalc.builder import (
 
 from busmap import by_bus_id
 from netgen import random_network
-from oracle import oracle_admittance, oracle_calc
+from oracle import converter_current, line_impedance, oracle_admittance, oracle_calc
 
 SQRT3 = math.sqrt(3.0)
 

@@ -37,7 +37,6 @@ from sccalc.builder import (
     BusBranchModel,
     build_bbm,
     fuse_switches,
-    line_impedance,
     three_winding_star,
     transformer_correction,
     voltage_correction_factor,
@@ -46,7 +45,7 @@ from sccalc.solver import converter_contribution, factorize, impedance_matrix_di
 
 from busmap import by_bus_id
 from netgen import batch_grids, load_perfbench, random_network
-from oracle import oracle_admittance, oracle_calc
+from oracle import line_impedance, oracle_admittance, oracle_calc
 
 RESULT_COLUMNS = ("ikss_source_ka", "ikss_converter_ka", "ikss_ka")
 
