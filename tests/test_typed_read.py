@@ -55,7 +55,9 @@ def perfbench_grids() -> list:
     ]
 
 
-@pytest.mark.parametrize("nets", [[random_network(seed) for seed in range(30)], perfbench_grids()], ids=["random", "perfbench"])
+@pytest.mark.parametrize(
+    "nets", [[random_network(seed) for seed in range(30)], perfbench_grids()], ids=["random", "perfbench"]
+)
 def test_the_read_columns_equal_those_of_fromiter(monkeypatch, nets):
     seen = recorded_columns(monkeypatch)
     for net in nets:
