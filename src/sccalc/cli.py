@@ -6,6 +6,7 @@ options), 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -14,7 +15,7 @@ from .bench import EquivalenceGateError, run_benchmark
 from .builder import FaultStudyOptions
 from .exceptions import GridDataError, SolverError
 from .generator import generate_radial_grid
-from .gridfile import load_network, save_network, write_result_csv, write_result_json
+from .gridfile import _create, load_network, save_network, write_result_csv, write_result_json
 from .solver import calc_sc
 
 EXIT_OK = 0
@@ -75,12 +76,15 @@ def _cmd_bench(args) -> int:
     sizes = _int_list(args.sizes, "--sizes", expected)
     if not sizes or min(sizes) < 1:
         raise GridDataError(f"--sizes must be {expected}, got {args.sizes!r}")
-    report = run_benchmark(sizes, case=args.case, seed=args.seed, loop_max=args.loop_max)
-    print(report)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
+    # the report file is opened first, so that a path that cannot be
+    # written fails before the benchmark runs
+    with _create(args.json) if args.json else contextlib.nullcontext() as f:
+        report = run_benchmark(sizes, case=args.case, seed=args.seed, loop_max=args.loop_max)
+        print(report)
+        if f:
             json.dump(report.to_dict(), f, indent=2)
             f.write("\n")
+    if f:
         print(f"wrote {args.json}")
     return EXIT_OK
 

@@ -143,14 +143,6 @@ def _field_specs(cls: type) -> list[tuple[str, str, bool, object]]:
 FIELD_SPECS = {section: _field_specs(cls) for section, cls in SECTIONS.items()}
 
 
-# section -> (its float fields, its bool flags), for the rules on value types
-_TYPED_FIELDS = {
-    section: ([name for name, typ, _, _ in specs if typ == "num"], [name for name, typ, _, _ in specs if typ == "bool"])
-    for section, specs in FIELD_SPECS.items()
-}
-_TYPED_FIELDS["switches"] = ([], ["closed"])
-
-
 @dataclass(frozen=True)
 class ElementRef:
     kind: str
@@ -179,19 +171,6 @@ class Network:
     converter_sources: list[ConverterSource] = field(default_factory=list)
     switches: list[Switch] = field(default_factory=list)
 
-    def element_terminals(self, kind: str, index: int) -> tuple[int, ...]:
-        """Bus ids an element of the given kind/index connects to."""
-        if kind == "line":
-            ln = self.lines[index]
-            return (ln.from_bus, ln.to_bus)
-        if kind == "trafo2w":
-            t = self.transformers2w[index]
-            return (t.hv_bus, t.lv_bus)
-        if kind == "trafo3w":
-            t = self.transformers3w[index]
-            return (t.hv_bus, t.mv_bus, t.lv_bus)
-        raise KeyError(f"unknown element kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -201,14 +180,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.element}: {self.rule}"
-
-
-def _number_rule(value, name: str) -> str:
-    """The violated rule of one float field value, or "" when it holds."""
-    try:
-        return "" if math.isfinite(value) else f"{name} must be finite"
-    except TypeError:
-        return f"{name} must be a number"
 
 
 def _is_index(value) -> bool:
@@ -222,9 +193,9 @@ def _is_index(value) -> bool:
 
 
 # the exact value types of a number field in the typed read; any other
-# type, such as a numpy scalar or a bool, takes the element-by-element rules
+# type, such as a numpy scalar or a bool, refuses the read, and ``validate``
+# judges it as the Python value it is
 _NUMBER = {float, int}
-_KINDS = set(SWITCHABLE_ELEMENT_KINDS)
 # beyond this magnitude an int field value may round on its way to float64,
 # and two values that differ could compare equal
 _EXACT_FLOAT = 2.0**53
@@ -283,6 +254,47 @@ def _flag_column(values: list) -> np.ndarray:
     raise TypeError("a flag holds another type than bool")
 
 
+def _lists(net) -> tuple:
+    """The element tables of ``net`` in the layout of ``_Tables``: the
+    sizes, one list each of the ints, floats and flags, the bus names and
+    the kinds of the elements that switches cut."""
+    buses, egs, convs, lines = net.buses, net.external_grids, net.converter_sources, net.lines
+    t2s, t3s, sws = net.transformers2w, net.transformers3w, net.switches
+    # any other ``other`` is a bus id, or breaks a rule
+    cuts = [sw for sw in sws if isinstance(sw.other, ElementRef)]
+    ties = [sw for sw in sws if not isinstance(sw.other, ElementRef)] if cuts else sws
+    sizes = len(buses), len(egs), len(convs), len(lines), len(t2s), len(t3s), len(ties), len(cuts)
+    ints = [
+        *[b.id for b in buses],
+        *[e.bus for e in egs], *[c.bus for c in convs], *[sw.bus for sw in cuts],
+        *[b for t in t3s for b in (t.hv_bus, t.mv_bus, t.lv_bus)],
+        *[t.hv_bus for t in t2s], *[ln.from_bus for ln in lines], *[sw.bus for sw in ties],
+        *[t.lv_bus for t in t2s], *[ln.to_bus for ln in lines], *[sw.other for sw in ties],
+        *[sw.other.index for sw in cuts],
+    ]
+    floats = [
+        *[b.vn_kv for b in buses], *[ln.length_km for ln in lines], *[c.sn_mva for c in convs],
+        *[e.s_sc_min_mva for e in egs], *[t.sn_mva for t in t2s],
+        *[x for t in t3s for x in (t.sn_hv_mva, t.sn_mv_mva, t.sn_lv_mva)],
+        *[x for t in t2s for x in (t.vn_hv_kv, t.vn_lv_kv)],
+        *[x for t in t3s for x in (t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv)],
+        *[ln.r_ohm_per_km for ln in lines], *[ln.x_ohm_per_km for ln in lines], *[c.k for c in convs],
+        *[x for e in egs for x in (e.rx_max, e.rx_min)],
+        *[t.vkr_percent for t in t2s],
+        *[x for t in t3s for x in (t.vkr_hm_percent, t.vkr_ml_percent, t.vkr_hl_percent)],
+        *[t.vk_percent for t in t2s],
+        *[x for t in t3s for x in (t.vk_hm_percent, t.vk_ml_percent, t.vk_hl_percent)],
+        *[e.s_sc_max_mva for e in egs], *[ln.endtemp_degc for ln in lines],
+    ]
+    flags = [
+        *[b.in_service for b in buses],
+        *[e.in_service for e in egs], *[c.in_service for c in convs], *[t.in_service for t in t3s],
+        *[t.in_service for t in t2s], *[ln.in_service for ln in lines],
+        *[sw.closed for sw in ties], *[sw.closed for sw in cuts],
+    ]
+    return sizes, ints, floats, flags, [b.name for b in buses], [sw.other.kind for sw in cuts]
+
+
 class _Tables:
     """The element tables of a network, read once: one list per value type,
     then one numpy column per list.
@@ -293,106 +305,73 @@ class _Tables:
     three windings of one three-winding transformer after another, and two
     aligned blocks A and B: the HV side of every two-winding transformer,
     the from bus of every line and the bus of every bus-bus switch in A,
-    their other ends in B. The float column is grouped by rule: the fields that must be > 0,
-    those that must be >= 0 (ending with the vkr fields), the vk fields in
-    the order of the vkr fields, s_sc_max, and the line end temperatures.
+    their other ends in B. The float column is grouped by rule: the fields
+    that must be > 0 (the rated voltages of the transformers last), those
+    that must be >= 0 (ending with the vkr fields), the vk fields in the
+    order of the vkr fields, s_sc_max, and the line end temperatures.
     The flags are ``in_service`` of the buses, external grids, converters,
     three- and two-winding transformers and lines, then ``closed`` of the
     bus-bus and the bus-element switches: each element's flag lines up with
     its first reference.
 
     ``ok`` is False when the read refused a value: one of another type than
-    its field's, an integer beyond 64 bits, an element index out of range,
-    a switch bus that is no terminal of its element, or a network without
-    buses or external grids. ``validate`` then names the violations element
-    by element, and a network that holds none gets its columns from
-    ``coerce``.
+    its field's, an integer beyond 64 bits, an element of an unknown kind
+    or index, a switch bus that is no terminal of its element, or a
+    network without buses or external grids. ``validate`` then judges the
+    values as they are, and a network that breaks no rule gets its columns
+    from ``coerce``.
     """
 
     def __init__(self, net: Network):
-        buses, egs, convs, lines = net.buses, net.external_grids, net.converter_sources, net.lines
-        t2s, t3s, sws = net.transformers2w, net.transformers3w, net.switches
-        # any other ``other`` is a bus id, or breaks a rule
-        cuts = [sw for sw in sws if isinstance(sw.other, ElementRef)]
-        ties = [sw for sw in sws if not isinstance(sw.other, ElementRef)] if cuts else sws
-        self.kinds = [sw.other.kind for sw in cuts]
-        self.names = [b.name for b in buses]
-        self.sizes = len(buses), len(egs), len(convs), len(lines), len(t2s), len(t3s), len(ties), len(cuts)
-        ints = [
-            *[b.id for b in buses],
-            *[e.bus for e in egs], *[c.bus for c in convs], *[sw.bus for sw in cuts],
-            *[b for t in t3s for b in (t.hv_bus, t.mv_bus, t.lv_bus)],
-            *[t.hv_bus for t in t2s], *[ln.from_bus for ln in lines], *[sw.bus for sw in ties],
-            *[t.lv_bus for t in t2s], *[ln.to_bus for ln in lines], *[sw.other for sw in ties],
-            *[sw.other.index for sw in cuts],
-        ]
-        floats = [
-            *[b.vn_kv for b in buses], *[ln.length_km for ln in lines], *[c.sn_mva for c in convs],
-            *[e.s_sc_min_mva for e in egs],
-            *[x for t in t2s for x in (t.sn_mva, t.vn_hv_kv, t.vn_lv_kv)],
-            *[x for t in t3s for x in (t.sn_hv_mva, t.sn_mv_mva, t.sn_lv_mva, t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv)],
-            *[ln.r_ohm_per_km for ln in lines], *[ln.x_ohm_per_km for ln in lines], *[c.k for c in convs],
-            *[x for e in egs for x in (e.rx_max, e.rx_min)],
-            *[t.vkr_percent for t in t2s],
-            *[x for t in t3s for x in (t.vkr_hm_percent, t.vkr_ml_percent, t.vkr_hl_percent)],
-            *[t.vk_percent for t in t2s],
-            *[x for t in t3s for x in (t.vk_hm_percent, t.vk_ml_percent, t.vk_hl_percent)],
-            *[e.s_sc_max_mva for e in egs], *[ln.endtemp_degc for ln in lines],
-        ]
-        flags = [
-            *[b.in_service for b in buses],
-            *[e.in_service for e in egs], *[c.in_service for c in convs], *[t.in_service for t in t3s],
-            *[t.in_service for t in t2s], *[ln.in_service for ln in lines],
-            *[sw.closed for sw in ties], *[sw.closed for sw in cuts],
-        ]
-        self.ok = bool(
-            buses and egs and _all_of(ints, int) and _all_of(self.names, str)
-            and _all_of(self.kinds, str) and set(self.kinds) <= _KINDS
-        )
+        self.sizes, ints, floats, flags, self.names, self.kinds = _lists(net)
+        self.ok = bool(net.buses and net.external_grids and _all_of(ints, int) and _all_of(self.names, str))
         if self.ok:
             try:
-                self._columns(ints, floats, flags)
-                return
-            except (OverflowError, LookupError, TypeError):
+                self._columns(ints, _float_column(floats), _flag_column(flags))
+            except (OverflowError, TypeError):
                 self.ok = False
-        self._values = ints, floats, flags
+        self._values = None if self.ok else (ints, floats, flags)
 
     def coerce(self) -> None:
         """The columns of a valid network whose read was refused: each bus
         reference and element index through ``int()``, each number through
         ``float()``."""
         ints, floats, flags = self._values
-        self._columns([int(v) for v in ints], [float(v) for v in floats], flags)
+        self._columns([int(v) for v in ints], _float_column([float(v) for v in floats]), _flag_column(flags))
         self._values = None
         self.ok = True
 
-    def _columns(self, ints: list, floats: list, flags: list) -> None:
+    def _columns(self, ints: list, f: np.ndarray, flags: np.ndarray) -> None:
         nb, ne, nc, nl, n2, n3, nt, nk = self.sizes
         m = n2 + nl + nt
         t3_at = ne + nc + nk
         a_at = t3_at + 3 * n3
         b_at = a_at + m
         # per bus-element switch: its element and bus, and the slots in refs
-        # of the element's terminals at that bus
+        # of the element's terminals at that bus, which are None when the
+        # element does not exist (or its kind) and empty when the bus is
+        # none of them
         self.cuts = []
         for kind, i, bus in zip(self.kinds, ints[nb + b_at + m :], ints[nb + ne + nc : nb + t3_at]):
             if kind == "trafo3w":
                 count, slots = n3, (t3_at + 3 * i, t3_at + 3 * i + 1, t3_at + 3 * i + 2)
             elif kind == "line":
                 count, slots = nl, (a_at + n2 + i, b_at + n2 + i)
-            else:
+            elif kind == "trafo2w":
                 count, slots = n2, (a_at + i, b_at + i)
-            at = [s for s in slots if ints[nb + s] == bus] if 0 <= i < count else []
-            if not at:
-                raise LookupError(f"bus {bus} is no terminal of {kind}[{i}]")
+            else:
+                count, slots = 0, ()
+            at = [s for s in slots if ints[nb + s] == bus] if 0 <= i < count else None
             self.cuts.append((kind, i, bus, at))
+            if not at:
+                self.ok = False
         column = np.fromiter(ints, np.int64, len(ints))
-        self.floats = f = _float_column(floats)
-        self.flags = _flag_column(flags)
-        self.bus_id, self.in_service = column[:nb], self.flags[:nb]
+        self.floats, self.flags = f, flags
+        self.bus_id, self.in_service = column[:nb], flags[:nb]
         self.refs = column[nb : nb + b_at + m]
-        # bus ids sorted once: a reference's rank among them gives its bus
-        self.order = self.bus_id.argsort()
+        # bus ids sorted once, equal ids in list order: a reference's rank
+        # among them gives its bus, the first of that id
+        self.order = self.bus_id.argsort(kind="stable")
         self.sorted_ids = self.bus_id[self.order]
         self.rank = self.sorted_ids.searchsorted(self.refs)
         self.pos = self.order.take(self.rank, mode="clip")
@@ -451,39 +430,76 @@ class _Tables:
         return terminals, live, severed, ties
 
 
-def _rules_hold(t: _Tables) -> bool:
-    """Whether the columns of a read network keep every rule of
-    ``_check_each``: a fixed number of numpy masks, whatever the size of the
-    network, one per kind of rule over every section at once."""
-    if not t.ok:
-        return False
+_UNKNOWN = "{field} references unknown bus {value}"
+# (judged only when both ends are known buses)
+_LEVELS = ("from_bus and to_bus must have equal vn_kv", "bus-bus switches must connect buses of equal vn_kv")
+
+
+def _broken(t: _Tables) -> tuple:
+    """Every rule of the columns in its violated form, one numpy mask per
+    kind of rule over every section at once, whatever the size of the
+    network; and a function that lists what names their entries, in the
+    order an element's violations are listed (valid networks, the common
+    case, never call it): (rule, mask, start, stop, at). Entry k of
+    ``mask[start:stop]`` is named by the label at ``at + k``, or at
+    ``at[k]`` when ``at`` is an array, among the labels of the read, the
+    int list's then the float list's."""
     nb, ne, nc, nl, n2, n3, nt, nk = t.sizes
-    f, ids, refs = t.floats, t.sorted_ids, t.refs
+    f, ids = t.floats, t.sorted_ids
     m, v = n2 + nl + nt, n2 + 3 * n3
-    p = nb + nl + nc + ne + 3 * n2 + 6 * n3
+    r = nb + nl + nc + ne + n2 + 3 * n3
+    p = r + 2 * n2 + 3 * n3
     q = p + 2 * nl + nc + 2 * ne + v
     s = q + v
     smin = nb + nl + nc
     a_at = ne + nc + nk + 3 * n3
+    unknown = ids.take(t.rank, mode="clip") != t.refs
+    unique = ids[1:] == ids[:-1]
+    positive = ~(f[:p] > 0.0)
+    s_sc = f[s : s + ne] < f[smin : smin + ne]
+    # the fields >= 0 end with the vkr fields, whose rule is 0 <= vkr < vk
+    negative = f[p:q] < 0.0
+    vkr = np.logical_or(negative[q - v - p :], ~(f[q - v : q] < f[q:s]))
+    vk = f[q : q + n2] > 100.0
+    r_x = t.rx == 0.0
+    zero = np.logical_and(r_x[0], r_x[1])
+    endtemp = f[s + ne :] < 20.0
     # the ends of the lines and bus-bus switches, which join equal levels
     joins = t.vn[t.pos[a_at:].reshape(2, m)[:, n2:]]
-    masks = (
-        # every float field has a lower bound >= 0, so this also keeps
-        # them finite, and exact as float64 where one holds an int
-        f <= _EXACT_FLOAT,
-        f[:p] > 0.0,
-        f[p:q] >= 0.0,
-        f[q - v : q] < f[q:s],
-        f[q : q + n2] <= 100.0,
-        f[s : s + ne] >= f[smin : smin + ne],
-        f[s + ne :] >= 20.0,
-        np.logical_or(t.rx[0], t.rx[1]),
-        ids[1:] != ids[:-1],
-        ids.take(t.rank, mode="clip") == refs,
-        joins[0] == joins[1],
-    )
-    held = np.concatenate(masks)
-    return np.count_nonzero(held) == len(held)
+    levels = joins[0] != joins[1]
+
+    def naming() -> tuple:
+        fl, b = nb + len(t.refs) + nk, nb + a_at + m + n2
+        return (
+            (_UNKNOWN, unknown, 0, None, nb),
+            ("id {value} is not unique", unique, 0, None, t.order[1:]),
+            ("{field} > 0", positive, 0, r, fl),
+            ("s_sc_max_mva >= s_sc_min_mva", s_sc, 0, None, fl + s),
+            ("0 <= {field} < {vk} <= 100", vkr, 0, n2, fl + q - v),
+            ("0 <= {field} < {vk} <= 100", vk, 0, None, fl + q - v),
+            ("0 <= {field} < {vk}", vkr, n2, None, fl + q - v + n2),
+            # the rated voltages of the transformers
+            ("{field} > 0", positive, r, None, fl + r),
+            ("{field} >= 0", negative, 0, q - v - p, fl + p),
+            ("r_ohm_per_km and x_ohm_per_km must not both be zero", zero, 0, None, fl + p),
+            ("endtemp_degc >= 20", endtemp, 0, None, fl + s + ne),
+            (_LEVELS[0], levels, 0, nl, b),
+            (_LEVELS[1], levels, nl, None, b + nl),
+        )
+
+    return (unknown, unique, positive, s_sc, negative, vkr, vk, zero, endtemp, levels), naming
+
+
+def _rules_hold(t: _Tables) -> bool:
+    """Whether the columns of a read network keep every rule: a fixed
+    number of numpy calls, whatever the size of the network."""
+    if not t.ok:
+        return False
+    # every float field has a lower bound >= 0, so a float column at most
+    # 2**53 is finite, and exact as float64 where one holds an int: its
+    # masks judge the values as they are
+    masks, _ = _broken(t)
+    return not np.count_nonzero(np.concatenate((~(t.floats <= _EXACT_FLOAT), *masks)))
 
 
 def validate(net: Network, tables: _Tables | None = None) -> list[Violation]:
@@ -492,207 +508,135 @@ def validate(net: Network, tables: _Tables | None = None) -> list[Violation]:
     The returned list is empty exactly when the network is well formed.
     Electrical solvability beyond data shape (dead islands, singular
     stamps) is the study builder's concern, not validation's. ``tables``
-    is the typed read of ``net`` when the caller holds it already; the
-    elements are checked one by one only when its columns break a rule or
-    the read refused a value, to name the violations.
+    is the typed read of ``net`` when the caller holds it already. Only
+    when its columns break a rule or the read refused a value are the
+    violations named, from the masks that failed.
     """
     if _rules_hold(tables if tables is not None else _Tables(net)):
         return []
-    return _check_each(net)
+    return _named(net)
 
 
-def _check_each(net: Network) -> list[Violation]:
-    """``validate``, element by element."""
-    # (section, element index, field, rule); the element labels are built
-    # only for what is found, at the end
-    bad: list[tuple[str, int | None, str, str]] = []
-    for section, (floats, flags) in _TYPED_FIELDS.items():
-        elements = getattr(net, section)
-        for name in floats:
-            bad.extend(
-                (section, i, name, rule)
-                for i, el in enumerate(elements)
-                if (rule := _number_rule(getattr(el, name), name))
-            )
-        # truthiness would decide a flag that holds no bool
-        for name in flags:
-            bad.extend(
-                (section, i, name, f"{name} must be a bool")
-                for i, el in enumerate(elements)
-                if type(getattr(el, name)) is not bool
-            )
-    if any(rule.endswith("must be a number") for _, _, _, rule in bad):
-        # the rules below compare these fields and cannot judge a non-number
-        return _violations(bad)
+def _labels(net: Network) -> Network:
+    """A stand-in of ``net`` whose every field holds its own label,
+    (section, index, field); its read lays the labels out as the values."""
+    stand = Network()
+    for section, cls in (*SECTIONS.items(), ("switches", Switch)):
+        fields = [f.name for f in dataclasses.fields(cls)]
+        stand_ins = [cls(*[(section, i, name) for name in fields]) for i in range(len(getattr(net, section)))]
+        setattr(stand, section, stand_ins)
+    for sw, real in zip(stand.switches, net.switches):
+        if isinstance(real.other, ElementRef):
+            sw.other = ElementRef(sw.other, sw.other)
+    return stand
 
-    vn_of: dict[int, float] = {}
-    for i, bus in enumerate(net.buses):
-        bus_id, vn = bus.id, bus.vn_kv
-        try:
-            if bus_id in vn_of:
-                bad.append(("buses", i, "id", f"id {bus_id} is not unique"))
-            else:
-                vn_of[bus_id] = vn
-        except TypeError:
-            pass  # an unhashable id, which the integer rule below names
-        if not vn > 0:
-            bad.append(("buses", i, "vn_kv", "vn_kv > 0"))
-        if not isinstance(bus.name, str):
-            bad.append(("buses", i, "name", "name must be a string"))
-    for i, bus in enumerate(net.buses):
-        # ints of at most 63 bits besides the sign: bus ids become int64
-        if not _is_index(bus.id):
-            bad.append(("buses", i, "id", "id must be an integer"))
-        elif not -_INT64_LIMIT <= bus.id < _INT64_LIMIT:
-            bad.append(("buses", i, "id", f"id {bus.id} is outside the 64-bit range"))
 
-    checked = len(bad)
+def _find(lookup, value, default: int) -> int:
+    """``lookup(value, default)`` on a dict of bus ids; ``default`` for an
+    unhashable value, which no bus id equals."""
     try:
-        _check_elements(net, vn_of, bad)
+        return lookup(value, default)
     except TypeError:
-        # an unhashable bus reference; judged again, it is an unknown bus
-        del bad[checked:]
-        _check_elements(net, _BusTable(vn_of), bad)
-
-    if not net.external_grids:
-        bad.append(("network", None, "external_grids", "at least one ExternalGrid is required for a solvable study"))
-
-    return _violations(bad)
+        return default
 
 
-class _BusTable(dict):
-    """Bus id -> vn_kv for a network that refers to a bus by an unhashable
-    value, which is no key of it."""
+def _int64(value) -> bool:
+    """Whether ``value`` is an integer that an int64 column holds."""
+    return _is_index(value) and -_INT64_LIMIT <= value < _INT64_LIMIT
 
-    def __contains__(self, key) -> bool:
+
+def _named(net: Network) -> list[Violation]:
+    """The violations of a network whose read was refused or whose columns
+    break a rule. The type and range rules take one pass over each list of
+    the read. The masks of ``_broken`` then run on the values that remain:
+    the numbers as Python objects, which compare as they do in Python, and
+    the bus ids and references as codes, the position of the first bus of
+    that id or -1 for an unknown bus. Each element's violations are found
+    in the order they are listed."""
+    # the masks need a bus: a network without buses is read with one that
+    # nothing refers to, and its violations are dropped
+    view = net if net.buses else dataclasses.replace(net, buses=[Bus(object(), 1.0)])
+    sizes, ints, floats, flags, names, kinds = _lists(view)
+    _, int_labels, float_labels, flag_labels, name_labels, _ = _lists(_labels(view))
+    nb, ne, nc, nl, n2, n3, nt, nk = sizes
+    typed = []
+    for label, value in zip(float_labels, floats):
         try:
-            return super().__contains__(key)
+            if not math.isfinite(value):
+                typed.append((label, f"{label[2]} must be finite"))
         except TypeError:
-            return False
-
-    def get(self, key, default=None):
-        try:
-            return super().get(key, default)
-        except TypeError:
-            return default
-
-
-def _check_elements(net: Network, vn_of: dict, bad: list) -> None:
-    """The rules of the elements and switches, given the nominal voltage of
-    each bus id (a number, never None); appends what it finds to ``bad``."""
-
-    def unknown_bus(section: str, i: int, fieldname: str, bus_id) -> None:
-        bad.append((section, i, fieldname, f"{fieldname} references unknown bus {bus_id}"))
-
-    for i, eg in enumerate(net.external_grids):
-        if eg.bus not in vn_of:
-            unknown_bus("external_grids", i, "bus", eg.bus)
-        if not eg.s_sc_min_mva > 0:
-            bad.append(("external_grids", i, "s_sc_min_mva", "s_sc_min_mva > 0"))
-        if eg.s_sc_max_mva < eg.s_sc_min_mva:
-            bad.append(("external_grids", i, "s_sc_max_mva", "s_sc_max_mva >= s_sc_min_mva"))
-        if eg.rx_max < 0:
-            bad.append(("external_grids", i, "rx_max", "rx_max >= 0"))
-        if eg.rx_min < 0:
-            bad.append(("external_grids", i, "rx_min", "rx_min >= 0"))
-
-    vn_at = vn_of.get
-    for i, ln in enumerate(net.lines):
-        from_vn = vn_at(ln.from_bus)
-        if from_vn is None:
-            unknown_bus("lines", i, "from_bus", ln.from_bus)
-        to_vn = vn_at(ln.to_bus)
-        if to_vn is None:
-            unknown_bus("lines", i, "to_bus", ln.to_bus)
-        r, x = ln.r_ohm_per_km, ln.x_ohm_per_km
-        if not ln.length_km > 0:
-            bad.append(("lines", i, "length_km", "length_km > 0"))
-        if r < 0:
-            bad.append(("lines", i, "r_ohm_per_km", "r_ohm_per_km >= 0"))
-        if x < 0:
-            bad.append(("lines", i, "x_ohm_per_km", "x_ohm_per_km >= 0"))
-        if r == 0 and x == 0:
-            bad.append(("lines", i, "r_ohm_per_km", "r_ohm_per_km and x_ohm_per_km must not both be zero"))
-        if ln.endtemp_degc < 20:
-            bad.append(("lines", i, "endtemp_degc", "endtemp_degc >= 20"))
-        if from_vn != to_vn and from_vn is not None and to_vn is not None:
-            bad.append(("lines", i, "to_bus", "from_bus and to_bus must have equal vn_kv"))
-
-    for i, t in enumerate(net.transformers2w):
-        if t.hv_bus not in vn_of:
-            unknown_bus("transformers2w", i, "hv_bus", t.hv_bus)
-        if t.lv_bus not in vn_of:
-            unknown_bus("transformers2w", i, "lv_bus", t.lv_bus)
-        if not t.sn_mva > 0:
-            bad.append(("transformers2w", i, "sn_mva", "sn_mva > 0"))
-        if not (0 <= t.vkr_percent < t.vk_percent <= 100):
-            bad.append(("transformers2w", i, "vkr_percent", "0 <= vkr_percent < vk_percent <= 100"))
-        # zero rated voltage would break per-unit conversion downstream
-        if not t.vn_hv_kv > 0:
-            bad.append(("transformers2w", i, "vn_hv_kv", "vn_hv_kv > 0"))
-        if not t.vn_lv_kv > 0:
-            bad.append(("transformers2w", i, "vn_lv_kv", "vn_lv_kv > 0"))
-
-    for i, t in enumerate(net.transformers3w):
-        for fieldname, bus_id in (("hv_bus", t.hv_bus), ("mv_bus", t.mv_bus), ("lv_bus", t.lv_bus)):
-            if bus_id not in vn_of:
-                unknown_bus("transformers3w", i, fieldname, bus_id)
-        for fieldname, sn in (("sn_hv_mva", t.sn_hv_mva), ("sn_mv_mva", t.sn_mv_mva), ("sn_lv_mva", t.sn_lv_mva)):
-            if not sn > 0:
-                bad.append(("transformers3w", i, fieldname, f"{fieldname} > 0"))
-        for pair, vk, vkr in (
-            ("hm", t.vk_hm_percent, t.vkr_hm_percent),
-            ("ml", t.vk_ml_percent, t.vkr_ml_percent),
-            ("hl", t.vk_hl_percent, t.vkr_hl_percent),
-        ):
-            if not (0 <= vkr < vk):
-                bad.append(("transformers3w", i, f"vkr_{pair}_percent", f"0 <= vkr_{pair}_percent < vk_{pair}_percent"))
-        for fieldname, vn in (("vn_hv_kv", t.vn_hv_kv), ("vn_mv_kv", t.vn_mv_kv), ("vn_lv_kv", t.vn_lv_kv)):
-            if not vn > 0:
-                bad.append(("transformers3w", i, fieldname, f"{fieldname} > 0"))
-
-    for i, cs in enumerate(net.converter_sources):
-        if cs.bus not in vn_of:
-            unknown_bus("converter_sources", i, "bus", cs.bus)
-        if not cs.sn_mva > 0:
-            bad.append(("converter_sources", i, "sn_mva", "sn_mva > 0"))
-        if cs.k < 0:
-            bad.append(("converter_sources", i, "k", "k >= 0"))
-
-    for i, sw in enumerate(net.switches):
-        bus_ok = sw.bus in vn_of
-        if not bus_ok:
-            unknown_bus("switches", i, "bus", sw.bus)
-        if _is_index(sw.other):
-            if sw.other not in vn_of:
-                unknown_bus("switches", i, "other", sw.other)
-            elif bus_ok and vn_of[sw.bus] != vn_of[sw.other]:
-                bad.append(("switches", i, "other", "bus-bus switches must connect buses of equal vn_kv"))
-        elif not isinstance(sw.other, ElementRef):
-            bad.append(("switches", i, "other", "other must be an int bus id or an ElementRef"))
-        else:
-            ref = sw.other
-            if ref.kind not in SWITCHABLE_ELEMENT_KINDS:
-                bad.append(("switches", i, "other", f"element kind must be one of {SWITCHABLE_ELEMENT_KINDS}"))
-            elif not _is_index(ref.index):
-                bad.append(("switches", i, "other", "element index must be an integer"))
-            else:
-                n = len(getattr(net, _COLLECTION_OF[ref.kind]))
-                if not 0 <= ref.index < n:
-                    bad.append(("switches", i, "other", f"{ref.kind}[{ref.index}] does not exist"))
-                elif bus_ok and sw.bus not in net.element_terminals(ref.kind, ref.index):
-                    bad.append(("switches", i, "bus", f"bus {sw.bus} is not a terminal of {ref.kind}[{ref.index}]"))
-
-
-def _violations(bad: list[tuple[str, int | None, str, str]]) -> list[Violation]:
-    return [
-        Violation(section if i is None else f"{section}[{i}]", fieldname, rule)
-        for section, i, fieldname, rule in bad
+            typed.append((label, f"{label[2]} must be a number"))
+    typed += [
+        (label, f"{label[2]} must be a bool") for label, value in zip(flag_labels, flags) if type(value) is not bool
     ]
+    if any(rule.endswith("number") for _, rule in typed):
+        # the value rules compare these fields and cannot judge a non-number
+        return _listed(net, typed)
+
+    end = len(ints) - nk
+    second = [
+        (label, "id must be an integer" if not _is_index(value) else f"id {value} is outside the 64-bit range")
+        for label, value in zip(int_labels, ints[:nb]) if not _int64(value)
+    ]
+    # an end of a bus-bus switch of another type refers to no bus
+    others = {label for label, value in zip(int_labels[end - nt : end], ints[end - nt : end]) if not _is_index(value)}
+    first = {}
+    codes = [_find(first.setdefault, value, k) for k, value in enumerate(ints[:nb])]
+    codes += [
+        -1 if label in others else _find(first.get, value, -1) for label, value in zip(int_labels[nb:end], ints[nb:end])
+    ]
+    # (an element index beyond 64 bits does not exist either)
+    codes += [value if _int64(value) else -1 for value in ints[end:]]
+    t = _Tables.__new__(_Tables)
+    t.sizes, t.names, t.kinds = sizes, names, kinds
+    t._columns(codes, np.fromiter(floats, object, len(floats)), np.ones(len(flags), bool))
+    labels, values = int_labels + float_labels, ints + floats
+    found = []
+    with np.errstate(invalid="ignore"):  # (NaN compares as in Python)
+        _, naming = _broken(t)
+    unknown = set()
+    for rule, mask, start, stop, at in naming():
+        for k in np.flatnonzero(mask[start:stop]).tolist():
+            j = at[k] if isinstance(at, np.ndarray) else at + k
+            label, name = labels[j], labels[j][2]
+            if label in others or rule in _LEVELS and label[:2] in unknown:
+                continue
+            if rule is _UNKNOWN:
+                unknown.add(label[:2])
+            found.append((label, rule.format(field=name, value=values[j], vk=name.replace("vkr", "vk"))))
+    found += [(label, "name must be a string") for label, name in zip(name_labels, names) if not isinstance(name, str)]
+    found += [(label, "other must be an int bus id or an ElementRef") for label in others]
+    for j, (*_, at) in enumerate(t.cuts):
+        kind, bus, index = kinds[j], nb + ne + nc + j, end + j
+        element = f"{kind}[{ints[index]}]"
+        if kind not in SWITCHABLE_ELEMENT_KINDS:
+            found.append((int_labels[index], f"element kind must be one of {SWITCHABLE_ELEMENT_KINDS}"))
+        elif not _is_index(ints[index]):
+            found.append((int_labels[index], "element index must be an integer"))
+        elif at is None:
+            found.append((int_labels[index], f"{element} does not exist"))
+        elif not at and codes[bus] >= 0:
+            found.append((int_labels[bus], f"bus {ints[bus]} is not a terminal of {element}"))
+    if not net.external_grids:
+        rule = "at least one ExternalGrid is required for a solvable study"
+        found.append((("network", None, "external_grids"), rule))
+    return _listed(net, typed, found, second)
 
 
-_COLLECTION_OF = {
-    "line": "lines",
-    "trafo2w": "transformers2w",
-    "trafo3w": "transformers3w",
-}
+def _listed(net: Network, typed: list, found: list = (), second: list = ()) -> list[Violation]:
+    """The violations as (label, rule), each once, in the order they are
+    listed: the type rules of the numbers and flags (``typed``) section by
+    section and field by field, then element by element in the order
+    ``found``, with the rules of the bus ids in a ``second`` pass over the
+    buses."""
+    sections = (*SECTIONS, "switches", "network")
+    keyed = []
+    for phase, entries in enumerate((typed, found, second)):
+        for (section, i, name), rule in entries:
+            # (the type rules go field by field)
+            then = phase or [f.name for f in dataclasses.fields(SECTIONS.get(section, Switch))].index(name)
+            element = section if i is None else f"{section}[{i}]"
+            keyed.append(((phase > 0, sections.index(section), then, i or 0), Violation(element, name, rule)))
+    keyed.sort(key=operator.itemgetter(0))
+    # (a network without buses was read with one)
+    return list(dict.fromkeys(v for _, v in keyed if net.buses or not v.element.startswith("buses")))

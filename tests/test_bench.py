@@ -1,5 +1,6 @@
 """Tests for the vectorized-vs-looped benchmark harness."""
 import json
+import pathlib
 import time
 
 import pytest
@@ -116,3 +117,39 @@ def test_bench_json_schema(tmp_path):
             assert 0.0 < stage["min"] <= stage["median"]
         # 6 buses is above --loop-max 3
         assert size["looped_s"] is None and size["speedup"] is None and size["max_rel_diff"] is None
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+STAGE_TABLE_HEAD = (
+    "| buses | nnz(Y) | nnz(L+U) | `validate` | `fuse_switches` | `build_bbm` | `factorize` | Z_ii | converter "
+    "| `calc_sc` | peak traced | looped, speedup |\n"
+    "|------:|-------:|---------:|-----:|-----:|-----:|-----:|-----:|-----:|-----:|-----:|-----:|"
+)
+
+
+def stage_table(doc: dict) -> str:
+    """The README's table of stage times for a ``sccalc bench --json``
+    document: the minimum of each stage, the median of ``calc_sc`` next to
+    it, the traced peak and the looped reference where it ran."""
+
+    def ms(seconds: float) -> str:
+        return f"{seconds * 1e3:.3g} ms"
+
+    rows = [STAGE_TABLE_HEAD]
+    for size in doc["sizes"]:
+        stages = size["stages_s"]
+        study = stages.pop("calc_sc")
+        looped = "–" if size["looped_s"] is None else f"{size['looped_s']:.2f} s, {size['speedup']:.0f}×"
+        cells = [
+            size["buses"], size["nnz_y"], size["nnz_lu"], *[ms(stage["min"]) for stage in stages.values()],
+            f"{ms(study['min'])} ({ms(study['median'])})", f"{size['peak_traced_bytes'] / 1e6:.2f} MB", looped,
+        ]
+        rows.append("| " + " | ".join(map(str, cells)) + " |")
+    return "\n".join(rows)
+
+
+def test_the_readme_stage_table_is_the_one_of_the_committed_bench_file():
+    doc = json.loads((ROOT / "BENCH_18.json").read_text(encoding="utf-8"))
+    assert len(doc["sizes"]) == 4
+    assert stage_table(doc) in (ROOT / "README.md").read_text(encoding="utf-8")

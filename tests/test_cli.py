@@ -247,12 +247,19 @@ def test_grid_file_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["calc", "generate"])
+@pytest.mark.parametrize("command", ["calc", "generate", "bench"])
 def test_out_path_that_cannot_be_opened_exits_1(grid_path, tmp_path, capsys, command):
     out = tmp_path / "missing" / "out.csv"
-    args = ["calc", str(grid_path)] if command == "calc" else ["generate"]
-    assert main([*args, "--out", str(out)]) == 1
-    assert f"error: {out}: No such file or directory" in capsys.readouterr().err
+    args = {
+        "calc": ["calc", str(grid_path), "--out"],
+        "generate": ["generate", "--out"],
+        "bench": ["bench", "--sizes", "3", "--json"],
+    }[command]
+    assert main([*args, str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {out}: No such file or directory" in captured.err
+    # the benchmark does not run before its report file is opened
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

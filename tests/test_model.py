@@ -23,9 +23,10 @@ from sccalc import (
     calc_sc,
     validate,
 )
-from sccalc.model import SECTIONS, _check_each, _field_specs
+from sccalc.model import SECTIONS, _field_specs
 
 from netgen import random_network
+from rules import check_each
 
 
 def minimal_network() -> Network:
@@ -189,13 +190,6 @@ def test_validate_is_idempotent():
 @pytest.mark.parametrize("seed", range(25))
 def test_random_networks_are_valid(seed):
     assert validate(random_network(seed)) == []
-
-
-def test_element_terminals_lookup():
-    net = minimal_network()
-    assert net.element_terminals("line", 0) == (1, 2)
-    with pytest.raises(KeyError):
-        net.element_terminals("shunt", 0)
 
 
 def every_section_network() -> Network:
@@ -546,9 +540,9 @@ def test_a_bool_switch_end_stays_a_bus_bus_switch():
 
 
 def corruptions(net: Network, value) -> list:
-    """Values that break, or only retype, the value of one field: the
-    corruptions the typed read must leave to the element-by-element rules
-    whenever it cannot judge them itself."""
+    """Values that break, or only retype, the value of one field: those the
+    typed read refuses and those whose value breaks a rule, which
+    ``validate`` must name as the element-by-element reference does."""
     ids = [bus.id for bus in net.buses]
     number = value if type(value) in (int, float) else 1
     return [
@@ -579,6 +573,38 @@ def test_validate_equals_the_element_by_element_rules_under_any_one_corruption(s
             value = getattr(element, f.name)
             for corrupt in corruptions(net, value):
                 setattr(element, f.name, corrupt)
-                assert validate(net) == _check_each(net), (section, f.name, corrupt)
+                assert validate(net) == check_each(net), (section, f.name, corrupt)
             setattr(element, f.name, value)
-    assert validate(net) == _check_each(net) == []
+    assert validate(net) == check_each(net) == []
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 200), data=st.data())
+def test_validate_equals_the_element_by_element_rules_under_two_corruptions(seed, data):
+    """Two fields of elements in different sections corrupted at once: a
+    value of another type in one (which refuses the read) and one of the
+    field's type in the other, or values of the fields' types in both, so
+    that the type rules and the value rules, and the rules of two sections,
+    are listed together."""
+    net = random_network(seed)
+    fields = [
+        (section, element, f.name)
+        for section in (*SECTIONS, "switches")
+        for element in getattr(net, section)
+        for f in dataclasses.fields(element)
+    ]
+    for _ in range(40):
+        first = data.draw(st.sampled_from(fields))
+        second = data.draw(st.sampled_from([x for x in fields if x[0] != first[0]]))
+        retype = data.draw(st.booleans())
+        values = [getattr(element, name) for _, element, name in (first, second)]
+        # (listed before either field changes: the corruptions read the bus ids)
+        retyped = [c for c in corruptions(net, values[0]) if (type(c) is not type(values[0])) is retype]
+        typed = [c for c in corruptions(net, values[1]) if type(c) is type(values[1])]
+        drawn = data.draw(st.sampled_from(retyped)), data.draw(st.sampled_from(typed))
+        for (_, element, name), corrupt in zip((first, second), drawn):
+            setattr(element, name, corrupt)
+        assert validate(net) == check_each(net), (first[0], first[2], second[0], second[2], drawn)
+        for (_, element, name), value in zip((first, second), values):
+            setattr(element, name, value)
+    assert validate(net) == check_each(net) == []

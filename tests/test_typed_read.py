@@ -11,9 +11,10 @@ import pytest
 
 from sccalc import FaultStudyOptions, calc_sc, generate_radial_grid, validate
 from sccalc import model
-from sccalc.model import _check_each, _flag_column, _float_column, _Tables
+from sccalc.model import _flag_column, _float_column, _Tables
 
 from netgen import batch_grids, load_perfbench, random_network
+from rules import check_each
 
 
 def test_marshal_format_2_writes_the_records_the_read_takes():
@@ -117,7 +118,7 @@ def test_another_type_in_a_float_field_is_routed_like_before(value, taken, field
         setattr(getattr(net, section)[0], name, value)
         assert _Tables(net).ok is taken
         violations = validate(net)
-        assert violations == _check_each(net)
+        assert violations == check_each(net)
         if violations or section == "external_grids":
             # the external grid loop reads its element, in the value's type
             continue
@@ -139,7 +140,7 @@ def test_another_type_in_a_flag_is_refused(value, section):
     getattr(net, section)[0].in_service = value
     assert not _Tables(net).ok
     violations = validate(net)
-    assert violations == _check_each(net)
+    assert violations == check_each(net)
     assert any(v.field == "in_service" for v in violations)
 
 
