@@ -41,8 +41,9 @@ class EquivalenceGateError(AssertionError):
 @dataclass(frozen=True)
 class BenchmarkCase:
     """One grid size: its problem sizes, the min and median seconds of each
-    stage, the traced peak memory of one study and, when the looped
-    reference ran, its time and the largest relative deviation from it."""
+    stage, the traced peak memory of one call of each stage (``calc_sc``'s
+    is that of one study) and, when the looped reference ran, its time and
+    the largest relative deviation from it."""
 
     n_buses: int
     nodes: int
@@ -50,13 +51,17 @@ class BenchmarkCase:
     nnz_y: int
     nnz_lu: int
     stages: dict[str, tuple[float, float]]
-    peak_traced_bytes: int
+    stage_peaks: dict[str, int]
     t_looped_s: float | None
     max_rel_diff: float | None
 
     @property
     def t_vectorized_s(self) -> float:
         return self.stages["calc_sc"][0]
+
+    @property
+    def peak_traced_bytes(self) -> int:
+        return self.stage_peaks["calc_sc"]
 
     @property
     def speedup(self) -> float | None:
@@ -71,6 +76,7 @@ class BenchmarkCase:
             "nnz_lu": self.nnz_lu,
             "stages_s": {name: {"min": lo, "median": mid} for name, (lo, mid) in self.stages.items()},
             "peak_traced_bytes": self.peak_traced_bytes,
+            "stages_peak_traced_bytes": dict(self.stage_peaks),
             "looped_s": self.t_looped_s,
             "speedup": self.speedup,
             "max_rel_diff": self.max_rel_diff,
@@ -148,12 +154,15 @@ def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, tuple[int, int,
     """Each stage as a call without arguments on ``net``, on the inputs the
     study hands it: the factor, the Z_ii and the rows of the reported buses
     of one build of the model. Then the sizes of that build: nodes, star
-    points, nnz(Y) and nnz(L) + nnz(U)."""
+    points, nnz(Y) and nnz(L) + nnz(U). The Z_ii come from a second
+    factor, so that the first call of the Z_ii stage builds SuperLU's L and
+    U of the factor it is handed, as a study does."""
     bbm = build_bbm(net, options)
     lu = factorize(bbm.y_matrix)
     rows = bbm.bus_index[bbm.id_order]
     rows = rows[rows >= 0]
-    z_diag = impedance_matrix_diag(lu, rows=rows)
+    second = factorize(bbm.y_matrix)
+    z_diag = impedance_matrix_diag(second, rows=rows)
     z_safe = np.where(np.abs(z_diag) < DEGENERATE_Z_TOL_PU, 1.0, z_diag)
     calls = {
         "validate": lambda: validate(net),
@@ -164,8 +173,21 @@ def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, tuple[int, int,
         "converter_contribution": lambda: converter_contribution(lu, z_safe, bbm.i_kc, rows=rows),
         "calc_sc": lambda: calc_sc(net, options),
     }
-    sizes = bbm.y_matrix.shape[0], bbm.n_aux, bbm.y_matrix.nnz, lu.L.nnz + lu.U.nnz
+    sizes = bbm.y_matrix.shape[0], bbm.n_aux, bbm.y_matrix.nnz, second.L.nnz + second.U.nnz
     return calls, sizes
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    # (not imported with the package)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_benchmark(
@@ -174,14 +196,13 @@ def run_benchmark(
     """For each target bus count, on one generated radial grid (a converter
     source on every fifth feeder bus): one untimed all-bus study, then
     ``REPEATS`` timed calls of each stage in turn, each stage called on its
-    own, then the traced peak memory of one study. Up to ``loop_max`` buses
+    own, then one call of each stage under tracemalloc, on the inputs of a
+    new build, for its peak memory. Up to ``loop_max`` buses
     (every size when it is None) a loop of single-bus studies follows, which
     must agree with the all-bus study to ``EQUIVALENCE_TOL``.
 
     The headline time of a stage is its minimum; the median stands next to
     it."""
-    import tracemalloc
-
     cases = []
     for size in sizes:
         feeders = 4
@@ -203,12 +224,8 @@ def run_benchmark(
                     vectorized = out
         stages = {name: (min(ts), sorted(ts)[REPEATS // 2]) for name, ts in times.items()}
 
-        tracemalloc.start()
-        try:
-            calc_sc(net, options)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        calls, _ = _stage_calls(net, options)
+        peaks = {name: _traced_peak(call) for name, call in calls.items()}
 
         t_loop = worst = None
         if loop_max is None or n <= loop_max:
@@ -219,7 +236,7 @@ def run_benchmark(
         cases.append(
             BenchmarkCase(
                 n_buses=n, nodes=nodes, n_aux=n_aux, nnz_y=nnz_y, nnz_lu=nnz_lu, stages=stages,
-                peak_traced_bytes=peak, t_looped_s=t_loop, max_rel_diff=worst,
+                stage_peaks=peaks, t_looped_s=t_loop, max_rel_diff=worst,
             )
         )
     return BenchmarkReport(cases=tuple(cases), case=case, seed=seed, loop_max=loop_max)

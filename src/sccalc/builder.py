@@ -290,25 +290,53 @@ def fuse_switches(net: Network, tables: _Tables | None = None) -> SwitchFusion:
     return SwitchFusion(node=node, terminals=terminals, live=live, severed=frozenset(severed))
 
 
-def _stamp_csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int) -> scipy.sparse.csc_matrix:
-    """Sum admittance stamps (COO triplets) into a dim x dim CSC matrix.
+def _stamp_csc(branches: list, dim: int) -> scipy.sparse.csc_matrix:
+    """Sum the admittance stamps of ``branches`` into a dim x dim CSC matrix.
 
+    ``branches`` is the list ``[f, t, y, tail]`` of ``_branches``; the stamp
+    empties it, so that it owns the arrays and frees each of them, the
+    sort order and the unsorted copies as soon as it has used them.
     Duplicates are added in stamp order (the column-major sort is stable),
     so Y[i, j] and Y[j, i] sum the same terms in the same order and the
     matrix stays exactly symmetric.
     """
-    key = cols * dim + rows
+    key, vals = _keyed_stamps(branches, dim)
     order = key.argsort(kind="stable")
     key = key[order]
+    vals = vals[order]
+    del order
     first = np.empty(len(key), dtype=bool)
     first[0] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
     first = first.nonzero()[0]
+    data = np.add.reduceat(vals, first)
+    del vals
     key = key[first]
+    del first
     indptr = (key // dim).searchsorted(np.arange(dim + 1)).astype(np.int32)
-    return scipy.sparse.csc_matrix(
-        (np.add.reduceat(vals[order], first), (key % dim).astype(np.int32), indptr), shape=(dim, dim)
-    )
+    return scipy.sparse.csc_matrix((data, (key % dim).astype(np.int32), indptr), shape=(dim, dim))
+
+
+def _keyed_stamps(branches: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stamps of ``branches``, which it empties, as their keys
+    col * dim + row and their values. Four stamps per line (ff, tt, ft,
+    tf), line after line, then the tail. The rows are int32; the columns go
+    straight into the int64 keys, which are then worked out in place: on
+    int32 columns, col * dim would wrap above 46 340 nodes."""
+    f, t, y, tail = branches
+    branches.clear()
+    m = 4 * len(y)
+    rows = np.empty(m + len(tail), dtype=np.int32)
+    key = np.empty(len(rows), dtype=np.int64)
+    vals = np.empty(len(rows), dtype=complex)
+    rows[0:m:4] = rows[2:m:4] = key[0:m:4] = key[3:m:4] = f
+    rows[1:m:4] = rows[3:m:4] = key[1:m:4] = key[2:m:4] = t
+    vals[0:m:4] = vals[1:m:4] = y
+    vals[2:m:4] = vals[3:m:4] = -y
+    rows[m:], key[m:], vals[m:] = zip(*tail)
+    key *= dim
+    key += rows
+    return key, vals
 
 
 def _unstampable(element: str, z_pu: complex) -> SingularStampError:
@@ -330,13 +358,29 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         raise ValidationError(violations)
     if not tables.ok:
         tables.coerce()
+    bus_index, i_kc, n_aux, branches = _branches(net, options, tables)
+    # of the read, only the bus columns outlive the stamp
+    bus_ids, vn, bus_names, id_order = tables.bus_id.copy(), tables.vn.copy(), tables.names, tables.order
+    del tables
+    return BusBranchModel(
+        bus_index=bus_index, y_matrix=_stamp_csc(branches, len(i_kc)), i_kc=i_kc, n_aux=n_aux,
+        bus_ids=bus_ids, vn_kv=vn, bus_names=bus_names, id_order=id_order,
+    )
 
+
+def _branches(net: Network, options: FaultStudyOptions, tables: _Tables) -> tuple:
+    """The rows of the buses, the converter injections, the count of star
+    points and the branches of the stamp: ``[f, t, y, tail]``, the rows
+    ``f`` and ``t`` of both ends of each line between two energized nodes
+    and its series admittance ``y``, then ``tail``, the (row, col, value)
+    stamps of the transformers, then of the source shunts. Branches inside
+    one fused node stamp nothing."""
     fusion = fuse_switches(net, tables)
     live, terminals, node = fusion.live, fusion.terminals, fusion.node
     case = options.case
     tol = options.lv_tolerance_percent
     s_base = options.s_base_mva
-    vn = tables.vn.copy()
+    vn = tables.vn
 
     # study node numbers: fused nodes by ascending id, then one star point
     # per live three-winding transformer, in transformer order
@@ -362,23 +406,7 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
             sources.append(node_of(p))
             shunts.append(1.0 / z)
 
-    # the live lines: r = r' * length and x = x' * length in ohms, the
-    # minimum case scaling r up to the conductor end temperature, then the
-    # per-unit conversion, in this order; a row of rx holds r and x
-    on = live["line"]
-    ends = terminals["line"].compress(on, 1)
-    rx = (tables.rx * tables.length).T.compress(on, 0)
-    if case == "min":
-        rx[:, 0] *= 1.0 + ALPHA_PER_K * (tables.endtemp[on] - 20.0)
-    rx /= (vn[ends[0]] ** 2 / s_base)[:, None]
-    z = rx.view(complex).ravel()
-    tiny = np.abs(z) < ZERO_STAMP_TOL_PU
-    if tiny.any():
-        k = int(tiny.argmax())
-        raise _unstampable(f"lines[{on.nonzero()[0][k]}]", complex(z[k]))
-    # numpy's complex reciprocal takes the steps of CPython's 1.0 / z
-    ys = np.reciprocal(z)
-    fr, to = node[ends[0]], node[ends[1]]
+    fr, to, ys = _line_branches(tables, live["line"], terminals["line"], node, case, s_base)
 
     # transformers are few: one branch each (one per live winding for 3W):
     # from node, to node, series admittance and the tap at the from side
@@ -424,10 +452,7 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     # source nodes
     nt = len(branches)
     at = np.array([*[b[0] for b in branches], *[b[1] for b in branches], *sources], np.intp)
-    roots = _roots(n_nodes, np.concatenate((fr, at[:nt])), np.concatenate((to, at[nt : 2 * nt])))
-    fed = np.zeros(n_nodes, bool)
-    fed[roots[at[2 * nt :]]] = True
-    energized = fed[roots]
+    energized = _energized(n_nodes, fr, to, at, nt)
     # the energized nodes keep their order as rows, real rows first; the
     # row of a dead node is -1, and so is that of the node -1 of a dead bus,
     # which is the last entry
@@ -449,15 +474,10 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
         i_pu = np.where(live["converter"], -tables.conv_k * (tables.conv_sn / vn_c) / (s_base / vn_c), 0.0)
         i_kc.imag = np.bincount(bus_index[p] + 1, i_pu, dim + 1)[1:]
     n_aux = dim - int(live_nodes.searchsorted(n_fused))
-    # of the read, only the bus columns outlive the stamp
-    bus_ids, bus_names, id_order = tables.bus_id.copy(), tables.names, tables.order
-    del tables, fusion, terminals, p
 
-    # four stamps per branch (ff, tt, ft, tf), branch after branch: the
-    # lines, then the transformers, then the source shunts; branches inside
-    # one fused node stamp nothing. A transformer stamps y / tap**2 at its
-    # from node and -y / tap between its nodes, each as y times 1 / tap, the
-    # rounding of numpy's complex by float division.
+    # a transformer stamps y / tap**2 at its from node and -y / tap between
+    # its nodes, each as y times 1 / tap, the rounding of numpy's complex by
+    # float division
     row_at = node_row[at].tolist()
     tail: list[tuple[int, int, complex]] = []
     for (_, _, y, tap), f, t in zip(branches, row_at[:nt], row_at[nt : 2 * nt]):
@@ -466,18 +486,36 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
             tail += (f, f, y * (1.0 / tap**2)), (t, t, y), (f, t, y_ft), (t, f, y_ft)
     tail += ((r, r, y) for r, y in zip(row_at[2 * nt :], shunts))
     keep = energized[fr] & (fr != to)
-    f, t = node_row[fr[keep]], node_row[to[keep]]
-    y = ys[keep]
-    m = 4 * len(y)
-    rows = np.empty(m + len(tail), dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(len(rows), dtype=complex)
-    rows[0:m:4] = rows[2:m:4] = cols[0:m:4] = cols[3:m:4] = f
-    rows[1:m:4] = rows[3:m:4] = cols[1:m:4] = cols[2:m:4] = t
-    vals[0:m:4] = vals[1:m:4] = y
-    vals[2:m:4] = vals[3:m:4] = -y
-    rows[m:], cols[m:], vals[m:] = zip(*tail)
-    return BusBranchModel(
-        bus_index=bus_index, y_matrix=_stamp_csc(rows, cols, vals, dim), i_kc=i_kc, n_aux=n_aux,
-        bus_ids=bus_ids, vn_kv=vn, bus_names=bus_names, id_order=id_order,
-    )
+    return bus_index, i_kc, n_aux, [node_row[fr[keep]], node_row[to[keep]], ys[keep], tail]
+
+
+def _line_branches(
+    tables: _Tables, on: np.ndarray, ends: np.ndarray, node: np.ndarray, case: str, s_base: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The from and to nodes and the series admittances of the live lines
+    ``on``: r = r' * length and x = x' * length in ohms, the minimum case
+    scaling r up to the conductor end temperature, then the per-unit
+    conversion, in this order."""
+    ends = ends.compress(on, 1)
+    # a row of rx holds r and x
+    rx = (tables.rx * tables.length).T.compress(on, 0)
+    if case == "min":
+        rx[:, 0] *= 1.0 + ALPHA_PER_K * (tables.endtemp[on] - 20.0)
+    rx /= (tables.vn[ends[0]] ** 2 / s_base)[:, None]
+    z = rx.view(complex).ravel()
+    tiny = np.abs(z) < ZERO_STAMP_TOL_PU
+    if tiny.any():
+        k = int(tiny.argmax())
+        raise _unstampable(f"lines[{on.nonzero()[0][k]}]", complex(z[k]))
+    # numpy's complex reciprocal takes the steps of CPython's 1.0 / z
+    return node[ends[0]], node[ends[1]], np.reciprocal(z)
+
+
+def _energized(n_nodes: int, fr: np.ndarray, to: np.ndarray, at: np.ndarray, nt: int) -> np.ndarray:
+    """Whether each node lies in an island that holds a source node: the
+    islands of the lines (fr[i], to[i]) and the ``nt`` transformer branches
+    (at[i], at[nt + i]), the source nodes ``at[2 * nt:]``."""
+    roots = _roots(n_nodes, np.concatenate((fr, at[:nt])), np.concatenate((to, at[nt : 2 * nt])))
+    fed = np.zeros(n_nodes, bool)
+    fed[roots[at[2 * nt :]]] = True
+    return fed[roots]

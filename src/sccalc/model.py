@@ -564,6 +564,8 @@ def _named(net: Network) -> list[Violation]:
         try:
             if not math.isfinite(value):
                 typed.append((label, f"{label[2]} must be finite"))
+        except OverflowError:  # an int beyond the float range
+            typed.append((label, f"{label[2]} must be finite"))
         except TypeError:
             typed.append((label, f"{label[2]} must be a number"))
     typed += [

@@ -256,6 +256,40 @@ def _level_sweep(
     Z_ii = 1/d_i - sum_p l_p Z_(i, jp), scatter. Raises _DroppedEntry if L
     lacks the slot (hi, lo) of a pair.
     """
+    # the set-up of the pairs is freed before the rounds start
+    pos, l_rows, col_first, pair_first, coef, src, const, diag_slot, inv_d, ends = _level_pairs(
+        columns, indptr, indices, values, entries, z, a, b, up
+    )
+    # roots hold 1/d_i from the start
+    zs = np.zeros(len(values), dtype=complex)
+    zs[indptr[:-1]] = z
+    # a level writes its products into these at its own positions, so that
+    # reduceat over the prefix up to the level's end sums its segments only
+    terms = np.empty(len(src), dtype=complex)
+    weighted = np.empty(len(pos), dtype=complex)
+    c0 = e0 = p0 = 0
+    for c1, e1, p1 in ends:
+        np.multiply(coef[p0:p1], zs[src[p0:p1]], out=terms[p0:p1])
+        z_entry = np.add.reduceat(terms[:p1], pair_first[e0:e1])
+        z_entry += const[e0:e1]
+        zs[pos[e0:e1]] = z_entry
+        np.multiply(l_rows[e0:e1], z_entry, out=weighted[e0:e1])
+        zs[diag_slot[c0:c1]] = inv_d[c0:c1] - np.add.reduceat(weighted[:e1], col_first[c0:c1])
+        c0, e0, p0 = c1, e1, p1
+    return zs[indptr[columns]]
+
+
+def _level_pairs(
+    columns: np.ndarray, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+    entries: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray,
+) -> tuple:
+    """The set-up of ``_level_sweep``, with the columns in level order:
+    their entries below the diagonal (slots ``pos`` in L, values
+    ``l_rows``, the start ``col_first`` of each column's run), the start
+    ``pair_first`` of each entry's run of pairs, ``coef``, ``src`` and
+    ``const`` of Z_(i, jp) = const_p + sum_q coef_pq zs[src_pq], each
+    column's diagonal slot and 1/d_i, and the ends of each level's columns,
+    entries and pairs."""
     n, width = len(z), len(columns)
     # The anchors of a column's rows other than the first are the anchor of
     # the first row (the column's parent in the elimination tree) or its
@@ -325,26 +359,8 @@ def _level_sweep(
     # the ends of each level's columns, entries and pairs
     col_end = np.bincount(level[by_level])[1:].cumsum()
     entry_end = col_stop[col_end - 1]
-    pair_end = pair_stop[entry_end - 1]
-    # roots hold 1/d_i from the start
-    zs = np.zeros(len(values), dtype=complex)
-    zs[indptr[:-1]] = z
-    diag_slot = indptr[cols]
-    inv_d = z[cols]
-    # a level writes its products into these at its own positions, so that
-    # reduceat over the prefix up to the level's end sums its segments only
-    terms = np.empty(len(pairs), dtype=complex)
-    weighted = np.empty(len(pos), dtype=complex)
-    c0 = e0 = p0 = 0
-    for c1, e1, p1 in zip(col_end.tolist(), entry_end.tolist(), pair_end.tolist()):
-        np.multiply(coef[p0:p1], zs[src[p0:p1]], out=terms[p0:p1])
-        z_entry = np.add.reduceat(terms[:p1], pair_first[e0:e1])
-        z_entry += const[e0:e1]
-        zs[pos[e0:e1]] = z_entry
-        np.multiply(l_rows[e0:e1], z_entry, out=weighted[e0:e1])
-        zs[diag_slot[c0:c1]] = inv_d[c0:c1] - np.add.reduceat(weighted[:e1], col_first[c0:c1])
-        c0, e0, p0 = c1, e1, p1
-    return zs[indptr[columns]]
+    ends = list(zip(col_end.tolist(), entry_end.tolist(), pair_stop[entry_end - 1].tolist()))
+    return pos, l_rows, col_first, pair_first, coef, src, const, indptr[cols], z[cols], ends
 
 
 def _unit_solve_diag(lu: scipy.sparse.linalg.SuperLU, rows: np.ndarray) -> np.ndarray:
@@ -441,25 +457,30 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     energized = rows >= 0
     live_rows = rows[energized]
     vn_kv = bbm.vn_kv[pick]
+    bus_names = _gather(bbm.bus_names, pick.tolist())
+    i_kc = bbm.i_kc
 
+    # each stage's arrays go as soon as the next stage no longer needs them:
+    # Y once it is factorized, the factor (with SuperLU's L and U) once the
+    # converter solve is done
     lu = factorize(bbm.y_matrix)
+    del bbm, bus_id, pick, rows
     z_diag = impedance_matrix_diag(lu, rows=live_rows)
     degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
-    z_safe = np.where(degenerate, 1.0, z_diag)
-    c = _voltage_correction_factors(vn_kv[energized], options.lv_tolerance_percent, options.case)
-    i_k1 = c / z_safe
-    i_k2 = converter_contribution(lu, z_safe, bbm.i_kc, rows=live_rows)
-    if degenerate.any():
+    if degenerate_any := degenerate.any():
+        z_diag[degenerate] = 1.0
+    vn_live = vn_kv[energized]
+    i_k1 = _voltage_correction_factors(vn_live, options.lv_tolerance_percent, options.case) / z_diag
+    i_k2 = converter_contribution(lu, z_diag, i_kc, rows=live_rows)
+    del lu, z_diag
+    if degenerate_any:
         i_k1[degenerate] = complex(math.nan, 0.0)
         i_k2[degenerate] = complex(math.nan, 0.0)
 
-    # scatter the live rows into the requested set; dead buses stay zero
-    full_i1 = np.zeros(len(pick), dtype=complex)
-    full_i2 = np.zeros(len(pick), dtype=complex)
-    full_i1[energized] = i_k1
-    full_i2[energized] = i_k2
-    source_ka, converter_ka, total_ka = total_current(
-        full_i1, full_i2, options.s_base_mva / (math.sqrt(3.0) * vn_kv)
+    # the live rows of the requested set; dead buses stay zero
+    source_ka, converter_ka, total_ka = np.zeros((3, len(bus_ids)))
+    source_ka[energized], converter_ka[energized], total_ka[energized] = total_current(
+        i_k1, i_k2, options.s_base_mva / (math.sqrt(3.0) * vn_live)
     )
 
     return ShortCircuitResult(
@@ -469,7 +490,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
         ikss_ka=total_ka,
         energized=energized,
         options=options,
-        bus_names=_gather(bbm.bus_names, pick.tolist()),
+        bus_names=bus_names,
         vn_kv=vn_kv,
         degenerate_buses=tuple(bus_ids[energized][degenerate].tolist()),
     )

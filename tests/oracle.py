@@ -83,6 +83,23 @@ def oracle_admittance(
     Returns (y, i_kc, row) where ``row`` maps each energized bus id to its
     row: fused nodes by ascending id, then 3W star points by transformer.
     """
+    stamps, i_kc, row = oracle_stamps(net, case, lv_tolerance_percent, consider_converters, s_base_mva)
+    y = np.zeros((len(i_kc), len(i_kc)), dtype=complex)
+    for i, j, value in stamps:
+        y[i, j] += value
+    return y, i_kc, row
+
+
+def oracle_stamps(
+    net: Network,
+    case: str = "max",
+    lv_tolerance_percent: int = 10,
+    consider_converters: bool = True,
+    s_base_mva: float = 1.0,
+) -> tuple[list[tuple[int, int, complex]], np.ndarray, dict[int, int]]:
+    """The admittance stamps (row, col, value) of the energized nodes,
+    element by element, with the converter injection vector and the rows
+    of ``oracle_admittance``; Y is their sum."""
     buses = {b.id: b for b in net.buses}
     in_service = {b.id for b in net.buses if b.in_service}
     group = _fused_groups(net, in_service)
@@ -211,19 +228,19 @@ def oracle_admittance(
     index = {n: i for i, n in enumerate(real_nodes + star_nodes)}
     dim = len(index)
 
-    y = np.zeros((dim, dim), dtype=complex)
+    stamps = []
     for a, b, z_pu, tap in branch_list:
         if a not in index or a == b:
             continue
         ia, ib = index[a], index[b]
         y_series = 1.0 / z_pu
-        y[ia, ia] += y_series / (tap * tap)
-        y[ib, ib] += y_series
-        y[ia, ib] -= y_series / tap
-        y[ib, ia] -= y_series / tap
+        stamps.append((ia, ia, y_series / (tap * tap)))
+        stamps.append((ib, ib, y_series))
+        stamps.append((ia, ib, -(y_series / tap)))
+        stamps.append((ib, ia, -(y_series / tap)))
     for n, z_pu in shunt_list:
         if n in index:
-            y[index[n], index[n]] += 1.0 / z_pu
+            stamps.append((index[n], index[n], 1.0 / z_pu))
 
     i_kc = np.zeros(dim, dtype=complex)
     for n, inj in injection_list:
@@ -231,7 +248,7 @@ def oracle_admittance(
             i_kc[index[n]] += inj
 
     row = {b: index[n] for b, n in group.items() if n in index}
-    return y, i_kc, row
+    return stamps, i_kc, row
 
 
 def oracle_calc(

@@ -42,6 +42,8 @@ def number_rule(value, name: str) -> str:
     """The violated rule of one float field value, or "" when it holds."""
     try:
         return "" if math.isfinite(value) else f"{name} must be finite"
+    except OverflowError:  # an int beyond the float range
+        return f"{name} must be finite"
     except TypeError:
         return f"{name} must be a number"
 

@@ -109,12 +109,20 @@ def test_bench_json_schema(tmp_path):
             assert isinstance(size[key], int) and size[key] >= 0, key
         assert 0 < size["nodes"] - size["n_aux"] <= size["buses"]
         assert size["nnz_lu"] >= size["nnz_y"] > 0
-        assert list(size["stages_s"]) == [
+        stages = [
             "validate", "fuse_switches", "build_bbm", "factorize", "impedance_matrix_diag",
             "converter_contribution", "calc_sc",
         ]
+        assert list(size["stages_s"]) == stages
         for stage in size["stages_s"].values():
             assert 0.0 < stage["min"] <= stage["median"]
+        peaks = size["stages_peak_traced_bytes"]
+        assert list(peaks) == stages
+        assert all(isinstance(peak, int) and peak > 0 for peak in peaks.values())
+        # the study's peak is that of its stage, and above that of any stage
+        # it calls
+        assert peaks["calc_sc"] == size["peak_traced_bytes"]
+        assert peaks["calc_sc"] >= max(peaks["validate"], peaks["build_bbm"], peaks["impedance_matrix_diag"])
         # 6 buses is above --loop-max 3
         assert size["looped_s"] is None and size["speedup"] is None and size["max_rel_diff"] is None
 

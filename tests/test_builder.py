@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sccalc import (
     Bus,
@@ -25,6 +26,7 @@ from sccalc import (
     UnsolvableIslandError,
     ValidationError,
     calc_sc,
+    generate_radial_grid,
 )
 from sccalc.builder import (
     build_bbm,
@@ -39,7 +41,7 @@ from sccalc.builder import (
 
 from busmap import by_bus_id
 from netgen import random_network
-from oracle import converter_current, line_impedance, oracle_admittance, oracle_calc
+from oracle import converter_current, line_impedance, oracle_admittance, oracle_calc, oracle_stamps
 
 SQRT3 = math.sqrt(3.0)
 
@@ -421,6 +423,25 @@ def test_build_bbm_symmetric_with_parallel_branches_at_a_busy_node():
             )
         y = build_bbm(net, FaultStudyOptions()).y_matrix
         assert abs(y - y.T).max() == 0.0, seed
+
+
+def test_build_bbm_beyond_the_int32_key_range_matches_a_scipy_assembly():
+    # 46 402 nodes: the stamp's sort key col * dim + row passes 2**31 from
+    # node 46 341 on, where a key of int32 columns would wrap
+    net = generate_radial_grid(4, 11600, dg_every=5)
+    bbm = build_bbm(net, FaultStudyOptions())
+    y = bbm.y_matrix
+    dim = y.shape[0]
+    assert dim * dim > 2**31
+    stamps, _, row = oracle_stamps(net)
+    assert bbm.bus_index.tolist() == [row[bus.id] for bus in net.buses]
+    rows, cols, values = zip(*stamps)
+    reference = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsc()
+    assert np.array_equal(y.indptr, reference.indptr) and np.array_equal(y.indices, reference.indices)
+    np.testing.assert_allclose(y.data, reference.data, rtol=1e-14, atol=0.0)
+    transposed = y.T.tocsc()
+    assert np.array_equal(transposed.indptr, y.indptr) and np.array_equal(transposed.indices, y.indices)
+    assert np.array_equal(transposed.data, y.data)
 
 
 def test_build_bbm_three_winding_adds_auxiliary_node():

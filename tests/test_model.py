@@ -21,6 +21,7 @@ from sccalc import (
     ValidationError,
     Violation,
     calc_sc,
+    three_bus_example,
     validate,
 )
 from sccalc.model import SECTIONS, _field_specs
@@ -239,7 +240,9 @@ def test_float_field_list_matches_the_element_classes():
         assert floats == FLOAT_FIELDS[section]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "int-beyond-float"]
+)
 @pytest.mark.parametrize(
     "section,name", [(section, name) for section, names in FLOAT_FIELDS.items() for name in names]
 )
@@ -248,6 +251,14 @@ def test_non_finite_number_is_a_violation(section, name, value):
     setattr(getattr(net, section)[0], name, value)
     finite = [v for v in validate(net) if v.rule.endswith("must be finite")]
     assert finite == [Violation(f"{section}[0]", name, f"{name} must be finite")]
+
+
+def test_an_int_beyond_the_float_range_stops_the_study_as_a_violation():
+    net = three_bus_example()
+    net.lines[0].length_km = 10**400
+    assert validate(net) == [Violation("lines[0]", "length_km", "length_km must be finite")]
+    with pytest.raises(ValidationError, match=r"lines\[0\]: length_km must be finite"):
+        calc_sc(net)
 
 
 @pytest.mark.parametrize("value", ["10", None, 1j], ids=["str", "None", "complex"])
@@ -549,6 +560,8 @@ def corruptions(net: Network, value) -> list:
         math.nan, math.inf, -math.inf, "1", None, True, False, [value],
         np.float64(number), np.float32(number), np.int64(int(number)), np.bool_(True),
         -abs(number) - 1, 0, 0.0, 150.0, 1e6, float(int(number)), 2**63, -(2**63) - 1,
+        # an int beyond the float range
+        10**400,
         # a duplicate id or a known reference, an unknown one, and one given
         # as a float
         ids[0], ids[-1], max(ids) + 1, float(ids[-1]),

@@ -1,5 +1,7 @@
 """Tests for the short-circuit solver operations and the study orchestration."""
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from sccalc.solver import (
     total_current,
 )
 
-from netgen import random_network
+from netgen import load_perfbench, random_network
 from oracle import oracle_calc
 
 
@@ -381,3 +383,30 @@ def test_result_row_helper():
     assert row["vn_kv"] == 110.0
     assert row["energized"] is True
     assert row["ikss_ka"] == pytest.approx(8.280448349104471, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make,case,bound_mb",
+    [
+        (lambda: generate_radial_grid(4, 750, dg_every=5), "max", 1.0),
+        (lambda: load_perfbench("grids").meshed_grid(1), "min", 1.7),
+    ],
+    ids=["radial 3002 buses", "meshed 2928 buses"],
+)
+def test_a_study_holds_one_stage_at_a_time(make, case, bound_mb):
+    # each stage frees its arrays once the next no longer needs them, so
+    # the traced peak is about one stage's working set: 0.76 and 1.41 MB
+    # with numpy 2.4. The bounds leave room for other numpy versions and
+    # stay below 1.57 and 1.90 MB, the peaks of a study that keeps Y, the
+    # factor and the stamp's temporaries to its end.
+    net = make()
+    options = FaultStudyOptions(case=case)
+    calc_sc(net, options)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        calc_sc(net, options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
