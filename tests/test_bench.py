@@ -157,7 +157,28 @@ def stage_table(doc: dict) -> str:
     return "\n".join(rows)
 
 
+PEAK_TABLE_HEAD = (
+    "| buses | `validate` | `fuse_switches` | `build_bbm` | `factorize` | Z_ii | converter | `calc_sc` |\n"
+    "|------:|-----:|-----:|-----:|-----:|-----:|-----:|-----:|"
+)
+
+
+def stage_peak_table(doc: dict) -> str:
+    """The README's table of the traced peak of each stage for a
+    ``sccalc bench --json`` document."""
+    rows = [PEAK_TABLE_HEAD]
+    for size in doc["sizes"]:
+        cells = [size["buses"], *[f"{peak / 1e6:.3g} MB" for peak in size["stages_peak_traced_bytes"].values()]]
+        rows.append("| " + " | ".join(map(str, cells)) + " |")
+    return "\n".join(rows)
+
+
 def test_the_readme_stage_table_is_the_one_of_the_committed_bench_file():
-    doc = json.loads((ROOT / "BENCH_18.json").read_text(encoding="utf-8"))
+    doc = json.loads((ROOT / "BENCH_21.json").read_text(encoding="utf-8"))
     assert len(doc["sizes"]) == 4
     assert stage_table(doc) in (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_the_readme_stage_peak_table_is_the_one_of_the_committed_bench_file():
+    doc = json.loads((ROOT / "BENCH_21.json").read_text(encoding="utf-8"))
+    assert stage_peak_table(doc) in (ROOT / "README.md").read_text(encoding="utf-8")
