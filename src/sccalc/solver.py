@@ -199,12 +199,14 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     a = np.where(tree, z, 0.0)
     b = values.take(first, mode="clip")
     b = np.where(tree, b * b, 1.0)
+    del first
     # one round halves every path to the anchor; done when no column points
     # at a tree column any more
     while np.count_nonzero(tree[up]):
         a += b * a[up]
         b *= b[up]
         up = up[up]
+    del tree
     branching = (entries > 2).nonzero()[0]
     if len(z) * len(branching) > _UNIT_SOLVE_MAX_ENTRIES:
         z[branching] = _level_sweep(branching, indptr, indices, values, entries, z, a, b, up)
@@ -245,36 +247,34 @@ def _level_sweep(
     do not read each other.
 
     Z lives on the pattern of L, in ``zs`` aligned with ``values``; the
-    diagonal slot of column i holds Z_ii once the column is done. For every
-    pair (p, q) of rows of a column it is worked out once per factor where
-    Z_(jp, jq) comes from: Z_jj = a_j + b_j Z_(up_j) for p = q; with lo < hi
-    the two rows in order, Z_(lo, hi) = -l_lo (a_hi + b_hi Z_(up_hi)) if lo
-    is a tree column (its entry l_lo sits at (hi, lo)), else the slot
-    (hi, lo) itself. A level is then a fixed handful of numpy calls: gather,
-    multiply-add and ``reduceat`` per entry for Z_(i, jp) = -sum_q l_q
-    Z_(jq, jp), scatter, ``reduceat`` per column for
-    Z_ii = 1/d_i - sum_p l_p Z_(i, jp), scatter. Raises _DroppedEntry if L
-    lacks the slot (hi, lo) of a pair.
+    diagonal slot of column i holds 1/d_i until the column is done, then
+    Z_ii. For every pair (p, q) of rows of a column it is worked out once
+    per factor where Z_(jp, jq) comes from: Z_jj = a_j + b_j Z_(up_j) for
+    p = q; with lo < hi the two rows in order, Z_(lo, hi) =
+    -l_lo (a_hi + b_hi Z_(up_hi)) if lo is a tree column (its entry l_lo
+    sits at (hi, lo)), else the slot (hi, lo) itself. A level is then a
+    fixed handful of numpy calls: gather, multiply-add and ``reduceat`` per
+    entry for Z_(i, jp) = -sum_q l_q Z_(jq, jp), scatter, ``reduceat`` per
+    column for Z_ii = 1/d_i - sum_p l_p Z_(i, jp), scatter. Raises
+    _DroppedEntry if L lacks the slot (hi, lo) of a pair.
     """
     # the set-up of the pairs is freed before the rounds start
-    pos, l_rows, col_first, pair_first, coef, src, const, diag_slot, inv_d, ends = _level_pairs(
+    pos, l_rows, col_first, pair_first, coef, src, const, diag_slot, ends, terms, weighted = _level_pairs(
         columns, indptr, indices, values, entries, z, a, b, up
     )
-    # roots hold 1/d_i from the start
     zs = np.zeros(len(values), dtype=complex)
     zs[indptr[:-1]] = z
-    # a level writes its products into these at its own positions, so that
-    # reduceat over the prefix up to the level's end sums its segments only
-    terms = np.empty(len(src), dtype=complex)
-    weighted = np.empty(len(pos), dtype=complex)
     c0 = e0 = p0 = 0
     for c1, e1, p1 in ends:
-        np.multiply(coef[p0:p1], zs[src[p0:p1]], out=terms[p0:p1])
-        z_entry = np.add.reduceat(terms[:p1], pair_first[e0:e1])
+        # a level's products go to the front of the buffers, and its runs
+        # count from its start
+        level_terms, level_weighted = terms[: p1 - p0], weighted[: e1 - e0]
+        np.multiply(coef[p0:p1], zs[src[p0:p1]], out=level_terms)
+        z_entry = np.add.reduceat(level_terms, pair_first[e0:e1])
         z_entry += const[e0:e1]
         zs[pos[e0:e1]] = z_entry
-        np.multiply(l_rows[e0:e1], z_entry, out=weighted[e0:e1])
-        zs[diag_slot[c0:c1]] = inv_d[c0:c1] - np.add.reduceat(weighted[:e1], col_first[c0:c1])
+        np.multiply(l_rows[e0:e1], z_entry, out=level_weighted)
+        zs[diag_slot[c0:c1]] -= np.add.reduceat(level_weighted, col_first[c0:c1])
         c0, e0, p0 = c1, e1, p1
     return zs[indptr[columns]]
 
@@ -288,79 +288,125 @@ def _level_pairs(
     ``l_rows``, the start ``col_first`` of each column's run), the start
     ``pair_first`` of each entry's run of pairs, ``coef``, ``src`` and
     ``const`` of Z_(i, jp) = const_p + sum_q coef_pq zs[src_pq], each
-    column's diagonal slot and 1/d_i, and the ends of each level's columns,
-    entries and pairs."""
-    n, width = len(z), len(columns)
-    # The anchors of a column's rows other than the first are the anchor of
-    # the first row (the column's parent in the elimination tree) or its
-    # ancestors, whose levels are lower still. So a level is a depth in the
-    # tree of anchors, found by pointer jumping as for the tree columns, on
-    # the branching columns only; slot ``width`` stands for every root.
+    column's diagonal slot, the ends of each level's columns, entries and
+    pairs, and one buffer each for the products of a level's pairs and
+    entries, as long as the widest level. ``col_first`` and ``pair_first``
+    count from the start of their level.
+
+    Each temporary is freed after its last reader, so that the set-up
+    holds little more than what it returns."""
+    cols, level_cols = _level_order(columns, indptr, indices, up, len(z))
+    # (index arrays of the default integer type: numpy converts any other
+    # at every fancy index)
+    diag_slot = indptr[cols].astype(np.intp)
+    count = entries[cols] - 1
+    del cols
+    col_stop = count.cumsum()
+    col_first = col_stop - count
+    # the entries below the diagonal, column by column in level order, and
+    # the place k of each in its column
+    k = np.arange(col_stop[-1]) - np.repeat(col_first, count)
+    pos = np.repeat(diag_slot + 1, count) + k
+    rows, l_rows = indices[pos], values[pos]
+    # entry p, the k-th of a column of m entries, pairs with every entry q
+    # of the column, at pair_first[p] + k_q
+    per_entry = np.repeat(count, count)
+    pair_stop = per_entry.cumsum()
+    pair_first = pair_stop - per_entry
+    # the first and the end of each level's columns, entries and pairs
+    col_end = level_cols.cumsum()
+    entry_start, entry_end = col_first[col_end - level_cols], col_stop[col_end - 1]
+    pair_start, pair_end = pair_first[entry_start], pair_stop[entry_end - 1]
+    del count, col_stop
+    # the pairs p < q: up_q runs from p + 1 over the later entries of p's
+    # column. The mirror (q, p) and the pair (p, p) are found by index.
+    later = per_entry - 1 - k
+    del per_entry
+    up_p = np.repeat(np.arange(len(pos)), later)
+    up_q = np.repeat(np.arange(len(pos)) - (later.cumsum() - later), later)
+    del later
+    up_q += np.arange(1, len(up_q) + 1)
+    slot = _slots_in_l(rows[up_p], rows[up_q], indices, entries, len(z))
+    upper = pair_first[up_p] + k[up_q]
+    lower = pair_first[up_q] + k[up_p]
+
+    # a pair reads the slot (hi, lo) of L with coefficient -l_q, but the
+    # pair (p, p) and the pairs whose lo is a tree column read
+    # a_hi + b_hi Z at the anchor of hi, times -l_q or -l_q * -l_lo
+    src = np.empty(pair_stop[-1], dtype=np.intp)
+    src[upper] = slot
+    src[lower] = slot
+    coef = np.empty(pair_stop[-1], dtype=complex)
+    del pair_stop
+    coef[upper] = -l_rows[up_q]
+    coef[lower] = -l_rows[up_p]
+    tree = (entries[rows[up_p]] == 2).nonzero()[0]
+    affine = np.concatenate((pair_first + k, upper[tree], lower[tree]))
+    del upper, lower, k
+    coef[affine[: len(pos)]] = -l_rows
+    scale = coef[affine]
+    lo_l = -values[slot[tree]]
+    scale[len(pos) :] *= np.concatenate((lo_l, lo_l))
+    entry = np.concatenate((np.arange(len(pos)), up_p[tree], up_q[tree]))
+    hi = rows[np.concatenate((np.arange(len(pos)), up_q[tree], up_q[tree]))]
+    del up_p, up_q, slot, tree, rows, lo_l
+    src[affine] = indptr[up[hi]]
+    const = np.zeros(len(pos), dtype=complex)
+    # each product goes to the buffer of its second factor
+    weight = a[hi]
+    np.add.at(const, entry, np.multiply(scale, weight, out=weight))
+    del entry, weight
+    coef[affine] = np.multiply(scale, b[hi], out=scale)
+    del affine, hi, scale
+
+    col_first -= np.repeat(entry_start, level_cols)
+    pair_first -= np.repeat(pair_start, entry_end - entry_start)
+    ends = list(zip(col_end.tolist(), entry_end.tolist(), pair_end.tolist()))
+    terms = np.empty((pair_end - pair_start).max(), dtype=complex)
+    weighted = np.empty((entry_end - entry_start).max(), dtype=complex)
+    return pos, l_rows, col_first, pair_first, coef, src, const, diag_slot, ends, terms, weighted
+
+
+def _level_order(columns: np.ndarray, indptr: np.ndarray, indices: np.ndarray, up: np.ndarray, n: int) -> tuple:
+    """The branching columns ``columns`` by level, and the number of them
+    in each level.
+
+    The anchors of a column's rows other than the first are the anchor of
+    the first row (the column's parent in the elimination tree) or its
+    ancestors, whose levels are lower still. So a level is a depth in the
+    tree of anchors, found by pointer jumping as for the tree columns, on
+    the branching columns only; slot ``width`` stands for every root."""
+    width = len(columns)
     slot = np.full(n, width)
     slot[columns] = np.arange(width)
     hop = np.append(slot[up[indices[indptr[columns] + 1]]], width)
+    del slot
     level = np.ones(width + 1, dtype=np.intp)
     level[-1] = 0
     while (above := level[hop]).any():
         level += above
         hop = hop[hop]
-    by_level = level[:-1].argsort(kind="stable")
-    cols = columns[by_level]
-    count = entries[cols] - 1
-    col_stop = count.cumsum()
-    col_first = col_stop - count
-    # the entries below the diagonal, column by column in level order
-    pos = np.repeat(indptr[cols] + 1 - col_first, count) + np.arange(col_stop[-1])
-    rows, l_rows = indices[pos], values[pos]
-    # entry p of a column of m entries pairs with every entry q of the
-    # column; the pair (q, p) sits (q - p) * (m - 1) after (p, q)
-    per_entry = np.repeat(count, count)
-    pair_stop = per_entry.cumsum()
-    pair_first = pair_stop - per_entry
-    pairs = np.arange(pair_stop[-1])
-    pair_p = np.repeat(np.arange(len(pos)), per_entry)
-    pair_q = np.repeat(np.repeat(col_first, count) - pair_first, per_entry) + pairs
-    mirror = pairs + (pair_q - pair_p) * (per_entry[pair_p] - 1)
-    jp, jq = rows[pair_p], rows[pair_q]
+    return columns[level[:-1].argsort(kind="stable")], np.bincount(level[:-1])[1:]
 
-    # the slot of (hi, lo) in L for the pairs p < q, whose rows are lo = jp
-    # and hi = jq: the keys col*n + row ascend along L.data, and sorted
-    # needles are found faster (3x at 4k pairs). A key that is missing means
-    # SuperLU dropped an entry that cancelled to zero; reading another slot
-    # instead would be silently wrong.
-    upper = (pair_p < pair_q).nonzero()[0]
-    wanted = jp[upper].astype(np.int64) * n + jq[upper]
+
+def _slots_in_l(lo: np.ndarray, hi: np.ndarray, indices: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
+    """The slot of (hi, lo) in L for each pair of rows lo < hi.
+
+    The keys col*n + row ascend along L.data, and sorted needles are found
+    faster (3x at 4k pairs). A key that is missing means SuperLU dropped an
+    entry that cancelled to zero; reading another slot instead would be
+    silently wrong."""
+    wanted = lo.astype(np.int64) * n + hi
     by_key = wanted.argsort()
-    upper, wanted = upper[by_key], wanted[by_key]
-    keys = np.repeat(np.arange(0, n * n, n, dtype=np.int64), entries) + indices
+    wanted = wanted[by_key]
+    keys = np.repeat(np.arange(0, n * n, n, dtype=np.int64), entries)
+    keys += indices
     found = keys.searchsorted(wanted)
     if not np.array_equal(keys.take(found, mode="clip"), wanted):
         raise _DroppedEntry("L lacks an entry that a branching column needs")
-    src = np.zeros(len(pairs), dtype=np.intp)
-    src[upper] = found
-    src += src[mirror]
-
-    # Z_(i, jp) = const_p + sum_q coef_pq zs[src_pq]: a pair reads its slot
-    # with coefficient -l_q, but the pair (p, p) and the pairs whose lo is a
-    # tree column read a_hi + b_hi Z at the anchor of hi, times -l_q or
-    # -l_q * -l_lo; there is one pair (p, p) per entry, listed first
-    coef = -l_rows[pair_q]
-    tree_lo = upper[entries[jp[upper]] == 2]
-    tree_lo = np.append(tree_lo, mirror[tree_lo])
-    affine = np.append((pair_p == pair_q).nonzero()[0], tree_lo)
-    hi = np.maximum(jp[affine], jq[affine])
-    scale = coef[affine]
-    scale[len(pos):] *= -values[src[tree_lo]]
-    coef[affine] = scale * b[hi]
-    src[affine] = indptr[up[hi]]
-    const = np.zeros(len(pos), dtype=complex)
-    np.add.at(const, pair_p[affine], scale * a[hi])
-
-    # the ends of each level's columns, entries and pairs
-    col_end = np.bincount(level[by_level])[1:].cumsum()
-    entry_end = col_stop[col_end - 1]
-    ends = list(zip(col_end.tolist(), entry_end.tolist(), pair_stop[entry_end - 1].tolist()))
-    return pos, l_rows, col_first, pair_first, coef, src, const, indptr[cols], z[cols], ends
+    slot = np.empty_like(found)
+    slot[by_key] = found
+    return slot
 
 
 def _unit_solve_diag(lu: scipy.sparse.linalg.SuperLU, rows: np.ndarray) -> np.ndarray:
