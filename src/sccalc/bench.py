@@ -150,41 +150,43 @@ def _check_equivalence(vectorized: ShortCircuitResult, looped: list[ShortCircuit
     return worst
 
 
-def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, tuple[int, int, int, int]]:
-    """Each stage as a call without arguments on ``net``, on the inputs the
-    study hands it: the factor, the Z_ii and the rows of the reported buses
-    of one build of the model. Then the sizes of that build: nodes, star
-    points, nnz(Y) and nnz(L) + nnz(U). The Z_ii come from a second
-    factor, so that the first call of the Z_ii stage builds SuperLU's L and
-    U of the factor it is handed, as a study does."""
+def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, tuple[int, int, int, int]]:
+    """Each stage as a call on ``net``, on the inputs the study hands it: the
+    factor, the Z_ii and the rows of the reported buses of one build of the
+    model. Then, per stage, a function that makes the arguments of one call
+    before it starts: none, but a new factor for each Z_ii, since SuperLU
+    builds L and U at the first Z_ii on a factor and keeps them, and every
+    study builds them. Then the sizes of that build: nodes, star points,
+    nnz(Y) and nnz(L) + nnz(U)."""
     bbm = build_bbm(net, options)
     lu = factorize(bbm.y_matrix)
     rows = bbm.bus_index[bbm.id_order]
     rows = rows[rows >= 0]
-    second = factorize(bbm.y_matrix)
-    z_diag = impedance_matrix_diag(second, rows=rows)
+    z_diag = impedance_matrix_diag(lu, rows=rows)
     z_safe = np.where(np.abs(z_diag) < DEGENERATE_Z_TOL_PU, 1.0, z_diag)
     calls = {
         "validate": lambda: validate(net),
         "fuse_switches": lambda: fuse_switches(net),
         "build_bbm": lambda: build_bbm(net, options),
         "factorize": lambda: factorize(bbm.y_matrix),
-        "impedance_matrix_diag": lambda: impedance_matrix_diag(lu, rows=rows),
+        "impedance_matrix_diag": lambda fresh: impedance_matrix_diag(fresh, rows=rows),
         "converter_contribution": lambda: converter_contribution(lu, z_safe, bbm.i_kc, rows=rows),
         "calc_sc": lambda: calc_sc(net, options),
     }
-    sizes = bbm.y_matrix.shape[0], bbm.n_aux, bbm.y_matrix.nnz, second.L.nnz + second.U.nnz
-    return calls, sizes
+    arguments = dict.fromkeys(calls, tuple)
+    arguments["impedance_matrix_diag"] = lambda: (factorize(bbm.y_matrix),)
+    sizes = bbm.y_matrix.shape[0], bbm.n_aux, bbm.y_matrix.nnz, lu.L.nnz + lu.U.nnz
+    return calls, arguments, sizes
 
 
-def _traced_peak(call) -> int:
+def _traced_peak(call, *args) -> int:
     """The tracemalloc peak of one call, in bytes."""
     # (not imported with the package)
     import tracemalloc
 
     tracemalloc.start()
     try:
-        call()
+        call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,10 +198,11 @@ def run_benchmark(
     """For each target bus count, on one generated radial grid (a converter
     source on every fifth feeder bus): one untimed all-bus study, then
     ``REPEATS`` timed calls of each stage in turn, each stage called on its
-    own, then one call of each stage under tracemalloc, on the inputs of a
-    new build, for its peak memory. Up to ``loop_max`` buses
-    (every size when it is None) a loop of single-bus studies follows, which
-    must agree with the all-bus study to ``EQUIVALENCE_TOL``.
+    own, then one more call of each stage under tracemalloc for its peak
+    memory. Each call of Z_ii gets a new factor, made before the call. Up
+    to ``loop_max`` buses (every size when it is None) a loop of single-bus
+    studies follows, which must agree with the all-bus study to
+    ``EQUIVALENCE_TOL``.
 
     The headline time of a stage is its minimum; the median stands next to
     it."""
@@ -213,19 +216,18 @@ def run_benchmark(
 
         # an untimed study first: the first one in a process is slower
         calc_sc(net, options)
-        calls, (nodes, n_aux, nnz_y, nnz_lu) = _stage_calls(net, options)
+        calls, arguments, (nodes, n_aux, nnz_y, nnz_lu) = _stage_calls(net, options)
         times = {name: [] for name in calls}
         for _ in range(REPEATS):
             for name, call in calls.items():
+                args = arguments[name]()
                 t0 = time.perf_counter()
-                out = call()
+                out = call(*args)
                 times[name].append(time.perf_counter() - t0)
                 if name == "calc_sc":
                     vectorized = out
         stages = {name: (min(ts), sorted(ts)[REPEATS // 2]) for name, ts in times.items()}
-
-        calls, _ = _stage_calls(net, options)
-        peaks = {name: _traced_peak(call) for name, call in calls.items()}
+        peaks = {name: _traced_peak(call, *arguments[name]()) for name, call in calls.items()}
 
         t_loop = worst = None
         if loop_max is None or n <= loop_max:

@@ -88,6 +88,52 @@ def test_each_size_runs_one_untimed_study_before_the_timed_ones(monkeypatch):
     assert events[end + 1 : end + 3] == ["clock", "all"]
 
 
+class LoggingFactor:
+    """A SuperLU factor that logs the build of its L and U, at the first
+    read of either."""
+
+    def __init__(self, lu, events):
+        self._lu, self._events, self._built = lu, events, False
+
+    def __getattr__(self, name):
+        if name in ("L", "U") and not self._built:
+            self._events.append("L and U")
+            self._built = True
+        return getattr(self._lu, name)
+
+
+def test_each_timed_z_ii_call_builds_l_and_u_on_a_factor_of_its_own(monkeypatch):
+    # SuperLU builds L and U at the first Z_ii on a factor and keeps them;
+    # every study builds them, so every timed call must, on a factor made
+    # before its clock starts
+    events = []
+    real_factorize, real_diag, clock = bench.factorize, bench.impedance_matrix_diag, time.perf_counter
+
+    def factorize(y):
+        events.append("factorize")
+        return LoggingFactor(real_factorize(y), events)
+
+    def diag(lu, rows=None):
+        events.append("Z_ii")
+        return real_diag(lu, rows=rows)
+
+    def timing():
+        events.append("clock")
+        return clock()
+
+    monkeypatch.setattr(bench, "factorize", factorize)
+    monkeypatch.setattr(bench, "impedance_matrix_diag", diag)
+    monkeypatch.setattr(time, "perf_counter", timing)
+    # 102 x 102 unit right-hand sides are above the bound, so Z_ii reads L
+    run_benchmark([102], loop_max=0)
+    clocks = [i for i, event in enumerate(events) if event == "clock"]
+    timed = [events[start + 1 : stop] for start, stop in zip(clocks[::2], clocks[1::2])]
+    assert [window for window in timed if "Z_ii" in window] == [["Z_ii", "L and U"]] * bench.REPEATS
+    # the traced calls follow the last clock: the factorize stage, then the
+    # factor made for Z_ii before its call
+    assert events[clocks[-1] + 1 :] == ["factorize", "factorize", "Z_ii", "L and U"]
+
+
 def test_loop_max_skips_the_looped_reference_above_it():
     report = run_benchmark([3, 30], loop_max=10)
     small, large = report.cases
