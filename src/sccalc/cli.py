@@ -8,14 +8,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from ._version import __version__
 from .bench import EquivalenceGateError, run_benchmark
 from .builder import FaultStudyOptions
-from .exceptions import GridDataError, SolverError
+from .exceptions import GridDataError, GridFileError, SolverError
 from .generator import generate_radial_grid
-from .gridfile import _create, load_network, save_network, write_result_csv, write_result_json
+from .gridfile import load_network, save_network, write_result_csv, write_result_json
 from .solver import calc_sc
 
 EXIT_OK = 0
@@ -71,14 +72,35 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A new file next to ``path`` that takes its place once the block is
+    done, so that a block that raises or is interrupted leaves ``path`` as
+    it was. The file is made first: a folder that cannot be written fails
+    before the block runs."""
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        f = open(part, "x", encoding="utf-8", newline="")
+    except OSError as e:
+        raise GridFileError(f"{path}: {e.strerror}") from e
+    try:
+        with f:
+            yield f
+        try:
+            os.replace(part, path)
+        except OSError as e:
+            raise GridFileError(f"{path}: {e.strerror}") from e
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+
+
 def _cmd_bench(args) -> int:
     expected = "a non-empty comma-separated list of bus counts > 0"
     sizes = _int_list(args.sizes, "--sizes", expected)
     if not sizes or min(sizes) < 1:
         raise GridDataError(f"--sizes must be {expected}, got {args.sizes!r}")
-    # the report file is opened first, so that a path that cannot be
-    # written fails before the benchmark runs
-    with _create(args.json) if args.json else contextlib.nullcontext() as f:
+    with _replacing(args.json) if args.json else contextlib.nullcontext() as f:
         report = run_benchmark(sizes, case=args.case, seed=args.seed, loop_max=args.loop_max)
         print(report)
         if f:

@@ -1,9 +1,11 @@
 """Tests for the command-line driver and its exit codes."""
 import json
+import os
 
 import pytest
 
-from sccalc import FaultStudyOptions, calc_sc, load_network, save_network
+from sccalc import FaultStudyOptions, calc_sc, cli, load_network, save_network
+from sccalc.bench import EquivalenceGateError
 from sccalc.cli import main
 
 from gridfiles import network_to_v1_dict
@@ -260,6 +262,33 @@ def test_out_path_that_cannot_be_opened_exits_1(grid_path, tmp_path, capsys, com
     assert f"error: {out}: No such file or directory" in captured.err
     # the benchmark does not run before its report file is opened
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("failure", [EquivalenceGateError("doctored"), KeyboardInterrupt()], ids=["gate", "interrupt"])
+@pytest.mark.parametrize("existing", [True, False], ids=["existing report", "no report"])
+def test_a_failed_bench_leaves_the_report_path_as_it_was(tmp_path, monkeypatch, capsys, failure, existing):
+    out = tmp_path / "BENCH.json"
+    if existing:
+        out.write_bytes(b'{"sizes": []}\n')
+
+    def failing(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "run_benchmark", failing)
+    args = ["bench", "--sizes", "3", "--json", str(out)]
+    if isinstance(failure, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+    else:
+        assert main(args) == 2
+    assert os.listdir(tmp_path) == (["BENCH.json"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b'{"sizes": []}\n'
+    # a run that passes replaces it
+    monkeypatch.undo()
+    assert main(args) == 0
+    assert os.listdir(tmp_path) == ["BENCH.json"]
+    assert [size["buses"] for size in json.loads(out.read_text())["sizes"]] == [6]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
