@@ -416,6 +416,28 @@ def test_selected_inversion_on_a_ladder(monkeypatch):
     assert np.max(rel_diff(z_level, z_reference)) < 1e-13
 
 
+def test_level_rounds_beyond_the_int32_key_range(monkeypatch):
+    # above 46 341 nodes the key col * n + row of a slot of L no longer fits
+    # in int32: the 1000-bus feeders give 48 018 nodes and 16 516 branching
+    # columns, which take the level rounds without being forced, and no
+    # entry falls back to a unit solve
+    def no_unit_solves(lu, rows):
+        raise AssertionError(f"{len(rows)} unit solves")
+
+    monkeypatch.setattr(solver, "_unit_solve_diag", no_unit_solves)
+    net = load_perfbench("grids").meshed_grid(1, feeder_buses=1000)
+    lu = factorize(build_bbm(net, FaultStudyOptions(case="min")).y_matrix)
+    n = lu.shape[0]
+    assert n * n > np.iinfo(np.int32).max
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert n * np.count_nonzero(below_diagonal_entries(lu) > 1) > solver._UNIT_SOLVE_MAX_ENTRIES
+    z = impedance_matrix_diag(lu)
+    sample = np.random.default_rng(0).choice(n, 16, replace=False)
+    rhs = np.zeros((n, len(sample)), dtype=complex)
+    rhs[sample, np.arange(len(sample))] = 1.0
+    assert np.max(rel_diff(z[sample], lu.solve(rhs)[sample, np.arange(len(sample))])) < 1e-10
+
+
 def two_feeder_islands(with_single_bus_island: bool) -> Network:
     """Two 20 kV feeders, each fed by its own external grid; optionally a
     third island of one bus and its external grid."""

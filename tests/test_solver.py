@@ -390,15 +390,18 @@ def test_result_row_helper():
     [
         (lambda: generate_radial_grid(4, 750, dg_every=5), "max", 1.0),
         (lambda: load_perfbench("grids").meshed_grid(1), "min", 1.7),
+        (lambda: load_perfbench("grids").meshed_grid(1), "min", 1.2),
     ],
-    ids=["radial 3002 buses", "meshed 2928 buses"],
+    ids=["radial 3002 buses", "meshed 2928 buses", "meshed 2928 buses, lean level rounds"],
 )
 def test_a_study_holds_one_stage_at_a_time(make, case, bound_mb):
     # each stage frees its arrays once the next no longer needs them, so
-    # the traced peak is about one stage's working set: 0.76 and 1.41 MB
+    # the traced peak is about one stage's working set: 0.76 and 1.03 MB
     # with numpy 2.4. The bounds leave room for other numpy versions and
     # stay below 1.57 and 1.90 MB, the peaks of a study that keeps Y, the
-    # factor and the stamp's temporaries to its end.
+    # factor and the stamp's temporaries to its end. The meshed study peaks
+    # in Z_ii; 1.2 MB stays below 1.42 MB, its peak when the set-up of the
+    # level rounds holds all its pair arrays at once.
     net = make()
     options = FaultStudyOptions(case=case)
     calc_sc(net, options)
@@ -410,3 +413,24 @@ def test_a_study_holds_one_stage_at_a_time(make, case, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mb * 1e6
+
+
+def test_z_ii_of_a_meshed_grid_holds_little_more_than_the_level_rounds():
+    # the set-up of the level rounds frees each temporary after its last
+    # reader, and the rounds' buffers are as long as the widest level: the
+    # traced peak is 0.89 MB with numpy 2.4, SuperLU's L and U (built at
+    # the first Z_ii on a factor) 0.31 MB of it. The bound leaves room for
+    # other numpy versions and stays below 1.28 MB, the peak when the
+    # set-up holds all its pair arrays at once.
+    y = build_bbm(load_perfbench("grids").meshed_grid(1), FaultStudyOptions(case="min")).y_matrix
+    lu = factorize(y)
+    branching = np.count_nonzero(np.diff(factorize(y).L.indptr) > 2)
+    assert y.shape[0] * branching > solver._UNIT_SOLVE_MAX_ENTRIES
+    gc.collect()
+    tracemalloc.start()
+    try:
+        impedance_matrix_diag(lu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
