@@ -6,9 +6,8 @@ with distributed generation modelled as current sources per the 2016
 revision of the standard.
 
 The package exports what a user needs to describe a grid, run a study,
-load and save grid files and write result files. The study stages and
-element impedance helpers are importable from ``sccalc.builder`` and
-``sccalc.solver``.
+load and save grid files and write result files. The study stages are
+importable from ``sccalc.builder`` and ``sccalc.solver``.
 """
 from ._version import __version__
 from .builder import FaultStudyOptions

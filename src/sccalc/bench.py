@@ -30,6 +30,10 @@ __all__ = ["BenchmarkCase", "BenchmarkReport", "EquivalenceGateError", "run_benc
 
 EQUIVALENCE_TOL = 1e-10
 
+# buses of a seeded sample whose single-bus studies check a size above
+# ``loop_max``
+SAMPLED_BUSES = 16
+
 # timed calls per stage and size, after one untimed study; an odd count,
 # so that the median is one of the times
 REPEATS = 5
@@ -42,8 +46,9 @@ class EquivalenceGateError(AssertionError):
 class BenchmarkCase:
     """One grid size: its problem sizes, the min and median seconds of each
     stage, the traced peak memory of one call of each stage (``calc_sc``'s
-    is that of one study) and, when the looped reference ran, its time and
-    the largest relative deviation from it."""
+    is that of one study), the count of buses whose single-bus study
+    checked the all-bus one and the largest relative deviation from them,
+    and the time of the looped reference when it ran over every bus."""
 
     n_buses: int
     nodes: int
@@ -53,7 +58,8 @@ class BenchmarkCase:
     stages: dict[str, tuple[float, float]]
     stage_peaks: dict[str, int]
     t_looped_s: float | None
-    max_rel_diff: float | None
+    max_rel_diff: float
+    checked_buses: int
 
     @property
     def t_vectorized_s(self) -> float:
@@ -80,6 +86,7 @@ class BenchmarkCase:
             "looped_s": self.t_looped_s,
             "speedup": self.speedup,
             "max_rel_diff": self.max_rel_diff,
+            "checked_buses": self.checked_buses,
         }
 
 
@@ -199,10 +206,11 @@ def run_benchmark(
     source on every fifth feeder bus): one untimed all-bus study, then
     ``REPEATS`` timed calls of each stage in turn, each stage called on its
     own, then one more call of each stage under tracemalloc for its peak
-    memory. Each call of Z_ii gets a new factor, made before the call. Up
-    to ``loop_max`` buses (every size when it is None) a loop of single-bus
-    studies follows, which must agree with the all-bus study to
-    ``EQUIVALENCE_TOL``.
+    memory. Each call of Z_ii gets a new factor, made before the call. Then
+    single-bus studies must agree with the all-bus study to
+    ``EQUIVALENCE_TOL``: up to ``loop_max`` buses (every size when it is
+    None) a timed loop over every bus, above it the untimed studies of
+    ``SAMPLED_BUSES`` buses drawn with ``seed``.
 
     The headline time of a stage is its minimum; the median stands next to
     it."""
@@ -229,16 +237,19 @@ def run_benchmark(
         stages = {name: (min(ts), sorted(ts)[REPEATS // 2]) for name, ts in times.items()}
         peaks = {name: _traced_peak(call, *arguments[name]()) for name, call in calls.items()}
 
-        t_loop = worst = None
+        t_loop = None
         if loop_max is None or n <= loop_max:
             t0 = time.perf_counter()
             looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(bus.id,))) for bus in net.buses]
             t_loop = time.perf_counter() - t0
-            worst = _check_equivalence(vectorized, looped, EQUIVALENCE_TOL)
+        else:
+            sample = np.random.default_rng(seed).choice(n, min(SAMPLED_BUSES, n), replace=False)
+            looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(net.buses[i].id,))) for i in sample]
         cases.append(
             BenchmarkCase(
                 n_buses=n, nodes=nodes, n_aux=n_aux, nnz_y=nnz_y, nnz_lu=nnz_lu, stages=stages,
-                stage_peaks=peaks, t_looped_s=t_loop, max_rel_diff=worst,
+                stage_peaks=peaks, t_looped_s=t_loop,
+                max_rel_diff=_check_equivalence(vectorized, looped, EQUIVALENCE_TOL), checked_buses=len(looped),
             )
         )
     return BenchmarkReport(cases=tuple(cases), case=case, seed=seed, loop_max=loop_max)

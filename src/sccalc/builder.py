@@ -22,18 +22,13 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import InvalidOptionError, SingularStampError, UnsolvableIslandError, ValidationError
-from .model import ExternalGrid, Network, Transformer2W, Transformer3W, _Tables, validate
+from .model import Network, _Tables, validate
 
 __all__ = [
     "FaultStudyOptions",
     "BusBranchModel",
     "SwitchFusion",
     "voltage_correction_factor",
-    "external_grid_impedance",
-    "transformer_correction",
-    "transformer_impedance",
-    "star_decompose",
-    "three_winding_star",
     "fuse_switches",
     "build_bbm",
 ]
@@ -69,9 +64,12 @@ class FaultStudyOptions:
             )
         if not (_is_number(self.s_base_mva) and 0 < self.s_base_mva < math.inf):
             raise InvalidOptionError(f"s_base_mva must be finite and > 0, got {self.s_base_mva!r}")
-        # plain Python numbers, so that result metadata serializes as JSON
+        if not isinstance(self.consider_converters, (bool, np.bool_)):
+            raise InvalidOptionError(f"consider_converters must be a bool, got {self.consider_converters!r}")
+        # plain Python values, so that result metadata serializes as JSON
         object.__setattr__(self, "lv_tolerance_percent", int(self.lv_tolerance_percent))
         object.__setattr__(self, "s_base_mva", float(self.s_base_mva))
+        object.__setattr__(self, "consider_converters", bool(self.consider_converters))
         if isinstance(self.fault_buses, (str, bytes, bytearray)):
             if self.fault_buses == "all":
                 return
@@ -123,98 +121,18 @@ class BusBranchModel:
     id_order: np.ndarray
 
 
-def voltage_correction_factor(vn_kv: float, tolerance_percent: int, case: str) -> float:
-    """Voltage correction factor c for a voltage level and fault case.
+def voltage_correction_factor(vn_kv, tolerance_percent: int, case: str) -> np.ndarray:
+    """Voltage correction factor c of each voltage level in ``vn_kv`` for a
+    fault case.
 
     Low voltage (<= 1 kV): c_max is 1.05 at 6 % tolerance, 1.10 at 10 %;
     c_min is 0.95 for both. Above 1 kV the tolerance class is ignored and
     c is 1.10 / 1.00. ``case`` ("max" or "min") and ``tolerance_percent``
     (6 or 10) are taken as ``FaultStudyOptions`` checked them.
     """
-    if vn_kv <= LV_LEVEL_MAX_KV:
-        if case == "max":
-            return 1.05 if tolerance_percent == 6 else 1.10
-        return 0.95
-    return 1.10 if case == "max" else 1.00
-
-
-def _voltage_correction_factors(vn_kv: np.ndarray, tolerance_percent: int, case: str) -> np.ndarray:
-    """``voltage_correction_factor`` of every voltage level in ``vn_kv``."""
-    return np.where(
-        vn_kv <= LV_LEVEL_MAX_KV,
-        voltage_correction_factor(LV_LEVEL_MAX_KV, tolerance_percent, case),
-        voltage_correction_factor(math.inf, tolerance_percent, case),
-    )
-
-
-def external_grid_impedance(eg: ExternalGrid, vn_kv: float, case: str, c: float) -> complex:
-    """Internal impedance of an external grid connection in ohms.
-
-    |Z| = c * vn^2 / S''_k with the case-matching short-circuit power;
-    the R/X ratio splits it as X = |Z| / sqrt(1 + (R/X)^2), R = (R/X) * X.
-    ``validate`` keeps both short-circuit powers > 0.
-    """
     if case == "max":
-        s_sc_mva, rx = eg.s_sc_max_mva, eg.rx_max
-    else:
-        s_sc_mva, rx = eg.s_sc_min_mva, eg.rx_min
-    z_mag = c * vn_kv**2 / s_sc_mva
-    x = z_mag / math.sqrt(1.0 + rx * rx)
-    return complex(rx * x, x)
-
-
-def transformer_correction(x_t: float, c_max_lv: float) -> float:
-    """Impedance correction factor K_T = 0.95 * c_max / (1 + 0.6 * x_T).
-
-    ``x_t`` is the transformer reactance in per unit of its own rated
-    values, ``c_max_lv`` the maximum-case c at the low-voltage side level.
-    """
-    return 0.95 * c_max_lv / (1.0 + 0.6 * x_t)
-
-
-def _corrected_impedance(vk_percent: float, vkr_percent: float, c_max_lv: float) -> complex:
-    """K_T-corrected short-circuit impedance in per unit on the rated base."""
-    r = vkr_percent / 100.0
-    x = math.sqrt(vk_percent**2 - vkr_percent**2) / 100.0
-    return transformer_correction(x, c_max_lv) * complex(r, x)
-
-
-def transformer_impedance(t: Transformer2W, c_max_lv: float) -> complex:
-    """Corrected short-circuit impedance of a two-winding transformer in
-    per unit on its rated base (sn_mva, winding voltage)."""
-    return _corrected_impedance(t.vk_percent, t.vkr_percent, c_max_lv)
-
-
-def star_decompose(z_hm: complex, z_ml: complex, z_hl: complex) -> tuple[complex, complex, complex]:
-    """Star branches from the three pairwise impedances.
-
-    Negative branches are legal results and are kept; the admittance stamp
-    handles them.
-    """
-    z_h = (z_hm + z_hl - z_ml) / 2.0
-    z_m = (z_hm + z_ml - z_hl) / 2.0
-    z_l = (z_hl + z_ml - z_hm) / 2.0
-    return z_h, z_m, z_l
-
-
-def three_winding_star(
-    t: Transformer3W, c_max_lv: float, s_base_mva: float = 1.0
-) -> tuple[complex, complex, complex]:
-    """Corrected star-equivalent branches of a three-winding transformer in
-    per unit on the study base.
-
-    Each winding pair forms an equivalent two-winding transformer whose
-    impedance (given on the smaller of the two winding ratings) receives
-    the K_T correction before the star decomposition, so the impedance seen
-    between any two star terminals reproduces the corrected pairwise value
-    exactly.
-    """
-    pairs = (
-        (t.vk_hm_percent, t.vkr_hm_percent, min(t.sn_hv_mva, t.sn_mv_mva)),
-        (t.vk_ml_percent, t.vkr_ml_percent, min(t.sn_mv_mva, t.sn_lv_mva)),
-        (t.vk_hl_percent, t.vkr_hl_percent, min(t.sn_hv_mva, t.sn_lv_mva)),
-    )
-    return star_decompose(*(_corrected_impedance(vk, vkr, c_max_lv) * (s_base_mva / sn) for vk, vkr, sn in pairs))
+        return np.where(vn_kv <= LV_LEVEL_MAX_KV, 1.05 if tolerance_percent == 6 else 1.10, 1.10)
+    return np.where(vn_kv <= LV_LEVEL_MAX_KV, 0.95, 1.00)
 
 
 @dataclass(frozen=True)
@@ -228,14 +146,15 @@ class SwitchFusion:
     elements' terminal buses, one row per terminal field in the order of
     the element's fields (``terminals["line"][0][i]`` is the from bus of
     line ``i``). ``live[kind][i]`` tells whether element ``i`` of a kind is
-    electrically live, and ``severed`` names the element terminals cut by
-    open switches.
+    electrically live, and ``windings[w, i]`` whether winding ``w`` (hv,
+    mv, lv) of three-winding transformer ``i`` has its bus in service and
+    no open switch cutting it.
     """
 
     node: np.ndarray
     terminals: dict[str, np.ndarray]
     live: dict[str, np.ndarray]
-    severed: frozenset[tuple[str, int, int]]
+    windings: np.ndarray
 
 
 def _roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,7 +190,7 @@ def fuse_switches(net: Network, tables: _Tables | None = None) -> SwitchFusion:
         t = _Tables(net)
         if not t.ok:
             t.coerce()
-    terminals, live, severed, (tie_a, tie_b) = t.elements()
+    terminals, live, windings, (tie_a, tie_b) = t.elements()
 
     # nodes are numbered by their smallest bus id, in ascending id order: a
     # tied bus joins the node of the smallest bus it is tied to, and a bus
@@ -287,18 +206,18 @@ def fuse_switches(net: Network, tables: _Tables | None = None) -> SwitchFusion:
     node[heads] = np.arange(len(heads))
     if len(tie_a):
         node[order] = node[order[root]]
-    return SwitchFusion(node=node, terminals=terminals, live=live, severed=frozenset(severed))
+    return SwitchFusion(node=node, terminals=terminals, live=live, windings=windings)
 
 
 def _stamp_csc(branches: list, dim: int) -> scipy.sparse.csc_matrix:
     """Sum the admittance stamps of ``branches`` into a dim x dim CSC matrix.
 
-    ``branches`` is the list ``[f, t, y, tail]`` of ``_branches``; the stamp
-    empties it, so that it owns the arrays and frees each of them, the
-    sort order and the unsorted copies as soon as it has used them.
-    Duplicates are added in stamp order (the column-major sort is stable),
-    so Y[i, j] and Y[j, i] sum the same terms in the same order and the
-    matrix stays exactly symmetric.
+    ``branches`` is the list of ``_branches``; the stamp empties it, so
+    that it owns the arrays and frees each of them, the sort order and the
+    unsorted copies as soon as it has used them. Duplicates are added in
+    stamp order (the column-major sort is stable), so Y[i, j] and Y[j, i]
+    sum the same terms in the same order and the matrix stays exactly
+    symmetric.
     """
     key, vals = _keyed_stamps(branches, dim)
     order = key.argsort(kind="stable")
@@ -319,28 +238,42 @@ def _stamp_csc(branches: list, dim: int) -> scipy.sparse.csc_matrix:
 
 def _keyed_stamps(branches: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The stamps of ``branches``, which it empties, as their keys
-    col * dim + row and their values. Four stamps per line (ff, tt, ft,
-    tf), line after line, then the tail. The rows are int32; the columns go
-    straight into the int64 keys, which are then worked out in place: on
-    int32 columns, col * dim would wrap above 46 340 nodes."""
-    f, t, y, tail = branches
+    col * dim + row and their values. Four stamps per series branch (ff,
+    tt, ft, tf), line after line, then transformer branch after
+    transformer branch, then one per source shunt. The rows are int32; the
+    columns go straight into the int64 keys, which are then worked out in
+    place: on int32 columns, col * dim would wrap above 46 340 nodes."""
+    (f, t, y), trafos, (at, shunts) = branches
     branches.clear()
     m = 4 * len(y)
-    rows = np.empty(m + len(tail), dtype=np.int32)
+    n = m + 4 * len(trafos[0])
+    rows = np.empty(n + len(at), dtype=np.int32)
     key = np.empty(len(rows), dtype=np.int64)
     vals = np.empty(len(rows), dtype=complex)
-    rows[0:m:4] = rows[2:m:4] = key[0:m:4] = key[3:m:4] = f
-    rows[1:m:4] = rows[3:m:4] = key[1:m:4] = key[2:m:4] = t
+    for i, j, (f, t) in ((0, m, (f, t)), (m, n, trafos[:2])):
+        rows[i:j:4] = rows[i + 2 : j : 4] = key[i:j:4] = key[i + 3 : j : 4] = f
+        rows[i + 1 : j : 4] = rows[i + 3 : j : 4] = key[i + 1 : j : 4] = key[i + 2 : j : 4] = t
     vals[0:m:4] = vals[1:m:4] = y
     vals[2:m:4] = vals[3:m:4] = -y
-    rows[m:], key[m:], vals[m:] = zip(*tail)
+    _, _, vals[m:n:4], vals[m + 1 : n : 4], vals[m + 2 : n : 4] = trafos
+    vals[m + 3 : n : 4] = vals[m + 2 : n : 4]
+    rows[n:] = key[n:] = at
+    vals[n:] = shunts
     key *= dim
     key += rows
     return key, vals
 
 
-def _unstampable(element: str, z_pu: complex) -> SingularStampError:
-    return SingularStampError(f"{element}: branch impedance {z_pu!r} pu is too close to zero to stamp")
+def _check_stampable(z: np.ndarray, on: np.ndarray, element) -> None:
+    """Raise SingularStampError when one of the per-unit impedances ``z``
+    of the live elements ``on`` is too close to zero to stamp; it names the
+    first of them, as ``element`` of its index among all."""
+    tiny = np.abs(z) < ZERO_STAMP_TOL_PU
+    if np.count_nonzero(tiny):
+        k = int(tiny.argmax())
+        raise SingularStampError(
+            f"{element(int(on.nonzero()[0][k]))}: branch impedance {complex(z[k])!r} pu is too close to zero to stamp"
+        )
 
 
 def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
@@ -351,14 +284,14 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     single island contains a voltage source.
     """
     # one typed read of the element tables serves validation, fusion and
-    # the line and converter columns of the stamp
+    # every column of the stamp
     tables = _Tables(net)
     violations = validate(net, tables)
     if violations:
         raise ValidationError(violations)
     if not tables.ok:
         tables.coerce()
-    bus_index, i_kc, n_aux, branches = _branches(net, options, tables)
+    bus_index, i_kc, n_aux, branches = _branches(fuse_switches(net, tables), options, tables)
     # of the read, only the bus columns outlive the stamp
     bus_ids, vn, bus_names, id_order = tables.bus_id.copy(), tables.vn.copy(), tables.names, tables.order
     del tables
@@ -368,90 +301,39 @@ def build_bbm(net: Network, options: FaultStudyOptions) -> BusBranchModel:
     )
 
 
-def _branches(net: Network, options: FaultStudyOptions, tables: _Tables) -> tuple:
+def _branches(fusion: SwitchFusion, options: FaultStudyOptions, tables: _Tables) -> tuple:
     """The rows of the buses, the converter injections, the count of star
-    points and the branches of the stamp: ``[f, t, y, tail]``, the rows
-    ``f`` and ``t`` of both ends of each line between two energized nodes
-    and its series admittance ``y``, then ``tail``, the (row, col, value)
-    stamps of the transformers, then of the source shunts. Branches inside
-    one fused node stamp nothing."""
-    fusion = fuse_switches(net, tables)
+    points and the branches of the stamp: ``[lines, transformers,
+    shunts]``. ``lines`` holds the rows of both ends of each line between
+    two energized nodes and its series admittance y; ``transformers`` the
+    rows of both ends of each transformer branch (one per live winding of
+    a three-winding transformer, to its star point) and its admittances
+    y / tap**2 at the from end, y at the to end and -y / tap between them;
+    ``shunts`` the rows of the source nodes and the admittances of their
+    external grids. Branches inside one fused node stamp nothing. A branch
+    impedance too close to zero to stamp raises SingularStampError for the
+    first external grid, else line, else transformer branch."""
     live, terminals, node = fusion.live, fusion.terminals, fusion.node
-    case = options.case
-    tol = options.lv_tolerance_percent
-    s_base = options.s_base_mva
-    vn = tables.vn
+    case, s_base = options.case, options.s_base_mva
 
     # study node numbers: fused nodes by ascending id, then one star point
-    # per live three-winding transformer, in transformer order
+    # per three-winding transformer, in transformer order; the star point
+    # of a dead one joins no branch and stays dead, so it gets no row
     # (argmax and one item cost less than numpy's max reduction)
-    n_fused = n_nodes = node.item(node.argmax()) + 1
+    n_fused = node.item(node.argmax()) + 1
+    n_nodes = n_fused + len(live["trafo3w"])
 
-    # the nominal voltage and node of a terminal of one of the few external
-    # grids and transformers, as a Python number: ``item`` per terminal
-    # costs the 3-60-bus grids less than a gather per section, and builds
-    # no list over all buses
-    vn_of, node_of = vn.item, node.item
-    sources: list[int] = []
-    shunts: list[complex] = []
-    for i, (eg, p, is_live) in enumerate(
-        zip(net.external_grids, terminals["external_grid"][0].tolist(), live["external_grid"].tolist())
-    ):
-        if is_live:
-            vn_eg = vn_of(p)
-            c = voltage_correction_factor(vn_eg, tol, case)
-            z = external_grid_impedance(eg, vn_eg, case, c) / (vn_eg**2 / s_base)
-            if abs(z) < ZERO_STAMP_TOL_PU:
-                raise _unstampable(f"external_grids[{i}]", z)
-            sources.append(node_of(p))
-            shunts.append(1.0 / z)
-
+    on = live["external_grid"]
+    z_q = _grid_impedances(tables, on, terminals["external_grid"][0], options)
+    sources = node[terminals["external_grid"][0][on]]
     fr, to, ys = _line_branches(tables, live["line"], terminals["line"], node, case, s_base)
-
-    # transformers are few: one branch each (one per live winding for 3W):
-    # from node, to node, series admittance and the tap at the from side
-    branches: list[tuple[int, int, complex, float]] = []
-    for i, (t, hv, lv, is_live) in enumerate(
-        zip(net.transformers2w, *terminals["trafo2w"].tolist(), live["trafo2w"].tolist())
-    ):
-        if is_live:
-            vb_hv = vn_of(hv)
-            vb_lv = vn_of(lv)
-            c_max_lv = voltage_correction_factor(vb_lv, tol, "max")
-            z_rated = transformer_impedance(t, c_max_lv)
-            z = z_rated * (s_base / t.sn_mva) * (t.vn_lv_kv / vb_lv) ** 2
-            if abs(z) < ZERO_STAMP_TOL_PU:
-                raise _unstampable(f"transformers2w[{i}]", z)
-            tap = (t.vn_hv_kv / t.vn_lv_kv) * (vb_lv / vb_hv)
-            branches.append((node_of(hv), node_of(lv), 1.0 / z, tap))
-
-    for i, (t, hv, mv, lv, is_live) in enumerate(
-        zip(net.transformers3w, *terminals["trafo3w"].tolist(), live["trafo3w"].tolist())
-    ):
-        if not is_live:
-            continue
-        c_max_lv = voltage_correction_factor(vn_of(lv), tol, "max")
-        star = n_nodes
-        n_nodes += 1
-        for winding, p, bus_id, vn_w, z in zip(
-            ("hv", "mv", "lv"), (hv, mv, lv), (t.hv_bus, t.mv_bus, t.lv_bus), (t.vn_hv_kv, t.vn_mv_kv, t.vn_lv_kv),
-            three_winding_star(t, c_max_lv, s_base),
-        ):
-            n = node_of(p)
-            if n < 0 or ("trafo3w", i, bus_id) in fusion.severed:
-                continue
-            if abs(z) < ZERO_STAMP_TOL_PU:
-                raise _unstampable(f"transformers3w[{i}] ({winding} star branch)", z)
-            tap = vn_w / vn_of(p)
-            branches.append((n, star, 1.0 / z, tap))
+    z_t, tap, ends = _transformer_branches(tables, fusion, n_fused, options)
 
     # energized islands: the components that hold a voltage source node
-    if not sources:
+    if not len(sources):
         raise UnsolvableIslandError("no energized island: no in-service external grid is connected")
-    # the from and the to nodes of the transformer branches, then the
-    # source nodes
-    nt = len(branches)
-    at = np.array([*[b[0] for b in branches], *[b[1] for b in branches], *sources], np.intp)
+    at = np.concatenate((ends.ravel(), sources))
+    nt = len(z_t)
     energized = _energized(n_nodes, fr, to, at, nt)
     # the energized nodes keep their order as rows, real rows first; the
     # row of a dead node is -1, and so is that of the node -1 of a dead bus,
@@ -470,23 +352,119 @@ def _branches(net: Network, options: FaultStudyOptions, tables: _Tables) -> tupl
     p = terminals["converter"][0]
     i_kc = np.zeros(dim, dtype=complex)
     if options.consider_converters:
-        vn_c = math.sqrt(3.0) * vn[p]
+        vn_c = math.sqrt(3.0) * tables.vn[p]
         i_pu = np.where(live["converter"], -tables.conv_k * (tables.conv_sn / vn_c) / (s_base / vn_c), 0.0)
         i_kc.imag = np.bincount(bus_index[p] + 1, i_pu, dim + 1)[1:]
     n_aux = dim - int(live_nodes.searchsorted(n_fused))
 
-    # a transformer stamps y / tap**2 at its from node and -y / tap between
-    # its nodes, each as y times 1 / tap, the rounding of numpy's complex by
-    # float division
-    row_at = node_row[at].tolist()
-    tail: list[tuple[int, int, complex]] = []
-    for (_, _, y, tap), f, t in zip(branches, row_at[:nt], row_at[nt : 2 * nt]):
-        if f >= 0 and f != t:
-            y_ft = -(y * (1.0 / tap))
-            tail += (f, f, y * (1.0 / tap**2)), (t, t, y), (f, t, y_ft), (t, f, y_ft)
-    tail += ((r, r, y) for r, y in zip(row_at[2 * nt :], shunts))
+    # a transformer branch stamps y / tap**2 and -y / tap, each as y times
+    # 1 / tap**2 or -1 / tap; numpy's complex reciprocal takes the steps of
+    # CPython's 1.0 / z. Both ends of a branch lie in one island, so a
+    # branch in a dead one has the row -1 at both.
+    row_at = node_row[at]
+    ends = row_at[: 2 * nt].reshape(2, nt)
+    on = ends[0] != ends[1]
+    y = np.reciprocal(z_t[on])
+    tap = tap[on]
+    ends = ends.compress(on, 1)
     keep = energized[fr] & (fr != to)
-    return bus_index, i_kc, n_aux, [node_row[fr[keep]], node_row[to[keep]], ys[keep], tail]
+    return bus_index, i_kc, n_aux, [
+        (node_row[fr[keep]], node_row[to[keep]], ys[keep]),
+        (ends[0], ends[1], y * (1.0 / np.float_power(tap, 2.0)), y, y * (-1.0 / tap)),
+        (row_at[2 * nt :], np.reciprocal(z_q)),
+    ]
+
+
+# The external grids and the transformers take the steps of the scalar
+# formulas in CPython, bit for bit: ``float_power`` squares with libm's pow,
+# as x**2 does, where numpy's x**2 multiplies; a complex times a real number
+# is numpy's complex product, but a complex over a real number divides its
+# real and imaginary parts, since numpy's complex quotient takes other steps.
+
+
+def _grid_impedances(tables: _Tables, on: np.ndarray, bus: np.ndarray, options: FaultStudyOptions) -> np.ndarray:
+    """The internal impedances in per unit of the live external grids
+    ``on`` at the buses ``bus``: |Z| = c * vn**2 / S''_k with the case's
+    short-circuit power, split by its R/X ratio as X = |Z| / sqrt(1 +
+    (R/X)**2) and R = (R/X) * X, over the impedance base."""
+    case = options.case
+    vn = tables.vn[bus]
+    vn2 = np.float_power(vn, 2.0)
+    in_min = int(case == "min")
+    rx = tables.rx_eg[in_min]
+    x = voltage_correction_factor(vn, options.lv_tolerance_percent, case) * vn2 / tables.s_sc[in_min]
+    x /= np.sqrt(1.0 + rx * rx)
+    vn2 /= options.s_base_mva
+    z = np.empty(len(x), complex)
+    z.real, z.imag = rx * x / vn2, x / vn2
+    z = z[on]
+    _check_stampable(z, on, "external_grids[{}]".format)
+    return z
+
+
+def _transformer_branches(tables: _Tables, fusion: SwitchFusion, n_fused: int, options: FaultStudyOptions) -> tuple:
+    """The series impedances in per unit of the live transformer branches,
+    their taps at the from end and the nodes of their from and to ends, as
+    the two rows of one array: one branch per live two-winding
+    transformer, from its HV to its LV bus, then per live winding of a live
+    three-winding one, from the winding's bus to the star point, whose
+    node is ``n_fused`` plus the transformer's index.
+
+    One pass over the winding pairs (each two-winding transformer, then the
+    pairs hm, ml and hl of each three-winding one, rated at the smaller of
+    their two windings) gives a pair's impedance on its rating, r = vkr /
+    100 and x = sqrt(vk**2 - vkr**2) / 100, times K_T = 0.95 * c_max / (1 +
+    0.6 * x) at the level of the transformer's LV bus, then the study base
+    and, for a two-winding transformer, the voltage of its LV bus. A triple
+    of a three-winding transformer side by side with itself holds each
+    winding's neighbours in the order hv, mv, lv."""
+    live, terminals, node, vn = fusion.live, fusion.terminals, fusion.node, tables.vn
+    ends = terminals["trafo2w"]
+    wound = terminals["trafo3w"].T
+    n2, n3 = ends.shape[1], len(wound)
+    sn, vn_r, vb = tables.sn_t, tables.vn_t, vn[ends]
+    vb_lv = vb[1]
+    # (a grid without three-winding transformers skips their work, which
+    # would cost it a dozen numpy calls on empty arrays)
+    if n3:
+        vb_3w = vn[wound]
+        sn_3w = np.concatenate((sn[n2:].reshape(-1, 3),) * 2, 1)
+        sn = np.concatenate((sn[:n2], np.minimum(sn_3w[:, :3], sn_3w[:, 1:4]).ravel()))
+        vb_lv = np.concatenate((vb_lv, vb_3w[:, 2].repeat(3)))
+    square = np.float_power(tables.vk_t, 2.0)
+    x = np.sqrt(square[1] - square[0]) / 100.0
+    z = np.empty(len(x), complex)
+    z.real, z.imag = tables.vk_t[0] / 100.0, x
+    z *= 0.95 * voltage_correction_factor(vb_lv, options.lv_tolerance_percent, "max") / (1.0 + 0.6 * x)
+    z *= options.s_base_mva / sn
+    z[:n2] *= np.float_power(vn_r[1 : 2 * n2 : 2] / vb[1], 2.0)
+    tap = (vn_r[: 2 * n2 : 2] / vn_r[1 : 2 * n2 : 2]) * (vb[1] / vb[0])
+    on, ends = live["trafo2w"], node[ends]
+    if n3:
+        # the star branches: hv, mv and lv each take the two pairs they
+        # are in, less the third, halved; a negative one is kept, and the
+        # stamp takes it
+        pairs = np.concatenate((z[n2:].reshape(-1, 3),) * 2, 1)
+        star = pairs[:, :3] + pairs[:, 2:5]
+        star -= pairs[:, 1:4]
+        star *= 0.5
+        z[n2:] = star.ravel()
+        on = np.concatenate((on, (fusion.windings.T & live["trafo3w"][:, None]).ravel()))
+        tap = np.concatenate((tap, vn_r[2 * n2 :] / vb_3w.ravel()))
+        ends = np.concatenate((ends, (node[wound.ravel()], np.arange(n_fused, n_fused + n3).repeat(3))), 1)
+    z = z[on]
+    _check_stampable(z, on, lambda i: _transformer(i, n2))
+    return z, tap[on], ends.compress(on, 1)
+
+
+def _transformer(i: int, n2: int) -> str:
+    """The name of winding pair ``i`` of the transformer branches: a
+    two-winding transformer, then the star branches of the three-winding
+    ones."""
+    if i < n2:
+        return f"transformers2w[{i}]"
+    k, w = divmod(i - n2, 3)
+    return f"transformers3w[{k}] ({('hv', 'mv', 'lv')[w]} star branch)"
 
 
 def _line_branches(
@@ -503,10 +481,7 @@ def _line_branches(
         rx[:, 0] *= 1.0 + ALPHA_PER_K * (tables.endtemp[on] - 20.0)
     rx /= (tables.vn[ends[0]] ** 2 / s_base)[:, None]
     z = rx.view(complex).ravel()
-    tiny = np.abs(z) < ZERO_STAMP_TOL_PU
-    if tiny.any():
-        k = int(tiny.argmax())
-        raise _unstampable(f"lines[{on.nonzero()[0][k]}]", complex(z[k]))
+    _check_stampable(z, on, "lines[{}]".format)
     # numpy's complex reciprocal takes the steps of CPython's 1.0 / z
     return node[ends[0]], node[ends[1]], np.reciprocal(z)
 

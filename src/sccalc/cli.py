@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--case", choices=("max", "min"), default="max")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
-        "--loop-max", type=int, metavar="N", help="run the looped per-bus reference only up to N buses (default: all)"
+        "--loop-max", type=int, metavar="N",
+        help="run the looped per-bus reference only up to N buses, above N on a seeded sample (default: all)",
     )
     p_bench.add_argument("--json", metavar="PATH", help="also write the report with stage times as JSON")
     p_bench.set_defaults(func=_cmd_bench)

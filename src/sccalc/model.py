@@ -347,10 +347,9 @@ class _Tables:
         t3_at = ne + nc + nk
         a_at = t3_at + 3 * n3
         b_at = a_at + m
-        # per bus-element switch: its element and bus, and the slots in refs
-        # of the element's terminals at that bus, which are None when the
-        # element does not exist (or its kind) and empty when the bus is
-        # none of them
+        # per bus-element switch: the slots in refs of its element's
+        # terminals at its bus, which are None when the element does not
+        # exist (or its kind) and empty when the bus is none of them
         self.cuts = []
         for kind, i, bus in zip(self.kinds, ints[nb + b_at + m :], ints[nb + ne + nc : nb + t3_at]):
             if kind == "trafo3w":
@@ -362,7 +361,7 @@ class _Tables:
             else:
                 count, slots = 0, ()
             at = [s for s in slots if ints[nb + s] == bus] if 0 <= i < count else None
-            self.cuts.append((kind, i, bus, at))
+            self.cuts.append(at)
             if not at:
                 self.ok = False
         column = np.fromiter(ints, np.int64, len(ints))
@@ -375,43 +374,59 @@ class _Tables:
         self.sorted_ids = self.bus_id[self.order]
         self.rank = self.sorted_ids.searchsorted(self.refs)
         self.pos = self.order.take(self.rank, mode="clip")
-        p = nb + nl + nc + ne + 3 * n2 + 6 * n3
+        # offsets in the float column: the transformers' rated voltages
+        # start at r, the fields >= 0 at p, the vk fields at q and s_sc_max
+        # at s. The rated powers, vkr and vk each hold v entries: the
+        # two-winding block, then the three-winding one.
+        v = n2 + 3 * n3
+        r = nb + nl + nc + ne + v
+        p = r + 2 * n2 + 3 * n3
+        q = p + 2 * nl + nc + 2 * ne + v
+        s = q + v
+        self.offsets = r, p, q, s
         self.vn, self.length, self.conv_sn = f[:nb], f[nb : nb + nl], f[nb + nl : nb + nl + nc]
         self.rx, self.conv_k = f[p : p + 2 * nl].reshape(2, nl), f[p + 2 * nl : p + 2 * nl + nc]
         self.endtemp = f[len(f) - nl :]
+        # per external grid: s_sc_max and s_sc_min, and rx_max and rx_min
+        self.s_sc = f[s : s + ne], f[r - v - ne : r - v]
+        self.rx_eg = f[q - v - 2 * ne : q - v].reshape(ne, 2).T
+        # per transformer, then per winding (hv, mv, lv) of each
+        # three-winding one: the rated powers and voltages; per winding
+        # pair, a row of vkr over a row of vk
+        self.sn_t, self.vn_t, self.vk_t = f[r - v : r], f[r:p], f[q - v : s].reshape(2, v)
 
-    def elements(self) -> tuple[dict, dict, set, np.ndarray]:
+    def elements(self) -> tuple[dict, dict, np.ndarray, np.ndarray]:
         """Per element kind, the positions in ``net.buses`` of the terminal
         buses, one row per terminal field in the order of the element's
         fields, and whether each element is live: in service, with its
         buses in service and not cut off by an open bus-element switch (a
-        three-winding transformer on two of its windings). Then the
-        terminals (kind, index, bus id) that open switches cut, and the
-        ranks among the sorted bus ids of both ends of every closed bus-bus
-        switch between buses in service, as the two rows of one array."""
+        three-winding transformer on two of its windings). Then whether
+        each winding of the three-winding transformers, in the layout of
+        their terminals, has its bus in service and no open switch cutting
+        it, and the ranks among the sorted bus ids of both ends of every
+        closed bus-bus switch between buses in service, as the two rows of
+        one array."""
         nb, ne, nc, nl, n2, n3, nt, nk = self.sizes
         one, m = ne + nc, n2 + nl + nt
         a_at = one + nk + 3 * n3
         flags, pos = self.flags, self.pos
         # per reference: its bus is in service and no open switch cuts it
         up = self.in_service[pos]
-        severed = set()
         if nk:
-            cut = []
-            for (kind, i, bus, at), closed in zip(self.cuts, flags[len(flags) - nk :].tolist()):
-                if not closed:
-                    severed.add((kind, i, bus))
-                    cut += at
+            closed = flags[len(flags) - nk :].tolist()
+            cut = [s for at, on in zip(self.cuts, closed) if not on for s in at]
             if cut:
                 up[cut] = False
         # each element's flag lines up with its first reference
         ends, two = pos[a_at:].reshape(2, m), up[a_at:].reshape(2, m)
         live_one = flags[nb : nb + one] & up[:one]
         live_two = flags[nb + one + n3 : nb + one + n3 + m] & two[0] & two[1]
+        # (a copy, so that it keeps no view of every reference's flag)
+        windings = up[one + nk : a_at].reshape(n3, 3).copy()
         live_3w = flags[nb + one : nb + one + n3]
         if n3:
             # a three-winding transformer stays live on two of its windings
-            live_3w = live_3w & (up[one + nk : a_at].reshape(n3, 3).sum(1) >= 2)
+            live_3w = live_3w & (windings.sum(1) >= 2)
         terminals = {
             "external_grid": pos[None, :ne],
             "converter": pos[None, ne:one],
@@ -427,7 +442,7 @@ class _Tables:
             "trafo3w": live_3w,
         }
         ties = self.rank[a_at:].reshape(2, m)[:, n2 + nl :].compress(live_two[n2 + nl :], 1)
-        return terminals, live, severed, ties
+        return terminals, live, windings.T, ties
 
 
 _UNKNOWN = "{field} references unknown bus {value}"
@@ -447,20 +462,16 @@ def _broken(t: _Tables) -> tuple:
     nb, ne, nc, nl, n2, n3, nt, nk = t.sizes
     f, ids = t.floats, t.sorted_ids
     m, v = n2 + nl + nt, n2 + 3 * n3
-    r = nb + nl + nc + ne + n2 + 3 * n3
-    p = r + 2 * n2 + 3 * n3
-    q = p + 2 * nl + nc + 2 * ne + v
-    s = q + v
-    smin = nb + nl + nc
+    r, p, q, s = t.offsets
     a_at = ne + nc + nk + 3 * n3
     unknown = ids.take(t.rank, mode="clip") != t.refs
     unique = ids[1:] == ids[:-1]
     positive = ~(f[:p] > 0.0)
-    s_sc = f[s : s + ne] < f[smin : smin + ne]
+    s_sc = t.s_sc[0] < t.s_sc[1]
     # the fields >= 0 end with the vkr fields, whose rule is 0 <= vkr < vk
     negative = f[p:q] < 0.0
-    vkr = np.logical_or(negative[q - v - p :], ~(f[q - v : q] < f[q:s]))
-    vk = f[q : q + n2] > 100.0
+    vkr = np.logical_or(negative[q - v - p :], ~(t.vk_t[0] < t.vk_t[1]))
+    vk = t.vk_t[1, :n2] > 100.0
     r_x = t.rx == 0.0
     zero = np.logical_and(r_x[0], r_x[1])
     endtemp = f[s + ne :] < 20.0
@@ -608,7 +619,7 @@ def _named(net: Network) -> list[Violation]:
             found.append((label, rule.format(field=name, value=values[j], vk=name.replace("vkr", "vk"))))
     found += [(label, "name must be a string") for label, name in zip(name_labels, names) if not isinstance(name, str)]
     found += [(label, "other must be an int bus id or an ElementRef") for label in others]
-    for j, (*_, at) in enumerate(t.cuts):
+    for j, at in enumerate(t.cuts):
         kind, bus, index = kinds[j], nb + ne + nc + j, end + j
         element = f"{kind}[{ints[index]}]"
         if kind not in SWITCHABLE_ELEMENT_KINDS:

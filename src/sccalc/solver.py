@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, _voltage_correction_factors, build_bbm
+from .builder import FaultStudyOptions, build_bbm, voltage_correction_factor
 from .exceptions import InvalidOptionError, SingularMatrixError
 from .model import Network
 
@@ -516,7 +516,7 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     if degenerate_any := degenerate.any():
         z_diag[degenerate] = 1.0
     vn_live = vn_kv[energized]
-    i_k1 = _voltage_correction_factors(vn_live, options.lv_tolerance_percent, options.case) / z_diag
+    i_k1 = voltage_correction_factor(vn_live, options.lv_tolerance_percent, options.case) / z_diag
     i_k2 = converter_contribution(lu, z_diag, i_kc, rows=live_rows)
     del lu, z_diag
     if degenerate_any:

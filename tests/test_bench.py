@@ -138,8 +138,24 @@ def test_loop_max_skips_the_looped_reference_above_it():
     report = run_benchmark([3, 30], loop_max=10)
     small, large = report.cases
     assert small.t_looped_s is not None and small.max_rel_diff <= 1e-10 and small.speedup > 0.0
-    assert large.t_looped_s is None and large.max_rel_diff is None and large.speedup is None
+    assert small.checked_buses == small.n_buses
+    # the larger size checks a sample of its buses and times no loop
+    assert large.t_looped_s is None and large.speedup is None and large.max_rel_diff <= 1e-10
+    assert large.checked_buses == bench.SAMPLED_BUSES < large.n_buses
     assert "-" in str(report).splitlines()[2]
+
+
+def test_the_sampled_check_gates_its_studies(monkeypatch):
+    # a doctored single-bus study among the sampled ones fails the gate
+    def doctored(net, options):
+        result = calc_sc(net, options)
+        if options.fault_buses != "all":
+            result.ikss_ka[0] *= 1.0 + 1e-6
+        return result
+
+    monkeypatch.setattr(bench, "calc_sc", doctored)
+    with pytest.raises(EquivalenceGateError):
+        run_benchmark([30], loop_max=10)
 
 
 def test_bench_json_schema(tmp_path):
@@ -169,8 +185,10 @@ def test_bench_json_schema(tmp_path):
         # it calls
         assert peaks["calc_sc"] == size["peak_traced_bytes"]
         assert peaks["calc_sc"] >= max(peaks["validate"], peaks["build_bbm"], peaks["impedance_matrix_diag"])
-        # 6 buses is above --loop-max 3
-        assert size["looped_s"] is None and size["speedup"] is None and size["max_rel_diff"] is None
+        # 6 buses is above --loop-max 3: a sample of up to 16 buses is
+        # checked, and no loop is timed
+        assert size["checked_buses"] == size["buses"] == 6 and 0.0 <= size["max_rel_diff"] <= 1e-10
+        assert size["looped_s"] is None and size["speedup"] is None
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

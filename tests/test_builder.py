@@ -1,8 +1,11 @@
 """Tests for correction factors, element impedances, switch fusion and the
-bus-branch model builder."""
+bus-branch model builder. The impedances of external grids and
+transformers are read back from the admittances they stamp."""
 import collections
 import copy
 import dataclasses
+import io
+import json
 import math
 import random
 
@@ -27,17 +30,9 @@ from sccalc import (
     ValidationError,
     calc_sc,
     generate_radial_grid,
+    write_result_json,
 )
-from sccalc.builder import (
-    build_bbm,
-    external_grid_impedance,
-    fuse_switches,
-    star_decompose,
-    three_winding_star,
-    transformer_correction,
-    transformer_impedance,
-    voltage_correction_factor,
-)
+from sccalc.builder import build_bbm, fuse_switches, voltage_correction_factor
 
 from busmap import by_bus_id
 from netgen import random_network
@@ -73,6 +68,12 @@ def test_c_factor_boundary_at_1kv_is_lv():
     assert voltage_correction_factor(1.0, 6, "max") == 1.05
 
 
+def test_c_factor_of_many_levels_at_once():
+    levels = np.array([0.4, 1.0, 1.0000001, 20.0, 110.0])
+    assert voltage_correction_factor(levels, 6, "max").tolist() == [1.05, 1.05, 1.10, 1.10, 1.10]
+    assert voltage_correction_factor(levels, 10, "min").tolist() == [0.95, 0.95, 1.00, 1.00, 1.00]
+
+
 # --- external grid impedance ----------------------------------------------
 
 def grid_eg(**kw):
@@ -81,14 +82,28 @@ def grid_eg(**kw):
     return ExternalGrid(**defaults)
 
 
+def external_grid_impedance(eg: ExternalGrid, vn_kv: float, case: str, s_base_mva: float = 1.0) -> complex:
+    """The internal impedance of ``eg`` in ohms, from the shunt it stamps
+    alone on a bus of ``vn_kv``."""
+    net = Network(buses=[Bus(eg.bus, vn_kv)], external_grids=[eg])
+    y = build_bbm(net, FaultStudyOptions(case=case, s_base_mva=s_base_mva)).y_matrix.toarray()[0, 0]
+    return (vn_kv**2 / s_base_mva) / y
+
+
+def grid_impedance_pu(vn_kv: float, s_sc_mva: float, c: float) -> complex:
+    """The per-unit impedance of a purely inductive external grid on a
+    1 MVA base, in the builder's order of operations."""
+    return complex(0.0, c * vn_kv**2 / s_sc_mva) / vn_kv**2
+
+
 def test_external_grid_impedance_purely_inductive():
-    z = external_grid_impedance(grid_eg(), 110.0, "max", c=1.1)
+    z = external_grid_impedance(grid_eg(), 110.0, "max")
     assert z.real == 0.0
     assert z.imag == pytest.approx(4.436666666666667, rel=1e-12)
 
 
 def test_external_grid_impedance_rx_split():
-    z = external_grid_impedance(grid_eg(rx_max=0.1), 110.0, "max", c=1.1)
+    z = external_grid_impedance(grid_eg(rx_max=0.1), 110.0, "max")
     assert z.real == pytest.approx(0.44146483338983195, rel=1e-12)
     assert z.imag == pytest.approx(4.414648333898319, rel=1e-12)
     # split preserves the magnitude
@@ -96,14 +111,15 @@ def test_external_grid_impedance_rx_split():
 
 
 def test_external_grid_impedance_vanishes_for_stiff_grid():
-    z = external_grid_impedance(grid_eg(s_sc_max_mva=1e15, s_sc_min_mva=1e15), 110.0, "max", c=1.1)
+    # (on a base of 10 GVA, so that the shunt stamps)
+    z = external_grid_impedance(grid_eg(s_sc_max_mva=1e15, s_sc_min_mva=1e15), 110.0, "max", s_base_mva=1e4)
     assert abs(z) < 1e-7
 
 
 def test_external_grid_impedance_uses_case_values():
     eg = grid_eg(s_sc_max_mva=3000.0, s_sc_min_mva=1500.0, rx_max=0.0, rx_min=0.3)
-    z_max = external_grid_impedance(eg, 110.0, "max", c=1.1)
-    z_min = external_grid_impedance(eg, 110.0, "min", c=1.0)
+    z_max = external_grid_impedance(eg, 110.0, "max")
+    z_min = external_grid_impedance(eg, 110.0, "min")
     assert abs(z_min) == pytest.approx(1.0 * 110.0**2 / 1500.0, rel=1e-12)
     assert z_max.real == 0.0 and z_min.real > 0.0
 
@@ -133,18 +149,6 @@ def test_line_impedance_min_case_heats_resistance():
 
 # --- transformer correction and impedance ----------------------------------
 
-def test_transformer_correction_zero_reactance():
-    assert transformer_correction(0.0, 1.05) == pytest.approx(0.9975, rel=1e-12)
-
-
-def test_transformer_correction_typical():
-    assert transformer_correction(0.1, 1.05) == pytest.approx(0.9410377358490565, rel=1e-12)
-
-
-def test_transformer_correction_above_one():
-    assert transformer_correction(0.06, 1.10) == pytest.approx(1.0086872586872586, rel=1e-12)
-
-
 def trafo(**kw):
     defaults = dict(hv_bus=1, lv_bus=2, sn_mva=25.0, vn_hv_kv=110.0, vn_lv_kv=20.0,
                     vk_percent=6.0, vkr_percent=0.0)
@@ -152,35 +156,98 @@ def trafo(**kw):
     return Transformer2W(**defaults)
 
 
+def transformer_impedance(t: Transformer2W, tolerance: int = 10) -> complex:
+    """The corrected short-circuit impedance of ``t`` in per unit of its
+    rating, from the admittance it stamps at its LV bus, on buses at its
+    rated voltages and a study base of 1 MVA."""
+    net = Network(
+        buses=[Bus(1, t.vn_hv_kv), Bus(2, t.vn_lv_kv)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=3000.0)],
+        transformers2w=[t],
+    )
+    y = build_bbm(net, FaultStudyOptions(lv_tolerance_percent=tolerance)).y_matrix.toarray()
+    return t.sn_mva / y[1, 1]
+
+
+def corrected_impedance(vk_percent: float, vkr_percent: float, c_max_lv: float) -> complex:
+    """K_T * (r + jx) in per unit of the rating, K_T = 0.95 * c_max / (1 + 0.6 * x)."""
+    r = vkr_percent / 100.0
+    x = math.sqrt(vk_percent**2 - vkr_percent**2) / 100.0
+    return 0.95 * c_max_lv / (1.0 + 0.6 * x) * complex(r, x)
+
+
+def test_transformer_correction_zero_reactance():
+    # x = 1e-13, where K_T is within 1e-13 of its value at x = 0; c_max is
+    # 1.05 on an LV bus at 6 % tolerance
+    t = trafo(vk_percent=1e-11, sn_mva=1e-3, vn_lv_kv=0.4)
+    assert transformer_impedance(t, tolerance=6).imag / 1e-13 == pytest.approx(0.9975, rel=1e-12)
+
+
+def test_transformer_correction_typical():
+    k_t = transformer_impedance(trafo(vk_percent=10.0, vn_lv_kv=0.4), tolerance=6).imag / 0.1
+    assert k_t == pytest.approx(0.9410377358490565, rel=1e-12)
+
+
+def test_transformer_correction_above_one():
+    # c_max is 1.10 on a 20 kV bus
+    assert transformer_impedance(trafo()).imag / 0.06 == pytest.approx(1.0086872586872586, rel=1e-12)
+
+
 def test_transformer_impedance_purely_inductive():
-    z = transformer_impedance(trafo(), c_max_lv=1.05)
+    z = transformer_impedance(trafo(vn_lv_kv=0.4), tolerance=6)
     assert z.real == 0.0
     assert z.imag == pytest.approx(0.05777027027027026, rel=1e-12)
 
 
 def test_transformer_impedance_with_resistive_part():
-    z = transformer_impedance(trafo(vkr_percent=1.0), c_max_lv=1.05)
+    z = transformer_impedance(trafo(vkr_percent=1.0, vn_lv_kv=0.4), tolerance=6)
     assert z.real == pytest.approx(0.009633060280935466, rel=1e-12)
     assert z.imag == pytest.approx(0.056989953177422226, rel=1e-12)
 
 
 # --- three-winding star -----------------------------------------------------
 
+def star_branches(t: Transformer3W, tolerance: int = 10, s_base_mva: float = 1.0) -> list[complex]:
+    """The hv, mv and lv star branches that ``t`` stamps in per unit on the
+    study base, on buses at its rated voltages: each winding's branch to
+    the star point stamps -y there, with a tap of 1."""
+    net = Network(
+        buses=[Bus(1, t.vn_hv_kv), Bus(2, t.vn_mv_kv), Bus(3, t.vn_lv_kv)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=3000.0)],
+        transformers3w=[t],
+    )
+    y = build_bbm(net, FaultStudyOptions(lv_tolerance_percent=tolerance, s_base_mva=s_base_mva)).y_matrix.toarray()
+    return [-1.0 / y[w, 3] for w in range(3)]
+
+
+def star_of_pairs(z_hm: float, z_ml: float, z_hl: float) -> list[complex]:
+    """The star branches of a three-winding transformer of 1 MVA windings
+    on 110, 20 and 10 kV buses, whose corrected pairwise reactances are
+    ``z_*`` in per unit: x = z / (0.95 * c_max - 0.6 * z) undoes K_T."""
+    vk = [100.0 * z / (0.95 * 1.10 - 0.6 * z) for z in (z_hm, z_ml, z_hl)]
+    t = trafo3w(
+        sn_hv_mva=1.0, sn_mv_mva=1.0, sn_lv_mva=1.0, vn_lv_kv=10.0,
+        vk_hm_percent=vk[0], vk_ml_percent=vk[1], vk_hl_percent=vk[2],
+        vkr_hm_percent=0.0, vkr_ml_percent=0.0, vkr_hl_percent=0.0,
+    )
+    return star_branches(t)
+
+
 def test_star_decompose_symmetric():
-    z_h, z_m, z_l = star_decompose(0.1 + 0j, 0.1 + 0j, 0.1 + 0j)
-    assert z_h == z_m == z_l == pytest.approx(0.05 + 0j)
+    z_h, z_m, z_l = star_of_pairs(0.1, 0.1, 0.1)
+    assert z_h == z_m == z_l == pytest.approx(0.05j)
 
 
 def test_star_decompose_general():
-    z_h, z_m, z_l = star_decompose(0.10 + 0j, 0.08 + 0j, 0.16 + 0j)
-    assert z_h == pytest.approx(0.09 + 0j)
-    assert z_m == pytest.approx(0.01 + 0j)
-    assert z_l == pytest.approx(0.07 + 0j)
+    z_h, z_m, z_l = star_of_pairs(0.10, 0.08, 0.16)
+    assert z_h == pytest.approx(0.09j)
+    assert z_m == pytest.approx(0.01j)
+    assert z_l == pytest.approx(0.07j)
 
 
 def test_star_decompose_keeps_negative_branches():
-    z_h, z_m, z_l = star_decompose(0.10 + 0j, 0.08 + 0j, 0.30 + 0j)
-    assert z_m == pytest.approx(-0.06 + 0j)
+    z_h, z_m, z_l = star_of_pairs(0.10, 0.08, 0.30)
+    assert z_m == pytest.approx(-0.06j)
 
 
 def trafo3w(**kw):
@@ -196,15 +263,14 @@ def trafo3w(**kw):
 
 
 def corrected_pairwise(vk, vkr, sn_a, sn_b, c_max_lv, s_base):
-    r = vkr / 100.0
-    x = math.sqrt(vk**2 - vkr**2) / 100.0
-    return transformer_correction(x, c_max_lv) * complex(r, x) * s_base / min(sn_a, sn_b)
+    return corrected_impedance(vk, vkr, c_max_lv) * s_base / min(sn_a, sn_b)
 
 
 def test_three_winding_star_reproduces_corrected_pairwise_impedances():
     t = trafo3w()
+    # c_max is 1.05 on the 0.4 kV LV bus at 6 % tolerance
     c_max_lv = 1.05
-    z_h, z_m, z_l = three_winding_star(t, c_max_lv, s_base_mva=1.0)
+    z_h, z_m, z_l = star_branches(t, tolerance=6)
     z_hm = corrected_pairwise(t.vk_hm_percent, t.vkr_hm_percent, t.sn_hv_mva, t.sn_mv_mva, c_max_lv, 1.0)
     z_ml = corrected_pairwise(t.vk_ml_percent, t.vkr_ml_percent, t.sn_mv_mva, t.sn_lv_mva, c_max_lv, 1.0)
     z_hl = corrected_pairwise(t.vk_hl_percent, t.vkr_hl_percent, t.sn_hv_mva, t.sn_lv_mva, c_max_lv, 1.0)
@@ -216,8 +282,8 @@ def test_three_winding_star_reproduces_corrected_pairwise_impedances():
 
 def test_three_winding_star_scales_with_study_base():
     t = trafo3w()
-    z1 = three_winding_star(t, 1.05, s_base_mva=1.0)
-    z10 = three_winding_star(t, 1.05, s_base_mva=10.0)
+    z1 = star_branches(t, s_base_mva=1.0)
+    z10 = star_branches(t, s_base_mva=10.0)
     for a, b in zip(z1, z10):
         assert b == pytest.approx(10.0 * a, rel=1e-12)
 
@@ -258,7 +324,7 @@ def test_fuse_without_switches_is_identity():
     net = three_bus_line_net()
     fusion = fuse_switches(net)
     assert by_bus_id(net, fusion.node) == {1: 0, 2: 1, 3: 2}
-    assert fusion.severed == frozenset()
+    assert fusion.live["line"].all() and fusion.windings.shape == (3, 0)
 
 
 def test_fuse_closed_bus_bus_switch_merges_nodes():
@@ -282,7 +348,6 @@ def test_open_line_switch_severs_element():
     net = three_bus_line_net()
     net.switches.append(Switch(bus=2, other=ElementRef("line", 1), closed=False))
     fusion = fuse_switches(net)
-    assert ("line", 1, 2) in fusion.severed
     assert not fusion.live["line"][1]
     assert fusion.live["line"][0]
     # bus 3 is in a dead island now
@@ -337,7 +402,7 @@ def test_build_bbm_stamps_line_and_grid_shunt():
     bbm = build_bbm(net, options)
     z_base = 110.0**2 / 1.0
     y_line = 1.0 / (4.0j / z_base)
-    y_grid = 1.0 / (external_grid_impedance(net.external_grids[0], 110.0, "max", 1.1) / z_base)
+    y_grid = 1.0 / grid_impedance_pu(110.0, 3000.0, 1.1)
     expected = np.array([[y_line + y_grid, -y_line], [-y_line, y_line]])
     assert np.allclose(bbm.y_matrix.toarray(), expected, rtol=1e-12, atol=0.0)
     assert by_bus_id(net, bbm.bus_index) == {1: 0, 2: 1}
@@ -376,7 +441,7 @@ def test_build_bbm_matched_transformer_is_plain_series_branch():
         transformers2w=[trafo()],
     )
     bbm = build_bbm(net, FaultStudyOptions())
-    z_pu = transformer_impedance(trafo(), 1.10) / 25.0
+    z_pu = corrected_impedance(6.0, 0.0, 1.10) / 25.0
     y = 1.0 / z_pu
     rows = by_bus_id(net, bbm.bus_index)
     i, j = rows[1], rows[2]
@@ -393,7 +458,7 @@ def test_build_bbm_off_nominal_transformer_ratio():
     )
     bbm = build_bbm(net, FaultStudyOptions())
     tap = (110.0 / 20.0) * (21.0 / 110.0)
-    z_pu = transformer_impedance(trafo(), 1.10) / 25.0 * (20.0 / 21.0) ** 2
+    z_pu = corrected_impedance(6.0, 0.0, 1.10) / 25.0 * (20.0 / 21.0) ** 2
     y = 1.0 / z_pu
     rows = by_bus_id(net, bbm.bus_index)
     i, j = rows[1], rows[2]
@@ -501,6 +566,42 @@ def test_build_bbm_names_the_first_of_two_zero_impedance_lines():
         build_bbm(net, FaultStudyOptions())
 
 
+def test_build_bbm_names_a_near_zero_external_grid_before_a_line():
+    net = three_bus_line_net()
+    net.external_grids[0] = ExternalGrid(bus=1, s_sc_max_mva=1e16, s_sc_min_mva=1e16)
+    net.lines[1].length_km = 1e-20
+    with pytest.raises(SingularStampError, match=r"^external_grids\[0\]: branch impedance"):
+        build_bbm(net, FaultStudyOptions())
+
+
+def test_build_bbm_names_a_near_zero_line_before_a_transformer():
+    net = three_bus_line_net()
+    net.buses.append(Bus(4, 20.0))
+    net.transformers2w.append(trafo(hv_bus=3, lv_bus=4, vk_percent=1e-13))
+    net.lines[1].length_km = 1e-20
+    with pytest.raises(SingularStampError, match=r"^lines\[1\]: branch impedance"):
+        build_bbm(net, FaultStudyOptions())
+    net.lines[1].length_km = 5.0
+    with pytest.raises(SingularStampError, match=r"^transformers2w\[0\]: branch impedance"):
+        build_bbm(net, FaultStudyOptions())
+
+
+def test_build_bbm_names_a_near_zero_two_winding_before_a_star_branch():
+    net = Network(
+        buses=[Bus(1, 110.0), Bus(2, 20.0), Bus(3, 0.4), Bus(4, 20.0)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=3000.0)],
+        transformers2w=[trafo(), trafo(lv_bus=4, vk_percent=1e-13)],
+        # every star branch is near zero
+        transformers3w=[trafo3w(vk_hm_percent=1e-13, vk_ml_percent=1e-13, vk_hl_percent=2e-13,
+                                vkr_hm_percent=0.0, vkr_ml_percent=0.0, vkr_hl_percent=0.0)],
+    )
+    with pytest.raises(SingularStampError, match=r"^transformers2w\[1\]: branch impedance"):
+        build_bbm(net, FaultStudyOptions())
+    net.transformers2w[1].vk_percent = 6.0
+    with pytest.raises(SingularStampError, match=r"^transformers3w\[0\] \(hv star branch\)"):
+        build_bbm(net, FaultStudyOptions())
+
+
 def test_build_bbm_sums_converters_on_fused_buses_into_one_row():
     # buses 2 and 3 are one node; their three converters add up in
     # converter order, as converter_current gives each one
@@ -531,7 +632,7 @@ def test_build_bbm_rejects_zero_impedance_star_branch():
     # pairwise reactances tuned so one corrected star branch cancels exactly
     c_max_lv = 1.10
     x = 0.05
-    k = transformer_correction(x, c_max_lv)
+    k = 0.95 * c_max_lv / (1.0 + 0.6 * x)
     x_hl = 2.0 * k * x / (0.95 * c_max_lv - 1.2 * k * x)
     t = trafo3w(
         sn_hv_mva=25.0, sn_mv_mva=25.0, sn_lv_mva=25.0,
@@ -543,7 +644,7 @@ def test_build_bbm_rejects_zero_impedance_star_branch():
         external_grids=[ExternalGrid(bus=1, s_sc_max_mva=3000.0)],
         transformers3w=[t],
     )
-    with pytest.raises(SingularStampError):
+    with pytest.raises(SingularStampError, match=r"^transformers3w\[0\] \(mv star branch\)"):
         build_bbm(net, FaultStudyOptions())
 
 
@@ -556,6 +657,7 @@ def test_severed_3w_terminal_keeps_remaining_windings_coupled():
         transformers3w=[trafo3w()],
         switches=[Switch(bus=1, other=ElementRef("trafo3w", 0), closed=False)],
     )
+    assert fuse_switches(net).windings.tolist() == [[False], [True], [True]]
     bbm = build_bbm(net, FaultStudyOptions())
     assert by_bus_id(net, bbm.bus_index) == {2: 0, 3: 1}
     assert bbm.n_aux == 1
@@ -575,8 +677,7 @@ def test_fused_transformer_terminals_become_a_noop():
     bbm = build_bbm(net, FaultStudyOptions())
     assert bbm.y_matrix.shape[0] == 1
     # only the external grid shunt remains in the matrix
-    z_q = external_grid_impedance(net.external_grids[0], 20.0, "max", 1.1) / (20.0**2 / 1.0)
-    assert bbm.y_matrix.toarray()[0, 0] == pytest.approx(1.0 / z_q, rel=1e-12)
+    assert bbm.y_matrix.toarray()[0, 0] == pytest.approx(1.0 / grid_impedance_pu(20.0, 500.0, 1.1), rel=1e-12)
 
 
 def test_options_validation():
@@ -603,6 +704,17 @@ def test_options_validation():
             FaultStudyOptions(lv_tolerance_percent=tolerance)
     options = FaultStudyOptions(lv_tolerance_percent=np.int64(6), s_base_mva=np.float32(2.0))
     assert type(options.lv_tolerance_percent) is int and type(options.s_base_mva) is float
+    # "no" would count converters in; a number or None is no flag either
+    for flag in ("no", "", 0, 1, 1.0, None):
+        with pytest.raises(InvalidOptionError, match="consider_converters"):
+            FaultStudyOptions(consider_converters=flag)
+    for flag in (False, np.False_, True, np.True_):
+        options = FaultStudyOptions(consider_converters=flag)
+        assert type(options.consider_converters) is bool and options.consider_converters == flag
+    # the options are the metadata of a result document
+    doc = io.StringIO()
+    write_result_json(calc_sc(three_bus_line_net(), FaultStudyOptions(consider_converters=np.False_)), doc)
+    assert json.loads(doc.getvalue())["meta"]["consider_converters"] is False
 
 
 # --- edge cases of fusion, liveness and islands ---------------------------------
@@ -621,8 +733,7 @@ def test_3w_transformer_with_two_dead_windings_adds_no_star_row():
     assert bbm.n_aux == 0
     assert bbm.y_matrix.shape[0] == 1
     assert by_bus_id(net, bbm.bus_index) == {1: 0}
-    z_q = external_grid_impedance(net.external_grids[0], 110.0, "max", 1.1) / 110.0**2
-    assert bbm.y_matrix.toarray()[0, 0] == 1.0 / z_q
+    assert bbm.y_matrix.toarray()[0, 0] == 1.0 / grid_impedance_pu(110.0, 3000.0, 1.1)
 
 
 def test_descending_switch_chain_fuses_into_smallest_id_and_keeps_element_switch():

@@ -117,10 +117,11 @@ def reference_bus_index(net) -> np.ndarray:
     for kind in ("line", "trafo2w"):
         a, b = fusion.terminals[kind]
         edges += [(node[p], node[q]) for p, q, on in zip(a, b, fusion.live[kind]) if on]
-    for i, (t, is_live) in enumerate(zip(net.transformers3w, fusion.live["trafo3w"])):
+    for i, is_live in enumerate(fusion.live["trafo3w"]):
         if is_live:
-            for p, bus_id in zip(fusion.terminals["trafo3w"][:, i], (t.hv_bus, t.mv_bus, t.lv_bus)):
-                if node[p] >= 0 and ("trafo3w", i, bus_id) not in fusion.severed:
+            # (a winding is up only on a bus in service)
+            for p, up in zip(fusion.terminals["trafo3w"][:, i], fusion.windings[:, i]):
+                if up:
                     edges.append((node[p], n_nodes))
             n_nodes += 1
     [grid_bus] = fusion.terminals["external_grid"]
