@@ -46,9 +46,10 @@ class EquivalenceGateError(AssertionError):
 class BenchmarkCase:
     """One grid size: its problem sizes, the min and median seconds of each
     stage, the traced peak memory of one call of each stage (``calc_sc``'s
-    is that of one study), the count of buses whose single-bus study
-    checked the all-bus one and the largest relative deviation from them,
-    and the time of the looped reference when it ran over every bus."""
+    is that of one study), the median count of minor page faults of a timed
+    study (None without ``resource``), the count of buses whose single-bus
+    study checked the all-bus one and the largest relative deviation from
+    them, and the time of the looped reference when it ran over every bus."""
 
     n_buses: int
     nodes: int
@@ -57,6 +58,7 @@ class BenchmarkCase:
     nnz_lu: int
     stages: dict[str, tuple[float, float]]
     stage_peaks: dict[str, int]
+    minor_faults: int | None
     t_looped_s: float | None
     max_rel_diff: float
     checked_buses: int
@@ -83,6 +85,7 @@ class BenchmarkCase:
             "stages_s": {name: {"min": lo, "median": mid} for name, (lo, mid) in self.stages.items()},
             "peak_traced_bytes": self.peak_traced_bytes,
             "stages_peak_traced_bytes": dict(self.stage_peaks),
+            "calc_sc_minor_faults": self.minor_faults,
             "looped_s": self.t_looped_s,
             "speedup": self.speedup,
             "max_rel_diff": self.max_rel_diff,
@@ -186,6 +189,17 @@ def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, tuple[int
     return calls, arguments, sizes
 
 
+def _minor_faults() -> int | None:
+    """The minor page faults of this process so far; None without
+    ``resource``, which Windows lacks."""
+    # (not imported with the package)
+    try:
+        import resource
+    except ImportError:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _traced_peak(call, *args) -> int:
     """The tracemalloc peak of one call, in bytes."""
     # (not imported with the package)
@@ -205,12 +219,12 @@ def run_benchmark(
     """For each target bus count, on one generated radial grid (a converter
     source on every fifth feeder bus): one untimed all-bus study, then
     ``REPEATS`` timed calls of each stage in turn, each stage called on its
-    own, then one more call of each stage under tracemalloc for its peak
-    memory. Each call of Z_ii gets a new factor, made before the call. Then
-    single-bus studies must agree with the all-bus study to
-    ``EQUIVALENCE_TOL``: up to ``loop_max`` buses (every size when it is
-    None) a timed loop over every bus, above it the untimed studies of
-    ``SAMPLED_BUSES`` buses drawn with ``seed``.
+    own, with the minor page faults of each timed study, then one more call
+    of each stage under tracemalloc for its peak memory. Each call of Z_ii
+    gets a new factor, made before the call. Then single-bus studies must
+    agree with the all-bus study to ``EQUIVALENCE_TOL``: up to ``loop_max``
+    buses (every size when it is None) a timed loop over every bus, above
+    it the untimed studies of ``SAMPLED_BUSES`` buses drawn with ``seed``.
 
     The headline time of a stage is its minimum; the median stands next to
     it."""
@@ -226,14 +240,18 @@ def run_benchmark(
         calc_sc(net, options)
         calls, arguments, (nodes, n_aux, nnz_y, nnz_lu) = _stage_calls(net, options)
         times = {name: [] for name in calls}
+        faults = []
         for _ in range(REPEATS):
             for name, call in calls.items():
                 args = arguments[name]()
+                before = _minor_faults()
                 t0 = time.perf_counter()
                 out = call(*args)
                 times[name].append(time.perf_counter() - t0)
                 if name == "calc_sc":
                     vectorized = out
+                    after = _minor_faults()
+                    faults.append(None if after is None else after - before)
         stages = {name: (min(ts), sorted(ts)[REPEATS // 2]) for name, ts in times.items()}
         peaks = {name: _traced_peak(call, *arguments[name]()) for name, call in calls.items()}
 
@@ -248,7 +266,8 @@ def run_benchmark(
         cases.append(
             BenchmarkCase(
                 n_buses=n, nodes=nodes, n_aux=n_aux, nnz_y=nnz_y, nnz_lu=nnz_lu, stages=stages,
-                stage_peaks=peaks, t_looped_s=t_loop,
+                stage_peaks=peaks, minor_faults=None if None in faults else sorted(faults)[REPEATS // 2],
+                t_looped_s=t_loop,
                 max_rel_diff=_check_equivalence(vectorized, looped, EQUIVALENCE_TOL), checked_buses=len(looped),
             )
         )

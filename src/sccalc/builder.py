@@ -56,12 +56,8 @@ class FaultStudyOptions:
     s_base_mva: float = 1.0
 
     def __post_init__(self):
-        if self.case not in ("max", "min"):
-            raise InvalidOptionError(f"case must be 'max' or 'min', got {self.case!r}")
-        if not _is_integer(self.lv_tolerance_percent) or self.lv_tolerance_percent not in (6, 10):
-            raise InvalidOptionError(
-                f"lv_tolerance_percent must be the integer 6 or 10, got {self.lv_tolerance_percent!r}"
-            )
+        _check_case(self.case)
+        _check_tolerance(self.lv_tolerance_percent)
         if not (_is_number(self.s_base_mva) and 0 < self.s_base_mva < math.inf):
             raise InvalidOptionError(f"s_base_mva must be finite and > 0, got {self.s_base_mva!r}")
         if not isinstance(self.consider_converters, (bool, np.bool_)):
@@ -85,6 +81,16 @@ class FaultStudyOptions:
             if not _is_integer(b):
                 raise InvalidOptionError(f"fault_buses must hold integer bus ids, got {b!r}")
         object.__setattr__(self, "fault_buses", tuple(map(int, ids)))
+
+
+def _check_case(case) -> None:
+    if case not in ("max", "min"):
+        raise InvalidOptionError(f"case must be 'max' or 'min', got {case!r}")
+
+
+def _check_tolerance(tolerance_percent) -> None:
+    if not _is_integer(tolerance_percent) or tolerance_percent not in (6, 10):
+        raise InvalidOptionError(f"lv_tolerance_percent must be the integer 6 or 10, got {tolerance_percent!r}")
 
 
 def _is_integer(value) -> bool:
@@ -127,10 +133,13 @@ def voltage_correction_factor(vn_kv, tolerance_percent: int, case: str) -> np.nd
 
     Low voltage (<= 1 kV): c_max is 1.05 at 6 % tolerance, 1.10 at 10 %;
     c_min is 0.95 for both. Above 1 kV the tolerance class is ignored and
-    c is 1.10 / 1.00. ``case`` ("max" or "min") and ``tolerance_percent``
-    (6 or 10) are taken as ``FaultStudyOptions`` checked them.
+    c is 1.10 / 1.00. ``case`` must be "max" or "min" and, in the maximum
+    case, which alone reads it, ``tolerance_percent`` 6 or 10; otherwise
+    InvalidOptionError is raised, as ``FaultStudyOptions`` raises it.
     """
+    _check_case(case)
     if case == "max":
+        _check_tolerance(tolerance_percent)
         return np.where(vn_kv <= LV_LEVEL_MAX_KV, 1.05 if tolerance_percent == 6 else 1.10, 1.10)
     return np.where(vn_kv <= LV_LEVEL_MAX_KV, 0.95, 1.00)
 

@@ -8,6 +8,7 @@ maximum fault-current studies without touching the input data.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import marshal
 import math
 import operator
@@ -201,23 +202,17 @@ _NUMBER = {float, int}
 _EXACT_FLOAT = 2.0**53
 
 
-def _all_of(values: list, kind: type) -> bool:
-    """Whether every value has exactly the type ``kind``: one counting pass,
-    which costs less than a set of the types."""
-    return operator.countOf(map(type, values), kind) == len(values)
-
-
 # Marshal format 2 writes a list as "[" and a 4-byte count, then one record
 # per value: an exact float as the tag "g" and its 8 bytes, little-endian,
-# an exact bool as the one byte "T" or "F". Every other value gets a record
-# of another tag or length, or none (ValueError), and version 2 writes no
-# back-references. So when the record at byte 5 has the tag "g", it ends 9
-# bytes on: a byte string of 5 + 9n bytes whose every 9th byte from byte 5
-# is "g" holds n exact floats, by induction over the records, and one of
-# 5 + n bytes that are all "T" or "F" after byte 5 holds n exact bools. One
-# ``marshal.dumps`` proves the types of a column and yields its values in
-# one C pass.
-_FLOAT_RECORD = np.dtype([("tag", "S1"), ("value", "<f8")])
+# an exact int in the int32 range as "i" and its 4 bytes, an exact bool as
+# the one byte "T" or "F". Every other value gets a record of another tag
+# or length, or none (ValueError), and version 2 writes no back-references.
+# So when the record at byte 5 has the tag "g", it ends 9 bytes on: a byte
+# string of 5 + 9n bytes whose every 9th byte from byte 5 is "g" holds n
+# exact floats, by induction over the records, and one of 5 + 5n bytes
+# whose every 5th byte is "i" n exact ints; one of 5 + n bytes that are
+# all "T" or "F" after byte 5 holds n exact bools. One ``marshal.dumps``
+# proves the types of a column and yields its values in one C pass.
 _FLAG_BYTES = bytes.maketrans(b"TF", b"\x01\x00")
 
 
@@ -230,18 +225,25 @@ def _records(values: list) -> bytes:
         return b""
 
 
-def _float_column(values: list) -> np.ndarray:
-    """The float64 column of ``values``: exact floats from their records,
-    bit for bit; another mix of exact floats and ints through
-    ``np.fromiter``. Any other type raises TypeError."""
-    n = len(values)
+def _column(tag: bytes, record: np.dtype, dtype: type, types: set, values: list) -> np.ndarray:
+    """The ``dtype`` column of ``values``: from their marshal records, when
+    every record is the tag ``tag`` and one ``record`` value, as one strided
+    view, copied out exactly; otherwise through ``np.fromiter`` when every
+    value has exactly one of ``types``, which raises OverflowError for an
+    int beyond 64 bits. Any other type raises TypeError."""
+    n, stride = len(values), 1 + record.itemsize
     data = _records(values)
     # (an empty column has no record to take its values from)
-    if n and len(data) == 5 + 9 * n and data[5::9] == b"g" * n:
-        return np.frombuffer(data, _FLOAT_RECORD, n, 5)["value"].copy()
-    if set(map(type, values)) <= _NUMBER:
-        return np.fromiter(values, float, n)
-    raise TypeError("a number field holds another type")
+    if n and len(data) == 5 + stride * n and data[5::stride] == tag * n:
+        return np.ndarray(n, record, data, 6, (stride,)).astype(dtype)
+    if set(map(type, values)) <= types:
+        return np.fromiter(values, dtype, n)
+    raise TypeError("a field holds a value of another type")
+
+
+# an int field takes exact ints only, a number field exact floats and ints
+_int_column = functools.partial(_column, b"i", np.dtype("<i4"), np.int64, {int})
+_float_column = functools.partial(_column, b"g", np.dtype("<f8"), float, _NUMBER)
 
 
 def _flag_column(values: list) -> np.ndarray:
@@ -324,24 +326,31 @@ class _Tables:
 
     def __init__(self, net: Network):
         self.sizes, ints, floats, flags, self.names, self.kinds = _lists(net)
-        self.ok = bool(net.buses and net.external_grids and _all_of(ints, int) and _all_of(self.names, str))
+        self.ok = bool(net.buses and net.external_grids)
         if self.ok:
+            # each list is released once its column exists; a refused read
+            # keeps the lists and columns it has for ``coerce``
             try:
-                self._columns(ints, _float_column(floats), _flag_column(flags))
+                # (a name of another type than str fails the join)
+                "".join(self.names)
+                ints = _int_column(ints)
+                floats = _float_column(floats)
+                flags = _flag_column(flags)
+                self._columns(ints, floats, flags)
             except (OverflowError, TypeError):
                 self.ok = False
         self._values = None if self.ok else (ints, floats, flags)
 
     def coerce(self) -> None:
         """The columns of a valid network whose read was refused: each bus
-        reference and element index through ``int()``, each number through
-        ``float()``."""
+        reference and element index through ``int()`` (the int column too,
+        when the floats refused the read), each number through ``float()``."""
         ints, floats, flags = self._values
-        self._columns([int(v) for v in ints], _float_column([float(v) for v in floats]), _flag_column(flags))
+        self._columns(_int_column(list(map(int, ints))), _float_column(list(map(float, floats))), _flag_column(flags))
         self._values = None
         self.ok = True
 
-    def _columns(self, ints: list, f: np.ndarray, flags: np.ndarray) -> None:
+    def _columns(self, column: np.ndarray, f: np.ndarray, flags: np.ndarray) -> None:
         nb, ne, nc, nl, n2, n3, nt, nk = self.sizes
         m = n2 + nl + nt
         t3_at = ne + nc + nk
@@ -351,7 +360,8 @@ class _Tables:
         # terminals at its bus, which are None when the element does not
         # exist (or its kind) and empty when the bus is none of them
         self.cuts = []
-        for kind, i, bus in zip(self.kinds, ints[nb + b_at + m :], ints[nb + ne + nc : nb + t3_at]):
+        indices, buses = column[nb + b_at + m :].tolist(), column[nb + ne + nc : nb + t3_at].tolist()
+        for kind, i, bus in zip(self.kinds, indices, buses):
             if kind == "trafo3w":
                 count, slots = n3, (t3_at + 3 * i, t3_at + 3 * i + 1, t3_at + 3 * i + 2)
             elif kind == "line":
@@ -360,11 +370,10 @@ class _Tables:
                 count, slots = n2, (a_at + i, b_at + i)
             else:
                 count, slots = 0, ()
-            at = [s for s in slots if ints[nb + s] == bus] if 0 <= i < count else None
+            at = [s for s in slots if column.item(nb + s) == bus] if 0 <= i < count else None
             self.cuts.append(at)
             if not at:
                 self.ok = False
-        column = np.fromiter(ints, np.int64, len(ints))
         self.floats, self.flags = f, flags
         self.bus_id, self.in_service = column[:nb], flags[:nb]
         self.refs = column[nb : nb + b_at + m]
@@ -602,6 +611,7 @@ def _named(net: Network) -> list[Violation]:
     codes += [value if _int64(value) else -1 for value in ints[end:]]
     t = _Tables.__new__(_Tables)
     t.sizes, t.names, t.kinds = sizes, names, kinds
+    codes = np.fromiter(codes, np.int64, len(codes))
     t._columns(codes, np.fromiter(floats, object, len(floats)), np.ones(len(flags), bool))
     labels, values = int_labels + float_labels, ints + floats
     found = []

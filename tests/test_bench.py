@@ -1,6 +1,7 @@
 """Tests for the vectorized-vs-looped benchmark harness."""
 import json
 import pathlib
+import sys
 import time
 
 import pytest
@@ -167,7 +168,7 @@ def test_bench_json_schema(tmp_path):
     assert doc["loop_max"] == 3 and doc["repeats"] == bench.REPEATS
     assert len(doc["sizes"]) == 2
     for size in doc["sizes"]:
-        for key in ("buses", "nodes", "n_aux", "nnz_y", "nnz_lu", "peak_traced_bytes"):
+        for key in ("buses", "nodes", "n_aux", "nnz_y", "nnz_lu", "peak_traced_bytes", "calc_sc_minor_faults"):
             assert isinstance(size[key], int) and size[key] >= 0, key
         assert 0 < size["nodes"] - size["n_aux"] <= size["buses"]
         assert size["nnz_lu"] >= size["nnz_y"] > 0
@@ -189,6 +190,32 @@ def test_bench_json_schema(tmp_path):
         # checked, and no loop is timed
         assert size["checked_buses"] == size["buses"] == 6 and 0.0 <= size["max_rel_diff"] <= 1e-10
         assert size["looped_s"] is None and size["speedup"] is None
+
+
+def test_minor_faults_are_the_median_of_the_timed_studies(monkeypatch):
+    # the timed studies fault 3, 5, ..., 1 pages: the median is REPEATS,
+    # not the count of the middle study
+    timed = [2 * k + 1 for k in range(bench.REPEATS)]
+    steps = iter([100, *timed[1:], timed[0], 100])  # untimed, timed, traced
+    faults = [0]
+    real = bench.calc_sc
+
+    def study(net, options):
+        if options.fault_buses == "all":
+            faults[0] += next(steps)
+        return real(net, options)
+
+    monkeypatch.setattr(bench, "calc_sc", study)
+    monkeypatch.setattr(bench, "_minor_faults", lambda: faults[0])
+    (case,) = run_benchmark([3], loop_max=0).cases
+    assert case.minor_faults == bench.REPEATS
+    assert case.to_dict()["calc_sc_minor_faults"] == bench.REPEATS
+
+
+def test_minor_faults_are_null_without_resource(monkeypatch):
+    monkeypatch.setitem(sys.modules, "resource", None)
+    (case,) = run_benchmark([3], loop_max=0).cases
+    assert case.minor_faults is None and case.to_dict()["calc_sc_minor_faults"] is None
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

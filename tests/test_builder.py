@@ -68,6 +68,25 @@ def test_c_factor_boundary_at_1kv_is_lv():
     assert voltage_correction_factor(1.0, 6, "max") == 1.05
 
 
+@pytest.mark.parametrize(
+    "tolerance,case,message",
+    [
+        (6, "peak", "case must be 'max' or 'min', got 'peak'"),
+        (8, "max", "lv_tolerance_percent must be the integer 6 or 10, got 8"),
+        (6.0, "max", "lv_tolerance_percent must be the integer 6 or 10, got 6.0"),
+        (True, "max", "lv_tolerance_percent must be the integer 6 or 10, got True"),
+    ],
+)
+def test_c_factor_refuses_what_the_options_refuse(tolerance, case, message):
+    with pytest.raises(InvalidOptionError) as caught:
+        voltage_correction_factor(0.4, tolerance, case)
+    assert str(caught.value) == message
+    # the same message as the options give for the same value
+    with pytest.raises(InvalidOptionError) as by_options:
+        FaultStudyOptions(case=case, lv_tolerance_percent=tolerance)
+    assert str(by_options.value) == message
+
+
 def test_c_factor_of_many_levels_at_once():
     levels = np.array([0.4, 1.0, 1.0000001, 20.0, 110.0])
     assert voltage_correction_factor(levels, 6, "max").tolist() == [1.05, 1.05, 1.10, 1.10, 1.10]

@@ -2,6 +2,7 @@
 for the gather of the reported bus names."""
 import copy
 import decimal
+import enum
 import marshal
 import math
 import struct
@@ -11,7 +12,7 @@ import pytest
 
 from sccalc import FaultStudyOptions, calc_sc, generate_radial_grid, validate
 from sccalc import model
-from sccalc.model import _flag_column, _float_column, _Tables
+from sccalc.model import FIELD_SPECS, ElementRef, _flag_column, _float_column, _int_column, _Tables
 
 from netgen import batch_grids, load_perfbench, random_network
 from rules import check_each
@@ -22,6 +23,12 @@ def test_marshal_format_2_writes_the_records_the_read_takes():
     # the slow path of the read
     expected = b"[\x04\x00\x00\x00g" + struct.pack("<d", 1.5) + b"g" + struct.pack("<d", -0.0) + b"TF"
     assert marshal.dumps([1.5, -0.0, True, False], 2) == expected
+
+
+def test_marshal_format_2_writes_the_int_records_the_read_takes():
+    # ints in the int32 range are the tag "i" and 4 bytes, little-endian
+    expected = b"[\x03\x00\x00\x00i\x01\x00\x00\x00i\x00\x00\x00\x80i\xff\xff\xff\x7f"
+    assert marshal.dumps([1, -(2**31), 2**31 - 1], 2) == expected
 
 
 def same_bits(column: np.ndarray, values: list) -> bool:
@@ -35,7 +42,7 @@ def same_bits(column: np.ndarray, values: list) -> bool:
 def recorded_columns(monkeypatch) -> list:
     """Every (values, column) pair the read makes from here on."""
     seen = []
-    for name in ("_float_column", "_flag_column"):
+    for name in ("_int_column", "_float_column", "_flag_column"):
         real = getattr(model, name)
 
         def spy(values, real=real):
@@ -63,7 +70,7 @@ def test_the_read_columns_equal_those_of_fromiter(monkeypatch, nets):
     seen = recorded_columns(monkeypatch)
     for net in nets:
         assert _Tables(net).ok
-    assert len(seen) == 2 * len(nets)
+    assert len(seen) == 3 * len(nets)
     for values, column in seen:
         assert same_bits(column, values)
 
@@ -180,3 +187,122 @@ def test_all_bus_names_follow_ascending_id_order():
     result = calc_sc(net)
     names = {bus.id: bus.name for bus in net.buses}
     assert result.bus_names == tuple(names[i] for i in sorted(names))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, -(2**31), 2**31 - 1], [0], [2**31, 5], [-(2**31) - 1], [2**63 - 1, -(2**63)], []],
+    ids=["int32", "zero", "above_int32", "below_int32", "int64_ends", "empty"],
+)
+def test_int_column_equals_fromiter(values):
+    column = _int_column(values)
+    assert same_bits(column, values)
+    assert column.flags.c_contiguous and column.flags.writeable
+
+
+class Code(enum.IntEnum):
+    ONE = 1
+
+
+# a value of another type or range in an int field, the int it stands for
+# (None for none) and whether the read takes it: exact ints only, numpy's
+# fromiter those beyond the int32 records up to 64 bits
+INT_FIELD_VALUES = [
+    (True, 1, False),
+    (np.int64(1), 1, False),
+    (np.int32(1), 1, False),
+    (Code.ONE, 1, False),
+    (2**31, 2**31, True),
+    (-(2**31) - 1, -(2**31) - 1, True),
+    (2**63, 2**63, False),
+    (2**80, 2**80, False),
+    (1.0, 1, False),
+    (None, None, False),
+]
+
+
+def swap_ids(net, a: int, b: int) -> None:
+    """Swap the bus ids ``a`` and ``b`` everywhere, references included."""
+    swapped = {a: b, b: a}
+    for section, specs in FIELD_SPECS.items():
+        for element in getattr(net, section):
+            for name, typ, _, _ in specs:
+                if typ == "int":
+                    setattr(element, name, swapped.get(getattr(element, name), getattr(element, name)))
+    for sw in net.switches:
+        sw.bus = swapped.get(sw.bus, sw.bus)
+        if not isinstance(sw.other, ElementRef):
+            sw.other = swapped.get(sw.other, sw.other)
+
+
+def bus_id(net, value, k):
+    if k is not None:
+        swap_ids(net, net.buses[0].id, k)
+    net.buses[0].id = value
+
+
+def from_bus(net, value, k):
+    if k is not None:
+        swap_ids(net, net.lines[0].from_bus, k)
+    net.lines[0].from_bus = value
+
+
+def tie_end(net, value, k):
+    tie = next(sw for sw in net.switches if not isinstance(sw.other, ElementRef))
+    if k is not None:
+        swap_ids(net, tie.other, k)
+    tie.other = value
+
+
+def element_index(net, value, k):
+    # (the switch moves to a terminal of the line, where that line exists)
+    cut = next(sw for sw in net.switches if isinstance(sw.other, ElementRef))
+    cut.other = ElementRef("line", value)
+    if k is not None and 0 <= k < len(net.lines):
+        cut.bus = net.lines[k].from_bus
+
+
+@pytest.mark.parametrize("value,k,taken", INT_FIELD_VALUES, ids=[repr(v) for v, _, _ in INT_FIELD_VALUES])
+@pytest.mark.parametrize("put", [bus_id, from_bus, tie_end, element_index])
+def test_another_type_or_range_in_an_int_field_is_routed_like_before(put, value, k, taken):
+    # a network with both kinds of switch
+    net = random_network(5)
+    put(net, value, k)
+    violations = validate(net)
+    assert violations == check_each(net)
+    assert _Tables(net).ok is (taken and not violations)
+    if violations:
+        return
+    # a valid value studies like its int
+    plain = copy.deepcopy(net)
+    put(plain, k, None)
+    for case in ("max", "min"):
+        a = calc_sc(net, FaultStudyOptions(case=case))
+        b = calc_sc(plain, FaultStudyOptions(case=case))
+        for column in ("bus_ids", "ikss_source_ka", "ikss_converter_ka", "ikss_ka", "energized"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+        assert a.bus_names == b.bus_names
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize("name", [Name("sub"), None, b"x"], ids=["str_subclass", "None", "bytes"])
+def test_names_of_another_type_are_judged_like_before(name):
+    net = random_network(5)
+    net.buses[3].name = name
+    violations = validate(net)
+    assert violations == check_each(net)
+    if not isinstance(name, str):
+        assert not _Tables(net).ok
+        assert [(v.element, v.rule) for v in violations] == [("buses[3]", "name must be a string")]
+        return
+    # a str subclass joins the names, as validate takes it, and is reported
+    # as it was given
+    assert _Tables(net).ok and not violations
+    result = calc_sc(net)
+    assert any(type(n) is Name and n == "sub" for n in result.bus_names)
+    plain = copy.deepcopy(net)
+    plain.buses[3].name = "sub"
+    assert calc_sc(plain).ikss_ka.tobytes() == result.ikss_ka.tobytes()
