@@ -361,9 +361,9 @@ def _branches(fusion: SwitchFusion, options: FaultStudyOptions, tables: _Tables)
     p = terminals["converter"][0]
     i_kc = np.zeros(dim, dtype=complex)
     if options.consider_converters:
-        vn_c = math.sqrt(3.0) * tables.vn[p]
-        i_pu = np.where(live["converter"], -tables.conv_k * (tables.conv_sn / vn_c) / (s_base / vn_c), 0.0)
-        i_kc.imag = np.bincount(bus_index[p] + 1, i_pu, dim + 1)[1:]
+        vn_c, f = math.sqrt(3.0) * tables.vn[p], tables.floats
+        i_pu = -f[tables.at["conv_k"]] * (f[tables.at["conv_sn"]] / vn_c) / (s_base / vn_c)
+        i_kc.imag = np.bincount(bus_index[p] + 1, np.where(live["converter"], i_pu, 0.0), dim + 1)[1:]
     n_aux = dim - int(live_nodes.searchsorted(n_fused))
 
     # a transformer branch stamps y / tap**2 and -y / tap, each as y times
@@ -399,9 +399,9 @@ def _grid_impedances(tables: _Tables, on: np.ndarray, bus: np.ndarray, options: 
     case = options.case
     vn = tables.vn[bus]
     vn2 = np.float_power(vn, 2.0)
-    in_min = int(case == "min")
-    rx = tables.rx_eg[in_min]
-    x = voltage_correction_factor(vn, options.lv_tolerance_percent, case) * vn2 / tables.s_sc[in_min]
+    in_min, f, at = int(case == "min"), tables.floats, tables.at
+    rx, s_k = f[at["eg_rx"]][in_min::2], f[at[("s_sc_max", "s_sc_min")[in_min]]]
+    x = voltage_correction_factor(vn, options.lv_tolerance_percent, case) * vn2 / s_k
     x /= np.sqrt(1.0 + rx * rx)
     vn2 /= options.s_base_mva
     z = np.empty(len(x), complex)
@@ -427,11 +427,11 @@ def _transformer_branches(tables: _Tables, fusion: SwitchFusion, n_fused: int, o
     and, for a two-winding transformer, the voltage of its LV bus. A triple
     of a three-winding transformer side by side with itself holds each
     winding's neighbours in the order hv, mv, lv."""
-    live, terminals, node, vn = fusion.live, fusion.terminals, fusion.node, tables.vn
+    live, terminals, node, vn, f, at = fusion.live, fusion.terminals, fusion.node, tables.vn, tables.floats, tables.at
     ends = terminals["trafo2w"]
     wound = terminals["trafo3w"].T
     n2, n3 = ends.shape[1], len(wound)
-    sn, vn_r, vb = tables.sn_t, tables.vn_t, vn[ends]
+    sn, vb, vn_2 = f[at["t2_sn:t3_sn"]], vn[ends], f[at["t2_vn"]]
     vb_lv = vb[1]
     # (a grid without three-winding transformers skips their work, which
     # would cost it a dozen numpy calls on empty arrays)
@@ -440,14 +440,14 @@ def _transformer_branches(tables: _Tables, fusion: SwitchFusion, n_fused: int, o
         sn_3w = np.concatenate((sn[n2:].reshape(-1, 3),) * 2, 1)
         sn = np.concatenate((sn[:n2], np.minimum(sn_3w[:, :3], sn_3w[:, 1:4]).ravel()))
         vb_lv = np.concatenate((vb_lv, vb_3w[:, 2].repeat(3)))
-    square = np.float_power(tables.vk_t, 2.0)
+    square = np.float_power(f[at["t2_vkr:t3_vk"]].reshape(2, -1), 2.0)  # rows vkr, vk
     x = np.sqrt(square[1] - square[0]) / 100.0
     z = np.empty(len(x), complex)
-    z.real, z.imag = tables.vk_t[0] / 100.0, x
+    z.real, z.imag = f[at["t2_vkr:t3_vkr"]] / 100.0, x
     z *= 0.95 * voltage_correction_factor(vb_lv, options.lv_tolerance_percent, "max") / (1.0 + 0.6 * x)
     z *= options.s_base_mva / sn
-    z[:n2] *= np.float_power(vn_r[1 : 2 * n2 : 2] / vb[1], 2.0)
-    tap = (vn_r[: 2 * n2 : 2] / vn_r[1 : 2 * n2 : 2]) * (vb[1] / vb[0])
+    z[:n2] *= np.float_power(vn_2[1::2] / vb[1], 2.0)
+    tap = (vn_2[::2] / vn_2[1::2]) * (vb[1] / vb[0])
     on, ends = live["trafo2w"], node[ends]
     if n3:
         # the star branches: hv, mv and lv each take the two pairs they
@@ -459,7 +459,7 @@ def _transformer_branches(tables: _Tables, fusion: SwitchFusion, n_fused: int, o
         star *= 0.5
         z[n2:] = star.ravel()
         on = np.concatenate((on, (fusion.windings.T & live["trafo3w"][:, None]).ravel()))
-        tap = np.concatenate((tap, vn_r[2 * n2 :] / vb_3w.ravel()))
+        tap = np.concatenate((tap, f[at["t3_vn"]] / vb_3w.ravel()))
         ends = np.concatenate((ends, (node[wound.ravel()], np.arange(n_fused, n_fused + n3).repeat(3))), 1)
     z = z[on]
     _check_stampable(z, on, lambda i: _transformer(i, n2))
@@ -483,11 +483,11 @@ def _line_branches(
     ``on``: r = r' * length and x = x' * length in ohms, the minimum case
     scaling r up to the conductor end temperature, then the per-unit
     conversion, in this order."""
-    ends = ends.compress(on, 1)
+    ends, f, at = ends.compress(on, 1), tables.floats, tables.at
     # a row of rx holds r and x
-    rx = (tables.rx * tables.length).T.compress(on, 0)
+    rx = (f[at["r:x"]].reshape(2, -1) * f[at["length"]]).T.compress(on, 0)
     if case == "min":
-        rx[:, 0] *= 1.0 + ALPHA_PER_K * (tables.endtemp[on] - 20.0)
+        rx[:, 0] *= 1.0 + ALPHA_PER_K * (f[at["endtemp"]][on] - 20.0)
     rx /= (tables.vn[ends[0]] ** 2 / s_base)[:, None]
     z = rx.view(complex).ravel()
     _check_stampable(z, on, "lines[{}]".format)

@@ -64,6 +64,20 @@ def _is_unicode(text: str) -> bool:
     return True
 
 
+_SURROGATE = "string holds a lone surrogate, which is not Unicode text"
+
+
+def _first_surrogate(texts: list) -> int | None:
+    """The index of the first string of ``texts`` that holds a lone
+    surrogate, or None; one encode when they are all Unicode text."""
+    try:
+        if _is_unicode("".join(texts)):
+            return None
+    except TypeError:  # (a text of another type, which is no string)
+        pass
+    return next((i for i, text in enumerate(texts) if isinstance(text, str) and not _is_unicode(text)), None)
+
+
 def _coerce(value, typ: str, path: str):
     if typ == "bool":
         if isinstance(value, bool):
@@ -84,7 +98,7 @@ def _coerce(value, typ: str, path: str):
         if isinstance(value, str):
             if _is_unicode(value):
                 return value
-            raise GridFileError(f"{path}: string holds a lone surrogate, which is not Unicode text")
+            raise GridFileError(f"{path}: {_SURROGATE}")
     raise GridFileError(f"{path}: expected {typ}, got {value!r}")
 
 
@@ -251,6 +265,8 @@ def network_from_dict(data) -> Network:
     return net
 
 
+# (section, field) of every text field
+_TEXT_FIELDS = [(section, name) for section, specs in FIELD_SPECS.items() for name, typ, _, _ in specs if typ == "str"]
 # section -> [(field, its getter)], the columns of a version 2 section
 _COLUMN_GETTERS = {
     section: [(name, attrgetter(name)) for name, _, _, _ in specs] for section, specs in FIELD_SPECS.items()
@@ -281,8 +297,9 @@ def load_network(path) -> Network:
         raise GridFileError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise GridFileError(f"{path}: not UTF-8 text ({e.reason})") from e
-    except ValueError as e:
-        # an integer literal longer than Python converts (4300 digits)
+    except (ValueError, RecursionError) as e:
+        # an integer literal longer than Python converts (4300 digits), or
+        # arrays and objects nested deeper than the parser recurses
         raise GridFileError(f"{path}: invalid JSON: {e}") from e
     except OSError as e:
         raise GridFileError(f"{path}: {e.strerror}") from e
@@ -299,10 +316,18 @@ def save_network(net: Network, path) -> None:
     """Write a grid document, one line per field column and per switch; a
     path that cannot be opened raises GridFileError, and so does a value
     that JSON cannot hold (a NaN, an infinity, but no numpy number) before
-    the file is created. Each line is one ``json`` encoder call: with
-    ``indent`` set, it would take its pure-Python encoder for all of them."""
+    the file is created, as does a string with a lone surrogate, which the
+    file would hold as an escape that ``load_network`` refuses. Each line
+    is one ``json`` encoder call: with ``indent`` set, it would take its
+    pure-Python encoder for all of them."""
+    doc = network_to_dict(net)
+    texts = {"document.name": [doc["name"]]}
+    texts.update((f"{section}[{{}}].{name}", doc[section][name]) for section, name in _TEXT_FIELDS)
+    for where, column in texts.items():
+        if (i := _first_surrogate(column)) is not None:
+            raise GridFileError(f"{path}: {where.format(i)}: {_SURROGATE}")
     items = []
-    for key, value in network_to_dict(net).items():
+    for key, value in doc.items():
         if isinstance(value, dict):
             lines = [f"    {json.dumps(name)}: {_encode(col, f'{key}.{name}', path)}" for name, col in value.items()]
             text = "{\n" + ",\n".join(lines) + "\n  }"
@@ -392,10 +417,15 @@ def _csv_name(name: str) -> str:
 
 
 def write_result_csv(result: ShortCircuitResult, file_or_path) -> None:
-    """Human-readable CSV: '#' metadata lines, header row, 6-decimal floats."""
+    """Human-readable CSV: '#' metadata lines, header row, 6-decimal floats.
+    A name with a lone surrogate, which UTF-8 text cannot hold, raises
+    GridFileError before anything is written."""
+    names = "".join(result.bus_names)
+    if not _is_unicode(names):
+        where = "" if hasattr(file_or_path, "write") else f"{file_or_path}: "
+        raise GridFileError(f"{where}name of bus {result.bus_ids[_first_surrogate(result.bus_names)]}: {_SURROGATE}")
     meta = "".join(f"# {key}={json.dumps(value)}\n" for key, value in _result_meta(result).items())
     columns = _result_columns(result)
-    names = "".join(result.bus_names)
     if any(c in names for c in _CSV_QUOTED):
         columns[1] = list(map(_csv_name, columns[1]))
     _write_text(file_or_path, meta + _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, zip(*columns))))

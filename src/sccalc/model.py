@@ -256,8 +256,75 @@ def _flag_column(values: list) -> np.ndarray:
     raise TypeError("a flag holds another type than bool")
 
 
+# The layout of the read, the one place that says where each field sits:
+# per list of ``_lists``, its blocks in order as (name, section, fields).
+# A block holds the fields of each element of its section, an element's
+# fields side by side, so its length is the section's count in ``sizes``
+# times the number of fields. Ties and cuts are the bus-bus and the
+# bus-element switches. Each element's flag lines up with its first bus.
+_SIZES = ("buses", "external_grids", "converter_sources", "lines", "transformers2w", "transformers3w", "ties", "cuts")
+_LAYOUT = {
+    "ints": (
+        ("bus_id", "buses", "id"),
+        # the bus references (``refs``), ending in blocks A and B: both ends of each two-ended element
+        ("eg_bus", "external_grids", "bus"), ("conv_bus", "converter_sources", "bus"), ("cut_bus", "cuts", "bus"),
+        ("windings", "transformers3w", "hv_bus mv_bus lv_bus"), ("t2_hv", "transformers2w", "hv_bus"),
+        ("line_from", "lines", "from_bus"), ("tie_bus", "ties", "bus"), ("t2_lv", "transformers2w", "lv_bus"),
+        ("line_to", "lines", "to_bus"), ("tie_other", "ties", "other"), ("cut_index", "cuts", "other"),
+    ),
+    "floats": (
+        # grouped by rule: the fields > 0, the rated voltages last
+        ("vn", "buses", "vn_kv"), ("length", "lines", "length_km"), ("conv_sn", "converter_sources", "sn_mva"),
+        ("s_sc_min", "external_grids", "s_sc_min_mva"), ("t2_sn", "transformers2w", "sn_mva"),
+        ("t3_sn", "transformers3w", "sn_hv_mva sn_mv_mva sn_lv_mva"), ("t2_vn", "transformers2w", "vn_hv_kv vn_lv_kv"),
+        ("t3_vn", "transformers3w", "vn_hv_kv vn_mv_kv vn_lv_kv"),
+        # the fields >= 0, the vkr fields last, then the vk fields in their order
+        ("r", "lines", "r_ohm_per_km"), ("x", "lines", "x_ohm_per_km"), ("conv_k", "converter_sources", "k"),
+        ("eg_rx", "external_grids", "rx_max rx_min"), ("t2_vkr", "transformers2w", "vkr_percent"),
+        ("t3_vkr", "transformers3w", "vkr_hm_percent vkr_ml_percent vkr_hl_percent"),
+        ("t2_vk", "transformers2w", "vk_percent"),
+        ("t3_vk", "transformers3w", "vk_hm_percent vk_ml_percent vk_hl_percent"),
+        ("s_sc_max", "external_grids", "s_sc_max_mva"), ("endtemp", "lines", "endtemp_degc"),
+    ),
+    "flags": (
+        ("bus_on", "buses", "in_service"), ("eg_on", "external_grids", "in_service"),
+        ("conv_on", "converter_sources", "in_service"), ("t3_on", "transformers3w", "in_service"),
+        ("t2_on", "transformers2w", "in_service"), ("line_on", "lines", "in_service"),
+        ("tie_closed", "ties", "closed"), ("cut_closed", "cuts", "closed"),
+    ),
+}
+# spans of the int list: the bus references, and blocks A over B
+_REFS, _ENDS = "eg_bus:tie_other", "t2_hv:tie_other"
+# per kind of element a switch cuts: its terminal blocks, and their width
+_CUT = {"trafo3w": (("windings",), 3), "line": (("line_from", "line_to"), 1), "trafo2w": (("t2_hv", "t2_lv"), 1)}
+
+
+class _Layout(dict):
+    """The slice of each block of ``_LAYOUT`` in its list, for one
+    ``sizes``. A key "first:last" gives the span of the blocks first to
+    last, and a key (span, block or span) the slice of the second in a
+    view of the span, each computed at its first lookup."""
+
+    def __init__(self, sizes: tuple):
+        count = dict(zip(_SIZES, sizes))
+        for blocks in _LAYOUT.values():
+            stop = 0
+            for name, section, fields in blocks:
+                self[name] = slice(stop, stop := stop + count[section] * len(fields.split()))
+
+    def __missing__(self, key):
+        if type(key) is str:
+            first, last = map(self.__getitem__, key.split(":"))
+            return self.setdefault(key, slice(first.start, last.stop))
+        outer, inner = self[key[0]], self[key[1]]
+        return self.setdefault(key, slice(inner.start - outer.start, inner.stop - outer.start))
+
+
+_layout = functools.lru_cache(maxsize=1024)(_Layout)
+
+
 def _lists(net) -> tuple:
-    """The element tables of ``net`` in the layout of ``_Tables``: the
+    """The element tables of ``net`` in the layout ``_LAYOUT`` states: the
     sizes, one list each of the ints, floats and flags, the bus names and
     the kinds of the elements that switches cut."""
     buses, egs, convs, lines = net.buses, net.external_grids, net.converter_sources, net.lines
@@ -299,22 +366,8 @@ def _lists(net) -> tuple:
 
 class _Tables:
     """The element tables of a network, read once: one list per value type,
-    then one numpy column per list.
-
-    The int column holds the bus ids, then the bus references (``refs``),
-    then the element index of each bus-element switch. The references are
-    the bus of every external grid, converter and bus-element switch, the
-    three windings of one three-winding transformer after another, and two
-    aligned blocks A and B: the HV side of every two-winding transformer,
-    the from bus of every line and the bus of every bus-bus switch in A,
-    their other ends in B. The float column is grouped by rule: the fields
-    that must be > 0 (the rated voltages of the transformers last), those
-    that must be >= 0 (ending with the vkr fields), the vk fields in the
-    order of the vkr fields, s_sc_max, and the line end temperatures.
-    The flags are ``in_service`` of the buses, external grids, converters,
-    three- and two-winding transformers and lines, then ``closed`` of the
-    bus-bus and the bus-element switches: each element's flag lines up with
-    its first reference.
+    then one numpy column per list, in the layout of ``_LAYOUT``; ``at``
+    gives each block's slice and ``refs`` the bus references.
 
     ``ok`` is False when the read refused a value: one of another type than
     its field's, an integer beyond 64 bits, an element of an unknown kind
@@ -351,106 +404,63 @@ class _Tables:
         self.ok = True
 
     def _columns(self, column: np.ndarray, f: np.ndarray, flags: np.ndarray) -> None:
-        nb, ne, nc, nl, n2, n3, nt, nk = self.sizes
-        m = n2 + nl + nt
-        t3_at = ne + nc + nk
-        a_at = t3_at + 3 * n3
-        b_at = a_at + m
-        # per bus-element switch: the slots in refs of its element's
-        # terminals at its bus, which are None when the element does not
-        # exist (or its kind) and empty when the bus is none of them
-        self.cuts = []
-        indices, buses = column[nb + b_at + m :].tolist(), column[nb + ne + nc : nb + t3_at].tolist()
-        for kind, i, bus in zip(self.kinds, indices, buses):
-            if kind == "trafo3w":
-                count, slots = n3, (t3_at + 3 * i, t3_at + 3 * i + 1, t3_at + 3 * i + 2)
-            elif kind == "line":
-                count, slots = nl, (a_at + n2 + i, b_at + n2 + i)
-            elif kind == "trafo2w":
-                count, slots = n2, (a_at + i, b_at + i)
-            else:
-                count, slots = 0, ()
-            at = [s for s in slots if column.item(nb + s) == bus] if 0 <= i < count else None
-            self.cuts.append(at)
-            if not at:
-                self.ok = False
+        at = self.at = _layout(self.sizes)
+        refs = self.refs = column[at[_REFS]]
+        # per bus-element switch, the slots in refs of its element's terminals
+        # at its bus: None for no such element, empty when none is at the bus
+        self.cuts, slots = [], range(len(refs))
+        for kind, i, bus in zip(self.kinds, column[at["cut_index"]].tolist(), column[at["cut_bus"]].tolist()):
+            blocks, width = _CUT.get(kind, ((), 1)) if isinstance(kind, str) else ((), 1)
+            terminals = [s for block in blocks for s in slots[at[_REFS, block]][width * i : width * i + width]]
+            self.cuts.append([s for s in terminals if refs.item(s) == bus] if terminals and i >= 0 else None)
+        if not all(self.cuts):
+            self.ok = False
         self.floats, self.flags = f, flags
-        self.bus_id, self.in_service = column[:nb], flags[:nb]
-        self.refs = column[nb : nb + b_at + m]
+        self.bus_id, self.in_service, self.vn = column[at["bus_id"]], flags[at["bus_on"]], f[at["vn"]]
         # bus ids sorted once, equal ids in list order: a reference's rank
         # among them gives its bus, the first of that id
         self.order = self.bus_id.argsort(kind="stable")
         self.sorted_ids = self.bus_id[self.order]
-        self.rank = self.sorted_ids.searchsorted(self.refs)
+        self.rank = self.sorted_ids.searchsorted(refs)
         self.pos = self.order.take(self.rank, mode="clip")
-        # offsets in the float column: the transformers' rated voltages
-        # start at r, the fields >= 0 at p, the vk fields at q and s_sc_max
-        # at s. The rated powers, vkr and vk each hold v entries: the
-        # two-winding block, then the three-winding one.
-        v = n2 + 3 * n3
-        r = nb + nl + nc + ne + v
-        p = r + 2 * n2 + 3 * n3
-        q = p + 2 * nl + nc + 2 * ne + v
-        s = q + v
-        self.offsets = r, p, q, s
-        self.vn, self.length, self.conv_sn = f[:nb], f[nb : nb + nl], f[nb + nl : nb + nl + nc]
-        self.rx, self.conv_k = f[p : p + 2 * nl].reshape(2, nl), f[p + 2 * nl : p + 2 * nl + nc]
-        self.endtemp = f[len(f) - nl :]
-        # per external grid: s_sc_max and s_sc_min, and rx_max and rx_min
-        self.s_sc = f[s : s + ne], f[r - v - ne : r - v]
-        self.rx_eg = f[q - v - 2 * ne : q - v].reshape(ne, 2).T
-        # per transformer, then per winding (hv, mv, lv) of each
-        # three-winding one: the rated powers and voltages; per winding
-        # pair, a row of vkr over a row of vk
-        self.sn_t, self.vn_t, self.vk_t = f[r - v : r], f[r:p], f[q - v : s].reshape(2, v)
 
     def elements(self) -> tuple[dict, dict, np.ndarray, np.ndarray]:
-        """Per element kind, the positions in ``net.buses`` of the terminal
-        buses, one row per terminal field in the order of the element's
-        fields, and whether each element is live: in service, with its
-        buses in service and not cut off by an open bus-element switch (a
-        three-winding transformer on two of its windings). Then whether
-        each winding of the three-winding transformers, in the layout of
-        their terminals, has its bus in service and no open switch cutting
-        it, and the ranks among the sorted bus ids of both ends of every
-        closed bus-bus switch between buses in service, as the two rows of
-        one array."""
-        nb, ne, nc, nl, n2, n3, nt, nk = self.sizes
-        one, m = ne + nc, n2 + nl + nt
-        a_at = one + nk + 3 * n3
-        flags, pos = self.flags, self.pos
+        """Per element kind, the positions in ``net.buses`` of its terminal
+        buses, one row per terminal field, and whether each element is live:
+        in service, its buses in service and not cut off by an open switch
+        (a three-winding transformer on two of its windings); per winding of
+        the three-winding transformers, whether its bus is in service and no
+        open switch cuts it; the ranks among the sorted bus ids of both ends
+        of each closed bus-bus switch between buses in service."""
+        at, flags, pos = self.at, self.flags, self.pos
         # per reference: its bus is in service and no open switch cuts it
         up = self.in_service[pos]
-        if nk:
-            closed = flags[len(flags) - nk :].tolist()
-            cut = [s for at, on in zip(self.cuts, closed) if not on for s in at]
+        if self.cuts:
+            cut = [s for slots, on in zip(self.cuts, flags[at["cut_closed"]].tolist()) if not on for s in slots]
             if cut:
                 up[cut] = False
-        # each element's flag lines up with its first reference
-        ends, two = pos[a_at:].reshape(2, m), up[a_at:].reshape(2, m)
-        live_one = flags[nb : nb + one] & up[:one]
-        live_two = flags[nb + one + n3 : nb + one + n3 + m] & two[0] & two[1]
+        # flags line up with first references: a block's slice in refs, or in
+        # A..B (its column in A over B), is also its flags' slice in their span
+        a_b, eg, conv, wound = at[_REFS, _ENDS], at[_REFS, "eg_bus"], at[_REFS, "conv_bus"], at[_REFS, "windings"]
+        line, t2, tie = at[_ENDS, "line_from"], at[_ENDS, "t2_hv"], at[_ENDS, "tie_bus"]
+        ends, two = pos[a_b].reshape(2, -1), up[a_b].reshape(2, -1)
+        live_one = flags[at["eg_on:conv_on"]] & up[at[_REFS, "eg_bus:conv_bus"]]
+        live_two = flags[at["t2_on:tie_closed"]] & two[0] & two[1]
         # (a copy, so that it keeps no view of every reference's flag)
-        windings = up[one + nk : a_at].reshape(n3, 3).copy()
-        live_3w = flags[nb + one : nb + one + n3]
-        if n3:
+        windings = up[wound].reshape(-1, 3).copy()
+        live_3w = flags[at["t3_on"]]
+        if len(windings):
             # a three-winding transformer stays live on two of its windings
             live_3w = live_3w & (windings.sum(1) >= 2)
         terminals = {
-            "external_grid": pos[None, :ne],
-            "converter": pos[None, ne:one],
-            "line": ends[:, n2 : n2 + nl],
-            "trafo2w": ends[:, :n2],
-            "trafo3w": pos[one + nk : a_at].reshape(n3, 3).T,
+            "external_grid": pos[None, eg], "converter": pos[None, conv], "line": ends[:, line],
+            "trafo2w": ends[:, t2], "trafo3w": pos[wound].reshape(-1, 3).T,
         }
         live = {
-            "external_grid": live_one[:ne],
-            "converter": live_one[ne:],
-            "line": live_two[n2 : n2 + nl],
-            "trafo2w": live_two[:n2],
-            "trafo3w": live_3w,
+            "external_grid": live_one[eg], "converter": live_one[conv], "line": live_two[line],
+            "trafo2w": live_two[t2], "trafo3w": live_3w,
         }
-        ties = self.rank[a_at:].reshape(2, m)[:, n2 + nl :].compress(live_two[n2 + nl :], 1)
+        ties = self.rank[a_b].reshape(2, -1)[:, tie].compress(live_two[tie], 1)
         return terminals, live, windings.T, ties
 
 
@@ -462,49 +472,43 @@ _LEVELS = ("from_bus and to_bus must have equal vn_kv", "bus-bus switches must c
 def _broken(t: _Tables) -> tuple:
     """Every rule of the columns in its violated form, one numpy mask per
     kind of rule over every section at once, whatever the size of the
-    network; and a function that lists what names their entries, in the
-    order an element's violations are listed (valid networks, the common
-    case, never call it): (rule, mask, start, stop, at). Entry k of
-    ``mask[start:stop]`` is named by the label at ``at + k``, or at
-    ``at[k]`` when ``at`` is an array, among the labels of the read, the
-    int list's then the float list's."""
-    nb, ne, nc, nl, n2, n3, nt, nk = t.sizes
-    f, ids = t.floats, t.sorted_ids
-    m, v = n2 + nl + nt, n2 + 3 * n3
-    r, p, q, s = t.offsets
-    a_at = ne + nc + nk + 3 * n3
+    network; and ``naming``, which valid networks never call: on the
+    (label, value) pairs of the int and float lists, (rule, mask, pairs)
+    in the order an element's violations are listed, entry k of ``mask``
+    named by ``pairs[k]``."""
+    f, ids, at = t.floats, t.sorted_ids, t.at
+    # the fields > 0 and >= 0, the vkr fields and the ends that join levels
+    above, below, vkr_at, joins_at = "vn:t3_vn", "r:t3_vkr", "t2_vkr:t3_vkr", "line_from:tie_bus"
     unknown = ids.take(t.rank, mode="clip") != t.refs
     unique = ids[1:] == ids[:-1]
-    positive = ~(f[:p] > 0.0)
-    s_sc = t.s_sc[0] < t.s_sc[1]
-    # the fields >= 0 end with the vkr fields, whose rule is 0 <= vkr < vk
-    negative = f[p:q] < 0.0
-    vkr = np.logical_or(negative[q - v - p :], ~(t.vk_t[0] < t.vk_t[1]))
-    vk = t.vk_t[1, :n2] > 100.0
-    r_x = t.rx == 0.0
+    positive = ~(f[at[above]] > 0.0)
+    s_sc = f[at["s_sc_max"]] < f[at["s_sc_min"]]
+    negative = f[at[below]] < 0.0
+    vkr = np.logical_or(negative[at[below, vkr_at]], ~(f[at[vkr_at]] < f[at["t2_vk:t3_vk"]]))
+    vk = f[at["t2_vk"]] > 100.0
+    r_x = f[at["r:x"]].reshape(2, -1) == 0.0
     zero = np.logical_and(r_x[0], r_x[1])
-    endtemp = f[s + ne :] < 20.0
+    endtemp = f[at["endtemp"]] < 20.0
     # the ends of the lines and bus-bus switches, which join equal levels
-    joins = t.vn[t.pos[a_at:].reshape(2, m)[:, n2:]]
+    joins = t.vn[t.pos[at[_REFS, _ENDS]].reshape(2, -1)[:, at[_ENDS, joins_at]]]
     levels = joins[0] != joins[1]
 
-    def naming() -> tuple:
-        fl, b = nb + len(t.refs) + nk, nb + a_at + m + n2
+    def naming(ints: list, floats: list) -> tuple:
         return (
-            (_UNKNOWN, unknown, 0, None, nb),
-            ("id {value} is not unique", unique, 0, None, t.order[1:]),
-            ("{field} > 0", positive, 0, r, fl),
-            ("s_sc_max_mva >= s_sc_min_mva", s_sc, 0, None, fl + s),
-            ("0 <= {field} < {vk} <= 100", vkr, 0, n2, fl + q - v),
-            ("0 <= {field} < {vk} <= 100", vk, 0, None, fl + q - v),
-            ("0 <= {field} < {vk}", vkr, n2, None, fl + q - v + n2),
+            (_UNKNOWN, unknown, ints[at[_REFS]]),
+            ("id {value} is not unique", unique, [ints[j] for j in t.order[1:].tolist()]),
+            ("{field} > 0", positive[at[above, "vn:t3_sn"]], floats[at["vn:t3_sn"]]),
+            ("s_sc_max_mva >= s_sc_min_mva", s_sc, floats[at["s_sc_max"]]),
+            ("0 <= {field} < {vk} <= 100", vkr[at[vkr_at, "t2_vkr"]], floats[at["t2_vkr"]]),
+            ("0 <= {field} < {vk} <= 100", vk, floats[at["t2_vkr"]]),
+            ("0 <= {field} < {vk}", vkr[at[vkr_at, "t3_vkr"]], floats[at["t3_vkr"]]),
             # the rated voltages of the transformers
-            ("{field} > 0", positive, r, None, fl + r),
-            ("{field} >= 0", negative, 0, q - v - p, fl + p),
-            ("r_ohm_per_km and x_ohm_per_km must not both be zero", zero, 0, None, fl + p),
-            ("endtemp_degc >= 20", endtemp, 0, None, fl + s + ne),
-            (_LEVELS[0], levels, 0, nl, b),
-            (_LEVELS[1], levels, nl, None, b + nl),
+            ("{field} > 0", positive[at[above, "t2_vn:t3_vn"]], floats[at["t2_vn:t3_vn"]]),
+            ("{field} >= 0", negative[at[below, "r:eg_rx"]], floats[at["r:eg_rx"]]),
+            ("r_ohm_per_km and x_ohm_per_km must not both be zero", zero, floats[at["r"]]),
+            ("endtemp_degc >= 20", endtemp, floats[at["endtemp"]]),
+            (_LEVELS[0], levels[at[joins_at, "line_from"]], ints[at["line_to"]]),
+            (_LEVELS[1], levels[at[joins_at, "tie_bus"]], ints[at["tie_other"]]),
         )
 
     return (unknown, unique, positive, s_sc, negative, vkr, vk, zero, endtemp, levels), naming
@@ -537,18 +541,17 @@ def validate(net: Network, tables: _Tables | None = None) -> list[Violation]:
     return _named(net)
 
 
-def _labels(net: Network) -> Network:
-    """A stand-in of ``net`` whose every field holds its own label,
-    (section, index, field); its read lays the labels out as the values."""
-    stand = Network()
-    for section, cls in (*SECTIONS.items(), ("switches", Switch)):
-        fields = [f.name for f in dataclasses.fields(cls)]
-        stand_ins = [cls(*[(section, i, name) for name in fields]) for i in range(len(getattr(net, section)))]
-        setattr(stand, section, stand_ins)
-    for sw, real in zip(stand.switches, net.switches):
-        if isinstance(real.other, ElementRef):
-            sw.other = ElementRef(sw.other, sw.other)
-    return stand
+def _labels(net: Network, sizes: tuple) -> dict:
+    """Per list of the read of ``net``, the label (section, index, field)
+    of each entry, as ``_LAYOUT`` lays them out; a switch's index is its
+    place in ``net.switches``."""
+    index = {section: [(section, i) for i in range(n)] for section, n in zip(_SIZES, sizes)}
+    cut = [isinstance(sw.other, ElementRef) for sw in net.switches]
+    index["ties"], index["cuts"] = ([("switches", i) for i, c in enumerate(cut) if c is kind] for kind in (False, True))
+    return {
+        name: [(*pair, field) for _, section, fields in blocks for pair in index[section] for field in fields.split()]
+        for name, blocks in _LAYOUT.items()
+    }
 
 
 def _find(lookup, value, default: int) -> int:
@@ -577,10 +580,9 @@ def _named(net: Network) -> list[Violation]:
     # nothing refers to, and its violations are dropped
     view = net if net.buses else dataclasses.replace(net, buses=[Bus(object(), 1.0)])
     sizes, ints, floats, flags, names, kinds = _lists(view)
-    _, int_labels, float_labels, flag_labels, name_labels, _ = _lists(_labels(view))
-    nb, ne, nc, nl, n2, n3, nt, nk = sizes
+    at, labels = _layout(sizes), _labels(view, sizes)
     typed = []
-    for label, value in zip(float_labels, floats):
+    for label, value in zip(labels["floats"], floats):
         try:
             if not math.isfinite(value):
                 typed.append((label, f"{label[2]} must be finite"))
@@ -589,57 +591,53 @@ def _named(net: Network) -> list[Violation]:
         except TypeError:
             typed.append((label, f"{label[2]} must be a number"))
     typed += [
-        (label, f"{label[2]} must be a bool") for label, value in zip(flag_labels, flags) if type(value) is not bool
+        (label, f"{label[2]} must be a bool") for label, value in zip(labels["flags"], flags) if type(value) is not bool
     ]
     if any(rule.endswith("number") for _, rule in typed):
         # the value rules compare these fields and cannot judge a non-number
         return _listed(net, typed)
 
-    end = len(ints) - nk
+    ids, buses, index, pairs = at["bus_id"], at["cut_bus"], at["cut_index"], list(zip(labels["ints"], ints))
     second = [
         (label, "id must be an integer" if not _is_index(value) else f"id {value} is outside the 64-bit range")
-        for label, value in zip(int_labels, ints[:nb]) if not _int64(value)
+        for label, value in pairs[ids] if not _int64(value)
     ]
     # an end of a bus-bus switch of another type refers to no bus
-    others = {label for label, value in zip(int_labels[end - nt : end], ints[end - nt : end]) if not _is_index(value)}
+    others = {label for label, value in pairs[at["tie_other"]] if not _is_index(value)}
     first = {}
-    codes = [_find(first.setdefault, value, k) for k, value in enumerate(ints[:nb])]
-    codes += [
-        -1 if label in others else _find(first.get, value, -1) for label, value in zip(int_labels[nb:end], ints[nb:end])
-    ]
+    codes = [_find(first.setdefault, value, k) for k, value in enumerate(ints[ids])]
+    codes += [-1 if label in others else _find(first.get, value, -1) for label, value in pairs[at[_REFS]]]
     # (an element index beyond 64 bits does not exist either)
-    codes += [value if _int64(value) else -1 for value in ints[end:]]
+    codes += [value if _int64(value) else -1 for value in ints[index]]
     t = _Tables.__new__(_Tables)
     t.sizes, t.names, t.kinds = sizes, names, kinds
     codes = np.fromiter(codes, np.int64, len(codes))
     t._columns(codes, np.fromiter(floats, object, len(floats)), np.ones(len(flags), bool))
-    labels, values = int_labels + float_labels, ints + floats
     found = []
     with np.errstate(invalid="ignore"):  # (NaN compares as in Python)
         _, naming = _broken(t)
     unknown = set()
-    for rule, mask, start, stop, at in naming():
-        for k in np.flatnonzero(mask[start:stop]).tolist():
-            j = at[k] if isinstance(at, np.ndarray) else at + k
-            label, name = labels[j], labels[j][2]
+    for rule, mask, named in naming(pairs, list(zip(labels["floats"], floats))):
+        for k in np.flatnonzero(mask).tolist():
+            label, value = named[k]
+            name = label[2]
             if label in others or rule in _LEVELS and label[:2] in unknown:
                 continue
             if rule is _UNKNOWN:
                 unknown.add(label[:2])
-            found.append((label, rule.format(field=name, value=values[j], vk=name.replace("vkr", "vk"))))
-    found += [(label, "name must be a string") for label, name in zip(name_labels, names) if not isinstance(name, str)]
+            found.append((label, rule.format(field=name, value=value, vk=name.replace("vkr", "vk"))))
+    found += [(("buses", i, "name"), "name must be a string") for i, x in enumerate(names) if not isinstance(x, str)]
     found += [(label, "other must be an int bus id or an ElementRef") for label in others]
-    for j, at in enumerate(t.cuts):
-        kind, bus, index = kinds[j], nb + ne + nc + j, end + j
-        element = f"{kind}[{ints[index]}]"
+    for kind, cut, (bus_label, bus), code, (label, i) in zip(kinds, t.cuts, pairs[buses], codes[buses], pairs[index]):
+        element = f"{kind}[{i}]"
         if kind not in SWITCHABLE_ELEMENT_KINDS:
-            found.append((int_labels[index], f"element kind must be one of {SWITCHABLE_ELEMENT_KINDS}"))
-        elif not _is_index(ints[index]):
-            found.append((int_labels[index], "element index must be an integer"))
-        elif at is None:
-            found.append((int_labels[index], f"{element} does not exist"))
-        elif not at and codes[bus] >= 0:
-            found.append((int_labels[bus], f"bus {ints[bus]} is not a terminal of {element}"))
+            found.append((label, f"element kind must be one of {SWITCHABLE_ELEMENT_KINDS}"))
+        elif not _is_index(i):
+            found.append((label, "element index must be an integer"))
+        elif cut is None:
+            found.append((label, f"{element} does not exist"))
+        elif not cut and code >= 0:
+            found.append((bus_label, f"bus {bus} is not a terminal of {element}"))
     if not net.external_grids:
         rule = "at least one ExternalGrid is required for a solvable study"
         found.append((("network", None, "external_grids"), rule))

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from sccalc import (
     network_to_dict,
     save_network,
     three_bus_example,
+    validate,
     wind_park_example,
     write_result_csv,
     write_result_json,
@@ -180,6 +182,36 @@ def test_lone_surrogate_is_rejected_with_its_path(tmp_path, change, path):
     doc = {**json.loads(json.dumps(MINIMAL_DOC)), **change}
     with pytest.raises(GridFileError, match=path + ": string holds a lone surrogate"):
         load_network(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("where", ["document.name", "buses[1].name"])
+def test_save_refuses_a_lone_surrogate_before_it_creates_the_file(tmp_path, where):
+    net = load_network(write_doc(tmp_path, MINIMAL_DOC))
+    if where == "document.name":
+        net.name = "grid \ud800"
+    else:
+        net.buses[1].name = "a\ud800b"
+    assert validate(net) == []
+    path = tmp_path / "saved.json"
+    with pytest.raises(GridFileError, match=re.escape(f"saved.json: {where}: string holds a lone surrogate")):
+        save_network(net, path)
+    assert not path.exists()
+
+
+def test_csv_refuses_a_lone_surrogate_before_it_creates_the_file(tmp_path):
+    net = load_network(write_doc(tmp_path, MINIMAL_DOC))
+    net.buses[1].name = "\udc00"
+    result = calc_sc(net)
+    path = tmp_path / "result.csv"
+    with pytest.raises(GridFileError, match=r"result\.csv: name of bus 2: string holds a lone surrogate"):
+        write_result_csv(result, path)
+    assert not path.exists()
+    with pytest.raises(GridFileError, match=r"^name of bus 2: string holds a lone surrogate"):
+        write_result_csv(result, io.StringIO())
+    # JSON escapes it, and reads it back
+    out = io.StringIO()
+    write_result_json(result, out)
+    assert json.loads(out.getvalue())["rows"][1]["name"] == "\udc00"
 
 
 def test_lone_surrogate_is_rejected_by_the_per_entry_checker():

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from sccalc import GridFileError, network_from_dict
+from sccalc.cli import main
 from sccalc.gridfile import _parse_entry
 from sccalc.model import SECTIONS
 
@@ -241,3 +242,14 @@ def test_sections_parse_like_the_per_entry_checker(seed):
         return [getattr(net, section) for section in SECTIONS]
 
     assert _outcome(parsed, doc) == _outcome(_entry_by_entry, doc)
+
+
+@pytest.mark.parametrize("command", ["calc", "validate"])
+def test_deeply_nested_json_is_a_grid_file_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: invalid JSON: ")
+    assert "Traceback" not in captured.err and "RecursionError" not in captured.err
+    assert captured.out == ""

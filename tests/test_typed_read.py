@@ -1,6 +1,7 @@
 """Tests for the typed read of the element tables from marshal records and
 for the gather of the reported bus names."""
 import copy
+import dataclasses
 import decimal
 import enum
 import marshal
@@ -12,7 +13,26 @@ import pytest
 
 from sccalc import FaultStudyOptions, calc_sc, generate_radial_grid, validate
 from sccalc import model
-from sccalc.model import FIELD_SPECS, ElementRef, _flag_column, _float_column, _int_column, _Tables
+from sccalc.model import (
+    FIELD_SPECS,
+    SECTIONS,
+    Bus,
+    ConverterSource,
+    ElementRef,
+    ExternalGrid,
+    Line,
+    Network,
+    Switch,
+    Transformer2W,
+    Transformer3W,
+    _flag_column,
+    _float_column,
+    _int_column,
+    _layout,
+    _LAYOUT,
+    _lists,
+    _Tables,
+)
 
 from netgen import batch_grids, load_perfbench, random_network
 from rules import check_each
@@ -306,3 +326,73 @@ def test_names_of_another_type_are_judged_like_before(name):
     plain = copy.deepcopy(net)
     plain.buses[3].name = "sub"
     assert calc_sc(plain).ikss_ka.tobytes() == result.ikss_ka.tobytes()
+
+
+def every_section_network() -> Network:
+    """Two elements of every section and both kinds of switch, interleaved
+    in ``switches``; the layout does not need a valid network."""
+    return Network(
+        buses=[Bus(1, 20.0), Bus(2, 20.0), Bus(3, 0.4)],
+        external_grids=[ExternalGrid(1, 500.0), ExternalGrid(2, 400.0)],
+        lines=[Line(1, 2, 1.0, 0.1, 0.2), Line(2, 3, 2.0, 0.1, 0.2)],
+        transformers2w=[Transformer2W(2, 3, 0.63, 20.0, 0.4, 6.0), Transformer2W(1, 3, 0.4, 20.0, 0.4, 4.0)],
+        transformers3w=[Transformer3W(1, 2, 3, *[10.0] * 3, 20.0, 20.0, 0.4, *[8.0] * 3)] * 2,
+        converter_sources=[ConverterSource(2, 1.0, 1.2), ConverterSource(3, 0.5, 1.1)],
+        switches=[
+            Switch(1, 2), Switch(2, ElementRef("line", 0)), Switch(2, 3, False),
+            Switch(3, ElementRef("trafo3w", 1), False), Switch(3, ElementRef("trafo2w", 0)),
+        ],
+    )
+
+
+LAYOUT_NETWORKS = [*(random_network(seed) for seed in range(21)), every_section_network()]
+
+
+def stand_in(net: Network) -> Network:
+    """A stand-in of ``net`` whose every field holds its own label,
+    (section, index, field): its read lays the labels out as the values."""
+    stand = Network()
+    for section, cls in (*SECTIONS.items(), ("switches", Switch)):
+        fields = [f.name for f in dataclasses.fields(cls)]
+        stand_ins = [cls(*[(section, i, name) for name in fields]) for i in range(len(getattr(net, section)))]
+        setattr(stand, section, stand_ins)
+    for sw, real in zip(stand.switches, net.switches):
+        if isinstance(real.other, ElementRef):
+            sw.other = ElementRef(sw.other, sw.other)
+    return stand
+
+
+def block_labels(net: Network, section: str, fields: str) -> list:
+    """The labels a block of ``section`` with ``fields`` holds, element by
+    element; a bus-bus switch (tie) or a bus-element switch (cut) has its
+    index in ``net.switches``."""
+    if section in ("ties", "cuts"):
+        cut = section == "cuts"
+        at = [("switches", i) for i, sw in enumerate(net.switches) if isinstance(sw.other, ElementRef) is cut]
+    else:
+        at = [(section, i) for i in range(len(getattr(net, section)))]
+    return [(*element, field) for element in at for field in fields.split()]
+
+
+@pytest.mark.parametrize("net", LAYOUT_NETWORKS)
+def test_the_named_blocks_tile_each_list(net):
+    sizes, *lists, _, _ = _lists(net)
+    at = _layout(sizes)
+    for (kind, blocks), values in zip(_LAYOUT.items(), lists):
+        stop = 0
+        for name, _, _ in blocks:
+            assert at[name].start == stop, f"{kind} block {name} starts at {at[name].start}, not at {stop}"
+            stop = at[name].stop
+        assert stop == len(values), f"the {kind} blocks end with {name} at {stop}, the list at {len(values)}"
+    assert len({name for blocks in _LAYOUT.values() for name, _, _ in blocks}) == sum(map(len, _LAYOUT.values()))
+
+
+@pytest.mark.parametrize("net", LAYOUT_NETWORKS)
+def test_each_block_holds_the_labels_of_its_fields(net):
+    _, *lists, _, _ = _lists(stand_in(net))
+    at = _layout(_lists(net)[0])
+    for (kind, blocks), labels in zip(_LAYOUT.items(), lists):
+        for name, section, fields in blocks:
+            assert labels[at[name]] == block_labels(net, section, fields), f"{kind} block {name}"
+    # the violations are named by the labels the layout gives
+    assert list(model._labels(net, _lists(net)[0]).values()) == lists
