@@ -10,7 +10,7 @@ load and save grid files and write result files. The study stages are
 importable from ``sccalc.builder`` and ``sccalc.solver``.
 """
 from ._version import __version__
-from .builder import FaultStudyOptions
+from .builder import FaultStudyOptions, StudyTopology, prepare
 from .exceptions import (
     GridDataError,
     GridFileError,
@@ -62,6 +62,8 @@ __all__ = [
     "validate",
     "FaultStudyOptions",
     "ShortCircuitResult",
+    "StudyTopology",
+    "prepare",
     "calc_sc",
     "GridDataError",
     "GridFileError",

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
+import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, build_bbm, fuse_switches
+from .builder import FaultStudyOptions, build_bbm, fuse_switches, prepare, voltage_correction_factor
 from .generator import generate_radial_grid
-from .model import validate
+from .model import _Tables, validate
 from .solver import (
     DEGENERATE_Z_TOL_PU,
     ShortCircuitResult,
@@ -24,6 +25,7 @@ from .solver import (
     converter_contribution,
     factorize,
     impedance_matrix_diag,
+    total_current,
 )
 
 __all__ = ["BenchmarkCase", "BenchmarkReport", "EquivalenceGateError", "run_benchmark"]
@@ -139,16 +141,16 @@ class BenchmarkReport:
 
 
 def _check_equivalence(vectorized: ShortCircuitResult, looped: list[ShortCircuitResult], tol: float) -> float:
-    """Largest relative deviation between the two paths; raises when any
-    result column differs beyond ``tol``."""
+    """Largest relative deviation between the two paths, over every row of
+    the reference studies ``looped``; raises when any result column differs
+    beyond ``tol``."""
     worst = 0.0
     by_bus = {int(b): i for i, b in enumerate(vectorized.bus_ids)}
-    for single in looped:
-        bus = int(single.bus_ids[0])
+    for single, j, bus in ((s, j, bus) for s in looped for j, bus in enumerate(s.bus_ids.tolist())):
         i = by_bus[bus]
         for column in ("ikss_source_ka", "ikss_converter_ka", "ikss_ka"):
             a = float(getattr(vectorized, column)[i])
-            b = float(getattr(single, column)[0])
+            b = float(getattr(single, column)[j])
             if math.isnan(a) and math.isnan(b):
                 continue  # both paths flag the bus as degenerate
             rel = abs(a - b) / max(abs(a), abs(b), 1e-30)
@@ -162,31 +164,77 @@ def _check_equivalence(vectorized: ShortCircuitResult, looped: list[ShortCircuit
 
 def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, tuple[int, int, int, int]]:
     """Each stage as a call on ``net``, on the inputs the study hands it: the
-    factor, the Z_ii and the rows of the reported buses of one build of the
-    model. Then, per stage, a function that makes the arguments of one call
-    before it starts: none, but a new factor for each Z_ii, since SuperLU
-    builds L and U at the first Z_ii on a factor and keeps them, and every
-    study builds them. Then the sizes of that build: nodes, star points,
-    nnz(Y) and nnz(L) + nnz(U)."""
-    bbm = build_bbm(net, options)
+    typed read and closed ties for ``fuse_switches``, and the factor, the
+    Z_ii and the rows of the reported buses of one build of the model;
+    ``second_case`` is a study of the other fault case on a topology
+    prepared beforehand. Then, per stage, a function that makes the
+    arguments of one call before it starts: none, but a new factor for
+    each Z_ii, since SuperLU builds L and U at the first Z_ii on a factor
+    and keeps them, and every study builds them. Then the sizes of that
+    build: nodes, star points, nnz(Y) and nnz(L) + nnz(U)."""
+    topology = prepare(net)
+    bbm = build_bbm(topology, options)
     lu = factorize(bbm.y_matrix)
-    rows = bbm.bus_index[bbm.id_order]
+    rows = bbm.bus_index[topology.id_order]
     rows = rows[rows >= 0]
     z_diag = impedance_matrix_diag(lu, rows=rows)
     z_safe = np.where(np.abs(z_diag) < DEGENERATE_Z_TOL_PU, 1.0, z_diag)
+    tables = _Tables(net)
+    ties = tables.elements()[3]
+    second = FaultStudyOptions(case="min" if options.case == "max" else "max")
     calls = {
         "validate": lambda: validate(net),
-        "fuse_switches": lambda: fuse_switches(net),
+        "fuse_switches": lambda: fuse_switches(tables, ties),
         "build_bbm": lambda: build_bbm(net, options),
         "factorize": lambda: factorize(bbm.y_matrix),
         "impedance_matrix_diag": lambda fresh: impedance_matrix_diag(fresh, rows=rows),
         "converter_contribution": lambda: converter_contribution(lu, z_safe, bbm.i_kc, rows=rows),
         "calc_sc": lambda: calc_sc(net, options),
+        "second_case": lambda: calc_sc(topology, second),
     }
     arguments = dict.fromkeys(calls, tuple)
     arguments["impedance_matrix_diag"] = lambda: (factorize(bbm.y_matrix),)
     sizes = bbm.y_matrix.shape[0], bbm.n_aux, bbm.y_matrix.nnz, lu.L.nnz + lu.U.nnz
     return calls, arguments, sizes
+
+
+def _factored_reference(net, options: FaultStudyOptions, ids: list[int]) -> ShortCircuitResult:
+    """The study of the buses ``ids`` from a factor of Y of its own: another
+    ordering and partial pivoting (``splu`` with COLAMD), where the study
+    takes a symmetric ordering and diagonal pivots. Z_kk of a bus k is
+    entry k of the solve against e_k, whose residual |Y z_k - e_k| must
+    stay within ``EQUIVALENCE_TOL``, and u_k of one solve against the
+    injections gives the converter current; c and the current base are
+    applied as a study applies them."""
+    bbm = build_bbm(net, options)
+    t, y = bbm.topology, bbm.y_matrix
+    at = t.bus_ids.searchsorted(sorted(ids))
+    rows, vn = bbm.bus_index[t.id_order[at]], t.vn_kv[at]
+    energized = rows >= 0
+    lu = scipy.sparse.linalg.splu(y, permc_spec="COLAMD")
+    z = np.ones(len(at), complex)
+    for k in energized.nonzero()[0].tolist():
+        e = np.zeros(y.shape[0], complex)
+        e[rows[k]] = 1.0
+        z_k = lu.solve(e)
+        residual = float(np.abs(y @ z_k - e).max())
+        if not residual <= EQUIVALENCE_TOL:
+            raise EquivalenceGateError(f"bus {t.bus_ids[at[k]]}: residual |Y z - e| of the reference {residual:.3e}")
+        z[k] = z_k[rows[k]]
+    u = lu.solve(bbm.i_kc) if options.consider_converters else np.zeros(y.shape[0], complex)
+    z = z[energized]
+    degenerate = np.abs(z) < DEGENERATE_Z_TOL_PU
+    z[degenerate] = 1.0
+    i_k1 = voltage_correction_factor(vn[energized], options.lv_tolerance_percent, options.case) / z
+    i_k2 = u[rows[energized]] / z
+    i_k1[degenerate] = i_k2[degenerate] = complex(math.nan, 0.0)
+    columns = np.zeros((3, len(at)))
+    columns[:, energized] = total_current(i_k1, i_k2, options.s_base_mva / (math.sqrt(3.0) * vn[energized]))
+    return ShortCircuitResult(
+        bus_ids=t.bus_ids[at], ikss_source_ka=columns[0], ikss_converter_ka=columns[1], ikss_ka=columns[2],
+        energized=energized, options=options, bus_names=tuple(t.bus_names[i] for i in at.tolist()), vn_kv=vn,
+        degenerate_buses=tuple(t.bus_ids[at][energized][degenerate].tolist()),
+    )
 
 
 def _minor_faults() -> int | None:
@@ -224,7 +272,9 @@ def run_benchmark(
     gets a new factor, made before the call. Then single-bus studies must
     agree with the all-bus study to ``EQUIVALENCE_TOL``: up to ``loop_max``
     buses (every size when it is None) a timed loop over every bus, above
-    it the untimed studies of ``SAMPLED_BUSES`` buses drawn with ``seed``.
+    it the untimed studies of ``SAMPLED_BUSES`` buses drawn with ``seed``,
+    and the same buses from a factor of Y of their own
+    (``_factored_reference``), which shares no Z_ii path with the study.
 
     The headline time of a stage is its minimum; the median stands next to
     it."""
@@ -262,13 +312,16 @@ def run_benchmark(
             t_loop = time.perf_counter() - t0
         else:
             sample = np.random.default_rng(seed).choice(n, min(SAMPLED_BUSES, n), replace=False)
-            looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(net.buses[i].id,))) for i in sample]
+            ids = [net.buses[i].id for i in sample]
+            looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(bus,))) for bus in ids]
+            looped.append(_factored_reference(net, options, ids))
         cases.append(
             BenchmarkCase(
                 n_buses=n, nodes=nodes, n_aux=n_aux, nnz_y=nnz_y, nnz_lu=nnz_lu, stages=stages,
                 stage_peaks=peaks, minor_faults=None if None in faults else sorted(faults)[REPEATS // 2],
                 t_looped_s=t_loop,
-                max_rel_diff=_check_equivalence(vectorized, looped, EQUIVALENCE_TOL), checked_buses=len(looped),
+                max_rel_diff=_check_equivalence(vectorized, looped, EQUIVALENCE_TOL),
+                checked_buses=n if t_loop is not None else len(ids),
             )
         )
     return BenchmarkReport(cases=tuple(cases), case=case, seed=seed, loop_max=loop_max)

@@ -99,7 +99,14 @@ def _coerce(value, typ: str, path: str):
             if _is_unicode(value):
                 return value
             raise GridFileError(f"{path}: {_SURROGATE}")
-    raise GridFileError(f"{path}: expected {typ}, got {value!r}")
+    shown = repr(value)
+    if len(shown) > _SHOWN_MAX:
+        shown = f"{shown[:_SHOWN_MAX]}... ({len(shown)} characters)"
+    raise GridFileError(f"{path}: expected {typ}, got {shown}")
+
+
+# the longest repr of an offending value that a message shows whole
+_SHOWN_MAX = 60
 
 
 # section -> the field names its entries may hold

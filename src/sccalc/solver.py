@@ -20,14 +20,13 @@ The converter contribution takes one solve against the injection vector.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, build_bbm, voltage_correction_factor
+from .builder import FaultStudyOptions, StudyTopology, _gather, build_bbm, voltage_correction_factor
 from .exceptions import InvalidOptionError, SingularMatrixError
 from .model import Network
 
@@ -96,18 +95,7 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-# SuperLU's supernode settings, in place of its defaults relax=10 and
-# panel_size=20: admittance matrices of grids are almost trees, and the
-# wider supernodes and panels do not pay off on them. The ordering and the
-# pattern of L stay those of the defaults; only the factor's rounding moves.
-# splu alone, defaults -> these, min of 20 interleaved runs on one 2-vCPU VM:
-# radial grids of 102, 1002, 3002, 10^4 and 10^5 buses 0.061 -> 0.056,
-# 0.29 -> 0.27, 0.85 -> 0.72, 3.6 -> 2.6 and 52 -> 30 ms; the 2898-node
-# meshed_3w grid 1.31 -> 0.85 ms, a 9618-node one 4.7 -> 3.0 ms; the 600
-# factors of the 300 batch_files grids 27.9 -> 24.2 ms in all; each 800-bus
-# grid with 30 extra loops 0.33 -> 0.26 ms. A second set gave the same
-# ratios to within 5 %. panel_size=1 alone was as fast, but for 10 % more
-# time on meshed_3w.
+# supernodes and panels of one column pay off on near-tree Y (README: "relax=1, panel_size=1")
 _SUPERNODE_RELAX = 1
 _PANEL_SIZE = 1
 
@@ -215,21 +203,7 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     return a + b * z[up]
 
 
-# Unit-vector solves replace the rest while n * m, the entries of all their
-# right-hand sides, stays at or below this count: m = len(rows) for a whole
-# request in impedance_matrix_diag, m = k for the k branching columns of the
-# selected inversion. Measured on one 2-vCPU VM with 8-column blocks, both
-# paths interleaved on fresh factors, median of 7. Whole requests, on 117
-# factors of 5-200 nodes (random_network and batch_files-like grids): unit
-# solves beat building L plus the selected inversion on 53 of the 55 below
-# 2000 entries, 3 of the 16 up to 4000 and none of the 19 up to 8192; the
-# picks of 3072, 4096 and 8192 summed to 13.71, 13.94 and 15.77 ms, against
-# 13.66 ms for the faster path on each. Branching columns, on 47 factors of
-# 500-40 000 entries (random_network grids of 20-800 buses with 0-8 extra
-# loops, radial grids of 100-10^4 buses with 1-8 ties, 4 ladders): unit
-# solves won on every factor below 4000 entries, the level rounds, whose
-# set-up is fixed, on every one above 8192; 4096 and 8192 summed to 11.75
-# and 11.53 ms, against 11.51 ms.
+# unit solves replace the rest while their n * m right-hand-side entries stay within this (README: "n·k ≤ 4096")
 _UNIT_SOLVE_MAX_ENTRIES = 4096
 
 
@@ -423,11 +397,7 @@ def _unit_solve_diag(lu: scipy.sparse.linalg.SuperLU, rows: np.ndarray) -> np.nd
     return out
 
 
-# Right-hand sides per solve, which bounds the memory of a block and its
-# solution. perfbench batch_files (seed 1, three interleaved 20-s runs each):
-# peak_mem_mb was 0.0462 MB with 8 or 12 columns and 0.0479 MB with 16,
-# against 0.0466 MB when small factors took the selected inversion;
-# study_s did not tell 8, 12 and 16 apart (3.1-3.4 ms).
+# right-hand sides per solve, which bounds a block's memory (README: `solver._SOLVE_BLOCK`)
 _SOLVE_BLOCK = 8
 
 
@@ -463,16 +433,10 @@ def total_current(
     return source_ka, converter_ka, source_ka + converter_ka
 
 
-def _gather(items: list, at: list[int]) -> tuple:
-    """``items[i]`` for each ``i`` in ``at``, in one C-level pass for two or
-    more; ``operator.itemgetter`` returns a bare item for one index and
-    cannot take none."""
-    return operator.itemgetter(*at)(items) if len(at) > 1 else tuple(items[i] for i in at)
-
-
-def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCircuitResult:
-    """Run a complete study: build the per-unit network, solve both source
-    components for every requested fault bus and combine them.
+def calc_sc(study: Network | StudyTopology, options: FaultStudyOptions | None = None) -> ShortCircuitResult:
+    """Run a complete study of a network or of a topology ``prepare`` made
+    of it: build the per-unit network, solve both source components for
+    every requested fault bus and combine them.
 
     The fault-location quantities are applied here, per fault bus: the
     voltage correction factor c of the bus's nominal voltage (the equivalent
@@ -482,35 +446,32 @@ def calc_sc(net: Network, options: FaultStudyOptions | None = None) -> ShortCirc
     Reported rows follow ascending bus id and are restricted to
     ``options.fault_buses``; each bus's result is independent of which
     other buses are in the fault set. The per-bus columns are the bus
-    columns of the study model, picked by its sort of the bus ids, which
-    also picks the rows out of ``bus_index``.
+    columns of the topology, in id order already.
     """
     options = options or FaultStudyOptions()
-    bbm = build_bbm(net, options)
-
-    bus_id = bbm.bus_ids
-    # positions in net.buses of the reported buses, by ascending id
-    pick = bbm.id_order
+    bbm = build_bbm(study, options)
+    t = bbm.topology
+    # (the result owns its columns)
+    bus_ids, vn_kv, bus_names, pick = t.bus_ids.copy(), t.vn_kv.copy(), t.bus_names, t.id_order
     if options.fault_buses != "all":
-        known = bus_id[pick]
         wanted = set(options.fault_buses)
-        unknown = sorted(wanted.difference(known.tolist()))
+        unknown = sorted(wanted.difference(bus_ids.tolist()))
         if unknown:
             raise InvalidOptionError(f"unknown fault bus id(s): {unknown}")
-        pick = pick[known.searchsorted(sorted(wanted))]
-    bus_ids = bus_id[pick]
+        at = bus_ids.searchsorted(sorted(wanted))
+        bus_ids, vn_kv, bus_names, pick = bus_ids[at], vn_kv[at], _gather(bus_names, at.tolist()), pick[at]
     rows = bbm.bus_index[pick]
     energized = rows >= 0
     live_rows = rows[energized]
-    vn_kv = bbm.vn_kv[pick]
-    bus_names = _gather(bbm.bus_names, pick.tolist())
-    i_kc = bbm.i_kc
+    i_kc, y_matrix = bbm.i_kc, bbm.y_matrix
 
     # each stage's arrays go as soon as the next stage no longer needs them:
-    # Y once it is factorized, the factor (with SuperLU's L and U) once the
-    # converter solve is done
-    lu = factorize(bbm.y_matrix)
-    del bbm, bus_id, pick, rows
+    # the topology, unless the caller holds it, and Y once it is
+    # factorized, the factor (with SuperLU's L and U) once the converter
+    # solve is done
+    del bbm, t, pick, rows
+    lu = factorize(y_matrix)
+    del y_matrix
     z_diag = impedance_matrix_diag(lu, rows=live_rows)
     degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
     if degenerate_any := degenerate.any():

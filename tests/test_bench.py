@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from sccalc import FaultStudyOptions, bench, calc_sc, generate_radial_grid, run_benchmark
+from sccalc import FaultStudyOptions, bench, calc_sc, generate_radial_grid, run_benchmark, solver
 from sccalc.bench import EquivalenceGateError, _check_equivalence
 from sccalc.cli import main
 
@@ -63,7 +63,8 @@ def test_each_size_runs_one_untimed_study_before_the_timed_ones(monkeypatch):
     events = []
 
     def counting(net, options):
-        events.append(options.fault_buses)
+        # the other case, on a prepared topology, is counted apart
+        events.append(options.fault_buses if options.case == "max" else "second")
         return calc_sc(net, options)
 
     clock = time.perf_counter
@@ -80,7 +81,8 @@ def test_each_size_runs_one_untimed_study_before_the_timed_ones(monkeypatch):
     # timed all-bus studies among the other stages, the traced one, and
     # the single-bus studies of the looped reference
     studies = ["all"] * (1 + bench.REPEATS + 1) + [(bus_id,) for bus_id in range(1, n + 1)]
-    assert [e for e in events if e != "clock"] == studies + studies
+    assert [e for e in events if e not in ("clock", "second")] == studies + studies
+    assert events.count("second") == 2 * (bench.REPEATS + 1)
     # no clock is read in a size before its first study: the first size
     # starts with it, the second right after the clock that stops the loop
     # of the first
@@ -159,6 +161,25 @@ def test_the_sampled_check_gates_its_studies(monkeypatch):
         run_benchmark([30], loop_max=10)
 
 
+def test_the_sampled_check_reaches_the_selected_inversion(monkeypatch):
+    # above 4096 nodes a single-bus study takes the selected inversion too,
+    # so only the reference of a factor of its own sees Z_ii scaled by
+    # 1 + 1e-8
+    real = solver._selected_inverse_diag
+    monkeypatch.setattr(solver, "_selected_inverse_diag", lambda lu: real(lu) * (1.0 + 1e-8))
+    with pytest.raises(EquivalenceGateError):
+        run_benchmark([4202], loop_max=10)
+
+
+def test_the_factored_reference_agrees_beyond_the_selected_inversion():
+    net = generate_radial_grid(4, 1100, dg_every=5, seed=3)
+    ids = [net.buses[i].id for i in (0, 7, 2500, 4400)]
+    vectorized = calc_sc(net)
+    reference = bench._factored_reference(net, FaultStudyOptions(), ids)
+    assert reference.bus_ids.tolist() == sorted(ids)
+    assert 0.0 < _check_equivalence(vectorized, [reference], bench.EQUIVALENCE_TOL) <= 1e-10
+
+
 def test_bench_json_schema(tmp_path):
     path = tmp_path / "bench.json"
     assert main(["bench", "--sizes", "3,5", "--loop-max", "3", "--json", str(path)]) == 0
@@ -174,7 +195,7 @@ def test_bench_json_schema(tmp_path):
         assert size["nnz_lu"] >= size["nnz_y"] > 0
         stages = [
             "validate", "fuse_switches", "build_bbm", "factorize", "impedance_matrix_diag",
-            "converter_contribution", "calc_sc",
+            "converter_contribution", "calc_sc", "second_case",
         ]
         assert list(size["stages_s"]) == stages
         for stage in size["stages_s"].values():
@@ -201,7 +222,7 @@ def test_minor_faults_are_the_median_of_the_timed_studies(monkeypatch):
     real = bench.calc_sc
 
     def study(net, options):
-        if options.fault_buses == "all":
+        if options.fault_buses == "all" and options.case == "max":
             faults[0] += next(steps)
         return real(net, options)
 

@@ -32,9 +32,9 @@ from sccalc import (
     generate_radial_grid,
     write_result_json,
 )
-from sccalc.builder import build_bbm, fuse_switches, voltage_correction_factor
+from sccalc.builder import build_bbm, voltage_correction_factor
 
-from busmap import by_bus_id
+from busmap import by_bus_id, fusion
 from netgen import random_network
 from oracle import converter_current, line_impedance, oracle_admittance, oracle_calc, oracle_stamps
 
@@ -341,16 +341,16 @@ def three_bus_line_net() -> Network:
 
 def test_fuse_without_switches_is_identity():
     net = three_bus_line_net()
-    fusion = fuse_switches(net)
-    assert by_bus_id(net, fusion.node) == {1: 0, 2: 1, 3: 2}
-    assert fusion.live["line"].all() and fusion.windings.shape == (3, 0)
+    fused = fusion(net)
+    assert by_bus_id(net, fused.node) == {1: 0, 2: 1, 3: 2}
+    assert fused.live["line"].all() and fused.windings.shape == (3, 0)
 
 
 def test_fuse_closed_bus_bus_switch_merges_nodes():
     net = three_bus_line_net()
     net.switches.append(Switch(bus=2, other=1, closed=True))
-    fusion = fuse_switches(net)
-    node = by_bus_id(net, fusion.node)
+    fused = fusion(net)
+    node = by_bus_id(net, fused.node)
     assert node[1] == node[2] == 0
     assert node[3] == 1
     bbm = build_bbm(net, FaultStudyOptions())
@@ -360,15 +360,15 @@ def test_fuse_closed_bus_bus_switch_merges_nodes():
 def test_fuse_open_bus_bus_switch_is_noop():
     net = three_bus_line_net()
     net.switches.append(Switch(bus=2, other=1, closed=False))
-    assert by_bus_id(net, fuse_switches(net).node) == {1: 0, 2: 1, 3: 2}
+    assert by_bus_id(net, fusion(net).node) == {1: 0, 2: 1, 3: 2}
 
 
 def test_open_line_switch_severs_element():
     net = three_bus_line_net()
     net.switches.append(Switch(bus=2, other=ElementRef("line", 1), closed=False))
-    fusion = fuse_switches(net)
-    assert not fusion.live["line"][1]
-    assert fusion.live["line"][0]
+    fused = fusion(net)
+    assert not fused.live["line"][1]
+    assert fused.live["line"][0]
     # bus 3 is in a dead island now
     bbm = build_bbm(net, FaultStudyOptions())
     rows = by_bus_id(net, bbm.bus_index)
@@ -379,7 +379,7 @@ def test_open_line_switch_severs_element():
 def test_closed_element_switch_keeps_element_active():
     net = three_bus_line_net()
     net.switches.append(Switch(bus=2, other=ElementRef("line", 1), closed=True))
-    assert fuse_switches(net).live["line"][1]
+    assert fusion(net).live["line"][1]
 
 
 def test_fusion_is_independent_of_switch_order():
@@ -392,19 +392,19 @@ def test_fusion_is_independent_of_switch_order():
         Switch(bus=4, other=3),
         Switch(bus=1, other=4, closed=False),
     ]
-    reference = by_bus_id(net, fuse_switches(net).node)
+    reference = by_bus_id(net, fusion(net).node)
     assert reference == {1: 0, 2: 0, 3: 0, 4: 0}
     rng = random.Random(7)
     for _ in range(10):
         rng.shuffle(net.switches)
-        assert by_bus_id(net, fuse_switches(net).node) == reference
+        assert by_bus_id(net, fusion(net).node) == reference
 
 
 def test_out_of_service_bus_is_not_fused():
     net = three_bus_line_net()
     net.buses[2].in_service = False
     net.switches.append(Switch(bus=2, other=3, closed=True))
-    node = by_bus_id(net, fuse_switches(net).node)
+    node = by_bus_id(net, fusion(net).node)
     assert 3 not in node
     assert node == {1: 0, 2: 1}
 
@@ -676,7 +676,7 @@ def test_severed_3w_terminal_keeps_remaining_windings_coupled():
         transformers3w=[trafo3w()],
         switches=[Switch(bus=1, other=ElementRef("trafo3w", 0), closed=False)],
     )
-    assert fuse_switches(net).windings.tolist() == [[False], [True], [True]]
+    assert fusion(net).windings.tolist() == [[False], [True], [True]]
     bbm = build_bbm(net, FaultStudyOptions())
     assert by_bus_id(net, bbm.bus_index) == {2: 0, 3: 1}
     assert bbm.n_aux == 1
@@ -747,7 +747,7 @@ def test_3w_transformer_with_two_dead_windings_adds_no_star_row():
         transformers3w=[trafo3w()],
         switches=[Switch(bus=3, other=ElementRef("trafo3w", 0), closed=False)],
     )
-    assert fuse_switches(net).live["trafo3w"].tolist() == [False]
+    assert fusion(net).live["trafo3w"].tolist() == [False]
     bbm = build_bbm(net, FaultStudyOptions())
     assert bbm.n_aux == 0
     assert bbm.y_matrix.shape[0] == 1
@@ -772,9 +772,9 @@ def test_descending_switch_chain_fuses_into_smallest_id_and_keeps_element_switch
             Switch(bus=3, other=ElementRef("line", 0), closed=False),
         ],
     )
-    fusion = fuse_switches(net)
-    assert by_bus_id(net, fusion.node) == {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 2}
-    assert fusion.live["line"].tolist() == [False, True]
+    fused = fusion(net)
+    assert by_bus_id(net, fused.node) == {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 2}
+    assert fused.live["line"].tolist() == [False, True]
     bbm = build_bbm(net, FaultStudyOptions())
     assert by_bus_id(net, bbm.bus_index) == {1: 0, 2: 0, 3: 0, 4: 0, 6: 1}
     res = calc_sc(net)

@@ -7,11 +7,12 @@ first error in document order, word for word, so the table also holds an
 error in a late entry of a long section and documents with two errors.
 """
 import copy
+import json
 import random
 
 import pytest
 
-from sccalc import GridFileError, network_from_dict
+from sccalc import GridFileError, network_from_dict, save_network, three_bus_example
 from sccalc.cli import main
 from sccalc.gridfile import _parse_entry
 from sccalc.model import SECTIONS
@@ -253,3 +254,18 @@ def test_deeply_nested_json_is_a_grid_file_error(tmp_path, capsys, command):
     assert captured.err.startswith(f"error: {path}: invalid JSON: ")
     assert "Traceback" not in captured.err and "RecursionError" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["calc", "validate"])
+def test_a_deeply_nested_field_value_gives_a_bounded_message(tmp_path, capsys, command):
+    # the name of a version 2 document as an array nested 900 deep: the
+    # message shows the start of its repr and its length, not all of it
+    path = tmp_path / "grid.json"
+    save_network(three_bus_example(), path)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    text = json.dumps(doc).replace(json.dumps(doc["name"]), "[" * 900 + "]" * 900, 1)
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: document.name: expected str, got {'[' * 60}... (1800 characters)\n"

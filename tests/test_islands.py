@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sccalc import FaultStudyOptions
-from sccalc.builder import _roots, build_bbm, fuse_switches
+from sccalc.builder import _roots, build_bbm
 from sccalc.model import ElementRef
 
+from busmap import fusion
 from netgen import random_network
 
 
@@ -112,20 +113,20 @@ def reference_bus_index(net) -> np.ndarray:
     n_nodes = len(heads)
 
     # which elements are live is the fusion's, not what this test checks
-    fusion = fuse_switches(net)
+    fused = fusion(net)
     edges = []
     for kind in ("line", "trafo2w"):
-        a, b = fusion.terminals[kind]
-        edges += [(node[p], node[q]) for p, q, on in zip(a, b, fusion.live[kind]) if on]
-    for i, is_live in enumerate(fusion.live["trafo3w"]):
+        a, b = fused.terminals[kind]
+        edges += [(node[p], node[q]) for p, q, on in zip(a, b, fused.live[kind]) if on]
+    for i, is_live in enumerate(fused.live["trafo3w"]):
         if is_live:
             # (a winding is up only on a bus in service)
-            for p, up in zip(fusion.terminals["trafo3w"][:, i], fusion.windings[:, i]):
+            for p, up in zip(fused.terminals["trafo3w"][:, i], fused.windings[:, i]):
                 if up:
                     edges.append((node[p], n_nodes))
             n_nodes += 1
-    [grid_bus] = fusion.terminals["external_grid"]
-    sources = [node[p] for p, on in zip(grid_bus, fusion.live["external_grid"]) if on]
+    [grid_bus] = fused.terminals["external_grid"]
+    sources = [node[p] for p, on in zip(grid_bus, fused.live["external_grid"]) if on]
     root = reference_roots(n_nodes, edges)
     fed = {root[s] for s in sources}
     rows = np.cumsum([root[k] in fed for k in range(n_nodes)]) - 1

@@ -33,10 +33,10 @@ from sccalc import (
     validate,
 )
 from sccalc import solver
-from sccalc.builder import BusBranchModel, build_bbm, fuse_switches, voltage_correction_factor
+from sccalc.builder import BusBranchModel, build_bbm, voltage_correction_factor
 from sccalc.solver import converter_contribution, factorize, impedance_matrix_diag
 
-from busmap import by_bus_id
+from busmap import by_bus_id, fusion
 from netgen import batch_grids, load_perfbench, random_network
 from oracle import line_impedance, oracle_admittance, oracle_calc
 
@@ -163,14 +163,14 @@ def test_star_reproduces_corrected_pairwise_impedances(vk, vkr_frac, sn, toleran
 @pytest.mark.parametrize("seed", range(15))
 def test_switch_fusion_is_order_independent(seed):
     net = random_network(seed)
-    reference = fuse_switches(net)
+    reference = fusion(net)
     rng = random.Random(seed * 31 + 1)
     for _ in range(5):
         rng.shuffle(net.switches)
-        fusion = fuse_switches(net)
-        assert by_bus_id(net, fusion.node) == by_bus_id(net, reference.node)
-        assert all(np.array_equal(fusion.live[kind], reference.live[kind]) for kind in reference.live)
-        assert np.array_equal(fusion.windings, reference.windings)
+        fused = fusion(net)
+        assert by_bus_id(net, fused.node) == by_bus_id(net, reference.node)
+        assert all(np.array_equal(fused.live[kind], reference.live[kind]) for kind in reference.live)
+        assert np.array_equal(fused.windings, reference.windings)
 
 
 # --- sc_solver properties -----------------------------------------------------
