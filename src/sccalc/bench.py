@@ -15,20 +15,21 @@ import numpy as np
 import scipy
 import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, build_bbm, fuse_switches, prepare, voltage_correction_factor
+from .builder import FaultStudyOptions, build_bbm, fuse_switches, prepare
 from .generator import generate_radial_grid
 from .model import _Tables, validate
 from .solver import (
     DEGENERATE_Z_TOL_PU,
     ShortCircuitResult,
+    _reported_buses,
+    _result,
     calc_sc,
     converter_contribution,
     factorize,
     impedance_matrix_diag,
-    total_current,
 )
 
-__all__ = ["BenchmarkCase", "BenchmarkReport", "EquivalenceGateError", "run_benchmark"]
+__all__ = ["BenchmarkReport", "EquivalenceGateError", "run_benchmark"]
 
 EQUIVALENCE_TOL = 1e-10
 
@@ -45,59 +46,10 @@ class EquivalenceGateError(AssertionError):
 
 
 @dataclass(frozen=True)
-class BenchmarkCase:
-    """One grid size: its problem sizes, the min and median seconds of each
-    stage, the traced peak memory of one call of each stage (``calc_sc``'s
-    is that of one study), the median count of minor page faults of a timed
-    study (None without ``resource``), the count of buses whose single-bus
-    study checked the all-bus one and the largest relative deviation from
-    them, and the time of the looped reference when it ran over every bus."""
-
-    n_buses: int
-    nodes: int
-    n_aux: int
-    nnz_y: int
-    nnz_lu: int
-    stages: dict[str, tuple[float, float]]
-    stage_peaks: dict[str, int]
-    minor_faults: int | None
-    t_looped_s: float | None
-    max_rel_diff: float
-    checked_buses: int
-
-    @property
-    def t_vectorized_s(self) -> float:
-        return self.stages["calc_sc"][0]
-
-    @property
-    def peak_traced_bytes(self) -> int:
-        return self.stage_peaks["calc_sc"]
-
-    @property
-    def speedup(self) -> float | None:
-        return None if self.t_looped_s is None else self.t_looped_s / self.t_vectorized_s
-
-    def to_dict(self) -> dict:
-        return {
-            "buses": self.n_buses,
-            "nodes": self.nodes,
-            "n_aux": self.n_aux,
-            "nnz_y": self.nnz_y,
-            "nnz_lu": self.nnz_lu,
-            "stages_s": {name: {"min": lo, "median": mid} for name, (lo, mid) in self.stages.items()},
-            "peak_traced_bytes": self.peak_traced_bytes,
-            "stages_peak_traced_bytes": dict(self.stage_peaks),
-            "calc_sc_minor_faults": self.minor_faults,
-            "looped_s": self.t_looped_s,
-            "speedup": self.speedup,
-            "max_rel_diff": self.max_rel_diff,
-            "checked_buses": self.checked_buses,
-        }
-
-
-@dataclass(frozen=True)
 class BenchmarkReport:
-    cases: tuple[BenchmarkCase, ...]
+    """The size records of a run, each as the ``sizes`` entry of ``to_dict``."""
+
+    cases: tuple[dict, ...]
     case: str = "max"
     seed: int = 0
     loop_max: int | None = None
@@ -105,11 +57,11 @@ class BenchmarkReport:
     def __str__(self) -> str:
         lines = [f"{'buses':>8} {'vectorized':>12} {'median':>12} {'looped':>12} {'speedup':>9}"]
         for c in self.cases:
-            looped = "-" if c.t_looped_s is None else f"{c.t_looped_s:.4f} s"
-            speedup = "-" if c.speedup is None else f"{c.speedup:.1f}x"
+            looped = "-" if c["looped_s"] is None else f"{c['looped_s']:.4f} s"
+            speedup = "-" if c["speedup"] is None else f"{c['speedup']:.1f}x"
+            study = c["stages_s"]["calc_sc"]
             lines.append(
-                f"{c.n_buses:>8} {c.t_vectorized_s:>10.4f} s {c.stages['calc_sc'][1]:>10.4f} s"
-                f" {looped:>12} {speedup:>9}"
+                f"{c['buses']:>8} {study['min']:>10.4f} s {study['median']:>10.4f} s {looped:>12} {speedup:>9}"
             )
         return "\n".join(lines)
 
@@ -136,7 +88,7 @@ class BenchmarkReport:
             "seed": self.seed,
             "loop_max": self.loop_max,
             "repeats": REPEATS,
-            "sizes": [c.to_dict() for c in self.cases],
+            "sizes": list(self.cases),
         }
 
 
@@ -162,7 +114,7 @@ def _check_equivalence(vectorized: ShortCircuitResult, looped: list[ShortCircuit
     return worst
 
 
-def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, tuple[int, int, int, int]]:
+def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, dict]:
     """Each stage as a call on ``net``, on the inputs the study hands it: the
     typed read and closed ties for ``fuse_switches``, and the factor, the
     Z_ii and the rows of the reported buses of one build of the model;
@@ -171,12 +123,11 @@ def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, tuple[int
     arguments of one call before it starts: none, but a new factor for
     each Z_ii, since SuperLU builds L and U at the first Z_ii on a factor
     and keeps them, and every study builds them. Then the sizes of that
-    build: nodes, star points, nnz(Y) and nnz(L) + nnz(U)."""
+    build as a size record has them: nodes, star points, nnz(Y), nnz(L+U)."""
     topology = prepare(net)
     bbm = build_bbm(topology, options)
     lu = factorize(bbm.y_matrix)
-    rows = bbm.bus_index[topology.id_order]
-    rows = rows[rows >= 0]
+    rows = _reported_buses(bbm, options.fault_buses)[1]
     z_diag = impedance_matrix_diag(lu, rows=rows)
     z_safe = np.where(np.abs(z_diag) < DEGENERATE_Z_TOL_PU, 1.0, z_diag)
     tables = _Tables(net)
@@ -194,7 +145,7 @@ def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, tuple[int
     }
     arguments = dict.fromkeys(calls, tuple)
     arguments["impedance_matrix_diag"] = lambda: (factorize(bbm.y_matrix),)
-    sizes = bbm.y_matrix.shape[0], bbm.n_aux, bbm.y_matrix.nnz, lu.L.nnz + lu.U.nnz
+    sizes = {"nodes": lu.shape[0], "n_aux": bbm.n_aux, "nnz_y": bbm.y_matrix.nnz, "nnz_lu": lu.L.nnz + lu.U.nnz}
     return calls, arguments, sizes
 
 
@@ -204,37 +155,26 @@ def _factored_reference(net, options: FaultStudyOptions, ids: list[int]) -> Shor
     takes a symmetric ordering and diagonal pivots. Z_kk of a bus k is
     entry k of the solve against e_k, whose residual |Y z_k - e_k| must
     stay within ``EQUIVALENCE_TOL``, and u_k of one solve against the
-    injections gives the converter current; c and the current base are
-    applied as a study applies them."""
+    injections gives the converter current. The bus pick and the currents
+    from Z_kk and u_k are the study's own."""
     bbm = build_bbm(net, options)
-    t, y = bbm.topology, bbm.y_matrix
-    at = t.bus_ids.searchsorted(sorted(ids))
-    rows, vn = bbm.bus_index[t.id_order[at]], t.vn_kv[at]
-    energized = rows >= 0
+    buses, live_rows = _reported_buses(bbm, ids)
+    y = bbm.y_matrix
     lu = scipy.sparse.linalg.splu(y, permc_spec="COLAMD")
-    z = np.ones(len(at), complex)
-    for k in energized.nonzero()[0].tolist():
+    z = np.empty(len(live_rows), complex)
+    for k, row in enumerate(live_rows.tolist()):
         e = np.zeros(y.shape[0], complex)
-        e[rows[k]] = 1.0
+        e[row] = 1.0
         z_k = lu.solve(e)
         residual = float(np.abs(y @ z_k - e).max())
         if not residual <= EQUIVALENCE_TOL:
-            raise EquivalenceGateError(f"bus {t.bus_ids[at[k]]}: residual |Y z - e| of the reference {residual:.3e}")
-        z[k] = z_k[rows[k]]
+            bus = buses[0][buses[3]][k]  # the k-th id of the energized buses
+            raise EquivalenceGateError(f"bus {bus}: residual |Y z - e| of the reference {residual:.3e}")
+        z[k] = z_k[row]
     u = lu.solve(bbm.i_kc) if options.consider_converters else np.zeros(y.shape[0], complex)
-    z = z[energized]
     degenerate = np.abs(z) < DEGENERATE_Z_TOL_PU
     z[degenerate] = 1.0
-    i_k1 = voltage_correction_factor(vn[energized], options.lv_tolerance_percent, options.case) / z
-    i_k2 = u[rows[energized]] / z
-    i_k1[degenerate] = i_k2[degenerate] = complex(math.nan, 0.0)
-    columns = np.zeros((3, len(at)))
-    columns[:, energized] = total_current(i_k1, i_k2, options.s_base_mva / (math.sqrt(3.0) * vn[energized]))
-    return ShortCircuitResult(
-        bus_ids=t.bus_ids[at], ikss_source_ka=columns[0], ikss_converter_ka=columns[1], ikss_ka=columns[2],
-        energized=energized, options=options, bus_names=tuple(t.bus_names[i] for i in at.tolist()), vn_kv=vn,
-        degenerate_buses=tuple(t.bus_ids[at][energized][degenerate].tolist()),
-    )
+    return _result(options, buses, z, degenerate, u[live_rows] / z)
 
 
 def _minor_faults() -> int | None:
@@ -288,7 +228,7 @@ def run_benchmark(
 
         # an untimed study first: the first one in a process is slower
         calc_sc(net, options)
-        calls, arguments, (nodes, n_aux, nnz_y, nnz_lu) = _stage_calls(net, options)
+        calls, arguments, sizes = _stage_calls(net, options)
         times = {name: [] for name in calls}
         faults = []
         for _ in range(REPEATS):
@@ -302,7 +242,7 @@ def run_benchmark(
                     vectorized = out
                     after = _minor_faults()
                     faults.append(None if after is None else after - before)
-        stages = {name: (min(ts), sorted(ts)[REPEATS // 2]) for name, ts in times.items()}
+        stages = {name: {"min": min(ts), "median": sorted(ts)[REPEATS // 2]} for name, ts in times.items()}
         peaks = {name: _traced_peak(call, *arguments[name]()) for name, call in calls.items()}
 
         t_loop = None
@@ -315,13 +255,12 @@ def run_benchmark(
             ids = [net.buses[i].id for i in sample]
             looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(bus,))) for bus in ids]
             looped.append(_factored_reference(net, options, ids))
-        cases.append(
-            BenchmarkCase(
-                n_buses=n, nodes=nodes, n_aux=n_aux, nnz_y=nnz_y, nnz_lu=nnz_lu, stages=stages,
-                stage_peaks=peaks, minor_faults=None if None in faults else sorted(faults)[REPEATS // 2],
-                t_looped_s=t_loop,
-                max_rel_diff=_check_equivalence(vectorized, looped, EQUIVALENCE_TOL),
-                checked_buses=n if t_loop is not None else len(ids),
-            )
-        )
+        cases.append({
+            "buses": n, **sizes, "stages_s": stages,
+            "peak_traced_bytes": peaks["calc_sc"], "stages_peak_traced_bytes": peaks,
+            "calc_sc_minor_faults": None if None in faults else sorted(faults)[REPEATS // 2],
+            "looped_s": t_loop, "speedup": None if t_loop is None else t_loop / stages["calc_sc"]["min"],
+            "max_rel_diff": _check_equivalence(vectorized, looped, EQUIVALENCE_TOL),
+            "checked_buses": n if t_loop is not None else len(ids),
+        })
     return BenchmarkReport(cases=tuple(cases), case=case, seed=seed, loop_max=loop_max)

@@ -113,14 +113,13 @@ class StudyTopology:
     The buses in ascending id order (``bus_ids``, ``vn_kv``, ``bus_names``)
     and their positions in ``net.buses`` (``id_order``); ``bus_index[p]``,
     the row of ``net.buses[p]``, -1 out of service or in no energized
-    island; ``live``, as ``model._Tables.elements`` gives it. Y has ``dim``
-    rows, star points in the trailing ``n_aux``, and the ``pattern``
-    ``indices``, ``indptr``, ``place``, ``first``: a case puts its stamps at
-    ``place`` in the sorted order and sums the runs that start at
-    ``first``. Last, what the
-    values of a case need, as case-free as the arithmetic allows: see
-    ``build_bbm`` (``trafos`` ends in the stamped branches and their 1 /
-    tap**2 and -1 / tap).
+    island. Y has ``dim`` rows, star points in the trailing ``n_aux``, and
+    the ``pattern`` ``indices``, ``indptr``, ``place``, ``first``: a case
+    puts its stamps at ``place`` in the sorted order and sums the runs that
+    start at ``first``. Last, what the values of a case need, as case-free
+    as the arithmetic allows: see ``build_bbm`` (``lines`` ends in the
+    liveness of each line and the stamped ones, ``trafos`` in the stamped
+    branches and their 1 / tap**2 and -1 / tap).
     """
 
     bus_ids: np.ndarray
@@ -128,7 +127,6 @@ class StudyTopology:
     bus_names: tuple[str, ...]
     id_order: np.ndarray
     bus_index: np.ndarray
-    live: dict[str, np.ndarray]
     dim: int
     n_aux: int
     pattern: tuple
@@ -238,7 +236,8 @@ def prepare(net: Network) -> StudyTopology:
     # the columns of the values, copied out of the read: per external grid
     # vn, vn**2, (R/X)_max and (R/X)_min side by side, S''_k max and min;
     # per live line r' * length and x' * length side by side, the minimum
-    # case's 1 + alpha * (endtemp - 20) and vn**2 of its from bus
+    # case's 1 + alpha * (endtemp - 20) and vn**2 of its from bus, then
+    # which lines are live
     f, at, vn, on = tables.floats, tables.at, tables.vn, live["external_grid"]
     g = terminals["external_grid"][0]
     grids = vn[g], np.float_power(vn[g], 2.0), *(f[at[k]].copy() for k in ("eg_rx", "s_sc_max", "s_sc_min")), on
@@ -246,7 +245,7 @@ def prepare(net: Network) -> StudyTopology:
     on = live["line"]
     ends = terminals["line"].compress(on, 1)
     rx = (f[at["r:x"]].reshape(2, -1) * f[at["length"]]).T.compress(on, 0)
-    lines = rx, 1.0 + ALPHA_PER_K * (f[at["endtemp"]][on] - 20.0), vn[ends[0]] ** 2
+    lines = rx, 1.0 + ALPHA_PER_K * (f[at["endtemp"]][on] - 20.0), vn[ends[0]] ** 2, on
     fr, to = node[ends]
     trafos, tap, t_ends = _transformer_columns(tables, terminals, live, windings, node, n_fused)
     p, on = terminals["converter"][0], live["converter"]
@@ -290,7 +289,7 @@ def prepare(net: Network) -> StudyTopology:
     pattern = _pattern(ends, t_rows.compress(t_on, 1), row_at[2 * nt :], dim)
     trafos = (*trafos, t_on, 1.0 / np.float_power(tap, 2.0), -1.0 / tap)
     return StudyTopology(
-        bus_ids, vn, names, order, bus_index, live, dim, n_aux, pattern, grids, (*lines, keep), trafos, converters
+        bus_ids, vn, names, order, bus_index, dim, n_aux, pattern, grids, (*lines, keep), trafos, converters
     )
 
 
@@ -364,13 +363,13 @@ def build_bbm(study: Network | StudyTopology, options: FaultStudyOptions) -> Bus
     # the series impedances of the live lines: r and x in ohms, the
     # minimum case scaling r up to the conductor end temperature, then the
     # per-unit conversion, in this order
-    rx, heat, vn2, keep = t.lines
+    rx, heat, vn2, on, keep = t.lines
     rx = rx.copy()
     if case == "min":
         rx[:, 0] *= heat
     rx /= (vn2 / s_base)[:, None]
     z = rx.view(complex).ravel()
-    _check_stampable(z, t.live["line"], "lines[{}]".format)
+    _check_stampable(z, on, "lines[{}]".format)
     y = z[keep]
     del rx, z
     z_t = _transformer_impedances(t, options)

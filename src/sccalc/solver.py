@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .builder import FaultStudyOptions, StudyTopology, _gather, build_bbm, voltage_correction_factor
+from .builder import BusBranchModel, FaultStudyOptions, StudyTopology, _gather, build_bbm, voltage_correction_factor
 from .exceptions import InvalidOptionError, SingularMatrixError
 from .model import Network
 
@@ -445,16 +445,39 @@ def calc_sc(study: Network | StudyTopology, options: FaultStudyOptions | None = 
 
     Reported rows follow ascending bus id and are restricted to
     ``options.fault_buses``; each bus's result is independent of which
-    other buses are in the fault set. The per-bus columns are the bus
-    columns of the topology, in id order already.
+    other buses are in the fault set.
     """
     options = options or FaultStudyOptions()
     bbm = build_bbm(study, options)
+    buses, live_rows = _reported_buses(bbm, options.fault_buses)
+    i_kc, y_matrix = bbm.i_kc, bbm.y_matrix
+
+    # each stage's arrays go as soon as the next stage no longer needs them:
+    # the topology, unless the caller holds it, and Y once it is
+    # factorized, the factor (with SuperLU's L and U) once the converter
+    # solve is done
+    del bbm
+    lu = factorize(y_matrix)
+    del y_matrix
+    z_diag = impedance_matrix_diag(lu, rows=live_rows)
+    degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
+    z_diag[degenerate] = 1.0
+    i_k2 = converter_contribution(lu, z_diag, i_kc, rows=live_rows)
+    del lu
+    return _result(options, buses, z_diag, degenerate, i_k2)
+
+
+def _reported_buses(bbm: BusBranchModel, fault_buses) -> tuple[tuple, np.ndarray]:
+    """The buses a study of ``bbm`` reports, in ascending id order and
+    restricted to ``fault_buses`` unless it is "all": their ids, nominal
+    voltages and names, which are the bus columns of the topology, and
+    whether each is energized; then the rows in Y of the energized ones.
+    An id that names no bus raises InvalidOptionError."""
     t = bbm.topology
     # (the result owns its columns)
     bus_ids, vn_kv, bus_names, pick = t.bus_ids.copy(), t.vn_kv.copy(), t.bus_names, t.id_order
-    if options.fault_buses != "all":
-        wanted = set(options.fault_buses)
+    if fault_buses != "all":
+        wanted = set(fault_buses)
         unknown = sorted(wanted.difference(bus_ids.tolist()))
         if unknown:
             raise InvalidOptionError(f"unknown fault bus id(s): {unknown}")
@@ -462,27 +485,19 @@ def calc_sc(study: Network | StudyTopology, options: FaultStudyOptions | None = 
         bus_ids, vn_kv, bus_names, pick = bus_ids[at], vn_kv[at], _gather(bus_names, at.tolist()), pick[at]
     rows = bbm.bus_index[pick]
     energized = rows >= 0
-    live_rows = rows[energized]
-    i_kc, y_matrix = bbm.i_kc, bbm.y_matrix
+    return (bus_ids, vn_kv, bus_names, energized), rows[energized]
 
-    # each stage's arrays go as soon as the next stage no longer needs them:
-    # the topology, unless the caller holds it, and Y once it is
-    # factorized, the factor (with SuperLU's L and U) once the converter
-    # solve is done
-    del bbm, t, pick, rows
-    lu = factorize(y_matrix)
-    del y_matrix
-    z_diag = impedance_matrix_diag(lu, rows=live_rows)
-    degenerate = np.abs(z_diag) < DEGENERATE_Z_TOL_PU
-    if degenerate_any := degenerate.any():
-        z_diag[degenerate] = 1.0
+
+def _result(options: FaultStudyOptions, buses: tuple, z_diag, degenerate, i_k2) -> ShortCircuitResult:
+    """The result of the reported ``buses`` of ``_reported_buses`` from the
+    per-unit quantities of the energized ones: Z_ii, with 1.0 at the
+    ``degenerate`` buses, and the converter component ``i_k2``. The source
+    component is c / Z_ii; both are NaN at a degenerate bus and zero at a
+    dead one."""
+    bus_ids, vn_kv, bus_names, energized = buses
     vn_live = vn_kv[energized]
     i_k1 = voltage_correction_factor(vn_live, options.lv_tolerance_percent, options.case) / z_diag
-    i_k2 = converter_contribution(lu, z_diag, i_kc, rows=live_rows)
-    del lu, z_diag
-    if degenerate_any:
-        i_k1[degenerate] = complex(math.nan, 0.0)
-        i_k2[degenerate] = complex(math.nan, 0.0)
+    i_k1[degenerate] = i_k2[degenerate] = complex(math.nan, 0.0)
 
     # the live rows of the requested set; dead buses stay zero
     source_ka, converter_ka, total_ka = np.zeros((3, len(bus_ids)))
@@ -491,13 +506,7 @@ def calc_sc(study: Network | StudyTopology, options: FaultStudyOptions | None = 
     )
 
     return ShortCircuitResult(
-        bus_ids=bus_ids,
-        ikss_source_ka=source_ka,
-        ikss_converter_ka=converter_ka,
-        ikss_ka=total_ka,
-        energized=energized,
-        options=options,
-        bus_names=bus_names,
-        vn_kv=vn_kv,
+        bus_ids=bus_ids, ikss_source_ka=source_ka, ikss_converter_ka=converter_ka, ikss_ka=total_ka,
+        energized=energized, options=options, bus_names=bus_names, vn_kv=vn_kv,
         degenerate_buses=tuple(bus_ids[energized][degenerate].tolist()),
     )

@@ -192,10 +192,10 @@ def test_criterion_6_performance_and_benchmark_gate():
 
     bench = run_benchmark([500], seed=0)
     case = bench.cases[0]
-    assert case.max_rel_diff <= 1e-10
-    assert case.speedup >= 5.0
+    assert case["max_rel_diff"] <= 1e-10
+    assert case["speedup"] >= 5.0
     report(
         f"criterion 6: {len(net.buses)}-bus study in {elapsed:.2f} s (< 10 s); "
-        f"n={case.n_buses} speedup {case.speedup:.0f}x (>= 5x), gate worst "
-        f"{case.max_rel_diff:.1e}"
+        f"n={case['buses']} speedup {case['speedup']:.0f}x (>= 5x), gate worst "
+        f"{case['max_rel_diff']:.1e}"
     )

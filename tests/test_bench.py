@@ -21,11 +21,11 @@ def test_small_benchmark_reports_speedup():
     report = run_benchmark([102], seed=1)
     assert len(report.cases) == 1
     case = report.cases[0]
-    assert case.n_buses == 102
-    assert case.t_vectorized_s > 0.0
-    assert case.t_looped_s > 0.0
-    assert case.speedup > 1.0
-    assert case.max_rel_diff <= 1e-10
+    assert case["buses"] == 102
+    assert case["stages_s"]["calc_sc"]["min"] > 0.0
+    assert case["looped_s"] > 0.0
+    assert case["speedup"] > 1.0
+    assert case["max_rel_diff"] <= 1e-10
     assert "x" in str(report)
 
 
@@ -76,7 +76,7 @@ def test_each_size_runs_one_untimed_study_before_the_timed_ones(monkeypatch):
     monkeypatch.setattr(bench, "calc_sc", counting)
     monkeypatch.setattr(time, "perf_counter", timing)
     report = run_benchmark([2, 2])
-    n = report.cases[0].n_buses
+    n = report.cases[0]["buses"]
     # per size: the untimed study before any clock is read, then the
     # timed all-bus studies among the other stages, the traced one, and
     # the single-bus studies of the looped reference
@@ -140,11 +140,11 @@ def test_each_timed_z_ii_call_builds_l_and_u_on_a_factor_of_its_own(monkeypatch)
 def test_loop_max_skips_the_looped_reference_above_it():
     report = run_benchmark([3, 30], loop_max=10)
     small, large = report.cases
-    assert small.t_looped_s is not None and small.max_rel_diff <= 1e-10 and small.speedup > 0.0
-    assert small.checked_buses == small.n_buses
+    assert small["looped_s"] is not None and small["max_rel_diff"] <= 1e-10 and small["speedup"] > 0.0
+    assert small["checked_buses"] == small["buses"]
     # the larger size checks a sample of its buses and times no loop
-    assert large.t_looped_s is None and large.speedup is None and large.max_rel_diff <= 1e-10
-    assert large.checked_buses == bench.SAMPLED_BUSES < large.n_buses
+    assert large["looped_s"] is None and large["speedup"] is None and large["max_rel_diff"] <= 1e-10
+    assert large["checked_buses"] == bench.SAMPLED_BUSES < large["buses"]
     assert "-" in str(report).splitlines()[2]
 
 
@@ -178,6 +178,35 @@ def test_the_factored_reference_agrees_beyond_the_selected_inversion():
     reference = bench._factored_reference(net, FaultStudyOptions(), ids)
     assert reference.bus_ids.tolist() == sorted(ids)
     assert 0.0 < _check_equivalence(vectorized, [reference], bench.EQUIVALENCE_TOL) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["max", "min"])
+def test_the_factored_reference_agrees_on_dead_and_degenerate_buses(case):
+    from sccalc.model import Bus, ConverterSource, ExternalGrid, Line, Network
+
+    # bus 1 is degenerate under five stiff grids, bus 2 has a converter,
+    # bus 3 is out of service and bus 4 is fed by nothing
+    net = Network(
+        buses=[Bus(1, 20.0), Bus(2, 20.0), Bus(3, 20.0, in_service=False), Bus(4, 20.0)],
+        external_grids=[ExternalGrid(bus=1, s_sc_max_mva=5.5e11, s_sc_min_mva=5.5e11) for _ in range(5)],
+        lines=[Line(1, 2, 2.0, 0.2, 0.1), Line(2, 3, 1.0, 0.2, 0.1)],
+        converter_sources=[ConverterSource(bus=2, sn_mva=2.0, k=1.2)],
+    )
+    options = FaultStudyOptions(case=case)
+    study = calc_sc(net, options)
+    reference = bench._factored_reference(net, options, [1, 2, 3, 4])
+    assert reference.degenerate_buses == study.degenerate_buses == (1,)
+    assert reference.energized.tolist() == study.energized.tolist() == [True, True, False, False]
+    assert _check_equivalence(study, [reference], bench.EQUIVALENCE_TOL) <= 1e-10
+
+
+def test_the_size_records_are_the_plain_json_of_the_report():
+    report = run_benchmark([3, 5], loop_max=3)
+    assert report.to_dict()["sizes"] == list(report.cases)
+    for record in report.cases:
+        # a numpy scalar would fail the dump or show in the repr
+        again = json.loads(json.dumps(record))
+        assert again == record and repr(again) == repr(record)
 
 
 def test_bench_json_schema(tmp_path):
@@ -228,15 +257,17 @@ def test_minor_faults_are_the_median_of_the_timed_studies(monkeypatch):
 
     monkeypatch.setattr(bench, "calc_sc", study)
     monkeypatch.setattr(bench, "_minor_faults", lambda: faults[0])
-    (case,) = run_benchmark([3], loop_max=0).cases
-    assert case.minor_faults == bench.REPEATS
-    assert case.to_dict()["calc_sc_minor_faults"] == bench.REPEATS
+    report = run_benchmark([3], loop_max=0)
+    (case,) = report.cases
+    assert case["calc_sc_minor_faults"] == bench.REPEATS
+    assert report.to_dict()["sizes"][0]["calc_sc_minor_faults"] == bench.REPEATS
 
 
 def test_minor_faults_are_null_without_resource(monkeypatch):
     monkeypatch.setitem(sys.modules, "resource", None)
-    (case,) = run_benchmark([3], loop_max=0).cases
-    assert case.minor_faults is None and case.to_dict()["calc_sc_minor_faults"] is None
+    report = run_benchmark([3], loop_max=0)
+    (case,) = report.cases
+    assert case["calc_sc_minor_faults"] is None and report.to_dict()["sizes"][0]["calc_sc_minor_faults"] is None
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
