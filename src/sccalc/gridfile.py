@@ -356,7 +356,8 @@ def _plain_number(value):
     raise TypeError(repr(value))
 
 
-# json.dumps with a non-default argument builds a new encoder on every call
+# json.dumps with a non-default argument builds a new encoder on every call;
+# the grid and the result writers share this one
 _STRICT_JSON = json.JSONEncoder(allow_nan=False, default=_plain_number)
 
 
@@ -461,5 +462,5 @@ def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
         columns[k] = ["null" if v != v else v for v in columns[k]]
     # str(float) is float.__repr__, the text json writes for a float
     rows = ", ".join(map(_JSON_ROW.__mod__, zip(*columns)))
-    meta = json.dumps(_result_meta(result), allow_nan=False)
+    meta = _STRICT_JSON.encode(_result_meta(result))
     _write_text(file_or_path, f'{{"meta": {meta}, "rows": [{rows}]}}\n')

@@ -171,19 +171,32 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     ``_UNIT_SOLVE_MAX_ENTRIES``), one unit-vector solve each gives their Z_jj
     for less than the rounds' set-up; a solve reads no pattern of L, so it
     never meets a dropped entry.
+
+    Z is one array ``zs`` of n + E slots: the n diagonals, then, for the
+    level rounds, one slot for each of the E entries below the diagonal of
+    the branching columns, in level order; no array is as long as L. On
+    ``meshed_grid(1)`` (min case: n = 2 898, E = 2 197, nnz(L) = 6 900)
+    Z_ii on a new factor peaks at 0.80 MB of traced memory, SuperLU's L and
+    U 0.30 MB of it, and a study at 0.92 MB.
     """
     l_factor = lu.L
     # SuperLU leaves the rows unsorted; sorted, each column starts with its
     # explicit unit diagonal
     l_factor.sort_indices()
     indptr, indices, values = l_factor.indptr, l_factor.indices, l_factor.data
-    z = 1.0 / lu.U.diagonal()
     entries = indptr[1:] - indptr[:-1]
+    n = len(entries)
+    branching = entries > 2
+    width = np.count_nonzero(branching)
+    rounds = n * width > _UNIT_SOLVE_MAX_ENTRIES
+    zs = np.empty(n + (entries[branching].sum() - width if rounds else 0), dtype=complex)
+    z = zs[:n]
+    np.divide(1.0, lu.U.diagonal(), out=z)
     tree = entries == 2
     # Z_ii = a_i + b_i Z_(up_i); a column that is no tree column is its own
     # anchor (a = 0, b = 1, up = itself)
     first = indptr[:-1] + 1
-    up = np.where(tree, indices.take(first, mode="clip"), np.arange(len(z)))
+    up = np.where(tree, indices.take(first, mode="clip"), np.arange(n))
     a = np.where(tree, z, 0.0)
     b = values.take(first, mode="clip")
     b = np.where(tree, b * b, 1.0)
@@ -195,10 +208,9 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
         b *= b[up]
         up = up[up]
     del tree
-    branching = (entries > 2).nonzero()[0]
-    if len(z) * len(branching) > _UNIT_SOLVE_MAX_ENTRIES:
-        z[branching] = _level_sweep(branching, indptr, indices, values, entries, z, a, b, up)
-    elif len(branching):
+    if rounds:
+        _level_sweep(branching, indptr, indices, values, entries, zs, a, b, up)
+    elif width:
         z[branching] = _unit_solve_diag(lu, lu.perm_c.argsort()[branching])
     return a + b * z[up]
 
@@ -208,10 +220,11 @@ _UNIT_SOLVE_MAX_ENTRIES = 4096
 
 
 def _level_sweep(
-    columns: np.ndarray, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
-    entries: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray,
-) -> np.ndarray:
-    """Z_ii of the branching columns ``columns``, in that order.
+    branching: np.ndarray, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+    entries: np.ndarray, zs: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray,
+) -> None:
+    """Z_ii of the branching columns (the mask ``branching``), written to
+    their diagonal slots of ``zs``.
 
     Takahashi's recurrence of ``_selected_inverse_diag`` over these columns,
     scheduled by levels as sparse triangular solves are (Anderson & Saad
@@ -220,138 +233,157 @@ def _level_sweep(
     highest of theirs, with roots at level 0, and the columns of one level
     do not read each other.
 
-    Z lives on the pattern of L, in ``zs`` aligned with ``values``; the
-    diagonal slot of column i holds 1/d_i until the column is done, then
-    Z_ii. For every pair (p, q) of rows of a column it is worked out once
-    per factor where Z_(jp, jq) comes from: Z_jj = a_j + b_j Z_(up_j) for
-    p = q; with lo < hi the two rows in order, Z_(lo, hi) =
-    -l_lo (a_hi + b_hi Z_(up_hi)) if lo is a tree column (its entry l_lo
-    sits at (hi, lo)), else the slot (hi, lo) itself. A level is then a
-    fixed handful of numpy calls: gather, multiply-add and ``reduceat`` per
-    entry for Z_(i, jp) = -sum_q l_q Z_(jq, jp), scatter, ``reduceat`` per
-    column for Z_ii = 1/d_i - sum_p l_p Z_(i, jp), scatter. Raises
-    _DroppedEntry if L lacks the slot (hi, lo) of a pair.
+    ``zs`` holds the n diagonals, then one slot for each of the E entries
+    below the diagonal of the branching columns, in level order, so that
+    the entries of a level are one contiguous range. Diagonal slot i holds
+    1/d_i until column i is done, then Z_ii. For every pair (p, q) of rows of a column
+    it is worked out once per factor where Z_(jp, jq) comes from:
+    Z_jj = a_j + b_j Z_(up_j) for p = q; with lo < hi the two rows in order,
+    Z_(lo, hi) = -l_lo (a_hi + b_hi Z_(up_hi)) if lo is a tree column (its
+    entry l_lo sits at (hi, lo)), else the slot of (hi, lo) among the
+    entries. The constant parts of an entry's Z start in its slot. A level
+    is then a fixed handful of numpy calls: gather, multiply and
+    ``reduceat`` per entry for Z_(i, jp) = -sum_q l_q Z_(jq, jp), added to
+    its slot; multiply and ``reduceat`` per column for
+    Z_ii = 1/d_i - sum_p l_p Z_(i, jp), subtracted from the diagonal slot.
+    Raises _DroppedEntry if L lacks the entry (hi, lo) of a pair. On
+    ``meshed_grid(1)`` (min case) a study holds 0.89 MB at most in the
+    rounds and 0.92 MB in their set-up.
     """
     # the set-up of the pairs is freed before the rounds start
-    pos, l_rows, col_first, pair_first, coef, src, const, diag_slot, ends, terms, weighted = _level_pairs(
-        columns, indptr, indices, values, entries, z, a, b, up
+    cols, l_rows, col_first, pair_first, coef, src, ends, terms, weighted = _level_pairs(
+        branching, indptr, indices, values, entries, zs, a, b, up
     )
-    zs = np.zeros(len(values), dtype=complex)
-    zs[indptr[:-1]] = z
+    z_entries = zs[len(a) :]
     c0 = e0 = p0 = 0
     for c1, e1, p1 in ends:
         # a level's products go to the front of the buffers, and its runs
         # count from its start
         level_terms, level_weighted = terms[: p1 - p0], weighted[: e1 - e0]
-        np.multiply(coef[p0:p1], zs[src[p0:p1]], out=level_terms)
-        z_entry = np.add.reduceat(level_terms, pair_first[e0:e1])
-        z_entry += const[e0:e1]
-        zs[pos[e0:e1]] = z_entry
+        np.multiply(coef[p0:p1], zs.take(src[p0:p1], out=level_terms), out=level_terms)
+        z_entry = z_entries[e0:e1]
+        z_entry += np.add.reduceat(level_terms, pair_first[e0:e1])
         np.multiply(l_rows[e0:e1], z_entry, out=level_weighted)
-        zs[diag_slot[c0:c1]] -= np.add.reduceat(level_weighted, col_first[c0:c1])
+        zs[cols[c0:c1]] -= np.add.reduceat(level_weighted, col_first[c0:c1])
         c0, e0, p0 = c1, e1, p1
-    return zs[indptr[columns]]
 
 
 def _level_pairs(
-    columns: np.ndarray, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
-    entries: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray,
+    branching: np.ndarray, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+    entries: np.ndarray, zs: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray,
 ) -> tuple:
-    """The set-up of ``_level_sweep``, with the columns in level order:
-    their entries below the diagonal (slots ``pos`` in L, values
-    ``l_rows``, the start ``col_first`` of each column's run), the start
-    ``pair_first`` of each entry's run of pairs, ``coef``, ``src`` and
-    ``const`` of Z_(i, jp) = const_p + sum_q coef_pq zs[src_pq], each
-    column's diagonal slot, the ends of each level's columns, entries and
-    pairs, and one buffer each for the products of a level's pairs and
-    entries, as long as the widest level. ``col_first`` and ``pair_first``
-    count from the start of their level.
+    """The set-up of ``_level_sweep``: the columns in level order, the
+    values ``l_rows`` of their entries below the diagonal, the start
+    ``col_first`` of each column's run of entries, the start ``pair_first``
+    of each entry's run of pairs, ``coef`` and ``src`` of
+    Z_(i, jp) = const_p + sum_q coef_pq zs[src_pq], the ends of each
+    level's columns, entries and pairs, and one buffer each for the
+    products of a level's pairs and entries, as long as the widest level.
+    ``col_first`` and ``pair_first`` count from the start of their level.
+    The constants const_p go to the entries' slots of ``zs``; entry e of
+    the level order is ``zs[n + e]``.
 
-    Each temporary is freed after its last reader, so that the set-up
-    holds little more than what it returns."""
-    cols, level_cols = _level_order(columns, indptr, indices, up, len(z))
-    # (index arrays of the default integer type: numpy converts any other
-    # at every fancy index)
-    diag_slot = indptr[cols].astype(np.intp)
-    count = entries[cols] - 1
-    del cols
-    col_stop = count.cumsum()
-    col_first = col_stop - count
-    # the entries below the diagonal, column by column in level order, and
-    # the place k of each in its column
-    k = np.arange(col_stop[-1]) - np.repeat(col_first, count)
-    pos = np.repeat(diag_slot + 1, count) + k
-    rows, l_rows = indices[pos], values[pos]
+    Each temporary is freed after its last reader, and the entries are
+    known by their slots in L and their rows until their values are last
+    read, so that the set-up holds little more than what it returns."""
+    n = len(a)
+    cols, level_cols = _level_order(branching, indptr, indices, up)
+    # (count and rows are of the default integer type: numpy converts any
+    # other at every repeat, cumsum and fancy index)
+    count = entries[cols].astype(np.intp) - 1
+    col_first = count.cumsum() - count
+    # the entries below the diagonal, column by column in level order: the
+    # place k of each in its column, and its slot in L
+    k = np.arange(len(zs) - n) - np.repeat(col_first, count)
+    at = np.repeat(indptr[cols] + 1, count) + k
+    # the pair (p, p) reads a_p + b_p Z at the anchor of its row, with
+    # coefficient -l_p: -l_p a_p starts the slot of entry p
+    rows = indices[at].astype(np.intp)
+    const = zs[n:]
+    np.negative(np.multiply(values[at], a[rows], out=const), out=const)
     # entry p, the k-th of a column of m entries, pairs with every entry q
-    # of the column, at pair_first[p] + k_q
+    # of the column, at pair_first[p] + k_q = diagonal[p] + q - p
     per_entry = np.repeat(count, count)
-    pair_stop = per_entry.cumsum()
-    pair_first = pair_stop - per_entry
-    # the first and the end of each level's columns, entries and pairs
-    col_end = level_cols.cumsum()
-    entry_start, entry_end = col_first[col_end - level_cols], col_stop[col_end - 1]
-    pair_start, pair_end = pair_first[entry_start], pair_stop[entry_end - 1]
-    del count, col_stop
-    # the pairs p < q: up_q runs from p + 1 over the later entries of p's
-    # column. The mirror (q, p) and the pair (p, p) are found by index.
+    pairs = int(per_entry.sum())
+    diagonal = per_entry.cumsum() - per_entry + k
+
+    # the pairs p < q: q runs from p + 1 over the later entries of p's
+    # column; with lo < hi their rows, both (p, q) and (q, p) read Z at
+    # the slot of (hi, lo) among the entries, unless lo is a tree column:
+    # then they read a_hi + b_hi Z at the anchor of hi, times -l_lo from
+    # lo's one entry, which must sit in row hi
     later = per_entry - 1 - k
-    del per_entry
-    up_p = np.repeat(np.arange(len(pos)), later)
-    up_q = np.repeat(np.arange(len(pos)) - (later.cumsum() - later), later)
+    del per_entry, k
+    up_p = np.repeat(np.arange(len(at)), later)
+    up_q = np.repeat(np.arange(len(at)) - (later.cumsum() - later), later)
     del later
     up_q += np.arange(1, len(up_q) + 1)
-    slot = _slots_in_l(rows[up_p], rows[up_q], indices, entries, len(z))
-    upper = pair_first[up_p] + k[up_q]
-    lower = pair_first[up_q] + k[up_p]
+    lo, hi = rows[up_p], rows[up_q]
+    tree = entries[lo] == 2
+    slot = up[hi]
+    other = ~tree
+    slot[other] = n + _entry_slots(lo[other], hi[other], cols, count, rows, n)
+    del other
+    tree = tree.nonzero()[0]
+    below = indptr[lo[tree]] + 1
+    hi = hi[tree]
+    if not np.array_equal(indices[below], hi):
+        raise _DroppedEntry("L lacks an entry that a branching column needs")
+    lo_l = -values[below]
+    del lo, below
+    # (p, q) goes to the run of entry p with coefficient -l_q, (q, p) to
+    # that of q with -l_p
+    src = np.empty(pairs, dtype=np.intp)
+    coef = np.empty(pairs, dtype=complex)
+    for p, q in ((up_p, up_q), (up_q, up_p)):
+        pair = diagonal[p] + (q - p)
+        src[pair] = slot
+        l_q = values[at[q]]
+        coef[pair] = np.negative(l_q, out=l_q)
+        del l_q
+        pair = pair[tree]
+        scale = coef[pair] * lo_l
+        np.add.at(const, p[tree], scale * a[hi])
+        coef[pair] = scale * b[hi]
+    del up_p, up_q, slot, p, q, pair
+    # and (p, p) reads the anchor of its row with coefficient -l_p b_p
+    src[diagonal] = up[rows]
+    weight = b[rows]
+    del rows
+    l_rows = values[at]
+    del at
+    coef[diagonal] = np.negative(np.multiply(l_rows, weight, out=weight), out=weight)
+    del weight
 
-    # a pair reads the slot (hi, lo) of L with coefficient -l_q, but the
-    # pair (p, p) and the pairs whose lo is a tree column read
-    # a_hi + b_hi Z at the anchor of hi, times -l_q or -l_q * -l_lo
-    src = np.empty(pair_stop[-1], dtype=np.intp)
-    src[upper] = slot
-    src[lower] = slot
-    coef = np.empty(pair_stop[-1], dtype=complex)
-    del pair_stop
-    coef[upper] = -l_rows[up_q]
-    coef[lower] = -l_rows[up_p]
-    tree = (entries[rows[up_p]] == 2).nonzero()[0]
-    affine = np.concatenate((pair_first + k, upper[tree], lower[tree]))
-    del upper, lower, k
-    coef[affine[: len(pos)]] = -l_rows
-    scale = coef[affine]
-    lo_l = -values[slot[tree]]
-    scale[len(pos) :] *= np.concatenate((lo_l, lo_l))
-    entry = np.concatenate((np.arange(len(pos)), up_p[tree], up_q[tree]))
-    hi = rows[np.concatenate((np.arange(len(pos)), up_q[tree], up_q[tree]))]
-    del up_p, up_q, slot, tree, rows, lo_l
-    src[affine] = indptr[up[hi]]
-    const = np.zeros(len(pos), dtype=complex)
-    # each product goes to the buffer of its second factor
-    weight = a[hi]
-    np.add.at(const, entry, np.multiply(scale, weight, out=weight))
-    del entry, weight
-    coef[affine] = np.multiply(scale, b[hi], out=scale)
-    del affine, hi, scale
-
+    # the first and the end of each level's columns, entries and pairs;
+    # pair_first = diagonal - k only now, as held through the pairs'
+    # set-up it would add to the peak
+    pair_first = diagonal - np.arange(len(diagonal)) + np.repeat(col_first, count)
+    del diagonal
+    col_end = level_cols.cumsum()
+    entry_start, entry_end = col_first[col_end - level_cols], col_first[col_end - 1] + count[col_end - 1]
+    pair_start = pair_first[entry_start]
+    pair_end = np.append(pair_start[1:], pairs)
     col_first -= np.repeat(entry_start, level_cols)
     pair_first -= np.repeat(pair_start, entry_end - entry_start)
     ends = list(zip(col_end.tolist(), entry_end.tolist(), pair_end.tolist()))
     terms = np.empty((pair_end - pair_start).max(), dtype=complex)
     weighted = np.empty((entry_end - entry_start).max(), dtype=complex)
-    return pos, l_rows, col_first, pair_first, coef, src, const, diag_slot, ends, terms, weighted
+    return cols, l_rows, col_first, pair_first, coef, src, ends, terms, weighted
 
 
-def _level_order(columns: np.ndarray, indptr: np.ndarray, indices: np.ndarray, up: np.ndarray, n: int) -> tuple:
-    """The branching columns ``columns`` by level, and the number of them
-    in each level.
+def _level_order(branching: np.ndarray, indptr: np.ndarray, indices: np.ndarray, up: np.ndarray) -> tuple:
+    """The columns of the mask ``branching`` by level, and the number of
+    them in each level.
 
     The anchors of a column's rows other than the first are the anchor of
     the first row (the column's parent in the elimination tree) or its
     ancestors, whose levels are lower still. So a level is a depth in the
     tree of anchors, found by pointer jumping as for the tree columns, on
     the branching columns only; slot ``width`` stands for every root."""
+    columns = branching.nonzero()[0]
     width = len(columns)
-    slot = np.full(n, width)
+    slot = np.full(len(branching), width)
     slot[columns] = np.arange(width)
     hop = np.append(slot[up[indices[indptr[columns] + 1]]], width)
     del slot
@@ -363,23 +395,29 @@ def _level_order(columns: np.ndarray, indptr: np.ndarray, indices: np.ndarray, u
     return columns[level[:-1].argsort(kind="stable")], np.bincount(level[:-1])[1:]
 
 
-def _slots_in_l(lo: np.ndarray, hi: np.ndarray, indices: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
-    """The slot of (hi, lo) in L for each pair of rows lo < hi.
+def _entry_slots(
+    lo: np.ndarray, hi: np.ndarray, cols: np.ndarray, count: np.ndarray, rows: np.ndarray, n: int
+) -> np.ndarray:
+    """The slot of (hi, lo) for each pair of rows lo < hi among the entries
+    of the columns ``cols`` of L, of which column c has ``count`` entries
+    in the rows ``rows``, column after column.
 
-    The keys col*n + row ascend along L.data, and sorted needles are found
-    faster (3x at 4k pairs). A key that is missing means SuperLU dropped an
-    entry that cancelled to zero; reading another slot instead would be
-    silently wrong."""
+    The keys col*n + row ascend within each level, so a stable sort merges
+    these runs; sorted needles are found faster (2x at 1k pairs). A key
+    that is missing means SuperLU dropped an entry that cancelled to zero;
+    reading another slot instead would be silently wrong."""
+    keys = np.repeat(cols.astype(np.int64) * n, count)
+    keys += rows
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
     wanted = lo.astype(np.int64) * n + hi
     by_key = wanted.argsort()
     wanted = wanted[by_key]
-    keys = np.repeat(np.arange(0, n * n, n, dtype=np.int64), entries)
-    keys += indices
     found = keys.searchsorted(wanted)
     if not np.array_equal(keys.take(found, mode="clip"), wanted):
         raise _DroppedEntry("L lacks an entry that a branching column needs")
     slot = np.empty_like(found)
-    slot[by_key] = found
+    slot[by_key] = order[found]
     return slot
 
 

@@ -103,20 +103,39 @@ def test_diag_zero_pivot_falls_back_to_unit_solves(monkeypatch):
     assert impedance_matrix_diag(lu, rows=[1]) == pytest.approx(z[1:], abs=1e-12)
 
 
-@pytest.mark.parametrize("level_sweep", [False, True], ids=["unit-solve anchors", "level sweep"])
-def test_diag_entry_of_l_cancelled_to_zero_falls_back_to_unit_solves(monkeypatch, level_sweep):
-    # the ordering eliminates the last bus (pivot 1) first; the update of
-    # the entry between the other two, 2 - 2*1/1, is exactly 0 and SuperLU
-    # drops it from L, so the first column (two entries below the diagonal)
-    # needs a Z that lies off the stored pattern of L: the level rounds fall
-    # back to unit solves, a unit solve of that column never reads it
-    # the anchors' bound lies between n * k = 3 for the one branching column
-    # and n * len(rows) = 6, so that the selected inversion runs
+# the ordering eliminates the last bus (pivot 1) first. In the 3-bus
+# matrix the update of the entry between the other two, 2 - 2*1/1, is
+# exactly 0 and SuperLU drops it from L, so the first column (two entries
+# below the diagonal) needs a Z that lies off the stored pattern of L. In
+# the 4-bus matrix the update between buses 0 and 1, 1 - 1*1/1, is 0: the
+# first column has three entries below the diagonal, and bus 0's column
+# keeps one, in the row of bus 2, so it is a tree column whose one entry
+# must not be read in place of the dropped one
+THREE_BUS_CANCELLING = ([[3, 2, 2], [2, 4, 1], [2, 1, 1]], 5)
+FOUR_BUS_CANCELLING = ([[5, 1, 2, 1], [1, 2, 2, 1], [2, 2, 5, 3], [1, 1, 3, 1]], 9)
+
+
+@pytest.mark.parametrize(
+    "level_sweep,matrix",
+    [
+        (False, THREE_BUS_CANCELLING),
+        (True, THREE_BUS_CANCELLING),
+        (False, FOUR_BUS_CANCELLING),
+        (True, FOUR_BUS_CANCELLING),
+    ],
+    ids=["unit-solve anchors", "level sweep", "unit-solve anchors, tree column", "level sweep, tree column"],
+)
+def test_diag_entry_of_l_cancelled_to_zero_falls_back_to_unit_solves(monkeypatch, level_sweep, matrix):
+    # the level rounds fall back to unit solves, a unit solve of the
+    # branching column never reads the dropped entry. The anchors' bound
+    # lies between n * k (3 or 4) for the one branching column and
+    # n * len(rows) (6 or 8), so that the selected inversion runs
     monkeypatch.setattr(solver, "_UNIT_SOLVE_MAX_ENTRIES", 0 if level_sweep else 5)
-    y = scipy.sparse.csc_matrix(np.array([[3, 2, 2], [2, 4, 1], [2, 1, 1]]) * (1 - 2j))
+    values, nnz_l = matrix
+    y = scipy.sparse.csc_matrix(np.array(values) * (1 - 2j))
     lu = factorize(y)
     assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert lu.L.nnz == 5  # the unit diagonal and the first column's two entries
+    assert lu.L.nnz == nnz_l  # the unit diagonal and the entries that did not cancel
     z = impedance_matrix_diag(lu)
     assert np.abs(z / np.diag(np.linalg.inv(y.toarray())) - 1).max() < 1e-12
     assert impedance_matrix_diag(lu, rows=[2, 0]) == pytest.approx(z[[2, 0]], rel=1e-12)
@@ -390,18 +409,19 @@ def test_result_row_helper():
     [
         (lambda: generate_radial_grid(4, 750, dg_every=5), "max", 1.0),
         (lambda: load_perfbench("grids").meshed_grid(1), "min", 1.7),
-        (lambda: load_perfbench("grids").meshed_grid(1), "min", 1.2),
+        (lambda: load_perfbench("grids").meshed_grid(1), "min", 1.0),
     ],
     ids=["radial 3002 buses", "meshed 2928 buses", "meshed 2928 buses, lean level rounds"],
 )
 def test_a_study_holds_one_stage_at_a_time(make, case, bound_mb):
     # each stage frees its arrays once the next no longer needs them, so
-    # the traced peak is about one stage's working set: 0.76 and 1.03 MB
+    # the traced peak is about one stage's working set: 0.75 and 0.92 MB
     # with numpy 2.4. The bounds leave room for other numpy versions and
     # stay below 1.57 and 1.90 MB, the peaks of a study that keeps Y, the
     # factor and the stamp's temporaries to its end. The meshed study peaks
-    # in Z_ii; 1.2 MB stays below 1.42 MB, its peak when the set-up of the
-    # level rounds holds all its pair arrays at once.
+    # in Z_ii; 1.0 MB stays below 1.04 MB, its peak when Z_ii keeps Z on
+    # the whole pattern of L (and 1.42 MB when the set-up of the level
+    # rounds holds all its pair arrays at once).
     net = make()
     options = FaultStudyOptions(case=case)
     calc_sc(net, options)
@@ -416,12 +436,14 @@ def test_a_study_holds_one_stage_at_a_time(make, case, bound_mb):
 
 
 def test_z_ii_of_a_meshed_grid_holds_little_more_than_the_level_rounds():
-    # the set-up of the level rounds frees each temporary after its last
-    # reader, and the rounds' buffers are as long as the widest level: the
-    # traced peak is 0.89 MB with numpy 2.4, SuperLU's L and U (built at
-    # the first Z_ii on a factor) 0.31 MB of it. The bound leaves room for
-    # other numpy versions and stays below 1.28 MB, the peak when the
-    # set-up holds all its pair arrays at once.
+    # Z is kept on the diagonal and the entries of the branching columns
+    # only, the set-up of the level rounds frees each temporary after its
+    # last reader, and the rounds' buffers are as long as the widest level:
+    # the traced peak is 0.80 MB with numpy 2.4, SuperLU's L and U (built at
+    # the first Z_ii on a factor) 0.30 MB of it. The bound leaves room for
+    # other numpy versions and stays below 0.92 MB, the peak when Z spans
+    # the whole pattern of L (1.28 MB when the set-up holds all its pair
+    # arrays at once).
     y = build_bbm(load_perfbench("grids").meshed_grid(1), FaultStudyOptions(case="min")).y_matrix
     lu = factorize(y)
     branching = np.count_nonzero(np.diff(factorize(y).L.indptr) > 2)
@@ -433,4 +455,4 @@ def test_z_ii_of_a_meshed_grid_holds_little_more_than_the_level_rounds():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.0e6
+    assert peak <= 0.85e6
