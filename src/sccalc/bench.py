@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import scipy.sparse.linalg
 
 from .builder import FaultStudyOptions, build_bbm, fuse_switches, prepare
 from .generator import generate_radial_grid
+from .gridfile import load_network, save_network
 from .model import _Tables, validate
 from .solver import (
     DEGENERATE_Z_TOL_PU,
@@ -188,33 +190,58 @@ def _minor_faults() -> int | None:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _traced_peak(call, *args) -> int:
-    """The tracemalloc peak of one call, in bytes."""
+def _traced(call, *args) -> tuple[int, int]:
+    """The traced bytes that one call leaves held while its result lives,
+    and the tracemalloc peak of the call."""
     # (not imported with the package)
     import tracemalloc
 
     tracemalloc.start()
     try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
+        # (the result is held while the memory is read)
+        out = call(*args)
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def _load_leg(net) -> dict:
+    """``net`` saved as a version 2 grid file in a temporary directory, then
+    the min and median of ``REPEATS`` timed ``load_network`` calls, the
+    traced peak of one more, and the traced bytes of the network it
+    returns."""
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.json")
+        save_network(net, path)
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            loaded = load_network(path)
+            times.append(time.perf_counter() - t0)
+            del loaded
+        held, peak = _traced(load_network, path)
+    return {
+        "load_network_s": {"min": min(times), "median": sorted(times)[REPEATS // 2]},
+        "load_network_peak_traced_bytes": peak,
+        "network_traced_bytes": held,
+    }
 
 
 def run_benchmark(
     sizes: list[int], case: str = "max", seed: int = 0, loop_max: int | None = None
 ) -> BenchmarkReport:
     """For each target bus count, on one generated radial grid (a converter
-    source on every fifth feeder bus): one untimed all-bus study, then
-    ``REPEATS`` timed calls of each stage in turn, each stage called on its
-    own, with the minor page faults of each timed study, then one more call
-    of each stage under tracemalloc for its peak memory. Each call of Z_ii
-    gets a new factor, made before the call. Then single-bus studies must
-    agree with the all-bus study to ``EQUIVALENCE_TOL``: up to ``loop_max``
-    buses (every size when it is None) a timed loop over every bus, above
-    it the untimed studies of ``SAMPLED_BUSES`` buses drawn with ``seed``,
-    and the same buses from a factor of Y of their own
-    (``_factored_reference``), which shares no Z_ii path with the study.
+    source on every fifth feeder bus): one untimed all-bus study, the
+    grid's file loads of ``_load_leg``, then ``REPEATS`` timed calls of
+    each stage in turn, each stage called on its own, with the minor page
+    faults of each timed study, then one more call of each stage under
+    tracemalloc for its peak memory. Each call of Z_ii gets a new factor,
+    made before the call. Then single-bus studies must agree with the
+    all-bus study to ``EQUIVALENCE_TOL``: up to ``loop_max`` buses (every
+    size when it is None) a timed loop over every bus, above it the
+    untimed studies of ``SAMPLED_BUSES`` buses drawn with ``seed``, and the
+    same buses from a factor of Y of their own (``_factored_reference``),
+    which shares no Z_ii path with the study.
 
     The headline time of a stage is its minimum; the median stands next to
     it."""
@@ -228,7 +255,8 @@ def run_benchmark(
 
         # an untimed study first: the first one in a process is slower
         calc_sc(net, options)
-        calls, arguments, sizes = _stage_calls(net, options)
+        load = _load_leg(net)
+        calls, arguments, counts = _stage_calls(net, options)
         times = {name: [] for name in calls}
         faults = []
         for _ in range(REPEATS):
@@ -243,7 +271,7 @@ def run_benchmark(
                     after = _minor_faults()
                     faults.append(None if after is None else after - before)
         stages = {name: {"min": min(ts), "median": sorted(ts)[REPEATS // 2]} for name, ts in times.items()}
-        peaks = {name: _traced_peak(call, *arguments[name]()) for name, call in calls.items()}
+        peaks = {name: _traced(call, *arguments[name]())[1] for name, call in calls.items()}
 
         t_loop = None
         if loop_max is None or n <= loop_max:
@@ -256,8 +284,8 @@ def run_benchmark(
             looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(bus,))) for bus in ids]
             looped.append(_factored_reference(net, options, ids))
         cases.append({
-            "buses": n, **sizes, "stages_s": stages,
-            "peak_traced_bytes": peaks["calc_sc"], "stages_peak_traced_bytes": peaks,
+            "buses": n, **counts, "stages_s": stages,
+            "peak_traced_bytes": peaks["calc_sc"], "stages_peak_traced_bytes": peaks, **load,
             "calc_sc_minor_faults": None if None in faults else sorted(faults)[REPEATS // 2],
             "looped_s": t_loop, "speedup": None if t_loop is None else t_loop / stages["calc_sc"]["min"],
             "max_rel_diff": _check_equivalence(vectorized, looped, EQUIVALENCE_TOL),

@@ -36,7 +36,7 @@ SWITCHABLE_ELEMENT_KINDS = ("line", "trafo2w", "trafo3w")
 _INT64_LIMIT = 2**63
 
 
-@dataclass
+@dataclass(slots=True)
 class Bus:
     id: int
     vn_kv: float
@@ -44,7 +44,7 @@ class Bus:
     in_service: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class ExternalGrid:
     """Aggregated upstream grid, given by its short-circuit power and R/X ratio."""
 
@@ -62,7 +62,7 @@ class ExternalGrid:
             self.rx_min = self.rx_max
 
 
-@dataclass
+@dataclass(slots=True)
 class Line:
     from_bus: int
     to_bus: int
@@ -75,7 +75,7 @@ class Line:
     in_service: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Transformer2W:
     hv_bus: int
     lv_bus: int
@@ -87,7 +87,7 @@ class Transformer2W:
     in_service: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Transformer3W:
     hv_bus: int
     mv_bus: int
@@ -107,7 +107,7 @@ class Transformer3W:
     in_service: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class ConverterSource:
     """Full converter generation unit (PV, modern wind): a constant current source."""
 
@@ -150,7 +150,7 @@ class ElementRef:
     index: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Switch:
     bus: int
     other: int | ElementRef

@@ -236,6 +236,13 @@ def test_bench_json_schema(tmp_path):
         # it calls
         assert peaks["calc_sc"] == size["peak_traced_bytes"]
         assert peaks["calc_sc"] >= max(peaks["validate"], peaks["build_bbm"], peaks["impedance_matrix_diag"])
+        # the load leg: the peak of a load holds the network it returns
+        # and the validation of that network
+        assert 0.0 < size["load_network_s"]["min"] <= size["load_network_s"]["median"]
+        for key in ("load_network_peak_traced_bytes", "network_traced_bytes"):
+            assert isinstance(size[key], int), key
+        assert 0 < size["network_traced_bytes"] < size["load_network_peak_traced_bytes"]
+        assert size["load_network_peak_traced_bytes"] >= peaks["validate"]
         # 6 buses is above --loop-max 3: a sample of up to 16 buses is
         # checked, and no loop is timed
         assert size["checked_buses"] == size["buses"] == 6 and 0.0 <= size["max_rel_diff"] <= 1e-10

@@ -821,7 +821,7 @@ def read_counting(net: Network, reads: collections.Counter) -> Network:
     counted_net = dataclasses.replace(net)
     for section, cls in (("buses", Bus), ("lines", Line), ("converter_sources", ConverterSource)):
         counted = counting(cls)
-        setattr(counted_net, section, [counted(**vars(el)) for el in getattr(net, section)])
+        setattr(counted_net, section, [counted(**dataclasses.asdict(el)) for el in getattr(net, section)])
     return counted_net
 
 

@@ -245,7 +245,7 @@ def test_absent_optional_fields_take_their_defaults():
     net = network_from_dict(doc)
     assert net.buses == [Bus(1, 110.0, "hv", False), Bus(2, 110.0)]
     assert net.external_grids == [ExternalGrid(1, 3000.0), ExternalGrid(2, 500.0, 400.0, 0.0, 0.0)]
-    assert [type(v) for v in vars(net.external_grids[1]).values()] == [int, float, float, float, float, bool]
+    assert [type(v) for v in dataclasses.astuple(net.external_grids[1])] == [int, float, float, float, float, bool]
 
 
 def test_switch_parsing_both_kinds():

@@ -1,6 +1,8 @@
 """Tests for the element-based grid model and its validation."""
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -232,6 +234,23 @@ FLOAT_FIELDS = {
 
 def test_every_section_network_is_valid():
     assert validate(every_section_network()) == []
+
+
+def _one_of_each_element() -> list:
+    net = every_section_network()
+    return [
+        *(getattr(net, section)[0] for section in SECTIONS),
+        Switch(bus=2, other=ElementRef("line", 0), closed=False),
+    ]
+
+
+@pytest.mark.parametrize("element", _one_of_each_element(), ids=lambda el: type(el).__name__)
+def test_elements_are_slotted_and_copy_and_pickle_to_equals(element):
+    assert not hasattr(element, "__dict__")
+    with pytest.raises(AttributeError):
+        element.no_such_field = 1.0
+    assert copy.deepcopy(element) == element
+    assert pickle.loads(pickle.dumps(element)) == element
 
 
 def test_float_field_list_matches_the_element_classes():
