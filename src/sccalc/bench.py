@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 
 from .builder import FaultStudyOptions, build_bbm, fuse_switches, prepare
 from .generator import generate_radial_grid
-from .gridfile import load_network, save_network
+from .gridfile import load_network, save_network, write_result_csv, write_result_json
 from .model import _Tables, validate
 from .solver import (
     DEGENERATE_Z_TOL_PU,
@@ -205,26 +205,36 @@ def _traced(call, *args) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def _load_leg(net) -> dict:
-    """``net`` saved as a version 2 grid file in a temporary directory, then
-    the min and median of ``REPEATS`` timed ``load_network`` calls, the
-    traced peak of one more, and the traced bytes of the network it
-    returns."""
+def _timed(call, *args) -> dict:
+    """The min and median of ``REPEATS`` timed calls."""
     times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        call(*args)
+        times.append(time.perf_counter() - t0)
+    return {"min": min(times), "median": sorted(times)[REPEATS // 2]}
+
+
+def _file_legs(net, result: ShortCircuitResult) -> dict:
+    """In a temporary directory, ``net`` saved as a version 2 grid file and
+    loaded from it, and ``result`` written as CSV and JSON: per leg the min
+    and median of ``REPEATS`` timed calls and the traced peak of one more,
+    the bytes of each written file, and the traced bytes of the network a
+    load returns."""
+    legs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "grid.json")
-        save_network(net, path)
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            loaded = load_network(path)
-            times.append(time.perf_counter() - t0)
-            del loaded
-        held, peak = _traced(load_network, path)
-    return {
-        "load_network_s": {"min": min(times), "median": sorted(times)[REPEATS // 2]},
-        "load_network_peak_traced_bytes": peak,
-        "network_traced_bytes": held,
-    }
+        grid = os.path.join(tmp, "grid.json")
+        for name, call, obj, path in (
+            ("save_network", save_network, net, grid),
+            ("write_result_csv", write_result_csv, result, os.path.join(tmp, "result.csv")),
+            ("write_result_json", write_result_json, result, os.path.join(tmp, "result.json")),
+        ):
+            legs[f"{name}_s"] = _timed(call, obj, path)
+            legs[f"{name}_peak_traced_bytes"] = _traced(call, obj, path)[1]
+            legs[f"{name}_file_bytes"] = os.path.getsize(path)
+        legs["load_network_s"] = _timed(load_network, grid)
+        legs["network_traced_bytes"], legs["load_network_peak_traced_bytes"] = _traced(load_network, grid)
+    return legs
 
 
 def run_benchmark(
@@ -232,7 +242,7 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """For each target bus count, on one generated radial grid (a converter
     source on every fifth feeder bus): one untimed all-bus study, the
-    grid's file loads of ``_load_leg``, then ``REPEATS`` timed calls of
+    grid and result files of ``_file_legs``, then ``REPEATS`` timed calls of
     each stage in turn, each stage called on its own, with the minor page
     faults of each timed study, then one more call of each stage under
     tracemalloc for its peak memory. Each call of Z_ii gets a new factor,
@@ -254,8 +264,7 @@ def run_benchmark(
         options = FaultStudyOptions(case=case)
 
         # an untimed study first: the first one in a process is slower
-        calc_sc(net, options)
-        load = _load_leg(net)
+        files = _file_legs(net, calc_sc(net, options))
         calls, arguments, counts = _stage_calls(net, options)
         times = {name: [] for name in calls}
         faults = []
@@ -285,7 +294,7 @@ def run_benchmark(
             looped.append(_factored_reference(net, options, ids))
         cases.append({
             "buses": n, **counts, "stages_s": stages,
-            "peak_traced_bytes": peaks["calc_sc"], "stages_peak_traced_bytes": peaks, **load,
+            "peak_traced_bytes": peaks["calc_sc"], "stages_peak_traced_bytes": peaks, **files,
             "calc_sc_minor_faults": None if None in faults else sorted(faults)[REPEATS // 2],
             "looped_s": t_loop, "speedup": None if t_loop is None else t_loop / stages["calc_sc"]["min"],
             "max_rel_diff": _check_equivalence(vectorized, looped, EQUIVALENCE_TOL),

@@ -14,11 +14,12 @@ order; the column checks are never looser than it.
 
 Results are written as CSV (6 decimals, for humans) or JSON (full
 precision, for machines), one ``%`` template per row over the result
-columns.
+columns, each row handed to the target's ``write`` as it is formatted.
 """
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -333,18 +334,27 @@ def save_network(net: Network, path) -> None:
     for where, column in texts.items():
         if (i := _first_surrogate(column)) is not None:
             raise GridFileError(f"{path}: {where.format(i)}: {_SURROGATE}")
-    items = []
-    for key, value in doc.items():
+    # the document in order, each item and line with the comma and newline
+    # before it; every value is encoded before the file exists
+    pieces = []
+    for k, (key, value) in enumerate(doc.items()):
+        pieces.append(f"{',' if k else '{'}\n  {json.dumps(key)}: ")
         if isinstance(value, dict):
-            lines = [f"    {json.dumps(name)}: {_encode(col, f'{key}.{name}', path)}" for name, col in value.items()]
-            text = "{\n" + ",\n".join(lines) + "\n  }"
+            pieces.append("{")
+            pieces += (
+                f"{',' if j else ''}\n    {json.dumps(name)}: {_encode(col, f'{key}.{name}', path)}"
+                for j, (name, col) in enumerate(value.items())
+            )
+            pieces.append("\n  }")
         elif key == "switches" and value:
-            text = "[\n" + ",\n".join("    " + _encode(sw, f"switches[{i}]", path) for i, sw in enumerate(value)) + "\n  ]"
+            pieces.append("[")
+            pieces += (f"{',' if i else ''}\n    {_encode(sw, f'switches[{i}]', path)}" for i, sw in enumerate(value))
+            pieces.append("\n  ]")
         else:
-            text = json.dumps(value)
-        items.append(f"  {json.dumps(key)}: {text}")
+            pieces.append(json.dumps(value))
+    pieces.append("\n}\n")
     with _create(path) as f:
-        f.write("{\n" + ",\n".join(items) + "\n}\n")
+        f.writelines(pieces)
 
 
 def _plain_number(value):
@@ -385,12 +395,12 @@ def _create(path):
         raise GridFileError(f"{path}: {e.strerror}") from e
 
 
-def _write_text(file_or_path, text: str) -> None:
+def _target(file_or_path):
+    """The object itself when it has ``write``, left open, or the file
+    created at the path, closed after the ``with``."""
     if hasattr(file_or_path, "write"):
-        file_or_path.write(text)
-        return
-    with _create(file_or_path) as f:
-        f.write(text)
+        return nullcontext(file_or_path)
+    return _create(file_or_path)
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
@@ -436,13 +446,19 @@ def write_result_csv(result: ShortCircuitResult, file_or_path) -> None:
     columns = _result_columns(result)
     if any(c in names for c in _CSV_QUOTED):
         columns[1] = list(map(_csv_name, columns[1]))
-    _write_text(file_or_path, meta + _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, zip(*columns))))
+    with _target(file_or_path) as f:
+        write = f.write
+        write(meta + _CSV_HEADER)
+        for row in zip(*columns):
+            write(_CSV_ROW % row)
 
 
 _JSON_ROW = (
     '{"bus_id": %d, "name": %s, "vn_kv": %s, "ikss_source_ka": %s,'
     ' "ikss_converter_ka": %s, "ikss_ka": %s, "energized": %s}'
 )
+# every row after the first, with the separator before it
+_JSON_NEXT_ROW = ", " + _JSON_ROW
 
 
 def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
@@ -450,7 +466,8 @@ def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
     as ``json.dumps`` writes it. Names are ``str``, as ``validate`` keeps
     them, and go through ``json``'s own string encoder; floats keep full
     precision; NaN markers are written as null, and an infinite value
-    raises ValueError, as ``allow_nan=False`` does."""
+    raises ValueError, as ``allow_nan=False`` does, before anything is
+    written."""
     columns = _result_columns(result)
     columns[1] = list(map(encode_basestring_ascii, columns[1]))
     for k in range(2, 6):
@@ -460,7 +477,11 @@ def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
         if np.isinf(values).any():
             raise ValueError("Out of range float values are not JSON compliant")
         columns[k] = ["null" if v != v else v for v in columns[k]]
-    # str(float) is float.__repr__, the text json writes for a float
-    rows = ", ".join(map(_JSON_ROW.__mod__, zip(*columns)))
     meta = _STRICT_JSON.encode(_result_meta(result))
-    _write_text(file_or_path, f'{{"meta": {meta}, "rows": [{rows}]}}\n')
+    with _target(file_or_path) as f:
+        write = f.write
+        write(f'{{"meta": {meta}, "rows": [')
+        # str(float) is float.__repr__, the text json writes for a float
+        for row in map(str.__mod__, chain((_JSON_ROW,), repeat(_JSON_NEXT_ROW)), zip(*columns)):
+            write(row)
+        write("]}\n")

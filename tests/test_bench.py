@@ -243,6 +243,11 @@ def test_bench_json_schema(tmp_path):
             assert isinstance(size[key], int), key
         assert 0 < size["network_traced_bytes"] < size["load_network_peak_traced_bytes"]
         assert size["load_network_peak_traced_bytes"] >= peaks["validate"]
+        # the save, CSV and JSON legs: each writes a file of its own
+        for leg in ("save_network", "write_result_csv", "write_result_json"):
+            assert 0.0 < size[f"{leg}_s"]["min"] <= size[f"{leg}_s"]["median"], leg
+            for key in (f"{leg}_peak_traced_bytes", f"{leg}_file_bytes"):
+                assert isinstance(size[key], int) and size[key] > 0, key
         # 6 buses is above --loop-max 3: a sample of up to 16 buses is
         # checked, and no loop is timed
         assert size["checked_buses"] == size["buses"] == 6 and 0.0 <= size["max_rel_diff"] <= 1e-10

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from sccalc import (
     Switch,
     ValidationError,
     calc_sc,
+    generate_radial_grid,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -473,16 +475,48 @@ def test_nan_is_null_only_where_it_stands():
     assert_files_match_the_row_writers(res)
 
 
-def test_infinite_value_raises_like_json():
+@pytest.mark.parametrize("to_path", [False, True], ids=["stringio", "path"])
+def test_infinite_value_raises_like_json(tmp_path, to_path):
+    # the refusal comes before the first row is written, and before a path
+    # is opened
     res = dataclasses.replace(calc_sc(three_bus_example()))
     res.ikss_converter_ka = res.ikss_converter_ka.copy()
     res.ikss_converter_ka[1] = -math.inf
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         reference_result_json(res)
-    out = io.StringIO()
+    out = tmp_path / "result.json" if to_path else io.StringIO()
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         write_result_json(res, out)
-    assert out.getvalue() == ""
-    csv_out = io.StringIO()
+    if to_path:
+        assert not out.exists()
+    else:
+        assert out.getvalue() == ""
+    csv_out = tmp_path / "result.csv" if to_path else io.StringIO()
     write_result_csv(res, csv_out)
-    assert csv_out.getvalue() == reference_result_csv(res)
+    written = csv_out.read_bytes().decode("utf-8") if to_path else csv_out.getvalue()
+    assert written == reference_result_csv(res)
+
+
+@pytest.fixture(scope="module")
+def radial_3002():
+    net = generate_radial_grid(4, 750, dg_every=5)
+    return net, calc_sc(net)
+
+
+@pytest.mark.parametrize(
+    "write,bound",
+    [(write_result_json, 2.0), (write_result_csv, 4.5), (save_network, 3.2)],
+    ids=["write_result_json", "write_result_csv", "save_network"],
+)
+def test_writers_hold_a_small_multiple_of_the_bytes_they_write(tmp_path, radial_3002, write, bound):
+    # each row or line goes to the file as it is formatted: no writer
+    # holds the whole document, its join and a framing copy at once
+    net, res = radial_3002
+    path = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        write(net if write is save_network else res, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * path.stat().st_size
