@@ -43,6 +43,10 @@ SAMPLED_BUSES = 16
 # so that the median is one of the times
 REPEATS = 5
 
+# the measured calls that write a file, which is named after its leg
+_WRITE_LEGS = ("save_network", "write_result_csv", "write_result_json")
+
+
 class EquivalenceGateError(AssertionError):
     """Vectorized and looped studies disagree; timings are withheld."""
 
@@ -94,35 +98,41 @@ class BenchmarkReport:
         }
 
 
-def _check_equivalence(vectorized: ShortCircuitResult, looped: list[ShortCircuitResult], tol: float) -> float:
-    """Largest relative deviation between the two paths, over every row of
-    the reference studies ``looped``; raises when any result column differs
-    beyond ``tol``."""
+def _check_equivalence(vectorized: ShortCircuitResult, tol: float, **references: list[ShortCircuitResult]) -> float:
+    """Largest relative deviation of the all-bus study ``vectorized`` from
+    every row of the reference studies, each list given by the name that a
+    failure reports (``looped`` for single-bus studies, ``factored`` for
+    ``_factored_reference``); raises when any result column differs beyond
+    ``tol``."""
     worst = 0.0
     by_bus = {int(b): i for i, b in enumerate(vectorized.bus_ids)}
-    for single, j, bus in ((s, j, bus) for s in looped for j, bus in enumerate(s.bus_ids.tolist())):
-        i = by_bus[bus]
-        for column in ("ikss_source_ka", "ikss_converter_ka", "ikss_ka"):
-            a = float(getattr(vectorized, column)[i])
-            b = float(getattr(single, column)[j])
-            if math.isnan(a) and math.isnan(b):
-                continue  # both paths flag the bus as degenerate
-            rel = abs(a - b) / max(abs(a), abs(b), 1e-30)
-            worst = max(worst, rel)
-            if not (rel <= tol):
-                raise EquivalenceGateError(
-                    f"bus {bus} {column}: vectorized {a!r} vs looped {b!r} (rel diff {rel:.3e})"
-                )
+    for name, studies in references.items():
+        for single, j, bus in ((s, j, bus) for s in studies for j, bus in enumerate(s.bus_ids.tolist())):
+            i = by_bus[bus]
+            for column in ("ikss_source_ka", "ikss_converter_ka", "ikss_ka"):
+                a = float(getattr(vectorized, column)[i])
+                b = float(getattr(single, column)[j])
+                if math.isnan(a) and math.isnan(b):
+                    continue  # both paths flag the bus as degenerate
+                rel = abs(a - b) / max(abs(a), abs(b), 1e-30)
+                worst = max(worst, rel)
+                if not (rel <= tol):
+                    raise EquivalenceGateError(
+                        f"bus {bus} {column}: vectorized {a!r} vs {name} {b!r} (rel diff {rel:.3e})"
+                    )
     return worst
 
 
-def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, dict]:
-    """Each stage as a call on ``net``, on the inputs the study hands it: the
-    typed read and closed ties for ``fuse_switches``, and the factor, the
-    Z_ii and the rows of the reported buses of one build of the model;
-    ``second_case`` is a study of the other fault case on a topology
-    prepared beforehand. Then, per stage, a function that makes the
-    arguments of one call before it starts: none, but a new factor for
+def _measured_calls(net, options: FaultStudyOptions, result: ShortCircuitResult, tmp: str) -> tuple[dict, dict]:
+    """Every measured call of a size, by name: first the stages, each a
+    call on ``net`` on the inputs the study hands it: the typed read and
+    closed ties for ``fuse_switches``, and the factor, the Z_ii and the rows
+    of the reported buses of one build of the model; ``second_case`` is a
+    study of the other fault case on a topology prepared beforehand. Then
+    the file legs in the directory ``tmp``, each file named after its leg:
+    ``net`` saved as a version 2 grid file, ``result`` written as CSV and
+    JSON, and the grid file loaded. Each call comes with a function that
+    makes its arguments before its clock starts: none, but a new factor for
     each Z_ii, since SuperLU builds L and U at the first Z_ii on a factor
     and keeps them, and every study builds them. Then the sizes of that
     build as a size record has them: nodes, star points, nnz(Y), nnz(L+U)."""
@@ -135,20 +145,25 @@ def _stage_calls(net, options: FaultStudyOptions) -> tuple[dict, dict, dict]:
     tables = _Tables(net)
     ties = tables.elements()[3]
     second = FaultStudyOptions(case="min" if options.case == "max" else "max")
+    grid, csv_file, json_file = (os.path.join(tmp, leg) for leg in _WRITE_LEGS)
     calls = {
-        "validate": lambda: validate(net),
-        "fuse_switches": lambda: fuse_switches(tables, ties),
-        "build_bbm": lambda: build_bbm(net, options),
-        "factorize": lambda: factorize(bbm.y_matrix),
-        "impedance_matrix_diag": lambda fresh: impedance_matrix_diag(fresh, rows=rows),
-        "converter_contribution": lambda: converter_contribution(lu, z_safe, bbm.i_kc, rows=rows),
-        "calc_sc": lambda: calc_sc(net, options),
-        "second_case": lambda: calc_sc(topology, second),
+        "validate": (tuple, lambda: validate(net)),
+        "fuse_switches": (tuple, lambda: fuse_switches(tables, ties)),
+        "build_bbm": (tuple, lambda: build_bbm(net, options)),
+        "factorize": (tuple, lambda: factorize(bbm.y_matrix)),
+        "impedance_matrix_diag": (
+            lambda: (factorize(bbm.y_matrix),), lambda fresh: impedance_matrix_diag(fresh, rows=rows)
+        ),
+        "converter_contribution": (tuple, lambda: converter_contribution(lu, z_safe, bbm.i_kc, rows=rows)),
+        "calc_sc": (tuple, lambda: calc_sc(net, options)),
+        "second_case": (tuple, lambda: calc_sc(topology, second)),
+        "save_network": (tuple, lambda: save_network(net, grid)),
+        "write_result_csv": (tuple, lambda: write_result_csv(result, csv_file)),
+        "write_result_json": (tuple, lambda: write_result_json(result, json_file)),
+        "load_network": (tuple, lambda: load_network(grid)),
     }
-    arguments = dict.fromkeys(calls, tuple)
-    arguments["impedance_matrix_diag"] = lambda: (factorize(bbm.y_matrix),)
     sizes = {"nodes": lu.shape[0], "n_aux": bbm.n_aux, "nnz_y": bbm.y_matrix.nnz, "nnz_lu": lu.L.nnz + lu.U.nnz}
-    return calls, arguments, sizes
+    return calls, sizes
 
 
 def _factored_reference(net, options: FaultStudyOptions, ids: list[int]) -> ShortCircuitResult:
@@ -205,55 +220,21 @@ def _traced(call, *args) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def _timed(call, *args) -> dict:
-    """The min and median of ``REPEATS`` timed calls."""
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        call(*args)
-        times.append(time.perf_counter() - t0)
-    return {"min": min(times), "median": sorted(times)[REPEATS // 2]}
-
-
-def _file_legs(net, result: ShortCircuitResult) -> dict:
-    """In a temporary directory, ``net`` saved as a version 2 grid file and
-    loaded from it, and ``result`` written as CSV and JSON: per leg the min
-    and median of ``REPEATS`` timed calls and the traced peak of one more,
-    the bytes of each written file, and the traced bytes of the network a
-    load returns."""
-    legs = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        grid = os.path.join(tmp, "grid.json")
-        for name, call, obj, path in (
-            ("save_network", save_network, net, grid),
-            ("write_result_csv", write_result_csv, result, os.path.join(tmp, "result.csv")),
-            ("write_result_json", write_result_json, result, os.path.join(tmp, "result.json")),
-        ):
-            legs[f"{name}_s"] = _timed(call, obj, path)
-            legs[f"{name}_peak_traced_bytes"] = _traced(call, obj, path)[1]
-            legs[f"{name}_file_bytes"] = os.path.getsize(path)
-        legs["load_network_s"] = _timed(load_network, grid)
-        legs["network_traced_bytes"], legs["load_network_peak_traced_bytes"] = _traced(load_network, grid)
-    return legs
-
-
 def run_benchmark(
     sizes: list[int], case: str = "max", seed: int = 0, loop_max: int | None = None
 ) -> BenchmarkReport:
     """For each target bus count, on one generated radial grid (a converter
-    source on every fifth feeder bus): one untimed all-bus study, the
-    grid and result files of ``_file_legs``, then ``REPEATS`` timed calls of
-    each stage in turn, each stage called on its own, with the minor page
-    faults of each timed study, then one more call of each stage under
-    tracemalloc for its peak memory. Each call of Z_ii gets a new factor,
-    made before the call. Then single-bus studies must agree with the
-    all-bus study to ``EQUIVALENCE_TOL``: up to ``loop_max`` buses (every
-    size when it is None) a timed loop over every bus, above it the
-    untimed studies of ``SAMPLED_BUSES`` buses drawn with ``seed``, and the
-    same buses from a factor of Y of their own (``_factored_reference``),
-    which shares no Z_ii path with the study.
+    source on every fifth feeder bus): one untimed all-bus study, then
+    ``REPEATS`` rounds that time each call of ``_measured_calls`` in turn,
+    with the minor page faults of each timed study, then one more call of
+    each under tracemalloc for its peak memory. Then single-bus studies must
+    agree with the all-bus study to ``EQUIVALENCE_TOL``: up to ``loop_max``
+    buses (every size when it is None) a timed loop over every bus, above
+    it the untimed studies of ``SAMPLED_BUSES`` buses drawn with ``seed``,
+    and the same buses from a factor of Y of their own
+    (``_factored_reference``), which shares no Z_ii path with the study.
 
-    The headline time of a stage is its minimum; the median stands next to
+    The headline time of a call is its minimum; the median stands next to
     it."""
     cases = []
     for size in sizes:
@@ -264,25 +245,36 @@ def run_benchmark(
         options = FaultStudyOptions(case=case)
 
         # an untimed study first: the first one in a process is slower
-        files = _file_legs(net, calc_sc(net, options))
-        calls, arguments, counts = _stage_calls(net, options)
-        times = {name: [] for name in calls}
-        faults = []
-        for _ in range(REPEATS):
-            for name, call in calls.items():
-                args = arguments[name]()
-                before = _minor_faults()
-                t0 = time.perf_counter()
-                out = call(*args)
-                times[name].append(time.perf_counter() - t0)
-                if name == "calc_sc":
-                    vectorized = out
-                    after = _minor_faults()
-                    faults.append(None if after is None else after - before)
-        stages = {name: {"min": min(ts), "median": sorted(ts)[REPEATS // 2]} for name, ts in times.items()}
-        peaks = {name: _traced(call, *arguments[name]())[1] for name, call in calls.items()}
+        result = calc_sc(net, options)
+        with tempfile.TemporaryDirectory() as tmp:
+            calls, counts = _measured_calls(net, options, result, tmp)
+            times = {name: [] for name in calls}
+            faults = []
+            for _ in range(REPEATS):
+                for name, (make, call) in calls.items():
+                    args = make()
+                    before = _minor_faults()
+                    t0 = time.perf_counter()
+                    out = call(*args)
+                    times[name].append(time.perf_counter() - t0)
+                    if name == "calc_sc":
+                        vectorized = out
+                        after = _minor_faults()
+                        faults.append(None if after is None else after - before)
+                    # freed here, not in the clock of the next call
+                    del out
+            timed = {name: {"min": min(ts), "median": sorted(ts)[REPEATS // 2]} for name, ts in times.items()}
+            traced = {name: _traced(call, *make()) for name, (make, call) in calls.items()}
+            files = {}
+            for leg in _WRITE_LEGS:
+                files[f"{leg}_s"] = timed.pop(leg)
+                files[f"{leg}_peak_traced_bytes"] = traced.pop(leg)[1]
+                files[f"{leg}_file_bytes"] = os.path.getsize(os.path.join(tmp, leg))
+        files["load_network_s"] = timed.pop("load_network")
+        files["network_traced_bytes"], files["load_network_peak_traced_bytes"] = traced.pop("load_network")
+        peaks = {name: peak for name, (_, peak) in traced.items()}
 
-        t_loop = None
+        t_loop, factored = None, []
         if loop_max is None or n <= loop_max:
             t0 = time.perf_counter()
             looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(bus.id,))) for bus in net.buses]
@@ -291,13 +283,13 @@ def run_benchmark(
             sample = np.random.default_rng(seed).choice(n, min(SAMPLED_BUSES, n), replace=False)
             ids = [net.buses[i].id for i in sample]
             looped = [calc_sc(net, FaultStudyOptions(case=case, fault_buses=(bus,))) for bus in ids]
-            looped.append(_factored_reference(net, options, ids))
+            factored.append(_factored_reference(net, options, ids))
         cases.append({
-            "buses": n, **counts, "stages_s": stages,
+            "buses": n, **counts, "stages_s": timed,
             "peak_traced_bytes": peaks["calc_sc"], "stages_peak_traced_bytes": peaks, **files,
             "calc_sc_minor_faults": None if None in faults else sorted(faults)[REPEATS // 2],
-            "looped_s": t_loop, "speedup": None if t_loop is None else t_loop / stages["calc_sc"]["min"],
-            "max_rel_diff": _check_equivalence(vectorized, looped, EQUIVALENCE_TOL),
+            "looped_s": t_loop, "speedup": None if t_loop is None else t_loop / timed["calc_sc"]["min"],
+            "max_rel_diff": _check_equivalence(vectorized, EQUIVALENCE_TOL, looped=looped, factored=factored),
             "checked_buses": n if t_loop is not None else len(ids),
         })
     return BenchmarkReport(cases=tuple(cases), case=case, seed=seed, loop_max=loop_max)

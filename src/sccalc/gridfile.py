@@ -44,16 +44,6 @@ __all__ = [
 # the version written; version 1, one object per element, is read too
 GRID_FILE_VERSION = 2
 
-_RESULT_COLUMNS = (
-    "bus_id",
-    "name",
-    "vn_kv",
-    "ikss_source_ka",
-    "ikss_converter_ka",
-    "ikss_ka",
-    "energized",
-)
-
 
 def _is_unicode(text: str) -> bool:
     """False when ``text`` holds a lone surrogate, which ``json`` reads
@@ -334,16 +324,18 @@ def save_network(net: Network, path) -> None:
     for where, column in texts.items():
         if (i := _first_surrogate(column)) is not None:
             raise GridFileError(f"{path}: {where.format(i)}: {_SURROGATE}")
+    del texts, column
     # the document in order, each item and line with the comma and newline
-    # before it; every value is encoded before the file exists
+    # before it; every value is encoded before the file exists, and each
+    # column leaves the document once its line is encoded
     pieces = []
     for k, (key, value) in enumerate(doc.items()):
         pieces.append(f"{',' if k else '{'}\n  {json.dumps(key)}: ")
         if isinstance(value, dict):
             pieces.append("{")
             pieces += (
-                f"{',' if j else ''}\n    {json.dumps(name)}: {_encode(col, f'{key}.{name}', path)}"
-                for j, (name, col) in enumerate(value.items())
+                f"{',' if j else ''}\n    {json.dumps(name)}: {_encode(value.pop(name), f'{key}.{name}', path)}"
+                for j, name in enumerate(list(value))
             )
             pieces.append("\n  }")
         elif key == "switches" and value:
@@ -406,21 +398,15 @@ def _target(file_or_path):
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
-def _result_columns(result: ShortCircuitResult) -> list[list]:
-    """The result columns in ``_RESULT_COLUMNS`` order: Python ints, names,
-    four float lists and the JSON words of the energized flags."""
-    return [
-        result.bus_ids.tolist(),
-        list(result.bus_names),
-        result.vn_kv.tolist(),
-        result.ikss_source_ka.tolist(),
-        result.ikss_converter_ka.tolist(),
-        result.ikss_ka.tolist(),
-        list(map(_BOOL_TEXT.__getitem__, result.energized.tolist())),
-    ]
+def _result_columns(result: ShortCircuitResult) -> list:
+    """The result's ``columns()``, the energized flags mapped to JSON words
+    as a row takes them, not into a list of their own."""
+    columns = result.columns()
+    columns[6] = map(_BOOL_TEXT.__getitem__, columns[6])
+    return columns
 
 
-_CSV_HEADER = ",".join(_RESULT_COLUMNS) + "\n"
+_CSV_HEADER = ",".join(ShortCircuitResult.COLUMNS) + "\n"
 _CSV_ROW = "%d,%s,%.6f,%.6f,%.6f,%.6f,%s\n"
 # a name holding one of these is quoted, with its quotes doubled, as
 # csv.writer quotes it; csv.writer of Python 3.11 leaves a bare "\r"
@@ -471,7 +457,7 @@ def write_result_json(result: ShortCircuitResult, file_or_path) -> None:
     columns = _result_columns(result)
     columns[1] = list(map(encode_basestring_ascii, columns[1]))
     for k in range(2, 6):
-        values = getattr(result, _RESULT_COLUMNS[k])
+        values = getattr(result, ShortCircuitResult.COLUMNS[k])
         if np.isfinite(values).all():
             continue
         if np.isinf(values).any():

@@ -68,25 +68,20 @@ class ShortCircuitResult:
     vn_kv: np.ndarray
     degenerate_buses: tuple[int, ...]
 
-    def rows(self) -> list[dict]:
-        """All result rows, in the order of ``bus_ids``; one ``tolist`` per
-        column, not one numpy scalar per cell."""
+    # a result row's columns, in file order (unannotated: not a field)
+    COLUMNS = ("bus_id", "name", "vn_kv", "ikss_source_ka", "ikss_converter_ka", "ikss_ka", "energized")
+
+    def columns(self) -> list[list]:
+        """The ``COLUMNS`` as Python lists, in the order of ``bus_ids``; one
+        ``tolist`` per column, not one numpy scalar per cell."""
         return [
-            {
-                "bus_id": bus_id,
-                "name": name,
-                "vn_kv": vn_kv,
-                "ikss_source_ka": source,
-                "ikss_converter_ka": converter,
-                "ikss_ka": total,
-                "energized": energized,
-            }
-            for bus_id, name, vn_kv, source, converter, total, energized in zip(
-                self.bus_ids.tolist(), self.bus_names, self.vn_kv.tolist(),
-                self.ikss_source_ka.tolist(), self.ikss_converter_ka.tolist(), self.ikss_ka.tolist(),
-                self.energized.tolist(),
-            )
+            self.bus_ids.tolist(), list(self.bus_names), self.vn_kv.tolist(), self.ikss_source_ka.tolist(),
+            self.ikss_converter_ka.tolist(), self.ikss_ka.tolist(), self.energized.tolist(),
         ]
+
+    def rows(self) -> list[dict]:
+        """All result rows, one dict of the ``COLUMNS`` per reported bus."""
+        return [dict(zip(self.COLUMNS, row)) for row in zip(*self.columns())]
 
 
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:

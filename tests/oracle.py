@@ -90,16 +90,19 @@ def oracle_admittance(
     return y, i_kc, row
 
 
-def oracle_stamps(
+def oracle_elements(
     net: Network,
     case: str = "max",
     lv_tolerance_percent: int = 10,
     consider_converters: bool = True,
     s_base_mva: float = 1.0,
-) -> tuple[list[tuple[int, int, complex]], np.ndarray, dict[int, int]]:
-    """The admittance stamps (row, col, value) of the energized nodes,
-    element by element, with the converter injection vector and the rows
-    of ``oracle_admittance``; Y is their sum."""
+) -> tuple[list, list, list, set, dict[int, int]]:
+    """The per-unit elements in service, element by element: the branches
+    (node_a, node_b, z_pu, tap at node_a side), the source shunts (node,
+    z_pu), the converter injections (node, pu current), the source nodes
+    and each in-service bus's node. A node is the smallest bus id of its
+    switch-fused group, or ("star", i) for the star point of 3W
+    transformer i."""
     buses = {b.id: b for b in net.buses}
     in_service = {b.id for b in net.buses if b.in_service}
     group = _fused_groups(net, in_service)
@@ -206,6 +209,22 @@ def oracle_stamps(
             i_ka = complex(0.0, -cs.k * cs.sn_mva / (math.sqrt(3.0) * vn))
             i_base = s_base_mva / (math.sqrt(3.0) * vn)
             injection_list.append((group[cs.bus], i_ka / i_base))
+    return branch_list, shunt_list, injection_list, source_set, group
+
+
+def oracle_stamps(
+    net: Network,
+    case: str = "max",
+    lv_tolerance_percent: int = 10,
+    consider_converters: bool = True,
+    s_base_mva: float = 1.0,
+) -> tuple[list[tuple[int, int, complex]], np.ndarray, dict[int, int]]:
+    """The admittance stamps (row, col, value) of the energized nodes,
+    element by element, with the converter injection vector and the rows
+    of ``oracle_admittance``; Y is their sum."""
+    branch_list, shunt_list, injection_list, source_set, group = oracle_elements(
+        net, case, lv_tolerance_percent, consider_converters, s_base_mva
+    )
 
     # nodes reachable from a source node are energized
     adjacency: dict = {}
@@ -299,6 +318,60 @@ def oracle_calc(
             "source_ka": source_ka,
             "converter_ka": converter_ka,
             "total_ka": source_ka + converter_ka,
+            "energized": True,
+        }
+    return out
+
+
+def oracle_radial(
+    net: Network, case: str = "max", lv_tolerance_percent: int = 10, s_base_mva: float = 1.0
+) -> dict[int, dict]:
+    """The currents of ``oracle_calc`` for a grid whose elements form one
+    tree with one source shunt and unit taps, exact but for the rounding of
+    each element's impedance: no matrix, but sums over a BFS order of the
+    tree from the source node in ``np.clongdouble``. Z_ii is the source
+    impedance plus the branch impedances on the path to i; u_i, entry i of
+    Y^-1 i_kc, is the source impedance times every injection plus, along the
+    same path, each branch impedance times the injections below it."""
+    branches, shunts, injections, _, group = oracle_elements(net, case, lv_tolerance_percent, True, s_base_mva)
+    ((root, z_source),) = shunts
+    neighbours: dict = {}
+    for a, b, z_pu, tap in branches:
+        assert tap == 1.0, "unit taps only"
+        neighbours.setdefault(a, []).append((b, z_pu))
+        neighbours.setdefault(b, []).append((a, z_pu))
+    # each node's parent and the impedance to it; the source's parent is
+    # none, through the source impedance
+    parent = {root: (None, np.clongdouble(z_source))}
+    order = [root]
+    for node in order:
+        for other, z_pu in neighbours.get(node, ()):
+            if other not in parent:
+                parent[other] = (node, np.clongdouble(z_pu))
+                order.append(other)
+    assert len(order) == len(parent) == len(branches) + 1, "not one tree"
+    below = dict.fromkeys(order, np.clongdouble(0))
+    for node, injection in injections:
+        below[node] += np.clongdouble(injection)
+    for node in reversed(order[1:]):
+        below[parent[node][0]] += below[node]
+    z_ii = {None: np.clongdouble(0)}
+    u = {None: np.clongdouble(0)}
+    for node in order:
+        up, z_up = parent[node]
+        z_ii[node] = z_ii[up] + z_up
+        u[node] = u[up] + z_up * below[node]
+
+    out = {}
+    for bus in net.buses:
+        node = group[bus.id]
+        i_base = np.longdouble(s_base_mva) / (np.sqrt(np.longdouble(3.0)) * np.longdouble(bus.vn_kv))
+        source = abs(np.longdouble(c_factor(bus.vn_kv, lv_tolerance_percent, case)) / z_ii[node]) * i_base
+        converter = abs(u[node] / z_ii[node]) * i_base
+        out[bus.id] = {
+            "source_ka": float(source),
+            "converter_ka": float(converter),
+            "total_ka": float(source + converter),
             "energized": True,
         }
     return out

@@ -33,10 +33,10 @@ def test_equivalence_gate_rejects_doctored_results():
     net = generate_radial_grid(1, 3, seed=0)
     vectorized = calc_sc(net)
     looped = [calc_sc(net, FaultStudyOptions(fault_buses=(b.id,))) for b in net.buses]
-    assert _check_equivalence(vectorized, looped, 1e-10) <= 1e-10
+    assert _check_equivalence(vectorized, 1e-10, looped=looped) <= 1e-10
     looped[2].ikss_ka[0] *= 1.0 + 1e-6
-    with pytest.raises(EquivalenceGateError):
-        _check_equivalence(vectorized, looped, 1e-10)
+    with pytest.raises(EquivalenceGateError, match=" vs looped "):
+        _check_equivalence(vectorized, 1e-10, looped=looped)
 
 
 def test_gate_tolerance_is_applied():
@@ -45,7 +45,7 @@ def test_gate_tolerance_is_applied():
     looped = [calc_sc(net, FaultStudyOptions(fault_buses=(b.id,))) for b in net.buses]
     looped[0].ikss_ka[0] *= 1.0 + 1e-6
     # generous tolerance lets the doctored value through
-    assert _check_equivalence(vectorized, looped, 1e-3) >= 1e-7
+    assert _check_equivalence(vectorized, 1e-3, looped=looped) >= 1e-7
 
 
 def test_gate_accepts_matching_degenerate_markers():
@@ -56,7 +56,7 @@ def test_gate_accepts_matching_degenerate_markers():
         net.external_grids.append(ExternalGrid(bus=1, s_sc_max_mva=5.5e11))
     vectorized = calc_sc(net)
     looped = [calc_sc(net, FaultStudyOptions(fault_buses=(1,)))]
-    assert _check_equivalence(vectorized, looped, 1e-10) == 0.0
+    assert _check_equivalence(vectorized, 1e-10, looped=looped) == 0.0
 
 
 def test_each_size_runs_one_untimed_study_before_the_timed_ones(monkeypatch):
@@ -89,6 +89,29 @@ def test_each_size_runs_one_untimed_study_before_the_timed_ones(monkeypatch):
     end = events.index((n,))
     assert events[0] == "all"
     assert events[end + 1 : end + 3] == ["clock", "all"]
+
+
+def test_the_file_legs_take_turns_with_the_stages(monkeypatch):
+    events = []
+    real_study, real_save = bench.calc_sc, bench.save_network
+
+    def study(net, options):
+        if options.case == "max":
+            events.append(options.fault_buses)
+        return real_study(net, options)
+
+    def save(net, path):
+        events.append("save")
+        return real_save(net, path)
+
+    monkeypatch.setattr(bench, "calc_sc", study)
+    monkeypatch.setattr(bench, "save_network", save)
+    run_benchmark([3], loop_max=0)
+    # the untimed study, then one call of each per timed round and one
+    # traced call of each, then the sampled single-bus studies
+    rounds = 1 + bench.REPEATS + 1
+    assert events[: 2 * rounds - 1] == ["all"] + ["all", "save"] * (rounds - 1)
+    assert all(isinstance(event, tuple) for event in events[2 * rounds - 1 :])
 
 
 class LoggingFactor:
@@ -157,7 +180,7 @@ def test_the_sampled_check_gates_its_studies(monkeypatch):
         return result
 
     monkeypatch.setattr(bench, "calc_sc", doctored)
-    with pytest.raises(EquivalenceGateError):
+    with pytest.raises(EquivalenceGateError, match=" vs looped "):
         run_benchmark([30], loop_max=10)
 
 
@@ -167,7 +190,7 @@ def test_the_sampled_check_reaches_the_selected_inversion(monkeypatch):
     # 1 + 1e-8
     real = solver._selected_inverse_diag
     monkeypatch.setattr(solver, "_selected_inverse_diag", lambda lu: real(lu) * (1.0 + 1e-8))
-    with pytest.raises(EquivalenceGateError):
+    with pytest.raises(EquivalenceGateError, match=" vs factored "):
         run_benchmark([4202], loop_max=10)
 
 
@@ -177,7 +200,7 @@ def test_the_factored_reference_agrees_beyond_the_selected_inversion():
     vectorized = calc_sc(net)
     reference = bench._factored_reference(net, FaultStudyOptions(), ids)
     assert reference.bus_ids.tolist() == sorted(ids)
-    assert 0.0 < _check_equivalence(vectorized, [reference], bench.EQUIVALENCE_TOL) <= 1e-10
+    assert 0.0 < _check_equivalence(vectorized, bench.EQUIVALENCE_TOL, factored=[reference]) <= 1e-10
 
 
 @pytest.mark.parametrize("case", ["max", "min"])
@@ -197,7 +220,7 @@ def test_the_factored_reference_agrees_on_dead_and_degenerate_buses(case):
     reference = bench._factored_reference(net, options, [1, 2, 3, 4])
     assert reference.degenerate_buses == study.degenerate_buses == (1,)
     assert reference.energized.tolist() == study.energized.tolist() == [True, True, False, False]
-    assert _check_equivalence(study, [reference], bench.EQUIVALENCE_TOL) <= 1e-10
+    assert _check_equivalence(study, bench.EQUIVALENCE_TOL, factored=[reference]) <= 1e-10
 
 
 def test_the_size_records_are_the_plain_json_of_the_report():

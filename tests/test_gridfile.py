@@ -505,7 +505,7 @@ def radial_3002():
 
 @pytest.mark.parametrize(
     "write,bound",
-    [(write_result_json, 2.0), (write_result_csv, 4.5), (save_network, 3.2)],
+    [(write_result_json, 2.0), (write_result_csv, 4.5), (save_network, 2.3)],
     ids=["write_result_json", "write_result_csv", "save_network"],
 )
 def test_writers_hold_a_small_multiple_of_the_bytes_they_write(tmp_path, radial_3002, write, bound):
