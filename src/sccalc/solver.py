@@ -125,7 +125,9 @@ def impedance_matrix_diag(lu: scipy.sparse.linalg.SuperLU, rows=None) -> np.ndar
     pivot it pivots off the diagonal (``perm_r != perm_c``), the factor is
     no longer L*D*L^T, and the entries take unit-vector solves too. So they
     do if SuperLU dropped an entry of L that cancelled to exactly zero and
-    the level rounds need the Z at its place.
+    the level rounds need the Z at its place: a pair of rows reads Z at the
+    anchor for the diagonal, else at an entry slot, of a promoted tree
+    column (see ``_selected_inverse_diag``) or of a branching one.
     """
     n = lu.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
@@ -161,17 +163,19 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     no tree column. Roots (no entries) give Z_aa = 1/d_a. The columns with
     two or more entries below the diagonal (branching columns) are the
     other anchors and need the full recurrence: ``_level_sweep`` runs it in
-    one batch of numpy calls per dependency level. Where the n x k block of
-    right-hand sides for the k branching columns is small (see
-    ``_UNIT_SOLVE_MAX_ENTRIES``), one unit-vector solve each gives their Z_jj
-    for less than the rounds' set-up; a solve reads no pattern of L, so it
-    never meets a dropped entry.
+    one batch of numpy calls per dependency level. The tree columns that
+    are rows of a branching column join those rounds as anchors of their
+    own (promoted columns), so that Z between two rows of a column is
+    always stored at an entry. Where the n x k block of right-hand sides for the k branching
+    columns is small (see ``_UNIT_SOLVE_MAX_ENTRIES``), one unit-vector
+    solve each gives their Z_jj for less than the rounds' set-up; a solve
+    reads no pattern of L, so it never meets a dropped entry.
 
     Z is one array ``zs`` of n + E slots: the n diagonals, then, for the
     level rounds, one slot for each of the E entries below the diagonal of
-    the branching columns, in level order; no array is as long as L. On
-    ``meshed_grid(1)`` (min case: n = 2 898, E = 2 197, nnz(L) = 6 900)
-    Z_ii on a new factor peaks at 0.80 MB of traced memory, SuperLU's L and
+    the columns in the rounds, in level order; no array is as long as L. On
+    ``meshed_grid(1)`` (min case: n = 2 898, E = 2 200, nnz(L) = 6 900)
+    Z_ii on a new factor peaks at 0.79 MB of traced memory, SuperLU's L and
     U 0.30 MB of it, and a study at 0.92 MB.
     """
     l_factor = lu.L
@@ -184,10 +188,16 @@ def _selected_inverse_diag(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray:
     branching = entries > 2
     width = np.count_nonzero(branching)
     rounds = n * width > _UNIT_SOLVE_MAX_ENTRIES
-    zs = np.empty(n + (entries[branching].sum() - width if rounds else 0), dtype=complex)
+    tree = entries == 2
+    if rounds:
+        # the tree columns among the rows of branching columns join them
+        rows = indices[np.repeat(branching, entries)]
+        branching[rows] |= entries[rows] == 2
+        tree &= ~branching
+        del rows
+    zs = np.empty(n + (entries[branching].sum() - np.count_nonzero(branching) if rounds else 0), dtype=complex)
     z = zs[:n]
     np.divide(1.0, lu.U.diagonal(), out=z)
-    tree = entries == 2
     # Z_ii = a_i + b_i Z_(up_i); a column that is no tree column is its own
     # anchor (a = 0, b = 1, up = itself)
     first = indptr[:-1] + 1
@@ -218,69 +228,38 @@ def _level_sweep(
     branching: np.ndarray, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
     entries: np.ndarray, zs: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray,
 ) -> None:
-    """Z_ii of the branching columns (the mask ``branching``), written to
-    their diagonal slots of ``zs``.
+    """Z_ii of the columns in the rounds (the mask ``branching``), written
+    to their diagonal slots of ``zs``.
 
     Takahashi's recurrence of ``_selected_inverse_diag`` over these columns,
     scheduled by levels as sparse triangular solves are (Anderson & Saad
     1989): a column reads only Z at the anchors up_j of its rows j (a
-    branching column is its own anchor), so its level is one more than the
-    highest of theirs, with roots at level 0, and the columns of one level
-    do not read each other.
+    column in the rounds is its own anchor) and at entries of columns that
+    are rows of it, so its level is one more than the highest of theirs,
+    with roots at level 0, and the columns of one level do not read each
+    other.
 
     ``zs`` holds the n diagonals, then one slot for each of the E entries
-    below the diagonal of the branching columns, in level order, so that
-    the entries of a level are one contiguous range. Diagonal slot i holds
-    1/d_i until column i is done, then Z_ii. For every pair (p, q) of rows of a column
-    it is worked out once per factor where Z_(jp, jq) comes from:
-    Z_jj = a_j + b_j Z_(up_j) for p = q; with lo < hi the two rows in order,
-    Z_(lo, hi) = -l_lo (a_hi + b_hi Z_(up_hi)) if lo is a tree column (its
-    entry l_lo sits at (hi, lo)), else the slot of (hi, lo) among the
-    entries. The constant parts of an entry's Z start in its slot. A level
-    is then a fixed handful of numpy calls: gather, multiply and
+    below the diagonal of these columns, in level order, so that the
+    entries of a level are one contiguous range. Diagonal slot i holds
+    1/d_i until column i is done, then Z_ii. For every pair (p, q) of rows
+    of a column it is worked out once per factor where Z_(jp, jq) comes
+    from: Z_jj = a_j + b_j Z_(up_j) at the anchor for p = q, else the slot
+    of (hi, lo) among the entries, with lo < hi the two rows in order (lo
+    is in the rounds: a row of a column with two entries or more is no
+    tree column). The constant parts -l_p a_p start in the entries' slots.
+    A level is then a fixed handful of numpy calls: gather, multiply and
     ``reduceat`` per entry for Z_(i, jp) = -sum_q l_q Z_(jq, jp), added to
     its slot; multiply and ``reduceat`` per column for
     Z_ii = 1/d_i - sum_p l_p Z_(i, jp), subtracted from the diagonal slot.
-    Raises _DroppedEntry if L lacks the entry (hi, lo) of a pair. On
-    ``meshed_grid(1)`` (min case) a study holds 0.89 MB at most in the
+    Raises _DroppedEntry if L lacks the entry (hi, lo) of a pair.
+
+    The set-up frees each temporary after its last reader, and knows the
+    entries by their slots in L and their rows until their values are last
+    read, so that it holds little more than the rounds. On
+    ``meshed_grid(1)`` (min case) a study holds 0.88 MB at most in the
     rounds and 0.92 MB in their set-up.
     """
-    # the set-up of the pairs is freed before the rounds start
-    cols, l_rows, col_first, pair_first, coef, src, ends, terms, weighted = _level_pairs(
-        branching, indptr, indices, values, entries, zs, a, b, up
-    )
-    z_entries = zs[len(a) :]
-    c0 = e0 = p0 = 0
-    for c1, e1, p1 in ends:
-        # a level's products go to the front of the buffers, and its runs
-        # count from its start
-        level_terms, level_weighted = terms[: p1 - p0], weighted[: e1 - e0]
-        np.multiply(coef[p0:p1], zs.take(src[p0:p1], out=level_terms), out=level_terms)
-        z_entry = z_entries[e0:e1]
-        z_entry += np.add.reduceat(level_terms, pair_first[e0:e1])
-        np.multiply(l_rows[e0:e1], z_entry, out=level_weighted)
-        zs[cols[c0:c1]] -= np.add.reduceat(level_weighted, col_first[c0:c1])
-        c0, e0, p0 = c1, e1, p1
-
-
-def _level_pairs(
-    branching: np.ndarray, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
-    entries: np.ndarray, zs: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray,
-) -> tuple:
-    """The set-up of ``_level_sweep``: the columns in level order, the
-    values ``l_rows`` of their entries below the diagonal, the start
-    ``col_first`` of each column's run of entries, the start ``pair_first``
-    of each entry's run of pairs, ``coef`` and ``src`` of
-    Z_(i, jp) = const_p + sum_q coef_pq zs[src_pq], the ends of each
-    level's columns, entries and pairs, and one buffer each for the
-    products of a level's pairs and entries, as long as the widest level.
-    ``col_first`` and ``pair_first`` count from the start of their level.
-    The constants const_p go to the entries' slots of ``zs``; entry e of
-    the level order is ``zs[n + e]``.
-
-    Each temporary is freed after its last reader, and the entries are
-    known by their slots in L and their rows until their values are last
-    read, so that the set-up holds little more than what it returns."""
     n = len(a)
     cols, level_cols = _level_order(branching, indptr, indices, up)
     # (count and rows are of the default integer type: numpy converts any
@@ -294,8 +273,8 @@ def _level_pairs(
     # the pair (p, p) reads a_p + b_p Z at the anchor of its row, with
     # coefficient -l_p: -l_p a_p starts the slot of entry p
     rows = indices[at].astype(np.intp)
-    const = zs[n:]
-    np.negative(np.multiply(values[at], a[rows], out=const), out=const)
+    z_entries = zs[n:]
+    np.negative(np.multiply(values[at], a[rows], out=z_entries), out=z_entries)
     # entry p, the k-th of a column of m entries, pairs with every entry q
     # of the column, at pair_first[p] + k_q = diagonal[p] + q - p
     per_entry = np.repeat(count, count)
@@ -304,28 +283,15 @@ def _level_pairs(
 
     # the pairs p < q: q runs from p + 1 over the later entries of p's
     # column; with lo < hi their rows, both (p, q) and (q, p) read Z at
-    # the slot of (hi, lo) among the entries, unless lo is a tree column:
-    # then they read a_hi + b_hi Z at the anchor of hi, times -l_lo from
-    # lo's one entry, which must sit in row hi
+    # the slot of (hi, lo) among the entries
     later = per_entry - 1 - k
     del per_entry, k
     up_p = np.repeat(np.arange(len(at)), later)
     up_q = np.repeat(np.arange(len(at)) - (later.cumsum() - later), later)
     del later
     up_q += np.arange(1, len(up_q) + 1)
-    lo, hi = rows[up_p], rows[up_q]
-    tree = entries[lo] == 2
-    slot = up[hi]
-    other = ~tree
-    slot[other] = n + _entry_slots(lo[other], hi[other], cols, count, rows, n)
-    del other
-    tree = tree.nonzero()[0]
-    below = indptr[lo[tree]] + 1
-    hi = hi[tree]
-    if not np.array_equal(indices[below], hi):
-        raise _DroppedEntry("L lacks an entry that a branching column needs")
-    lo_l = -values[below]
-    del lo, below
+    slot = _entry_slots(rows[up_p], rows[up_q], cols, count, rows, n)
+    slot += n
     # (p, q) goes to the run of entry p with coefficient -l_q, (q, p) to
     # that of q with -l_p
     src = np.empty(pairs, dtype=np.intp)
@@ -336,10 +302,6 @@ def _level_pairs(
         l_q = values[at[q]]
         coef[pair] = np.negative(l_q, out=l_q)
         del l_q
-        pair = pair[tree]
-        scale = coef[pair] * lo_l
-        np.add.at(const, p[tree], scale * a[hi])
-        coef[pair] = scale * b[hi]
     del up_p, up_q, slot, p, q, pair
     # and (p, p) reads the anchor of its row with coefficient -l_p b_p
     src[diagonal] = up[rows]
@@ -352,7 +314,8 @@ def _level_pairs(
 
     # the first and the end of each level's columns, entries and pairs;
     # pair_first = diagonal - k only now, as held through the pairs'
-    # set-up it would add to the peak
+    # set-up it would add to the peak. col_first and pair_first count from
+    # the start of their level
     pair_first = diagonal - np.arange(len(diagonal)) + np.repeat(col_first, count)
     del diagonal
     col_end = level_cols.cumsum()
@@ -361,10 +324,24 @@ def _level_pairs(
     pair_end = np.append(pair_start[1:], pairs)
     col_first -= np.repeat(entry_start, level_cols)
     pair_first -= np.repeat(pair_start, entry_end - entry_start)
-    ends = list(zip(col_end.tolist(), entry_end.tolist(), pair_end.tolist()))
+    ends = zip(col_end.tolist(), entry_end.tolist(), pair_end.tolist())
+    # one buffer each for the products of a level's pairs and entries, as
+    # long as the widest level
     terms = np.empty((pair_end - pair_start).max(), dtype=complex)
     weighted = np.empty((entry_end - entry_start).max(), dtype=complex)
-    return cols, l_rows, col_first, pair_first, coef, src, ends, terms, weighted
+    del count, level_cols, col_end, entry_start, entry_end, pair_start, pair_end
+
+    c0 = e0 = p0 = 0
+    for c1, e1, p1 in ends:
+        # a level's products go to the front of the buffers, and its runs
+        # count from its start
+        level_terms, level_weighted = terms[: p1 - p0], weighted[: e1 - e0]
+        np.multiply(coef[p0:p1], zs.take(src[p0:p1], out=level_terms), out=level_terms)
+        z_entry = z_entries[e0:e1]
+        z_entry += np.add.reduceat(level_terms, pair_first[e0:e1])
+        np.multiply(l_rows[e0:e1], z_entry, out=level_weighted)
+        zs[cols[c0:c1]] -= np.add.reduceat(level_weighted, col_first[c0:c1])
+        c0, e0, p0 = c1, e1, p1
 
 
 def _level_order(branching: np.ndarray, indptr: np.ndarray, indices: np.ndarray, up: np.ndarray) -> tuple:
@@ -375,7 +352,7 @@ def _level_order(branching: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
     the first row (the column's parent in the elimination tree) or its
     ancestors, whose levels are lower still. So a level is a depth in the
     tree of anchors, found by pointer jumping as for the tree columns, on
-    the branching columns only; slot ``width`` stands for every root."""
+    the columns in the rounds only; slot ``width`` stands for every root."""
     columns = branching.nonzero()[0]
     width = len(columns)
     slot = np.full(len(branching), width)

@@ -370,7 +370,12 @@ def diag_by_level_rounds(lu, monkeypatch) -> np.ndarray:
 def test_level_sweep_agrees_with_the_python_sweep(seed, case, monkeypatch):
     net = random_network(seed, max_buses=800, loops=30)
     lu = factorize(build_bbm(net, FaultStudyOptions(case=case)).y_matrix)
-    assert np.count_nonzero(below_diagonal_entries(lu) > 1) > 50
+    entries = below_diagonal_entries(lu)
+    assert np.count_nonzero(entries > 1) > 50
+    # and one-entry columns that are rows of a branching column, which join
+    # the rounds
+    rows = lu.L.indices[np.repeat(entries > 1, entries + 1)]
+    assert np.any(entries[rows] == 1)
     z_level, z_reference = diag_by_level_rounds(lu, monkeypatch)
     assert np.max(rel_diff(z_level, z_reference)) < 1e-13
 
@@ -403,7 +408,7 @@ def ladder(length: int, rungs_every: int) -> Network:
 def test_selected_inversion_on_a_ladder(monkeypatch):
     # the minimum-degree order eliminates the ladder from its ends, so almost
     # every column branches and the levels run deep: 192 branching columns
-    # in 26 levels
+    # in 26 levels, and 27 rounds with the one tree column that joins them
     y = build_bbm(ladder(100, 4), FaultStudyOptions()).y_matrix
     n = y.shape[0]
     lu = factorize(y)

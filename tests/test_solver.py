@@ -109,8 +109,9 @@ def test_diag_zero_pivot_falls_back_to_unit_solves(monkeypatch):
 # below the diagonal) needs a Z that lies off the stored pattern of L. In
 # the 4-bus matrix the update between buses 0 and 1, 1 - 1*1/1, is 0: the
 # first column has three entries below the diagonal, and bus 0's column
-# keeps one, in the row of bus 2, so it is a tree column whose one entry
-# must not be read in place of the dropped one
+# keeps one, in the row of bus 2. As a row of the first column it joins
+# the level rounds, where the search finds no key for the dropped entry,
+# so its one entry is not read in place of the dropped one
 THREE_BUS_CANCELLING = ([[3, 2, 2], [2, 4, 1], [2, 1, 1]], 5)
 FOUR_BUS_CANCELLING = ([[5, 1, 2, 1], [1, 2, 2, 1], [2, 2, 5, 3], [1, 1, 3, 1]], 9)
 
@@ -123,7 +124,7 @@ FOUR_BUS_CANCELLING = ([[5, 1, 2, 1], [1, 2, 2, 1], [2, 2, 5, 3], [1, 1, 3, 1]],
         (False, FOUR_BUS_CANCELLING),
         (True, FOUR_BUS_CANCELLING),
     ],
-    ids=["unit-solve anchors", "level sweep", "unit-solve anchors, tree column", "level sweep, tree column"],
+    ids=["unit-solve anchors", "level sweep", "unit-solve anchors, one-entry row", "level sweep, tree column in the rounds"],
 )
 def test_diag_entry_of_l_cancelled_to_zero_falls_back_to_unit_solves(monkeypatch, level_sweep, matrix):
     # the level rounds fall back to unit solves, a unit solve of the
@@ -468,14 +469,14 @@ def test_a_study_holds_one_stage_at_a_time(make, case, bound_mb):
 
 
 def test_z_ii_of_a_meshed_grid_holds_little_more_than_the_level_rounds():
-    # Z is kept on the diagonal and the entries of the branching columns
-    # only, the set-up of the level rounds frees each temporary after its
-    # last reader, and the rounds' buffers are as long as the widest level:
-    # the traced peak is 0.80 MB with numpy 2.4, SuperLU's L and U (built at
-    # the first Z_ii on a factor) 0.30 MB of it. The bound leaves room for
-    # other numpy versions and stays below 0.92 MB, the peak when Z spans
-    # the whole pattern of L (1.28 MB when the set-up holds all its pair
-    # arrays at once).
+    # Z is kept on the diagonal and the entries of the columns in the
+    # rounds only, the set-up of the level rounds frees each temporary after
+    # its last reader, and the rounds' buffers are as long as the widest
+    # level: the traced peak is 0.79 MB with numpy 2.4, SuperLU's L and U
+    # (built at the first Z_ii on a factor) 0.30 MB of it. The bound leaves
+    # room for other numpy versions and stays below 0.92 MB, the peak when
+    # Z spans the whole pattern of L (1.28 MB when the set-up holds all its
+    # pair arrays at once).
     y = build_bbm(load_perfbench("grids").meshed_grid(1), FaultStudyOptions(case="min")).y_matrix
     lu = factorize(y)
     branching = np.count_nonzero(np.diff(factorize(y).L.indptr) > 2)
